@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "blas/blas1.hpp"
 #include "blas/blas3.hpp"
 #include "blas/eig.hpp"
 #include "blas/least_squares.hpp"
 #include "common/error.hpp"
-#include "core/checkpoint.hpp"
-#include "core/cpu_gmres.hpp"
 #include "core/gmres.hpp"
 #include "core/hessenberg.hpp"
 #include "mpk/exec.hpp"
@@ -95,686 +94,394 @@ bool mat_finite(const blas::DMat& m) {
   return true;
 }
 
+/// CA-GMRES's cycle step: blocks of s basis vectors from MPK (or s SpMVs),
+/// projected by BOrth and orthonormalized by TSQR, with the Hessenberg
+/// matrix recovered on the host. With the Newton basis the first restart
+/// runs the GMRES step to harvest the shifts, and the ladder's terminal
+/// rung runs the remaining budget on it too.
+class CaStep final : public detail::CycleStep {
+ public:
+  explicit CaStep(const SolverOptions& opts)
+      : opts_(opts),
+        s_(std::min(opts.s, opts.m)),
+        gmres_(opts),
+        have_shifts_(opts.basis == Basis::kMonomial),
+        s_current_(s_),
+        tsqr_current_(opts.tsqr) {
+    if (have_shifts_) {  // monomial: zero shifts for every block
+      step_shifts_.re.assign(static_cast<std::size_t>(s_), 0.0);
+      step_shifts_.im.assign(static_cast<std::size_t>(s_), 0.0);
+    }
+  }
+
+  LadderCapabilities capabilities() const override {
+    LadderCapabilities caps;
+    caps.force_reorth = !opts_.reorthogonalize;
+    caps.shrink_s = true;
+    caps.rebuild_shifts = (opts_.basis == Basis::kNewton);
+    for (ortho::Method t = opts_.tsqr;;) {
+      const ortho::Method n = ortho::more_robust_method(t);
+      if (n == t) break;
+      ++caps.tsqr_switches;
+      t = n;
+    }
+    caps.fallback_gmres = true;
+    return caps;
+  }
+
+  bool rung_applicable(EscalationStep a) const override {
+    switch (a) {
+      case EscalationStep::kForceReorth:
+        return !force_reorth_;
+      case EscalationStep::kShrinkS:
+        return s_current_ > opts_.adaptive_min_s;
+      case EscalationStep::kRebuildShifts:
+        return have_shifts_ && last_h_k_ > 1 && !rebuild_shifts_pending_;
+      case EscalationStep::kSwitchTsqr:
+        return ortho::more_robust_method(tsqr_current_) != tsqr_current_;
+      case EscalationStep::kFallbackGmres:
+        return !fallback_gmres_;
+      default:
+        return false;
+    }
+  }
+
+  void apply_rung(EscalationStep a) override {
+    switch (a) {
+      case EscalationStep::kForceReorth:
+        force_reorth_ = true;
+        break;
+      case EscalationStep::kShrinkS:
+        s_current_ = std::max(opts_.adaptive_min_s, s_current_ / 2);
+        ladder_shrunk_s_ = true;
+        clean_streak_ = 0;
+        break;
+      case EscalationStep::kRebuildShifts:
+        rebuild_shifts_pending_ = true;  // harvested in after_restart
+        break;
+      case EscalationStep::kSwitchTsqr:
+        tsqr_current_ = ortho::more_robust_method(tsqr_current_);
+        break;
+      case EscalationStep::kFallbackGmres:
+        fallback_gmres_ = true;
+        break;
+      default:
+        break;
+    }
+  }
+
+  void rebuild(const Problem& prob) override {
+    rows_ = prob.rows_per_device();
+    // Right-preconditioned blocks interleave a block-local trisolve between
+    // SpMVs, which the fused s-step MPK kernel cannot express: use the
+    // step-by-step generator instead (same operator, one halo per step).
+    if (opts_.use_mpk && s_ > 1 && opts_.precond == nullptr) {
+      plan_s_ = std::make_unique<mpk::MpkPlan>(
+          mpk::build_mpk_plan(prob.a, prob.offsets, s_));
+      mpk_exec_ = std::make_unique<mpk::MpkExecutor>(*plan_s_);
+    }
+  }
+
+  detail::CycleOutcome cycle(detail::Cycle& c) override {
+    ran_gmres_ = !have_shifts_ || fallback_gmres_;
+    if (!ran_gmres_) return ca_cycle(c);
+    detail::CycleOutcome out = gmres_.cycle(c);
+    if (c.hm.armed() && out.k > 0) {
+      last_h_ = out.h;  // freshest Hessenberg for a possible shift rebuild
+      last_h_k_ = out.k;
+    }
+    return out;
+  }
+
+  void after_update(detail::Cycle& c,
+                    const detail::CycleOutcome& out) override {
+    if (ran_gmres_ || !c.hm.armed()) return;
+    // Whole-prefix condition sample (opt-in): one charged Gram sweep over
+    // every orthonormal column this cycle produced, catching cross-block
+    // orthogonality decay the per-block samples miss.
+    const HealthEventKind prefix_trip =
+        c.hm.check_restart_prefix(c.v, out.k + 1, c.restart, c.st.iterations);
+    if (prefix_trip != HealthEventKind::kNone) c.respond(prefix_trip);
+  }
+
+  void after_restart(detail::Cycle& c,
+                     const detail::CycleOutcome& out) override {
+    if (out.k == 0) return;  // poisoned GMRES cycle: retry next restart
+    // Deferred kRebuildShifts: the Ritz values come from the Hessenberg of
+    // this cycle — the first one run under the escalated settings — not
+    // the stale pre-escalation one.
+    if (rebuild_shifts_pending_ && last_h_k_ > 1) {
+      harvest_shifts(c.machine, last_h_, last_h_k_);
+      rebuild_shifts_pending_ = false;
+    }
+    if (!have_shifts_) {  // the first restart was the harvesting GMRES one
+      harvest_shifts(c.machine, out.h, out.k);
+      have_shifts_ = true;
+    }
+  }
+
+ private:
+  /// Newton shifts from the Ritz values of the leading k x k block of h.
+  void harvest_shifts(sim::Machine& machine, const blas::DMat& h, int k) {
+    blas::DMat h_sq(k, k);
+    for (int j = 0; j < k; ++j) {
+      for (int i = 0; i < k; ++i) h_sq(i, j) = h(i, j);
+    }
+    step_shifts_ = newton_shifts(blas::hessenberg_eig(h_sq), s_);
+    machine.charge_host(sim::Kernel::kGeqrf,
+                        10.0 * static_cast<double>(k) * k * k, 0.0);
+  }
+
+  detail::CycleOutcome ca_cycle(detail::Cycle& c);
+
+  const SolverOptions& opts_;
+  const int s_;
+  detail::GmresStep gmres_;  // shift-harvest restart and fallback rung
+  std::vector<int> rows_;
+  std::unique_ptr<mpk::MpkPlan> plan_s_;
+  std::unique_ptr<mpk::MpkExecutor> mpk_exec_;
+
+  // Step shifts, reused for every block of every restart.
+  Shifts step_shifts_;
+  bool have_shifts_;
+  bool ran_gmres_ = false;  // the current cycle is a GMRES one
+
+  // Adaptive block-size state (opts.adaptive_s): shared across restarts so
+  // a learned-safe s persists.
+  int s_current_;
+  int clean_streak_ = 0;
+
+  // Ladder-mutable state. Only ladder actions touch these, and the ladder
+  // only runs off armed monitors, so an unmonitored solve behaves
+  // byte-identically to the pre-health code.
+  ortho::Method tsqr_current_;
+  bool force_reorth_ = false;
+  bool ladder_shrunk_s_ = false;  // use s_current_ even without adaptive_s
+  bool fallback_gmres_ = false;
+  blas::DMat last_h_;  // freshest Hessenberg, kept for a shift rebuild
+  int last_h_k_ = 0;
+  bool rebuild_shifts_pending_ = false;
+};
+
+detail::CycleOutcome CaStep::ca_cycle(detail::Cycle& c) {
+  sim::Machine& machine = c.machine;
+  sim::DistMultiVec& v = c.v;
+  SolveStats& st = c.st;
+  const int mm = opts_.m;
+  const int ng = machine.n_devices();
+  const bool health_on = c.hm.armed();
+  detail::CycleOutcome out;
+
+  blas::DMat r_total(mm + 1, mm + 1);
+  r_total(0, 0) = 1.0;  // g_0 = q_0
+  Shifts col_shifts;
+  col_shifts.re.assign(static_cast<std::size_t>(mm), 0.0);
+  col_shifts.im.assign(static_cast<std::size_t>(mm), 0.0);
+  // Columns where a block's recursion restarted from the orthonormalized
+  // vector (see hessenberg_blocked).
+  std::vector<char> is_block_start(static_cast<std::size_t>(mm) + 1, 0);
+  is_block_start[0] = 1;
+
+  int done = 1;
+  while (done < mm + 1) {
+    if (health_on) c.hm.check_budget(st.iterations, c.restart);
+    const int steps = std::min(
+        (opts_.adaptive_s || ladder_shrunk_s_) ? s_current_ : s_,
+        mm + 1 - done);
+    is_block_start[static_cast<std::size_t>(done) - 1] = 1;
+    const Shifts bs = block_shifts(step_shifts_, steps);
+    for (int i = 0; i < steps; ++i) {
+      col_shifts.re[static_cast<std::size_t>(done - 1 + i)] =
+          bs.re[static_cast<std::size_t>(i)];
+      col_shifts.im[static_cast<std::size_t>(done - 1 + i)] =
+          bs.im[static_cast<std::size_t>(i)];
+    }
+
+    // Snapshot of the block (pre-TSQR, post-BOrth) for error
+    // instrumentation; untouched simulated clock (measurement only).
+    auto snapshot_block = [&]() {
+      machine.sync();  // wall-clock only: host copy of the device panel
+      sim::DistMultiVec snap(rows_, steps);
+      for (int d = 0; d < ng; ++d) {
+        for (int i = 0; i < steps; ++i) {
+          blas::copy(v.local_rows(d), v.col(d, done + i), snap.col(d, i));
+        }
+      }
+      return snap;
+    };
+    auto record_errors = [&](const sim::DistMultiVec& before,
+                             const blas::DMat& r_blk, int pass) {
+      TsqrErrorSample sample;
+      sample.restart = c.restart;
+      sample.pass = pass;
+      sample.kappa_block = ortho::condition_number(before, 0, steps);
+      sim::DistMultiVec after = snapshot_block();
+      sample.errors = ortho::measure_errors(after, before, 0, steps, r_blk);
+      st.tsqr_errors.push_back(sample);
+    };
+
+    blas::DMat cb;
+    ortho::TsqrResult tq;
+    bool block_reorthed = false;
+    int attempts = 0;
+    const std::size_t tsqr_errors_mark = st.tsqr_errors.size();
+    // Block replay loop: generation fully rewrites columns
+    // done..done+steps from the accepted column done-1, so a block the
+    // health scrub rejects can simply be re-run.
+    while (true) {
+      st.tsqr_errors.resize(tsqr_errors_mark);  // drop replayed samples
+      try {
+        if (mpk_exec_ != nullptr && steps > 1) {
+          mpk_exec_->apply(machine, v, done - 1, steps,
+                           {bs.re.data(), bs.im.data()});
+        } else {
+          generate_by_spmv(machine, c.spmv, v, done - 1, steps, bs,
+                           opts_.precond);
+        }
+
+        {
+          sim::PhaseScope phase(machine, "borth");
+          cb = ortho::borth(machine, opts_.borth, v, done, done + steps);
+        }
+        sim::DistMultiVec pre_tsqr;
+        if (opts_.collect_tsqr_errors) pre_tsqr = snapshot_block();
+        {
+          sim::PhaseScope phase(machine, "tsqr");
+          tq = ortho::tsqr(machine, tsqr_current_, v, done, done + steps,
+                           opts_.tsqr_opts);
+        }
+        if (opts_.collect_tsqr_errors) record_errors(pre_tsqr, tq.r, 0);
+        block_reorthed = opts_.reorthogonalize || force_reorth_ ||
+                         (tq.breakdown && opts_.reorth_on_breakdown);
+        if (block_reorthed) {
+          blas::DMat c2;
+          {
+            sim::PhaseScope phase(machine, "borth");
+            c2 = ortho::borth(machine, opts_.borth, v, done, done + steps);
+          }
+          if (opts_.collect_tsqr_errors) pre_tsqr = snapshot_block();
+          ortho::TsqrResult tq2;
+          {
+            sim::PhaseScope phase(machine, "tsqr");
+            tq2 = ortho::tsqr(machine, tsqr_current_, v, done, done + steps,
+                              opts_.tsqr_opts);
+          }
+          if (opts_.collect_tsqr_errors) record_errors(pre_tsqr, tq2.r, 1);
+          merge_reorth(cb, c2, tq.r, tq2.r);
+          machine.charge_host(sim::Kernel::kGemm,
+                              2.0 * static_cast<double>(done) * steps * steps,
+                              0.0);
+        }
+      } catch (const Error& e) {
+        // A poisoned block can surface as a (shift-proof) TSQR breakdown
+        // before the scrub sees it — e.g. an injected NaN in the Gram
+        // kernel itself. Treat it like a failed health check: the replay
+        // regenerates everything from the last accepted column. A
+        // breakdown on an unarmed machine still propagates.
+        if (!c.resilient || e.code() != ErrorCode::kBreakdown) throw;
+        ++st.recovery.blocks_replayed;
+        if (++attempts > opts_.max_block_replays) {
+          out.tainted = true;  // escalate to a cycle rollback
+          return out;
+        }
+        continue;
+      }
+
+      if (c.resilient) {
+        // Block-boundary health scrub: the host-side factors are free to
+        // scan; the device panel gets one charged norm-per-column checksum
+        // pass.
+        const double t_scrub = machine.clock().elapsed();
+        const bool clean =
+            mat_finite(cb) && mat_finite(tq.r) &&
+            ortho::block_norms_finite(machine, v, done, done + steps);
+        if (!clean) {
+          ++st.recovery.blocks_replayed;
+          st.recovery.time_lost += machine.clock().elapsed() - t_scrub;
+          if (++attempts > opts_.max_block_replays) {
+            out.tainted = true;  // escalate to a cycle rollback
+            return out;
+          }
+          continue;
+        }
+      }
+      break;
+    }
+
+    // Commit the accepted block: bookkeeping that must not see discarded
+    // (replayed) attempts.
+    st.block_sizes.push_back(steps);
+    st.block_breakdowns.push_back(tq.breakdown ? 1 : 0);
+    if (tq.breakdown) ++st.cholqr_breakdowns;
+    if (opts_.adaptive_s) {
+      if (tq.breakdown) {
+        s_current_ = std::max(opts_.adaptive_min_s, s_current_ / 2);
+        clean_streak_ = 0;
+      } else if (++clean_streak_ >= 3 && s_current_ < s_) {
+        ++s_current_;
+        clean_streak_ = 0;
+      }
+    }
+    if (block_reorthed) ++st.reorth_blocks;
+
+    if (health_on) {
+      // Basis-condition monitor on the committed block: free R-diagonal
+      // estimate plus the charged Gram sample on its cadence. A trip
+      // hardens the *next* block (this one is already orthogonalized).
+      const HealthEventKind cond_trip = c.hm.check_block(
+          tq.r, v, done, done + steps, c.restart, st.iterations);
+      if (cond_trip != HealthEventKind::kNone) c.respond(cond_trip);
+    }
+
+    // Record the block's columns of the global triangular factor.
+    for (int i = 0; i < steps; ++i) {
+      const int col = done + i;
+      for (int row = 0; row < done; ++row) r_total(row, col) = cb(row, i);
+      for (int row = 0; row <= i; ++row) {
+        r_total(done + row, col) = tq.r(row, i);
+      }
+    }
+    done += steps;
+    st.iterations += steps;
+
+    // Host-side convergence probe at block granularity: assemble the
+    // Hessenberg matrix for the columns so far and check the LS residual.
+    const int k = done - 1;
+    Shifts used;
+    used.re.assign(col_shifts.re.begin(), col_shifts.re.begin() + k);
+    used.im.assign(col_shifts.im.begin(), col_shifts.im.begin() + k);
+    blas::DMat r_lead(k + 1, k + 1);
+    for (int j = 0; j <= k; ++j) {
+      for (int i = 0; i <= j; ++i) r_lead(i, j) = r_total(i, j);
+    }
+    const std::vector<char> starts(is_block_start.begin(),
+                                   is_block_start.begin() + k + 1);
+    const blas::DMat h = hessenberg_blocked(r_lead, starts, used);
+    machine.charge_host(sim::Kernel::kGemm,
+                        2.0 * static_cast<double>(k) * k * k, 0.0);
+    double ls_res = 0.0;
+    std::vector<double> y = blas::solve_hessenberg_ls(h, c.beta, &ls_res);
+    if (health_on) {
+      last_h_ = h;  // freshest Hessenberg for a possible shift rebuild
+      last_h_k_ = k;
+    }
+    if (ls_res <= c.abs_tol || done == mm + 1) {
+      out.k = k;
+      out.y = std::move(y);
+      out.ls_residual = ls_res;
+      break;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 SolveResult ca_gmres(sim::Machine& machine, const Problem& problem,
                      const SolverOptions& opts) {
-  CAGMRES_REQUIRE(problem.n_devices() == machine.n_devices(),
-                  "problem/machine device count mismatch");
   CAGMRES_REQUIRE(opts.m >= 1 && opts.s >= 1, "bad (s, m)");
-  const int mm = opts.m;
-  const int s = std::min(opts.s, mm);
-  const bool resilient = machine.faults_armed();
-  const sim::FaultStats faults0 = machine.fault_injector().stats();
-  const sim::Counters ctr0 = machine.counters();
-  // Per-restart tier-traffic trace instants diff against this snapshot.
-  sim::Counters ctr_last = ctr0;
-  if (machine.codec_config().any_active()) {
-    machine.trace_instant("codec:" + machine.codec_config().to_string(),
-                          "other");
-  }
-  std::vector<int> rows = problem.rows_per_device();
-
-  // Owned repartitioned copy after a device loss; `prob` always points at
-  // the problem currently mapped onto the machine.
-  Problem repart;
-  const Problem* prob = &problem;
-  auto plan1 = std::make_unique<mpk::MpkPlan>(
-      mpk::build_mpk_plan(prob->a, prob->offsets, 1));
-  auto spmv = std::make_unique<mpk::MpkExecutor>(*plan1);
-  precond::PrecondHandle* const pc = opts.precond;
-  std::unique_ptr<mpk::MpkPlan> plan_s;
-  std::unique_ptr<mpk::MpkExecutor> mpk_exec;
-  // Right-preconditioned blocks interleave a block-local trisolve between
-  // SpMVs, which the fused s-step MPK kernel cannot express: use the
-  // step-by-step generator instead (same operator, one halo per step).
-  if (opts.use_mpk && s > 1 && pc == nullptr) {
-    plan_s = std::make_unique<mpk::MpkPlan>(
-        mpk::build_mpk_plan(prob->a, prob->offsets, s));
-    mpk_exec = std::make_unique<mpk::MpkExecutor>(*plan_s);
-  }
-
-  sim::DistMultiVec v(rows, mm + 1);
-  sim::DistMultiVec xwork(rows, 2);
-  sim::DistVec b(rows);
-  b.assign_from_host(prob->b);
-  // Declared after the distributed buffers: on exceptional unwind the pool
-  // drains before v/xwork/b (and the executors' z buffers) are destroyed.
-  sim::DrainGuard drain_guard(machine);
-
-  SolveResult result;
-  SolveStats& st = result.stats;
-  const double t0 = machine.clock().elapsed();
-  const sim::PhaseTimers phases0 = machine.phases();
-
-  // Step shifts, reused for every block of every restart.
-  Shifts step_shifts;
-  if (opts.basis == Basis::kMonomial) {
-    step_shifts.re.assign(static_cast<std::size_t>(s), 0.0);
-    step_shifts.im.assign(static_cast<std::size_t>(s), 0.0);
-  }
-  bool have_shifts = (opts.basis == Basis::kMonomial);
-
-  // Adaptive block-size state (opts.adaptive_s): shared across restarts so
-  // a learned-safe s persists.
-  int s_current = s;
-  int clean_streak = 0;
-
-  // --- numerical health monitor + escalation ladder (core/health.hpp) ---
-  LadderCapabilities caps;
-  caps.force_reorth = !opts.reorthogonalize;
-  caps.shrink_s = true;
-  caps.rebuild_shifts = (opts.basis == Basis::kNewton);
-  for (ortho::Method t = opts.tsqr;;) {
-    const ortho::Method n = ortho::more_robust_method(t);
-    if (n == t) break;
-    ++caps.tsqr_switches;
-    t = n;
-  }
-  caps.fallback_gmres = true;
-  SolveHealthMonitor hm(machine, opts.health, caps, t0);
-  const bool health_on = hm.armed();
-
-  // Ladder-mutable solver state. Only ladder actions touch these, and the
-  // ladder only runs off armed monitors, so an unmonitored solve behaves
-  // byte-identically to the pre-health code.
-  ortho::Method tsqr_current = opts.tsqr;
-  bool force_reorth = false;
-  bool ladder_shrunk_s = false;  // use s_current even without adaptive_s
-  bool fallback_gmres = false;
-  blas::DMat last_h;  // freshest Hessenberg, kept for a shift rebuild
-  int last_h_k = 0;
-  // kRebuildShifts is deferred: the rung only marks the rebuild, and the
-  // Ritz values are harvested from the Hessenberg of the next *completed*
-  // cycle — the first one run under the escalated settings — instead of
-  // the stale pre-escalation one.
-  bool rebuild_shifts_pending = false;
-  double prev_recurrence = -1.0;  // previous cycle's LS residual estimate
-  bool prev_claimed = false;      // ... and whether it met the tolerance
-
-  auto rung_applicable = [&](EscalationStep a) {
-    switch (a) {
-      case EscalationStep::kForceReorth:
-        return !force_reorth;
-      case EscalationStep::kShrinkS:
-        return s_current > opts.adaptive_min_s;
-      case EscalationStep::kRebuildShifts:
-        return have_shifts && last_h_k > 1 && !rebuild_shifts_pending;
-      case EscalationStep::kSwitchTsqr:
-        return ortho::more_robust_method(tsqr_current) != tsqr_current;
-      case EscalationStep::kFallbackGmres:
-        return !fallback_gmres;
-      default:
-        return false;
-    }
-  };
-  auto apply_rung = [&](EscalationStep a) {
-    switch (a) {
-      case EscalationStep::kForceReorth:
-        force_reorth = true;
-        break;
-      case EscalationStep::kShrinkS:
-        s_current = std::max(opts.adaptive_min_s, s_current / 2);
-        ladder_shrunk_s = true;
-        clean_streak = 0;
-        break;
-      case EscalationStep::kRebuildShifts:
-        rebuild_shifts_pending = true;  // harvested post-escalation, below
-        break;
-      case EscalationStep::kSwitchTsqr:
-        tsqr_current = ortho::more_robust_method(tsqr_current);
-        break;
-      case EscalationStep::kFallbackGmres:
-        fallback_gmres = true;
-        break;
-      default:
-        break;
-    }
-    ++st.ladder_steps;
-  };
-  // One trip -> at most one rung. A progress-class trip that finds the
-  // ladder exhausted stops the solve instead of burning the whole restart
-  // budget on a solve that is going nowhere.
-  auto respond = [&](HealthEventKind cause, int restart_no) {
-    if (!opts.health.escalate) return;
-    const double value =
-        hm.events().empty() ? 0.0 : hm.events().back().value;
-    const EscalationStep a =
-        hm.escalate(cause, value, restart_no, st.iterations, rung_applicable);
-    if (a != EscalationStep::kNone) {
-      apply_rung(a);
-      return;
-    }
-    if (cause == HealthEventKind::kStagnation ||
-        cause == HealthEventKind::kDivergence ||
-        cause == HealthEventKind::kFalseConvergence) {
-      sim::UnwindDrainGuard unwind_guard(machine);
-      CAGMRES_REQUIRE_CODE(
-          false, ErrorCode::kDeadlineExceeded,
-          "escalation ladder exhausted while the solve was not progressing");
-    }
-  };
-
-  // Deferred kRebuildShifts harvest: called right after a cycle completed
-  // and refreshed last_h, so the Ritz values come from the escalated
-  // cycle's own Hessenberg (same host charge as the initial harvest).
-  auto harvest_pending_shifts = [&]() {
-    if (!rebuild_shifts_pending || last_h_k <= 1) return;
-    blas::DMat h_sq(last_h_k, last_h_k);
-    for (int j = 0; j < last_h_k; ++j) {
-      for (int i = 0; i < last_h_k; ++i) h_sq(i, j) = last_h(i, j);
-    }
-    step_shifts = newton_shifts(blas::hessenberg_eig(h_sq), s);
-    machine.charge_host(sim::Kernel::kGeqrf,
-                        10.0 * static_cast<double>(last_h_k) * last_h_k *
-                            last_h_k,
-                        0.0);
-    rebuild_shifts_pending = false;
-  };
-
-  // Restart = checkpoint: the last solution whose residual was proven
-  // finite, in prepared row order (valid across repartitions). On a
-  // multi-node topology the checkpointer is hierarchical (buddy mirrors,
-  // core/checkpoint.hpp); flat machines get the original host path.
-  Checkpointer ckpt(machine, opts, resilient);
-  if (resilient) ckpt.init_zero(prob->n());
-  bool x_is_zero = true;   // x == 0 exactly (first residual is just b)
-  bool needs_rebuild = false;
-  std::vector<int> pending_lost_nodes;  // domains the last fault finished off
-  int tainted_rollbacks = 0;  // consecutive, reset by a completed restart
-
-  // Per-node-domain nested-recovery budget: consecutive hardware-recovery
-  // rounds (a fresh fault landing before a post-recovery restart completed)
-  // charge an exponentially growing host backoff and are bounded by the
-  // machine's RecoveryBudget, per fault domain; crossing it (or the
-  // min_devices floor) degrades to the host-only solver, or throws when
-  // degradation is disabled.
-  RecoveryDomains domains(machine, opts, resilient);
-  bool degrade_now = false;
-  std::string degrade_reason;
-
-  double res = 0.0;
-  int restart = 0;
-  while (restart < opts.max_restarts) {
-    try {
-      if (needs_rebuild) {
-        // A device was retired: re-split the prepared problem over the
-        // survivors, rebuild the distributed state and both MPK plans, and
-        // resume from the last checkpoint. Redistribution is charged.
-        const double t_reb = machine.clock().elapsed();
-        machine.sync();  // the old v/xwork/executors are replaced below
-        repart = repartition_problem(*prob, machine.n_devices());
-        prob = &repart;
-        rows = prob->rows_per_device();
-        plan1 = std::make_unique<mpk::MpkPlan>(
-            mpk::build_mpk_plan(prob->a, prob->offsets, 1));
-        spmv = std::make_unique<mpk::MpkExecutor>(*plan1);
-        if (opts.use_mpk && s > 1 && pc == nullptr) {
-          plan_s = std::make_unique<mpk::MpkPlan>(
-              mpk::build_mpk_plan(prob->a, prob->offsets, s));
-          mpk_exec = std::make_unique<mpk::MpkExecutor>(*plan_s);
-        }
-        v = sim::DistMultiVec(rows, mm + 1);
-        xwork = sim::DistMultiVec(rows, 2);
-        b = sim::DistVec(rows);
-        b.assign_from_host(prob->b);
-        detail::charge_redistribution(machine, *prob);
-        // Only the devices whose row ranges moved are refactored; factors
-        // for unchanged ranges are reused from the handle's cache.
-        if (pc != nullptr) pc->rebuild(machine, prob->a, prob->offsets);
-        ckpt.restore_after_repartition(xwork, pending_lost_nodes);
-        pending_lost_nodes.clear();
-        x_is_zero = ckpt.x_zero();
-        ++st.recovery.repartitions;
-        ++st.recovery.rollbacks;
-        st.recovery.time_lost += machine.clock().elapsed() - t_reb;
-        needs_rebuild = false;
-      }
-      // Factor lazily inside the fault-handling scope: a device kill
-      // landing in setup classifies and repartitions like any other fault.
-      // Restarts after the first see matches() true and charge nothing.
-      if (pc != nullptr && !pc->matches(prob->offsets)) {
-        pc->build(machine, prob->a, prob->offsets);
-      }
-      const int ng = machine.n_devices();
-
-      res = detail::compute_residual(machine, *spmv, b, xwork, v, 0,
-                                     x_is_zero);
-      if (resilient) {
-        // A finite ||b - A x|| proves x is poison-free; a non-finite one
-        // means NaN leaked into x (or this residual evaluation), so roll
-        // back to the checkpoint and recompute.
-        int attempts = 0;
-        while (!std::isfinite(res)) {
-          CAGMRES_REQUIRE_CODE(++attempts <= opts.max_block_replays,
-                               ErrorCode::kRetriesExhausted,
-                               "residual stayed non-finite across rollbacks");
-          const double t_rb = machine.clock().elapsed();
-          ckpt.rollback(xwork);
-          x_is_zero = ckpt.x_zero();
-          ++st.recovery.rollbacks;
-          res = detail::compute_residual(machine, *spmv, b, xwork, v, 0,
-                                         x_is_zero);
-          st.recovery.time_lost += machine.clock().elapsed() - t_rb;
-        }
-        ckpt.save(xwork, x_is_zero);
-      }
-      if (restart == 0) {
-        st.initial_residual = res;
-        if (res == 0.0) {
-          st.converged = true;
-          break;
-        }
-      }
-      st.residual_history.push_back(res);
-      const bool unconverged = res > opts.tol * st.initial_residual;
-      if (health_on) {
-        // False-convergence guard: the explicit residual just computed vs
-        // the previous cycle's recurrence estimate.
-        const HealthEventKind gap_trip = hm.check_residual_gap(
-            res, prev_recurrence, prev_claimed, unconverged, restart,
-            st.iterations);
-        if (gap_trip != HealthEventKind::kNone && unconverged) {
-          respond(gap_trip, restart);
-        }
-      }
-      if (!unconverged) {
-        st.converged = true;
-        break;
-      }
-      if (health_on) {
-        const HealthEventKind prog_trip =
-            hm.check_progress(res, restart, st.iterations);
-        if (prog_trip != HealthEventKind::kNone) respond(prog_trip, restart);
-        hm.check_budget(st.iterations, restart);
-      }
-      for (int d = 0; d < ng; ++d) {
-        sim::dev_scal(machine, d, v.local_rows(d), 1.0 / res, v.col(d, 0));
-      }
-
-      if (!have_shifts || fallback_gmres) {
-        // First restart (standard GMRES cycle to harvest Ritz values), or
-        // the ladder's terminal rung running the remaining budget as
-        // standard GMRES.
-        detail::CycleOutcome cycle = detail::arnoldi_cycle(
-            machine, *spmv, v, mm, opts.gmres_orth, res,
-            opts.tol * st.initial_residual,
-            resilient ? opts.max_block_replays : 0, pc);
-        st.recovery.blocks_replayed += cycle.replays;
-        detail::update_solution(machine, v, cycle.k, cycle.y, xwork, pc,
-                                pc != nullptr ? &spmv->stage(2) : nullptr);
-        if (cycle.k > 0) x_is_zero = false;
-        st.iterations += cycle.k;
-        ++st.restarts;
-        ++restart;
-        if (machine.tracing()) {
-          trace_tier_traffic(machine, ctr_last);
-          ctr_last = machine.counters();
-        }
-        domains.on_restart_completed();  // refills the recovery budgets
-        if (cycle.k == 0) {
-          prev_recurrence = -1.0;  // no usable estimate from this cycle
-          continue;                // poisoned cycle: retry next restart
-        }
-        prev_recurrence = cycle.ls_residual;
-        prev_claimed = cycle.ls_residual <= opts.tol * st.initial_residual;
-        if (health_on) {
-          last_h = cycle.h;
-          last_h_k = cycle.k;
-        }
-        harvest_pending_shifts();
-        if (!have_shifts) {
-          blas::DMat h_sq(cycle.k, cycle.k);
-          for (int j = 0; j < cycle.k; ++j) {
-            for (int i = 0; i < cycle.k; ++i) h_sq(i, j) = cycle.h(i, j);
-          }
-          step_shifts = newton_shifts(blas::hessenberg_eig(h_sq), s);
-          machine.charge_host(sim::Kernel::kGeqrf,
-                              10.0 * static_cast<double>(cycle.k) * cycle.k *
-                                  cycle.k,
-                              0.0);
-          have_shifts = true;
-        }
-        continue;
-      }
-
-      // --- CA restart cycle ---
-      blas::DMat r_total(mm + 1, mm + 1);
-      r_total(0, 0) = 1.0;  // g_0 = q_0
-      Shifts col_shifts;
-      col_shifts.re.assign(static_cast<std::size_t>(mm), 0.0);
-      col_shifts.im.assign(static_cast<std::size_t>(mm), 0.0);
-      // Columns where a block's recursion restarted from the orthonormalized
-      // vector (see hessenberg_blocked).
-      std::vector<char> is_block_start(static_cast<std::size_t>(mm) + 1, 0);
-      is_block_start[0] = 1;
-
-      int done = 1;
-      bool cycle_converged = false;
-      bool cycle_tainted = false;
-      double cycle_ls_res = -1.0;
-      while (done < mm + 1) {
-        if (health_on) hm.check_budget(st.iterations, restart);
-        const int steps = std::min(
-            (opts.adaptive_s || ladder_shrunk_s) ? s_current : s,
-            mm + 1 - done);
-        is_block_start[static_cast<std::size_t>(done) - 1] = 1;
-        const Shifts bs = block_shifts(step_shifts, steps);
-        for (int i = 0; i < steps; ++i) {
-          col_shifts.re[static_cast<std::size_t>(done - 1 + i)] =
-              bs.re[static_cast<std::size_t>(i)];
-          col_shifts.im[static_cast<std::size_t>(done - 1 + i)] =
-              bs.im[static_cast<std::size_t>(i)];
-        }
-
-        // Snapshot of the block (pre-TSQR, post-BOrth) for error
-        // instrumentation; untouched simulated clock (measurement only).
-        auto snapshot_block = [&]() {
-          machine.sync();  // wall-clock only: host copy of the device panel
-          sim::DistMultiVec snap(rows, steps);
-          for (int d = 0; d < ng; ++d) {
-            for (int i = 0; i < steps; ++i) {
-              blas::copy(v.local_rows(d), v.col(d, done + i), snap.col(d, i));
-            }
-          }
-          return snap;
-        };
-        auto record_errors = [&](const sim::DistMultiVec& before,
-                                 const blas::DMat& r_blk, int pass) {
-          TsqrErrorSample sample;
-          sample.restart = restart;
-          sample.pass = pass;
-          sample.kappa_block = ortho::condition_number(before, 0, steps);
-          sim::DistMultiVec after = snapshot_block();
-          sample.errors = ortho::measure_errors(after, before, 0, steps, r_blk);
-          st.tsqr_errors.push_back(sample);
-        };
-
-        blas::DMat c;
-        ortho::TsqrResult tq;
-        bool block_reorthed = false;
-        int attempts = 0;
-        const std::size_t tsqr_errors_mark = st.tsqr_errors.size();
-        // Block replay loop: generation fully rewrites columns
-        // done..done+steps from the accepted column done-1, so a block the
-        // health scrub rejects can simply be re-run.
-        while (true) {
-          st.tsqr_errors.resize(tsqr_errors_mark);  // drop replayed samples
-          try {
-            if (mpk_exec != nullptr && steps > 1) {
-              mpk_exec->apply(machine, v, done - 1, steps,
-                              {bs.re.data(), bs.im.data()});
-            } else {
-              generate_by_spmv(machine, *spmv, v, done - 1, steps, bs, pc);
-            }
-
-            {
-              sim::PhaseScope phase(machine, "borth");
-              c = ortho::borth(machine, opts.borth, v, done, done + steps);
-            }
-            sim::DistMultiVec pre_tsqr;
-            if (opts.collect_tsqr_errors) pre_tsqr = snapshot_block();
-            {
-              sim::PhaseScope phase(machine, "tsqr");
-              tq = ortho::tsqr(machine, tsqr_current, v, done, done + steps,
-                               opts.tsqr_opts);
-            }
-            if (opts.collect_tsqr_errors) record_errors(pre_tsqr, tq.r, 0);
-            block_reorthed = opts.reorthogonalize || force_reorth ||
-                             (tq.breakdown && opts.reorth_on_breakdown);
-            if (block_reorthed) {
-              blas::DMat c2;
-              {
-                sim::PhaseScope phase(machine, "borth");
-                c2 = ortho::borth(machine, opts.borth, v, done, done + steps);
-              }
-              if (opts.collect_tsqr_errors) pre_tsqr = snapshot_block();
-              ortho::TsqrResult tq2;
-              {
-                sim::PhaseScope phase(machine, "tsqr");
-                tq2 = ortho::tsqr(machine, tsqr_current, v, done, done + steps,
-                                  opts.tsqr_opts);
-              }
-              if (opts.collect_tsqr_errors) record_errors(pre_tsqr, tq2.r, 1);
-              merge_reorth(c, c2, tq.r, tq2.r);
-              machine.charge_host(sim::Kernel::kGemm,
-                                  2.0 * static_cast<double>(done) * steps *
-                                      steps,
-                                  0.0);
-            }
-          } catch (const Error& e) {
-            // A poisoned block can surface as a (shift-proof) TSQR
-            // breakdown before the scrub sees it — e.g. an injected NaN in
-            // the Gram kernel itself. Treat it like a failed health check:
-            // the replay regenerates everything from the last accepted
-            // column. A breakdown on an unarmed machine still propagates.
-            if (!resilient || e.code() != ErrorCode::kBreakdown) throw;
-            ++st.recovery.blocks_replayed;
-            if (++attempts > opts.max_block_replays) {
-              cycle_tainted = true;  // escalate to a cycle rollback
-              break;
-            }
-            continue;
-          }
-
-          if (resilient) {
-            // Block-boundary health scrub: the host-side factors are free
-            // to scan; the device panel gets one charged norm-per-column
-            // checksum pass.
-            const double t_scrub = machine.clock().elapsed();
-            const bool clean =
-                mat_finite(c) && mat_finite(tq.r) &&
-                ortho::block_norms_finite(machine, v, done, done + steps);
-            if (!clean) {
-              ++st.recovery.blocks_replayed;
-              st.recovery.time_lost += machine.clock().elapsed() - t_scrub;
-              if (++attempts > opts.max_block_replays) {
-                cycle_tainted = true;  // escalate to a cycle rollback
-                break;
-              }
-              continue;
-            }
-          }
-          break;
-        }
-        if (cycle_tainted) break;
-
-        // Commit the accepted block: bookkeeping that must not see
-        // discarded (replayed) attempts.
-        st.block_sizes.push_back(steps);
-        st.block_breakdowns.push_back(tq.breakdown ? 1 : 0);
-        if (tq.breakdown) ++st.cholqr_breakdowns;
-        if (opts.adaptive_s) {
-          if (tq.breakdown) {
-            s_current = std::max(opts.adaptive_min_s, s_current / 2);
-            clean_streak = 0;
-          } else if (++clean_streak >= 3 && s_current < s) {
-            ++s_current;
-            clean_streak = 0;
-          }
-        }
-        if (block_reorthed) ++st.reorth_blocks;
-
-        if (health_on) {
-          // Basis-condition monitor on the committed block: free R-diagonal
-          // estimate plus the charged Gram sample on its cadence. A trip
-          // hardens the *next* block (this one is already orthogonalized).
-          const HealthEventKind cond_trip = hm.check_block(
-              tq.r, v, done, done + steps, restart, st.iterations);
-          if (cond_trip != HealthEventKind::kNone) respond(cond_trip, restart);
-        }
-
-        // Record the block's columns of the global triangular factor.
-        for (int i = 0; i < steps; ++i) {
-          const int col = done + i;
-          for (int row = 0; row < done; ++row) r_total(row, col) = c(row, i);
-          for (int row = 0; row <= i; ++row) {
-            r_total(done + row, col) = tq.r(row, i);
-          }
-        }
-        done += steps;
-        st.iterations += steps;
-
-        // Host-side convergence probe at block granularity: assemble the
-        // Hessenberg matrix for the columns so far and check the LS
-        // residual.
-        const int k = done - 1;
-        Shifts used;
-        used.re.assign(col_shifts.re.begin(), col_shifts.re.begin() + k);
-        used.im.assign(col_shifts.im.begin(), col_shifts.im.begin() + k);
-        blas::DMat r_lead(k + 1, k + 1);
-        for (int j = 0; j <= k; ++j) {
-          for (int i = 0; i <= j; ++i) r_lead(i, j) = r_total(i, j);
-        }
-        const std::vector<char> starts(
-            is_block_start.begin(), is_block_start.begin() + k + 1);
-        const blas::DMat h = hessenberg_blocked(r_lead, starts, used);
-        machine.charge_host(sim::Kernel::kGemm,
-                            2.0 * static_cast<double>(k) * k * k, 0.0);
-        double ls_res = 0.0;
-        const std::vector<double> y =
-            blas::solve_hessenberg_ls(h, res, &ls_res);
-        cycle_ls_res = ls_res;
-        if (health_on) {
-          last_h = h;  // freshest Hessenberg for a possible shift rebuild
-          last_h_k = k;
-        }
-        if (ls_res <= opts.tol * st.initial_residual || done == mm + 1) {
-          detail::update_solution(machine, v, k, y, xwork, pc,
-                                  pc != nullptr ? &spmv->stage(2) : nullptr);
-          if (k > 0) x_is_zero = false;
-          cycle_converged = (ls_res <= opts.tol * st.initial_residual);
-          break;
-        }
-      }
-      if (cycle_tainted) {
-        // Persistent poison inside the cycle (e.g. the scaled residual
-        // column itself was hit): discard the cycle, restore the
-        // checkpointed x, and redo this restart with fresh data.
-        CAGMRES_REQUIRE_CODE(++tainted_rollbacks <= opts.max_block_replays,
-                             ErrorCode::kRetriesExhausted,
-                             "cycle stayed tainted across rollbacks");
-        ++st.recovery.rollbacks;
-        ckpt.rollback(xwork);
-        x_is_zero = ckpt.x_zero();
-        prev_recurrence = -1.0;  // discarded cycle: no estimate to compare
-        continue;
-      }
-      tainted_rollbacks = 0;
-      if (health_on) {
-        // Whole-prefix condition sample (opt-in): one charged Gram sweep
-        // over every orthonormal column this cycle produced, catching
-        // cross-block orthogonality decay the per-block samples miss.
-        const HealthEventKind prefix_trip =
-            hm.check_restart_prefix(v, done, restart, st.iterations);
-        if (prefix_trip != HealthEventKind::kNone) {
-          respond(prefix_trip, restart);
-        }
-      }
-      ++st.restarts;
-      ++restart;
-      if (machine.tracing()) {
-        trace_tier_traffic(machine, ctr_last);
-        ctr_last = machine.counters();
-      }
-      domains.on_restart_completed();  // a completed restart refills budgets
-      harvest_pending_shifts();
-      // The true residual decides at the top of the next restart; the
-      // recurrence estimate feeds the false-convergence guard there.
-      prev_recurrence = cycle_ls_res;
-      prev_claimed = cycle_converged;
-    } catch (const Error& e) {
-      // The domain handler classifies the fault (single device vs whole
-      // node), applies the victim domain's budget and the device floor,
-      // charges the backoff, and retires every dead device — or rethrows
-      // for unrecoverable errors.
-      if (domains.handle(e, st.recovery)) {
-        degrade_now = true;
-        degrade_reason = domains.degrade_reason();
-        break;
-      }
-      pending_lost_nodes = domains.lost_nodes();
-      needs_rebuild = true;  // the rebuild itself runs inside the try
-    }
-  }
-
-  // Graceful-degradation floor: finish on the host-only GMRES core from
-  // the last proven-finite checkpoint. Host work charges no device kernels
-  // or transfers, so it makes progress no matter how the devices fault.
-  std::vector<double> x_degraded;
-  if (degrade_now) {
-    st.degraded.active = true;
-    st.degraded.devices_at_handoff = machine.n_devices();
-    st.degraded.at_time = machine.clock().elapsed() - t0;
-    st.degraded.reason = degrade_reason;
-    machine.trace_instant("degrade:cpu_gmres", "other");
-    machine.sync();  // the device path is abandoned; drain its closures
-    x_degraded = resilient && !ckpt.x().empty()
-                     ? ckpt.x()
-                     : std::vector<double>(
-                           static_cast<std::size_t>(prob->n()), 0.0);
-    SolverOptions host_opts = opts;
-    host_opts.max_restarts = std::max(1, opts.max_restarts - restart);
-    const double abs_tol =
-        st.initial_residual > 0.0 ? opts.tol * st.initial_residual : -1.0;
-    SolveStats host = detail::host_gmres(machine, *prob, host_opts,
-                                         x_degraded, !ckpt.x_zero(), abs_tol);
-    st.converged = host.converged;
-    res = host.final_residual;
-    if (st.initial_residual == 0.0) {
-      st.initial_residual = host.initial_residual;
-    }
-    st.restarts += host.restarts;
-    st.iterations += host.iterations;
-    st.residual_history.insert(st.residual_history.end(),
-                               host.residual_history.begin(),
-                               host.residual_history.end());
-  }
-  st.final_residual = res;
-  st.health_events = hm.take_events();
-  st.recurrence_residual = prev_recurrence;
-  st.residual_gap = hm.residual_gap_last();
-  st.residual_gap_max = hm.residual_gap_max();
-
-  st.time_total = machine.clock().elapsed() - t0;
-  st.traffic = tier_traffic(ctr0, machine.counters());
-  const sim::PhaseTimers& ph = machine.phases();
-  st.time_spmv = ph.get("spmv") - phases0.get("spmv");
-  st.time_mpk = ph.get("mpk") - phases0.get("mpk");
-  st.time_orth = ph.get("orth") - phases0.get("orth");
-  st.time_borth = ph.get("borth") - phases0.get("borth");
-  st.time_tsqr = ph.get("tsqr") - phases0.get("tsqr");
-  st.time_precond = ph.get("precond") - phases0.get("precond") +
-                    ph.get("precond_setup") - phases0.get("precond_setup");
-  st.time_other = st.time_total - st.time_spmv - st.time_mpk - st.time_orth -
-                  st.time_borth - st.time_tsqr - st.time_precond;
-  if (resilient) {
-    const sim::FaultStats df = machine.fault_injector().stats() - faults0;
-    st.recovery.faults_injected = df.injected_total;
-    st.recovery.device_failures = df.device_failures;
-    st.recovery.node_failures = df.node_failures;
-    st.recovery.kernel_faults = df.kernel_nans;
-    st.recovery.transfer_corruptions =
-        df.transfer_corruptions + df.link_corruptions;
-    st.recovery.transfer_stalls = df.transfer_stalls + df.link_stalls;
-    st.recovery.transfer_retries = df.transfer_retries;
-    st.recovery.time_lost += df.retry_seconds + df.stall_seconds;
-    st.recovery.partner_restores = ckpt.partner_restores();
-  }
-
-  if (st.degraded.active) {
-    result.x = recover_solution(*prob, x_degraded);
-    return result;
-  }
-  machine.sync();  // final gather reads xwork on the host
-  std::vector<double> x_prepared;
-  x_prepared.reserve(static_cast<std::size_t>(prob->n()));
-  for (int d = 0; d < machine.n_devices(); ++d) {
-    const double* p = xwork.col(d, 0);
-    x_prepared.insert(x_prepared.end(), p, p + xwork.local_rows(d));
-  }
-  result.x = recover_solution(*prob, x_prepared);
-  return result;
+  CaStep step(opts);
+  return detail::run_restarts(machine, problem, opts, step);
 }
 
 }  // namespace cagmres::core

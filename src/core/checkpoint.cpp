@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "core/gmres.hpp"  // detail::checkpoint_x / detail::restore_x
+#include "common/error.hpp"
 
 namespace cagmres::core {
 
@@ -13,6 +13,50 @@ bool contains(const std::vector<int>& v, int x) {
 }
 
 }  // namespace
+
+namespace detail {
+
+std::vector<double> checkpoint_x(sim::Machine& m,
+                                 const sim::DistMultiVec& xwork) {
+  m.sync();  // wall-clock only: the host reads xwork below
+  const sim::CodecSpec& cd = m.codec(sim::TrafficClass::kCkpt);
+  std::vector<double> x;
+  x.reserve(static_cast<std::size_t>(xwork.total_rows()));
+  for (int d = 0; d < m.n_devices(); ++d) {
+    const int rows = xwork.local_rows(d);
+    m.charge_codec(d, cd, rows);
+    m.d2h(d, cd.wire_bytes(rows), 8.0 * rows);
+    const double* p = xwork.col(d, 0);
+    x.insert(x.end(), p, p + rows);
+  }
+  m.host_wait_all();
+  // The checkpoint holds the decoded wire image. The ckpt codec is
+  // restricted to idempotent demotion (Machine::set_codec), so restore
+  // re-ships these exact bits and a save→restore→save cycle is stable.
+  if (cd.active()) cd.roundtrip(x.data(), static_cast<int>(x.size()));
+  return x;
+}
+
+void restore_x(sim::Machine& m, sim::DistMultiVec& xwork,
+               const std::vector<double>& x) {
+  CAGMRES_REQUIRE(static_cast<int>(x.size()) == xwork.total_rows(),
+                  "checkpoint size mismatch");
+  m.sync();  // wall-clock only: the host writes xwork below
+  const sim::CodecSpec& cd = m.codec(sim::TrafficClass::kCkpt);
+  std::size_t at = 0;
+  for (int d = 0; d < m.n_devices(); ++d) {
+    const int rows = xwork.local_rows(d);
+    // The checkpoint already holds decoded wire values (see checkpoint_x),
+    // so the restore ships the same coded image and decodes to those bits.
+    m.h2d(d, cd.wire_bytes(rows), 8.0 * rows);
+    m.charge_codec(d, cd, rows);
+    double* p = xwork.col(d, 0);
+    for (int i = 0; i < rows; ++i) p[static_cast<std::size_t>(i)] = x[at++];
+  }
+  m.host_wait_all();
+}
+
+}  // namespace detail
 
 // ---------------------------------------------------------------------------
 // Checkpointer

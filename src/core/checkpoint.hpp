@@ -146,4 +146,19 @@ class RecoveryDomains {
   std::string degrade_reason_;
 };
 
+namespace detail {
+
+/// Charged checkpoint of the current solution (column 0 of xwork) to the
+/// host, in prepared row order (device blocks are contiguous). Recovery-path
+/// only: callers gate it on Machine::faults_armed().
+std::vector<double> checkpoint_x(sim::Machine& machine,
+                                 const sim::DistMultiVec& xwork);
+
+/// Charged restore of a checkpoint into column 0 of xwork, split at xwork's
+/// (possibly repartitioned) device blocks.
+void restore_x(sim::Machine& machine, sim::DistMultiVec& xwork,
+               const std::vector<double>& x);
+
+}  // namespace detail
+
 }  // namespace cagmres::core

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "blas/least_squares.hpp"
 #include "common/error.hpp"
-#include "core/checkpoint.hpp"
-#include "core/cpu_gmres.hpp"
-#include "mpk/plan.hpp"
 #include "ortho/reduce.hpp"
 #include "precond/precond.hpp"
 #include "sim/device_blas.hpp"
@@ -16,122 +12,6 @@
 namespace cagmres::core {
 
 namespace detail {
-
-namespace {
-
-/// Global dot product of two distributed columns (Fig. 9's reduction).
-double dist_dot(sim::Machine& m, const sim::DistMultiVec& v, int ca, int cb) {
-  const int ng = m.n_devices();
-  std::vector<std::vector<double>> partial(
-      static_cast<std::size_t>(ng), std::vector<double>(1, 0.0));
-  for (int d = 0; d < ng; ++d) {
-    partial[static_cast<std::size_t>(d)][0] =
-        sim::dev_dot(m, d, v.local_rows(d), v.col(d, ca), v.col(d, cb));
-  }
-  double out = 0.0;
-  ortho::detail::reduce_to_host(m, partial, 1, &out);
-  return out;
-}
-
-}  // namespace
-
-double compute_residual(sim::Machine& m, mpk::MpkExecutor& spmv,
-                        const sim::DistVec& b, sim::DistMultiVec& xwork,
-                        sim::DistMultiVec& v, int rcol, bool first) {
-  const int ng = m.n_devices();
-  if (first) {
-    for (int d = 0; d < ng; ++d) {
-      sim::dev_copy(m, d, v.local_rows(d), b.local(d), v.col(d, rcol));
-    }
-  } else {
-    spmv.spmv(m, xwork, /*xcol=*/0, /*ycol=*/1);
-    for (int d = 0; d < ng; ++d) {
-      sim::dev_copy(m, d, v.local_rows(d), b.local(d), v.col(d, rcol));
-      sim::dev_axpy(m, d, v.local_rows(d), -1.0, xwork.col(d, 1),
-                    v.col(d, rcol));
-    }
-  }
-  const double nrm_sq = dist_dot(m, v, rcol, rcol);
-  return std::sqrt(std::max(nrm_sq, 0.0));
-}
-
-void update_solution(sim::Machine& m, sim::DistMultiVec& v, int k,
-                     const std::vector<double>& y, sim::DistMultiVec& xwork,
-                     precond::PrecondHandle* pc, sim::DistMultiVec* stage) {
-  CAGMRES_REQUIRE(static_cast<int>(y.size()) >= k, "short LS solution");
-  if (k == 0) return;
-  // Broadcast the (possibly codec-quantized) wire image of y; the devices
-  // accumulate exactly the coefficients that crossed the wire.
-  std::vector<double> yq(y.begin(), y.begin() + k);
-  ortho::detail::broadcast_charge(m, k, yq.data());
-  if (pc == nullptr) {
-    for (int d = 0; d < m.n_devices(); ++d) {
-      sim::dev_gemv_n_acc(m, d, v.local_rows(d), k, v.col(d, 0),
-                          v.local(d).ld(), yq.data(), xwork.col(d, 0));
-    }
-    return;
-  }
-  // Right-preconditioned: the basis spans the u-space (A M^{-1} u = b), so
-  // the true-space correction is M^{-1} (V y): stage V y in column 1,
-  // solve M into column 0, accumulate into x. Column 1 is fully
-  // overwritten (copy + scale of the first term, then accumulate), so
-  // poison from an earlier faulted update cannot persist across rollbacks.
-  CAGMRES_REQUIRE(stage != nullptr && stage->cols() >= 2,
-                  "preconditioned update needs a 2-column stage");
-  for (int d = 0; d < m.n_devices(); ++d) {
-    sim::dev_copy(m, d, v.local_rows(d), v.col(d, 0), stage->col(d, 1));
-    sim::dev_scal(m, d, stage->local_rows(d), yq[0], stage->col(d, 1));
-    if (k > 1) {
-      sim::dev_gemv_n_acc(m, d, v.local_rows(d), k - 1, v.col(d, 1),
-                          v.local(d).ld(), yq.data() + 1, stage->col(d, 1));
-    }
-  }
-  pc->apply(m, *stage, 1, *stage, 0);
-  for (int d = 0; d < m.n_devices(); ++d) {
-    sim::dev_axpy(m, d, xwork.local_rows(d), 1.0, stage->col(d, 0),
-                  xwork.col(d, 0));
-  }
-}
-
-std::vector<double> checkpoint_x(sim::Machine& m,
-                                 const sim::DistMultiVec& xwork) {
-  m.sync();  // wall-clock only: the host reads xwork below
-  const sim::CodecSpec& cd = m.codec(sim::TrafficClass::kCkpt);
-  std::vector<double> x;
-  x.reserve(static_cast<std::size_t>(xwork.total_rows()));
-  for (int d = 0; d < m.n_devices(); ++d) {
-    const int rows = xwork.local_rows(d);
-    m.charge_codec(d, cd, rows);
-    m.d2h(d, cd.wire_bytes(rows), 8.0 * rows);
-    const double* p = xwork.col(d, 0);
-    x.insert(x.end(), p, p + rows);
-  }
-  m.host_wait_all();
-  // The checkpoint holds the decoded wire image. The ckpt codec is
-  // restricted to idempotent demotion (Machine::set_codec), so restore
-  // re-ships these exact bits and a save→restore→save cycle is stable.
-  if (cd.active()) cd.roundtrip(x.data(), static_cast<int>(x.size()));
-  return x;
-}
-
-void restore_x(sim::Machine& m, sim::DistMultiVec& xwork,
-               const std::vector<double>& x) {
-  CAGMRES_REQUIRE(static_cast<int>(x.size()) == xwork.total_rows(),
-                  "checkpoint size mismatch");
-  m.sync();  // wall-clock only: the host writes xwork below
-  const sim::CodecSpec& cd = m.codec(sim::TrafficClass::kCkpt);
-  std::size_t at = 0;
-  for (int d = 0; d < m.n_devices(); ++d) {
-    const int rows = xwork.local_rows(d);
-    // The checkpoint already holds decoded wire values (see checkpoint_x),
-    // so the restore ships the same coded image and decodes to those bits.
-    m.h2d(d, cd.wire_bytes(rows), 8.0 * rows);
-    m.charge_codec(d, cd, rows);
-    double* p = xwork.col(d, 0);
-    for (int i = 0; i < rows; ++i) p[static_cast<std::size_t>(i)] = x[at++];
-  }
-  m.host_wait_all();
-}
 
 CycleOutcome arnoldi_cycle(sim::Machine& m, mpk::MpkExecutor& spmv,
                            sim::DistMultiVec& v, int mm, ortho::Method orth,
@@ -251,313 +131,36 @@ CycleOutcome arnoldi_cycle(sim::Machine& m, mpk::MpkExecutor& spmv,
   return out;
 }
 
-}  // namespace detail
+LadderCapabilities GmresStep::capabilities() const {
+  LadderCapabilities caps;
+  caps.switch_orth = (orth_ == ortho::Method::kCgs);
+  return caps;
+}
 
-namespace detail {
+bool GmresStep::rung_applicable(EscalationStep a) const {
+  return a == EscalationStep::kSwitchOrth && orth_ == ortho::Method::kCgs;
+}
 
-void charge_redistribution(sim::Machine& m, const Problem& p) {
-  for (int d = 0; d < p.n_devices(); ++d) {
-    const int r0 = p.offsets[static_cast<std::size_t>(d)];
-    const int r1 = p.offsets[static_cast<std::size_t>(d) + 1];
-    const double nnz = static_cast<double>(
-        p.a.row_ptr[static_cast<std::size_t>(r1)] -
-        p.a.row_ptr[static_cast<std::size_t>(r0)]);
-    // vals (8B) + col_idx (4B) per nonzero, row_ptr (8B) + rhs (8B) per row.
-    m.h2d(d, 12.0 * nnz + 16.0 * (r1 - r0));
-  }
-  m.host_wait_all();
+void GmresStep::apply_rung(EscalationStep /*a*/) {
+  orth_ = ortho::Method::kMgs;  // the only rung rung_applicable admits
+}
+
+CycleOutcome GmresStep::cycle(Cycle& c) {
+  CycleOutcome out = arnoldi_cycle(
+      c.machine, c.spmv, c.v, opts_.m, orth_, c.beta, c.abs_tol,
+      c.resilient ? opts_.max_block_replays : 0, opts_.precond);
+  c.st.iterations += out.k;
+  c.st.recovery.blocks_replayed += out.replays;
+  return out;
 }
 
 }  // namespace detail
 
 SolveResult gmres(sim::Machine& machine, const Problem& problem,
                   const SolverOptions& opts) {
-  CAGMRES_REQUIRE(problem.n_devices() == machine.n_devices(),
-                  "problem/machine device count mismatch");
   CAGMRES_REQUIRE(opts.m >= 1, "restart length must be positive");
-  const bool resilient = machine.faults_armed();
-  const sim::FaultStats faults0 = machine.fault_injector().stats();
-  const sim::Counters ctr0 = machine.counters();
-  // Per-restart tier-traffic trace instants diff against this snapshot.
-  sim::Counters ctr_last = ctr0;
-  if (machine.codec_config().any_active()) {
-    machine.trace_instant("codec:" + machine.codec_config().to_string(),
-                          "other");
-  }
-  std::vector<int> rows = problem.rows_per_device();
-
-  // Owned repartitioned copy after a device loss; `prob` always points at
-  // the problem currently mapped onto the machine.
-  Problem repart;
-  const Problem* prob = &problem;
-  auto plan = std::make_unique<mpk::MpkPlan>(
-      mpk::build_mpk_plan(prob->a, prob->offsets, 1));
-  auto spmv = std::make_unique<mpk::MpkExecutor>(*plan);
-  precond::PrecondHandle* const pc = opts.precond;
-
-  sim::DistMultiVec v(rows, opts.m + 1);
-  sim::DistMultiVec xwork(rows, 2);
-  sim::DistVec b(rows);
-  b.assign_from_host(prob->b);
-  // Declared after the distributed buffers: on exceptional unwind the pool
-  // drains before v/xwork/b (and the executor's z buffers) are destroyed.
-  sim::DrainGuard drain_guard(machine);
-
-  SolveResult result;
-  SolveStats& st = result.stats;
-  const double t0 = machine.clock().elapsed();
-  const sim::PhaseTimers phases0 = machine.phases();
-
-  // --- numerical health monitor + escalation ladder (core/health.hpp) ---
-  // GMRES's ladder has one rung: downshift the per-iteration Orth from CGS
-  // to the more stable MGS. With no monitor armed the solver charges and
-  // computes exactly what it did before this layer existed.
-  LadderCapabilities caps;
-  caps.switch_orth = (opts.gmres_orth == ortho::Method::kCgs);
-  SolveHealthMonitor hm(machine, opts.health, caps, t0);
-  const bool health_on = hm.armed();
-  ortho::Method orth_current = opts.gmres_orth;
-  double prev_recurrence = -1.0;  // previous cycle's LS residual estimate
-  bool prev_claimed = false;      // ... and whether it met the tolerance
-  auto respond = [&](HealthEventKind cause, int restart_no) {
-    if (!opts.health.escalate) return;
-    const double value = hm.events().empty() ? 0.0 : hm.events().back().value;
-    const EscalationStep a = hm.escalate(
-        cause, value, restart_no, st.iterations, [&](EscalationStep step) {
-          return step == EscalationStep::kSwitchOrth &&
-                 orth_current == ortho::Method::kCgs;
-        });
-    if (a == EscalationStep::kSwitchOrth) {
-      orth_current = ortho::Method::kMgs;
-      ++st.ladder_steps;
-      return;
-    }
-    if (cause == HealthEventKind::kStagnation ||
-        cause == HealthEventKind::kDivergence ||
-        cause == HealthEventKind::kFalseConvergence) {
-      sim::UnwindDrainGuard unwind_guard(machine);
-      CAGMRES_REQUIRE_CODE(
-          false, ErrorCode::kDeadlineExceeded,
-          "escalation ladder exhausted while the solve was not progressing");
-    }
-  };
-
-  // Restart = checkpoint: the last solution whose residual was proven
-  // finite, in prepared row order (valid across repartitions). On a
-  // multi-node topology the checkpointer is hierarchical (buddy mirrors,
-  // core/checkpoint.hpp); flat machines get the original host path.
-  Checkpointer ckpt(machine, opts, resilient);
-  if (resilient) ckpt.init_zero(prob->n());
-  bool x_is_zero = true;   // x == 0 exactly (first residual is just b)
-  bool needs_rebuild = false;
-  std::vector<int> pending_lost_nodes;  // domains the last fault finished off
-
-  // Per-node-domain nested-recovery budget (see ca_gmres: same semantics):
-  // bounded consecutive hardware-recovery rounds with charged backoff;
-  // crossing it or the min_devices floor degrades to the host-only solver.
-  RecoveryDomains domains(machine, opts, resilient);
-  bool degrade_now = false;
-  std::string degrade_reason;
-
-  double res = 0.0;
-  int restart = 0;
-  while (restart < opts.max_restarts) {
-    try {
-      if (needs_rebuild) {
-        // A device was retired: re-split the prepared problem over the
-        // survivors, rebuild the distributed state, and resume from the
-        // last checkpoint. All redistribution traffic is charged.
-        const double t_reb = machine.clock().elapsed();
-        machine.sync();  // the old v/xwork/executor are replaced below
-        repart = repartition_problem(*prob, machine.n_devices());
-        prob = &repart;
-        rows = prob->rows_per_device();
-        plan = std::make_unique<mpk::MpkPlan>(
-            mpk::build_mpk_plan(prob->a, prob->offsets, 1));
-        spmv = std::make_unique<mpk::MpkExecutor>(*plan);
-        v = sim::DistMultiVec(rows, opts.m + 1);
-        xwork = sim::DistMultiVec(rows, 2);
-        b = sim::DistVec(rows);
-        b.assign_from_host(prob->b);
-        detail::charge_redistribution(machine, *prob);
-        // Only the devices whose row ranges moved are refactored; factors
-        // for unchanged ranges are reused from the handle's cache.
-        if (pc != nullptr) pc->rebuild(machine, prob->a, prob->offsets);
-        ckpt.restore_after_repartition(xwork, pending_lost_nodes);
-        pending_lost_nodes.clear();
-        x_is_zero = ckpt.x_zero();
-        ++st.recovery.repartitions;
-        ++st.recovery.rollbacks;
-        st.recovery.time_lost += machine.clock().elapsed() - t_reb;
-        needs_rebuild = false;
-      }
-      // Factor lazily inside the fault-handling scope: a device kill
-      // landing in setup classifies and repartitions like any other fault.
-      // Restarts after the first see matches() true and charge nothing.
-      if (pc != nullptr && !pc->matches(prob->offsets)) {
-        pc->build(machine, prob->a, prob->offsets);
-      }
-
-      res = detail::compute_residual(machine, *spmv, b, xwork, v, 0,
-                                     x_is_zero);
-      if (resilient) {
-        // A finite ||b - A x|| proves x is poison-free; a non-finite one
-        // means NaN leaked past the in-cycle scrub (or hit x itself), so
-        // roll back to the checkpoint and recompute.
-        int attempts = 0;
-        while (!std::isfinite(res)) {
-          CAGMRES_REQUIRE_CODE(++attempts <= opts.max_block_replays,
-                               ErrorCode::kRetriesExhausted,
-                               "residual stayed non-finite across rollbacks");
-          const double t_rb = machine.clock().elapsed();
-          ckpt.rollback(xwork);
-          x_is_zero = ckpt.x_zero();
-          ++st.recovery.rollbacks;
-          res = detail::compute_residual(machine, *spmv, b, xwork, v, 0,
-                                         x_is_zero);
-          st.recovery.time_lost += machine.clock().elapsed() - t_rb;
-        }
-        ckpt.save(xwork, x_is_zero);
-      }
-      if (restart == 0) {
-        st.initial_residual = res;
-        if (res == 0.0) {  // b == 0: x = 0 is exact
-          st.converged = true;
-          break;
-        }
-      }
-      st.residual_history.push_back(res);
-      const bool unconverged = res > opts.tol * st.initial_residual;
-      if (health_on) {
-        // False-convergence guard: the explicit residual just computed vs
-        // the previous cycle's recurrence estimate.
-        const HealthEventKind gap_trip = hm.check_residual_gap(
-            res, prev_recurrence, prev_claimed, unconverged, restart,
-            st.iterations);
-        if (gap_trip != HealthEventKind::kNone && unconverged) {
-          respond(gap_trip, restart);
-        }
-      }
-      if (!unconverged) {
-        st.converged = true;
-        break;
-      }
-      if (health_on) {
-        const HealthEventKind prog_trip =
-            hm.check_progress(res, restart, st.iterations);
-        if (prog_trip != HealthEventKind::kNone) respond(prog_trip, restart);
-        hm.check_budget(st.iterations, restart);
-      }
-      for (int d = 0; d < machine.n_devices(); ++d) {
-        sim::dev_scal(machine, d, v.local_rows(d), 1.0 / res, v.col(d, 0));
-      }
-      detail::CycleOutcome cycle = detail::arnoldi_cycle(
-          machine, *spmv, v, opts.m, orth_current, res,
-          opts.tol * st.initial_residual,
-          resilient ? opts.max_block_replays : 0, pc);
-      st.recovery.blocks_replayed += cycle.replays;
-      detail::update_solution(machine, v, cycle.k, cycle.y, xwork, pc,
-                              pc != nullptr ? &spmv->stage(2) : nullptr);
-      if (cycle.k > 0) x_is_zero = false;
-      st.iterations += cycle.k;
-      prev_recurrence = cycle.k > 0 ? cycle.ls_residual : -1.0;
-      prev_claimed =
-          cycle.k > 0 && cycle.ls_residual <= opts.tol * st.initial_residual;
-      ++st.restarts;
-      ++restart;
-      if (machine.tracing()) {
-        trace_tier_traffic(machine, ctr_last);
-        ctr_last = machine.counters();
-      }
-      domains.on_restart_completed();  // a completed restart refills budgets
-    } catch (const Error& e) {
-      // The domain handler classifies the fault (single device vs whole
-      // node), applies the victim domain's budget and the device floor,
-      // charges the backoff, and retires every dead device — or rethrows
-      // for unrecoverable errors.
-      if (domains.handle(e, st.recovery)) {
-        degrade_now = true;
-        degrade_reason = domains.degrade_reason();
-        break;
-      }
-      pending_lost_nodes = domains.lost_nodes();
-      needs_rebuild = true;  // the rebuild itself runs inside the try
-    }
-  }
-
-  // Graceful-degradation floor (see ca_gmres): finish on the host-only
-  // GMRES core from the last proven-finite checkpoint.
-  std::vector<double> x_degraded;
-  if (degrade_now) {
-    st.degraded.active = true;
-    st.degraded.devices_at_handoff = machine.n_devices();
-    st.degraded.at_time = machine.clock().elapsed() - t0;
-    st.degraded.reason = degrade_reason;
-    machine.trace_instant("degrade:cpu_gmres", "other");
-    machine.sync();  // the device path is abandoned; drain its closures
-    x_degraded = resilient && !ckpt.x().empty()
-                     ? ckpt.x()
-                     : std::vector<double>(
-                           static_cast<std::size_t>(prob->n()), 0.0);
-    SolverOptions host_opts = opts;
-    host_opts.max_restarts = std::max(1, opts.max_restarts - restart);
-    const double abs_tol =
-        st.initial_residual > 0.0 ? opts.tol * st.initial_residual : -1.0;
-    SolveStats host = detail::host_gmres(machine, *prob, host_opts,
-                                         x_degraded, !ckpt.x_zero(), abs_tol);
-    st.converged = host.converged;
-    res = host.final_residual;
-    if (st.initial_residual == 0.0) {
-      st.initial_residual = host.initial_residual;
-    }
-    st.restarts += host.restarts;
-    st.iterations += host.iterations;
-    st.residual_history.insert(st.residual_history.end(),
-                               host.residual_history.begin(),
-                               host.residual_history.end());
-  }
-  st.final_residual = res;
-  st.health_events = hm.take_events();
-  st.recurrence_residual = prev_recurrence;
-  st.residual_gap = hm.residual_gap_last();
-  st.residual_gap_max = hm.residual_gap_max();
-
-  st.time_total = machine.clock().elapsed() - t0;
-  st.traffic = tier_traffic(ctr0, machine.counters());
-  const sim::PhaseTimers& ph = machine.phases();
-  st.time_spmv = ph.get("spmv") - phases0.get("spmv");
-  st.time_orth = ph.get("orth") - phases0.get("orth");
-  st.time_precond = ph.get("precond") - phases0.get("precond") +
-                    ph.get("precond_setup") - phases0.get("precond_setup");
-  st.time_other =
-      st.time_total - st.time_spmv - st.time_orth - st.time_precond;
-  if (resilient) {
-    const sim::FaultStats df = machine.fault_injector().stats() - faults0;
-    st.recovery.faults_injected = df.injected_total;
-    st.recovery.device_failures = df.device_failures;
-    st.recovery.node_failures = df.node_failures;
-    st.recovery.kernel_faults = df.kernel_nans;
-    st.recovery.transfer_corruptions =
-        df.transfer_corruptions + df.link_corruptions;
-    st.recovery.transfer_stalls = df.transfer_stalls + df.link_stalls;
-    st.recovery.transfer_retries = df.transfer_retries;
-    st.recovery.time_lost += df.retry_seconds + df.stall_seconds;
-    st.recovery.partner_restores = ckpt.partner_restores();
-  }
-
-  if (st.degraded.active) {
-    result.x = recover_solution(*prob, x_degraded);
-    return result;
-  }
-  machine.sync();  // final gather reads xwork on the host
-  std::vector<double> x_prepared;
-  x_prepared.reserve(static_cast<std::size_t>(prob->n()));
-  for (int d = 0; d < machine.n_devices(); ++d) {
-    const double* p = xwork.col(d, 0);
-    x_prepared.insert(x_prepared.end(), p, p + xwork.local_rows(d));
-  }
-  result.x = recover_solution(*prob, x_prepared);
-  return result;
+  detail::GmresStep step(opts);
+  return detail::run_restarts(machine, problem, opts, step);
 }
 
 }  // namespace cagmres::core

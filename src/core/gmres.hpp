@@ -7,6 +7,7 @@
 // the machine, phase-labelled "spmv" and "orth".
 #pragma once
 
+#include "core/restart.hpp"
 #include "core/solver_common.hpp"
 #include "mpk/exec.hpp"
 #include "sim/machine.hpp"
@@ -24,14 +25,7 @@ namespace detail {
 /// restart): V(:,0) must hold the unit starting vector; generates up to m
 /// more columns, orthogonalizing each with `orth`. Stops early when the
 /// least-squares residual drops to `abs_tol` or on happy breakdown.
-struct CycleOutcome {
-  int k = 0;                ///< basis columns generated (H has k columns)
-  blas::DMat h;             ///< (m+1) x m raw Hessenberg (cols 0..k-1 valid)
-  std::vector<double> y;    ///< LS solution for the k columns
-  double ls_residual = 0.0; ///< final least-squares residual estimate
-  int replays = 0;          ///< iterations re-run by the health scrub
-};
-
+///
 /// `max_replays` > 0 enables the recovery scrub: each iteration's Hessenberg
 /// column and norm (computed anyway — a free checksum) are checked for
 /// NaN/Inf before the iteration is accepted; a poisoned iteration is re-run
@@ -47,37 +41,22 @@ CycleOutcome arnoldi_cycle(sim::Machine& machine, mpk::MpkExecutor& spmv,
                            double beta, double abs_tol, int max_replays = 0,
                            precond::PrecondHandle* pc = nullptr);
 
-/// Charged checkpoint of the current solution (column 0 of xwork) to the
-/// host, in prepared row order (device blocks are contiguous). Recovery-path
-/// only: callers gate it on Machine::faults_armed().
-std::vector<double> checkpoint_x(sim::Machine& machine,
-                                 const sim::DistMultiVec& xwork);
+/// GMRES's cycle step: one arnoldi_cycle with the per-iteration Orth. Its
+/// ladder has one rung, downshifting CGS to the more stable MGS.
+class GmresStep : public CycleStep {
+ public:
+  explicit GmresStep(const SolverOptions& opts)
+      : opts_(opts), orth_(opts.gmres_orth) {}
 
-/// Charged restore of a checkpoint into column 0 of xwork, split at xwork's
-/// (possibly repartitioned) device blocks.
-void restore_x(sim::Machine& machine, sim::DistMultiVec& xwork,
-               const std::vector<double>& x);
+  LadderCapabilities capabilities() const override;
+  bool rung_applicable(EscalationStep a) const override;
+  void apply_rung(EscalationStep a) override;
+  CycleOutcome cycle(Cycle& c) override;
 
-/// Charges the host->device redistribution of the matrix and rhs blocks
-/// after a repartition (the one recovery cost that is not a retry or replay
-/// of existing work).
-void charge_redistribution(sim::Machine& machine, const Problem& p);
-
-/// r := b - A x into column rcol of v, where x lives in column xcol of
-/// `xwork` (a 2-column scratch multivector) — or r := b when first is true.
-/// Returns ||r|| (reduced on the host).
-double compute_residual(sim::Machine& machine, mpk::MpkExecutor& spmv,
-                        const sim::DistVec& b, sim::DistMultiVec& xwork,
-                        sim::DistMultiVec& v, int rcol, bool first);
-
-/// x (column 0 of xwork) += V(:, 0:k) * y, broadcasting y to the devices.
-/// Right-preconditioned (`pc` non-null): x += M^{-1} (V(:, 0:k) y), staging
-/// V y in `stage` (columns 0 and 1; pass the executor's stage(2)) so x
-/// stays the true-space iterate.
-void update_solution(sim::Machine& machine, sim::DistMultiVec& v, int k,
-                     const std::vector<double>& y, sim::DistMultiVec& xwork,
-                     precond::PrecondHandle* pc = nullptr,
-                     sim::DistMultiVec* stage = nullptr);
+ private:
+  const SolverOptions& opts_;
+  ortho::Method orth_;
+};
 
 }  // namespace detail
 

@@ -1,310 +1,219 @@
 #include "core/pipelined.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "blas/least_squares.hpp"
 #include "common/error.hpp"
-#include "core/gmres.hpp"
-#include "mpk/exec.hpp"
-#include "mpk/plan.hpp"
+#include "core/restart.hpp"
 #include "ortho/reduce.hpp"
 #include "precond/precond.hpp"
 #include "sim/device_blas.hpp"
 
 namespace cagmres::core {
 
-SolveResult pipelined_gmres(sim::Machine& machine, const Problem& problem,
-                            const SolverOptions& opts) {
-  CAGMRES_REQUIRE(problem.n_devices() == machine.n_devices(),
-                  "problem/machine device count mismatch");
-  CAGMRES_REQUIRE(opts.m >= 1, "restart length must be positive");
-  const int ng = machine.n_devices();
-  const int mm = opts.m;
-  const std::vector<int> rows = problem.rows_per_device();
+namespace {
 
-  const mpk::MpkPlan plan = mpk::build_mpk_plan(problem.a, problem.offsets, 1);
-  mpk::MpkExecutor spmv(plan);
-  precond::PrecondHandle* const pc = opts.precond;
+/// The pipelined cycle step. Its recurrence is fixed by construction
+/// (CGS-style fused update, no orthogonalizer to swap), so its escalation
+/// ladder is empty: watchdog trips are logged, and a progress-class trip —
+/// with nothing left to try — stops the solve.
+class PipelinedStep final : public detail::CycleStep {
+ public:
+  explicit PipelinedStep(const SolverOptions& opts) : opts_(opts) {}
 
-  sim::DistMultiVec v(rows, mm + 1);
-  sim::DistMultiVec z(rows, mm + 1);  // Z = A * V, the pipelining basis
-  sim::DistMultiVec xwork(rows, 2);
-  sim::DistVec b(rows);
-  b.assign_from_host(problem.b);
-  // Declared after the distributed buffers: on exceptional unwind the pool
-  // drains before v/z/xwork/b are destroyed.
-  sim::DrainGuard drain_guard(machine);
-
-  SolveResult result;
-  SolveStats& st = result.stats;
-  const double t0 = machine.clock().elapsed();
-  const sim::PhaseTimers phases0 = machine.phases();
-  const sim::Counters ctr0 = machine.counters();
-  // Per-restart tier-traffic trace instants diff against this snapshot.
-  sim::Counters ctr_last = ctr0;
-  if (machine.codec_config().any_active()) {
-    machine.trace_instant("codec:" + machine.codec_config().to_string(),
-                          "other");
+  void rebuild(const Problem& prob) override {
+    z_ = sim::DistMultiVec(prob.rows_per_device(), opts_.m + 1);
   }
+
+  detail::CycleOutcome cycle(detail::Cycle& c) override;
+
+ private:
+  const SolverOptions& opts_;
+  sim::DistMultiVec z_;  // Z = A * V, the pipelining basis
+};
+
+detail::CycleOutcome PipelinedStep::cycle(detail::Cycle& c) {
+  sim::Machine& machine = c.machine;
+  mpk::MpkExecutor& spmv = c.spmv;
+  sim::DistMultiVec& v = c.v;
+  sim::DistMultiVec& z = z_;
+  precond::PrecondHandle* const pc = opts_.precond;
+  const int ng = machine.n_devices();
+  const int mm = opts_.m;
   // The fused reduction below is hand-rolled (raw d2h per device), so the
   // reduce-class codec is applied here directly: encode on the device,
   // wire-priced ship, decode at the host fold.
   const sim::CodecSpec& rcd = machine.codec(sim::TrafficClass::kReduce);
-
-  // --- numerical health monitor (core/health.hpp) ---
-  // The pipelined recurrence is fixed by construction (CGS-style fused
-  // update, no orthogonalizer to swap), so its escalation ladder is empty:
-  // watchdog trips are logged, and a progress-class trip — with nothing
-  // left to try — stops the solve instead of burning the restart budget.
-  // With no monitor armed the solver behaves byte-identically to the
-  // pre-health code.
-  LadderCapabilities caps;  // every rung off
-  SolveHealthMonitor hm(machine, opts.health, caps, t0);
-  const bool health_on = hm.armed();
-  double prev_recurrence = -1.0;  // previous cycle's LS residual estimate
-  bool prev_claimed = false;      // ... and whether it met the tolerance
-  auto respond = [&](HealthEventKind cause, int restart_no) {
-    if (!opts.health.escalate) return;
-    const double value = hm.events().empty() ? 0.0 : hm.events().back().value;
-    hm.escalate(cause, value, restart_no, st.iterations,
-                [](EscalationStep) { return false; });
-    if (cause == HealthEventKind::kStagnation ||
-        cause == HealthEventKind::kDivergence ||
-        cause == HealthEventKind::kFalseConvergence) {
-      CAGMRES_REQUIRE_CODE(
-          false, ErrorCode::kDeadlineExceeded,
-          "escalation ladder exhausted while the solve was not progressing");
-    }
-  };
-
   std::vector<std::vector<double>> partial(
       static_cast<std::size_t>(ng),
       std::vector<double>(static_cast<std::size_t>(mm) + 2, 0.0));
   std::vector<double> coeff(static_cast<std::size_t>(mm) + 2, 0.0);
 
-  // Right preconditioning: factor once up front (the pipelined solver has
-  // no repartition path, so the handle never changes during the solve).
-  // The pipelining basis becomes Z = (A M^{-1}) V; residuals and x stay in
-  // the true space.
-  if (pc != nullptr && !pc->matches(problem.offsets)) {
-    pc->build(machine, problem.a, problem.offsets);
+  // Prime the pipeline: z_0 = A v_0 (A M^{-1} v_0 preconditioned; the
+  // pipelining basis becomes Z = (A M^{-1}) V).
+  if (pc != nullptr) {
+    sim::DistMultiVec& stage = spmv.stage(2);
+    pc->apply(machine, v, 0, stage, 0);
+    spmv.spmv(machine, stage, 0, z, 0);
+  } else {
+    spmv.spmv(machine, v, 0, z, 0);
   }
 
-  double res = 0.0;
-  for (int restart = 0; restart < opts.max_restarts; ++restart) {
-    res = detail::compute_residual(machine, spmv, b, xwork, v, 0,
-                                   restart == 0);
-    if (restart == 0) {
-      st.initial_residual = res;
-      if (res == 0.0) {
-        st.converged = true;
-        break;
-      }
-    }
-    st.residual_history.push_back(res);
-    const bool unconverged = res > opts.tol * st.initial_residual;
-    if (health_on) {
-      // False-convergence guard: the explicit residual just computed vs
-      // the previous cycle's recurrence estimate.
-      const HealthEventKind gap_trip = hm.check_residual_gap(
-          res, prev_recurrence, prev_claimed, unconverged, restart,
-          st.iterations);
-      if (gap_trip != HealthEventKind::kNone && unconverged) {
-        respond(gap_trip, restart);
-      }
-    }
-    if (!unconverged) {
-      st.converged = true;
-      break;
-    }
-    if (health_on) {
-      const HealthEventKind prog_trip =
-          hm.check_progress(res, restart, st.iterations);
-      if (prog_trip != HealthEventKind::kNone) respond(prog_trip, restart);
-      hm.check_budget(st.iterations, restart);
-    }
+  blas::GivensLS ls(mm, c.beta);
+  detail::CycleOutcome out;
+  for (int j = 0; j < mm; ++j) {
+    sim::PhaseScope phase(machine, "orth");
+    const int prev = j + 1;  // columns v_0..v_j are orthonormal
+
+    // (1) Post the fused reduction for z_j: projections V^T z_j plus
+    //     ||z_j||^2, one D2H message per device, and record one event per
+    //     message — the reduction's arrival, before the lookahead SpMV is
+    //     queued behind it. (Barrier mode keeps the hand-rolled timestamp
+    //     capture this event API generalizes; both charge identically.)
+    std::vector<sim::Event> red_ev(static_cast<std::size_t>(ng));
     for (int d = 0; d < ng; ++d) {
-      sim::dev_scal(machine, d, v.local_rows(d), 1.0 / res, v.col(d, 0));
+      auto& p = partial[static_cast<std::size_t>(d)];
+      sim::dev_gemv_t(machine, d, v.local_rows(d), prev, v.col(d, 0),
+                      v.local(d).ld(), z.col(d, j), p.data());
+      p[static_cast<std::size_t>(prev)] = sim::dev_dot(
+          machine, d, v.local_rows(d), z.col(d, j), z.col(d, j));
+      machine.charge_codec(d, rcd, prev + 1);
+      machine.d2h(d, rcd.wire_bytes(prev + 1), 8.0 * (prev + 1));
+      if (machine.event_sync()) red_ev[static_cast<std::size_t>(d)] =
+          machine.record_event(d);
     }
-    // Prime the pipeline: z_0 = A v_0 (A M^{-1} v_0 preconditioned).
+    double t_red = machine.clock().host_time();
+    if (!machine.event_sync()) {
+      for (int d = 0; d < ng; ++d) {
+        t_red = std::max(t_red, machine.clock().device_time(d));
+      }
+    }
+
+    // (2) Lookahead product w = A z_j (A M^{-1} z_j preconditioned),
+    //     overlapping the reduction wait. The trisolve is device-local,
+    //     so it overlaps the in-flight reduction messages the same way.
     if (pc != nullptr) {
       sim::DistMultiVec& stage = spmv.stage(2);
-      pc->apply(machine, v, 0, stage, 0);
-      spmv.spmv(machine, stage, 0, z, 0);
+      pc->apply(machine, z, j, stage, 0);
+      spmv.spmv(machine, stage, 0, z, j + 1);
     } else {
-      spmv.spmv(machine, v, 0, z, 0);
+      spmv.spmv(machine, z, j, z, j + 1);
     }
 
-    blas::GivensLS ls(mm, res);
-    int k = 0;
-    double cycle_ls_res = -1.0;
-    for (int j = 0; j < mm; ++j) {
-      sim::PhaseScope phase(machine, "orth");
-      const int prev = j + 1;  // columns v_0..v_j are orthonormal
-
-      // (1) Post the fused reduction for z_j: projections V^T z_j plus
-      //     ||z_j||^2, one D2H message per device, and record one event per
-      //     message — the reduction's arrival, before the lookahead SpMV is
-      //     queued behind it. (Barrier mode keeps the hand-rolled timestamp
-      //     capture this event API generalizes; both charge identically.)
-      std::vector<sim::Event> red_ev(static_cast<std::size_t>(ng));
-      for (int d = 0; d < ng; ++d) {
-        auto& p = partial[static_cast<std::size_t>(d)];
-        sim::dev_gemv_t(machine, d, v.local_rows(d), prev, v.col(d, 0),
-                        v.local(d).ld(), z.col(d, j), p.data());
-        p[static_cast<std::size_t>(prev)] = sim::dev_dot(
-            machine, d, v.local_rows(d), z.col(d, j), z.col(d, j));
-        machine.charge_codec(d, rcd, prev + 1);
-        machine.d2h(d, rcd.wire_bytes(prev + 1), 8.0 * (prev + 1));
-        if (machine.event_sync()) red_ev[static_cast<std::size_t>(d)] =
-            machine.record_event(d);
-      }
-      double t_red = machine.clock().host_time();
-      if (!machine.event_sync()) {
+    // (3) The host waits only for the reduction messages, not the SpMV.
+    //     In event mode the waits also cover, wall-clock, exactly the
+    //     closures that filled partial[] — the host sum below no longer
+    //     leans on the lookahead exchange having drained the machine.
+    {
+      sim::PhaseScope phase2(machine, "orth");
+      if (machine.event_sync()) {
         for (int d = 0; d < ng; ++d) {
-          t_red = std::max(t_red, machine.clock().device_time(d));
+          machine.host_wait_event(red_ev[static_cast<std::size_t>(d)]);
         }
-      }
-
-      // (2) Lookahead product w = A z_j (A M^{-1} z_j preconditioned),
-      //     overlapping the reduction wait. The trisolve is device-local,
-      //     so it overlaps the in-flight reduction messages the same way.
-      if (j + 1 <= mm) {
-        if (pc != nullptr) {
-          sim::DistMultiVec& stage = spmv.stage(2);
-          pc->apply(machine, z, j, stage, 0);
-          spmv.spmv(machine, stage, 0, z, j + 1);
-        } else {
-          spmv.spmv(machine, z, j, z, j + 1);
-        }
-      }
-
-      // (3) The host waits only for the reduction messages, not the SpMV.
-      //     In event mode the waits also cover, wall-clock, exactly the
-      //     closures that filled partial[] — the host sum below no longer
-      //     leans on the lookahead exchange having drained the machine.
-      {
-        sim::PhaseScope phase2(machine, "orth");
-        if (machine.event_sync()) {
-          for (int d = 0; d < ng; ++d) {
-            machine.host_wait_event(red_ev[static_cast<std::size_t>(d)]);
-          }
-        } else {
-          machine.clock().host_wait_time(t_red);
-        }
-        machine.charge_host(sim::Kernel::kAxpy,
-                            static_cast<double>(prev + 1) * ng,
-                            16.0 * (prev + 1) * ng);
-      }
-      // Fold the decoded wire images of the partials (partial[] is fully
-      // rewritten next iteration, so quantizing in place is safe).
-      if (rcd.active()) {
-        for (int d = 0; d < ng; ++d) {
-          rcd.roundtrip(partial[static_cast<std::size_t>(d)].data(), prev + 1);
-        }
-      }
-      for (int i = 0; i <= prev; ++i) {
-        coeff[static_cast<std::size_t>(i)] = 0.0;
-        for (int d = 0; d < ng; ++d) {
-          coeff[static_cast<std::size_t>(i)] +=
-              partial[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)];
-        }
-      }
-      // Broadcast before reading the coefficients: it may quantize them in
-      // place, and the recurrence below must use the values the devices
-      // subtract (charge order unchanged — the fold is pure host work).
-      ortho::detail::broadcast_charge(machine, prev + 1, coeff.data());
-      const double n2 = coeff[static_cast<std::size_t>(prev)];
-      double proj2 = 0.0;
-      for (int i = 0; i < prev; ++i) {
-        proj2 += coeff[static_cast<std::size_t>(i)] * coeff[static_cast<std::size_t>(i)];
-      }
-      double nu2 = n2 - proj2;
-
-      // (4) Update BOTH bases by linearity (coefficients broadcast above):
-      //     v_{j+1} = (z_j - V a)/nu,  z_{j+1} = (w - Z a)/nu.
-      for (int d = 0; d < ng; ++d) {
-        sim::dev_copy(machine, d, v.local_rows(d), z.col(d, j),
-                      v.col(d, prev));
-        sim::dev_gemv_n_sub(machine, d, v.local_rows(d), prev, v.col(d, 0),
-                            v.local(d).ld(), coeff.data(), v.col(d, prev));
-        sim::dev_gemv_n_sub(machine, d, v.local_rows(d), prev, z.col(d, 0),
-                            z.local(d).ld(), coeff.data(), z.col(d, prev));
-      }
-      double nu;
-      if (nu2 > 1e-8 * n2 && nu2 > 0.0) {
-        nu = std::sqrt(nu2);
       } else {
-        // Cancellation: recompute ||v_{j+1}|| explicitly (extra reduction;
-        // the pipelined recurrence inherits CGS-grade stability).
-        for (int d = 0; d < ng; ++d) {
-          partial[static_cast<std::size_t>(d)][0] =
-              sim::dev_dot(machine, d, v.local_rows(d), v.col(d, prev),
-                           v.col(d, prev));
-        }
-        double explicit_n2 = 0.0;
-        ortho::detail::reduce_to_host(machine, partial, 1, &explicit_n2);
-        ortho::detail::broadcast_charge(machine, 1, &explicit_n2);
-        nu = std::sqrt(std::max(explicit_n2, 0.0));
+        machine.clock().host_wait_time(t_red);
       }
-      if (nu <= 1e-300) {  // happy breakdown: the space is invariant
-        k = j;
+      machine.charge_host(sim::Kernel::kAxpy,
+                          static_cast<double>(prev + 1) * ng,
+                          16.0 * (prev + 1) * ng);
+    }
+    // Fold the decoded wire images of the partials (partial[] is fully
+    // rewritten next iteration, so quantizing in place is safe).
+    if (rcd.active()) {
+      for (int d = 0; d < ng; ++d) {
+        rcd.roundtrip(partial[static_cast<std::size_t>(d)].data(), prev + 1);
+      }
+    }
+    for (int i = 0; i <= prev; ++i) {
+      coeff[static_cast<std::size_t>(i)] = 0.0;
+      for (int d = 0; d < ng; ++d) {
+        coeff[static_cast<std::size_t>(i)] +=
+            partial[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)];
+      }
+    }
+    // Broadcast before reading the coefficients: it may quantize them in
+    // place, and the recurrence below must use the values the devices
+    // subtract (charge order unchanged — the fold is pure host work).
+    ortho::detail::broadcast_charge(machine, prev + 1, coeff.data());
+    const double n2 = coeff[static_cast<std::size_t>(prev)];
+    double proj2 = 0.0;
+    for (int i = 0; i < prev; ++i) {
+      proj2 += coeff[static_cast<std::size_t>(i)] * coeff[static_cast<std::size_t>(i)];
+    }
+    double nu2 = n2 - proj2;
+
+    // (4) Update BOTH bases by linearity (coefficients broadcast above):
+    //     v_{j+1} = (z_j - V a)/nu,  z_{j+1} = (w - Z a)/nu.
+    for (int d = 0; d < ng; ++d) {
+      sim::dev_copy(machine, d, v.local_rows(d), z.col(d, j),
+                    v.col(d, prev));
+      sim::dev_gemv_n_sub(machine, d, v.local_rows(d), prev, v.col(d, 0),
+                          v.local(d).ld(), coeff.data(), v.col(d, prev));
+      sim::dev_gemv_n_sub(machine, d, v.local_rows(d), prev, z.col(d, 0),
+                          z.local(d).ld(), coeff.data(), z.col(d, prev));
+    }
+    double nu;
+    if (nu2 > 1e-8 * n2 && nu2 > 0.0) {
+      nu = std::sqrt(nu2);
+    } else {
+      // Cancellation: recompute ||v_{j+1}|| explicitly (extra reduction;
+      // the pipelined recurrence inherits CGS-grade stability).
+      for (int d = 0; d < ng; ++d) {
+        partial[static_cast<std::size_t>(d)][0] =
+            sim::dev_dot(machine, d, v.local_rows(d), v.col(d, prev),
+                         v.col(d, prev));
+      }
+      double explicit_n2 = 0.0;
+      ortho::detail::reduce_to_host(machine, partial, 1, &explicit_n2);
+      ortho::detail::broadcast_charge(machine, 1, &explicit_n2);
+      nu = std::sqrt(std::max(explicit_n2, 0.0));
+    }
+    if (c.resilient) {
+      // Health scrub: the fused reduction doubles as a free checksum —
+      // finite projections and norm prove v_0..v_j and z_j NaN-free. The
+      // poison it finds sits in this step's inputs, so replaying cannot
+      // help: stop at the last clean column and let the next restart redo
+      // the rest.
+      bool clean = std::isfinite(nu);
+      for (int i = 0; clean && i < prev; ++i) {
+        clean = std::isfinite(coeff[static_cast<std::size_t>(i)]);
+      }
+      if (!clean) {
+        ++c.st.recovery.blocks_replayed;
         break;
       }
+    }
+    // (5) Least squares bookkeeping (H column = [a; nu]). On a happy
+    //     breakdown (nu == 0: the space is invariant) the column is still
+    //     complete — append it and stop, as GMRES does.
+    const bool breakdown = nu <= 1e-300;
+    if (!breakdown) {
       for (int d = 0; d < ng; ++d) {
         sim::dev_scal(machine, d, v.local_rows(d), 1.0 / nu, v.col(d, prev));
         sim::dev_scal(machine, d, v.local_rows(d), 1.0 / nu, z.col(d, prev));
       }
-
-      // (5) Least squares bookkeeping (H column = [a; nu]).
-      coeff[static_cast<std::size_t>(prev)] = nu;
-      const double ls_res = ls.append_column(coeff.data());
-      cycle_ls_res = ls_res;
-      k = j + 1;
-      st.iterations += 1;
-      if (ls_res <= opts.tol * st.initial_residual) break;
     }
-    machine.charge_host(sim::Kernel::kSmall, 3.0 * static_cast<double>(k) * k,
-                        0.0);
-    if (k > 0) {
-      detail::update_solution(machine, v, k, ls.solve(), xwork, pc,
-                              pc != nullptr ? &spmv.stage(2) : nullptr);
-    }
-    prev_recurrence = k > 0 ? cycle_ls_res : -1.0;
-    prev_claimed =
-        k > 0 && cycle_ls_res >= 0.0 &&
-        cycle_ls_res <= opts.tol * st.initial_residual;
-    ++st.restarts;
-    if (machine.tracing()) {
-      trace_tier_traffic(machine, ctr_last);
-      ctr_last = machine.counters();
-    }
+    coeff[static_cast<std::size_t>(prev)] = nu;
+    out.ls_residual = ls.append_column(coeff.data());
+    out.k = j + 1;
+    if (breakdown || out.ls_residual <= c.abs_tol) break;
   }
-  st.final_residual = res;
-  st.health_events = hm.take_events();
-  st.recurrence_residual = prev_recurrence;
-  st.residual_gap = hm.residual_gap_last();
-  st.residual_gap_max = hm.residual_gap_max();
+  machine.charge_host(sim::Kernel::kSmall,
+                      3.0 * static_cast<double>(out.k) * out.k, 0.0);
+  out.y = ls.solve();
+  c.st.iterations += out.k;
+  return out;
+}
 
-  st.time_total = machine.clock().elapsed() - t0;
-  st.traffic = tier_traffic(ctr0, machine.counters());
-  const sim::PhaseTimers& ph = machine.phases();
-  st.time_spmv = ph.get("spmv") - phases0.get("spmv");
-  st.time_orth = ph.get("orth") - phases0.get("orth");
-  st.time_precond = ph.get("precond") - phases0.get("precond") +
-                    ph.get("precond_setup") - phases0.get("precond_setup");
-  st.time_other =
-      st.time_total - st.time_spmv - st.time_orth - st.time_precond;
+}  // namespace
 
-  machine.sync();  // final gather reads xwork on the host
-  std::vector<double> x_prepared;
-  x_prepared.reserve(static_cast<std::size_t>(problem.n()));
-  for (int d = 0; d < ng; ++d) {
-    const double* p = xwork.col(d, 0);
-    x_prepared.insert(x_prepared.end(), p, p + xwork.local_rows(d));
-  }
-  result.x = recover_solution(problem, x_prepared);
-  return result;
+SolveResult pipelined_gmres(sim::Machine& machine, const Problem& problem,
+                            const SolverOptions& opts) {
+  CAGMRES_REQUIRE(opts.m >= 1, "restart length must be positive");
+  PipelinedStep step(opts);
+  return detail::run_restarts(machine, problem, opts, step);
 }
 
 }  // namespace cagmres::core

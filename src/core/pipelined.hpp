@@ -22,7 +22,9 @@ namespace cagmres::core {
 
 /// Solves the prepared problem with depth-1 pipelined GMRES(opts.m).
 /// Uses opts.m / tol / max_restarts; the orthogonalization is the fused
-/// CGS-style single reduction inherent to the algorithm.
+/// CGS-style single reduction inherent to the algorithm. Runs on the shared
+/// restart driver (core/restart.hpp), so it checkpoints, repartitions and
+/// degrades under faults exactly like GMRES.
 SolveResult pipelined_gmres(sim::Machine& machine, const Problem& problem,
                             const SolverOptions& opts);
 

@@ -11,6 +11,7 @@
 #include "common/rng.hpp"
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
+#include "core/pipelined.hpp"
 #include "core/solver_common.hpp"
 #include "precond/precond.hpp"
 #include "sparse/generators.hpp"
@@ -51,6 +52,8 @@ std::string to_string(ChaosSolver s) {
       return "precond_ca_gmres";
     case ChaosSolver::kPrecondGmres:
       return "precond_gmres";
+    case ChaosSolver::kPipelined:
+      return "pipelined_gmres";
   }
   return "?";
 }
@@ -205,11 +208,14 @@ struct ChaosRunner::Impl {
            (mode == SyncMode::kEvent ? 1 : 0) * 100 + workers;
   }
 
-  /// The campaign's driver roster: the unpreconditioned pair, widened by
-  /// the preconditioned pair when a spec is armed.
+  /// The campaign's driver roster: the unpreconditioned solvers, widened
+  /// by the preconditioned pair when a spec is armed.
   std::vector<ChaosSolver> roster() const {
     std::vector<ChaosSolver> out = {ChaosSolver::kCaGmres};
-    if (cfg.both_solvers) out.push_back(ChaosSolver::kGmres);
+    if (cfg.both_solvers) {
+      out.push_back(ChaosSolver::kGmres);
+      out.push_back(ChaosSolver::kPipelined);
+    }
     if (pspec.armed()) {
       out.push_back(ChaosSolver::kPrecondCaGmres);
       if (cfg.both_solvers) out.push_back(ChaosSolver::kPrecondGmres);
@@ -237,8 +243,13 @@ struct ChaosRunner::Impl {
     core::SolverOptions opts = solver_opts();
     if (is_precond(solver)) opts.precond = &handle;
     try {
-      sr = is_ca(solver) ? core::ca_gmres(m, prob, opts)
-                         : core::gmres(m, prob, opts);
+      if (is_ca(solver)) {
+        sr = core::ca_gmres(m, prob, opts);
+      } else if (solver == ChaosSolver::kPipelined) {
+        sr = core::pipelined_gmres(m, prob, opts);
+      } else {
+        sr = core::gmres(m, prob, opts);
+      }
       have_x = true;
       r.outcome =
           sr.stats.converged ? ChaosOutcome::kConverged : ChaosOutcome::kUnconverged;

@@ -7,8 +7,8 @@
 // op-triggered, including cascading multi-device kills clustered tightly
 // enough to land inside a previous kill's checkpoint-restart) plus
 // continuous rates — and runs each over {barrier, event} x configured host
-// worker counts, alternating CA-GMRES and GMRES. Every run must end in one
-// of the sanctioned states:
+// worker counts, alternating CA-GMRES, GMRES and pipelined GMRES. Every
+// run must end in one of the sanctioned states:
 //   - converged, with a finite solution whose TRUE residual (checked
 //     against the original, unprepared system) meets the tolerance;
 //   - clean non-convergence (restart budget spent, solution finite);
@@ -36,8 +36,15 @@ namespace cagmres::sim {
 /// The kPrecond* variants run the same solvers right-preconditioned with a
 /// fresh ILU(k) PrecondHandle per run (ChaosConfig::precond), so kills and
 /// corrupt storms land inside preconditioner setup and the level-scheduled
-/// trisolves as well as the solver proper.
-enum class ChaosSolver { kCaGmres, kGmres, kPrecondCaGmres, kPrecondGmres };
+/// trisolves as well as the solver proper. kPipelined drives depth-1
+/// pipelined GMRES, unpreconditioned.
+enum class ChaosSolver {
+  kCaGmres,
+  kGmres,
+  kPrecondCaGmres,
+  kPrecondGmres,
+  kPipelined
+};
 std::string to_string(ChaosSolver s);
 
 /// Sanctioned terminal states of one run (see file comment).
@@ -118,11 +125,13 @@ struct ChaosConfig {
   double deadline_factor = 50.0;
   std::vector<SyncMode> modes = {SyncMode::kBarrier, SyncMode::kEvent};
   std::vector<int> worker_counts = {0, 2};
-  bool both_solvers = true;    ///< alternate CA-GMRES / GMRES by index
+  /// Alternate CA-GMRES / GMRES / pipelined GMRES by index (CA-GMRES
+  /// only when off).
+  bool both_solvers = true;
   /// Non-empty: a parse_precond_spec string ("ilu:k=1"); the alternation
-  /// widens to a 4-cycle {ca, gmres, precond_ca, precond_gmres} (2-cycle
-  /// {ca, precond_ca} when both_solvers is off), so half of all schedules
-  /// chaos the preconditioned drivers. Empty (the default) keeps the
+  /// widens to a 5-cycle {ca, gmres, pipelined, precond_ca, precond_gmres}
+  /// (2-cycle {ca, precond_ca} when both_solvers is off), so the
+  /// preconditioned drivers get their share of the schedules. Empty (the default) keeps the
   /// campaign byte-identical to the pre-preconditioner engine — schedule
   /// generation never consumes RNG for this knob.
   std::string precond;

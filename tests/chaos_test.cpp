@@ -277,6 +277,27 @@ TEST(ChaosDemoOracle, SeededBugMinimizesToAtMostThreeEvents) {
   EXPECT_TRUE(has_kill);
 }
 
+// --- pipelined GMRES in the alternation --------------------------------
+
+TEST(ChaosPipelined, FaultyScheduleRecoversAndReplaysBitIdentically) {
+  // Pipelined GMRES runs on the shared restart driver, so a device kill
+  // must repartition and a NaN drizzle roll back like the other solvers,
+  // and a same-seed rerun must reproduce the run bit for bit.
+  ChaosConfig cfg = slim_config();
+  cfg.both_solvers = true;  // roster {ca, gmres, pipelined}: index 2
+  ChaosRunner r(cfg);
+  EXPECT_EQ(to_string(ChaosSolver::kPipelined), "pipelined_gmres");
+  const ChaosSchedule s =
+      ChaosSchedule::from_spec("seed=5;kill:*@t=2ms;nan:p=0.001");
+  EXPECT_TRUE(r.run_schedule(s, 2).empty());  // includes the reset replay
+  const auto one = r.run_one(s, ChaosSolver::kPipelined, SyncMode::kEvent, 0);
+  const auto two = r.run_one(s, ChaosSolver::kPipelined, SyncMode::kEvent, 0);
+  EXPECT_TRUE(one.violation.empty()) << one.violation;
+  EXPECT_EQ(one.outcome, ChaosOutcome::kConverged);
+  EXPECT_GE(one.device_failures, 1);
+  EXPECT_EQ(one.fingerprint, two.fingerprint);
+}
+
 // --- preconditioned drivers in the alternation ------------------------
 
 TEST(ChaosPrecond, CampaignWithIluDriversIsViolationFree) {

@@ -2,6 +2,7 @@
 // parameters, non-convergence reporting, and argument validation across
 // modules.
 #include <cmath>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -11,9 +12,11 @@
 #include "blas/eig.hpp"
 #include "blas/lapack.hpp"
 #include "blas/least_squares.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
+#include "core/pipelined.hpp"
 #include "mpk/exec.hpp"
 #include "mpk/plan.hpp"
 #include "ortho/tsqr.hpp"
@@ -164,6 +167,39 @@ TEST(SolverEdge, NonConvergenceIsReportedHonestly) {
   // The partial solution is still the best-so-far iterate, not garbage.
   EXPECT_LT(core::true_residual(a, b, res.x),
             blas::nrm2(a.n_rows, b.data()));
+}
+
+TEST(SolverEdge, NonFiniteResidualIsNeverConverged) {
+  // Two near-overflow entries make the Krylov arithmetic overflow to NaN.
+  // A NaN residual fails every comparison, so a "res > tol" test would
+  // read it as converged; the shared restart driver must refuse instead.
+  sparse::CsrMatrix a = sparse::make_laplace2d(24, 24, 0.1, 0.02);
+  a.vals[17] = 1e308;
+  a.vals[40] = 1e308;
+  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
+  const core::Problem p =
+      core::make_problem(a, b, 2, graph::Ordering::kNatural, false, 1);
+  using Solver = core::SolveResult (*)(sim::Machine&, const core::Problem&,
+                                       const core::SolverOptions&);
+  const std::pair<const char*, Solver> solvers[] = {
+      {"gmres", core::gmres},
+      {"ca_gmres", core::ca_gmres},
+      {"pipelined_gmres", core::pipelined_gmres}};
+  for (const auto& [name, solve] : solvers) {
+    sim::Machine machine(2);  // unarmed: no checkpoint to roll back to
+    core::SolverOptions opts;
+    opts.m = 30;
+    opts.s = 6;
+    opts.tol = 1e-6;
+    opts.max_restarts = 20;
+    try {
+      const core::SolveResult res = solve(machine, p, opts);
+      ADD_FAILURE() << name << " returned converged=" << res.stats.converged
+                    << " final_residual=" << res.stats.final_residual;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBreakdown) << name << ": " << e.what();
+    }
+  }
 }
 
 TEST(SolverEdge, TinySystemManyDevices) {

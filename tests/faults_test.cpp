@@ -1,12 +1,13 @@
 // Fault-injection and self-healing tests: the deterministic injector
 // itself, the spec parser, the error taxonomy, and the acceptance
 // scenarios — device dropout, transfer corruption, and transient NaN
-// kernel faults must all leave GMRES and CA-GMRES converged with the
-// recovery recorded in SolveStats, while a zero-fault schedule stays
-// byte-identical to a machine without the layer.
+// kernel faults must all leave GMRES, CA-GMRES and pipelined GMRES
+// converged with the recovery recorded in SolveStats, while a zero-fault
+// schedule stays byte-identical to a machine without the layer.
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "common/error.hpp"
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
+#include "core/pipelined.hpp"
 #include "core/solver_common.hpp"
 #include "ortho/tsqr.hpp"
 #include "sim/fault.hpp"
@@ -57,6 +59,16 @@ double relative_residual(const TestSystem& s, const std::vector<double>& x) {
   return core::true_residual(s.a, s.b, x) /
          blas::nrm2(s.a.n_rows, s.b.data());
 }
+
+/// A solver entry point, for scenarios every restart loop must survive.
+struct NamedSolver {
+  const char* name;
+  core::SolveResult (*solve)(Machine&, const core::Problem&,
+                             const core::SolverOptions&);
+};
+constexpr NamedSolver kGmres{"gmres", core::gmres};
+constexpr NamedSolver kCaGmres{"ca_gmres", core::ca_gmres};
+constexpr NamedSolver kPipelined{"pipelined_gmres", core::pipelined_gmres};
 
 // --- injector unit tests ---------------------------------------------
 
@@ -325,36 +337,46 @@ TEST(ZeroFault, SeedOnlySpecIsByteIdenticalToPlainMachine) {
   const TestSystem s = make_system(3);
   const core::SolverOptions opts = base_opts();
 
-  Machine plain(3);
-  const core::SolveResult r_plain = core::ca_gmres(plain, s.p, opts);
+  for (const NamedSolver& solver : {kCaGmres, kGmres, kPipelined}) {
+    Machine plain(3);
+    const core::SolveResult r_plain = solver.solve(plain, s.p, opts);
 
-  Machine seeded(3);
-  sim::parse_fault_spec("seed=123", seeded.fault_injector());
-  ASSERT_FALSE(seeded.faults_armed());  // a seed alone schedules nothing
-  const core::SolveResult r_seeded = core::ca_gmres(seeded, s.p, opts);
+    Machine seeded(3);
+    sim::parse_fault_spec("seed=123", seeded.fault_injector());
+    ASSERT_FALSE(seeded.faults_armed());  // a seed alone schedules nothing
+    const core::SolveResult r_seeded = solver.solve(seeded, s.p, opts);
 
-  EXPECT_EQ(r_plain.stats.time_total, r_seeded.stats.time_total);
-  EXPECT_EQ(r_plain.stats.iterations, r_seeded.stats.iterations);
-  EXPECT_EQ(r_plain.stats.residual_history, r_seeded.stats.residual_history);
-  EXPECT_EQ(r_plain.x, r_seeded.x);
-  EXPECT_FALSE(r_seeded.stats.recovery.any());
-  EXPECT_EQ(plain.clock().elapsed(), seeded.clock().elapsed());
+    EXPECT_EQ(r_plain.stats.time_total, r_seeded.stats.time_total)
+        << solver.name;
+    EXPECT_EQ(r_plain.stats.iterations, r_seeded.stats.iterations)
+        << solver.name;
+    EXPECT_EQ(r_plain.stats.residual_history, r_seeded.stats.residual_history)
+        << solver.name;
+    EXPECT_EQ(r_plain.x, r_seeded.x) << solver.name;
+    EXPECT_FALSE(r_seeded.stats.recovery.any()) << solver.name;
+    EXPECT_EQ(plain.clock().elapsed(), seeded.clock().elapsed())
+        << solver.name;
+  }
 }
 
 // --- acceptance scenario (a): permanent device dropout ----------------
 
 TEST(DeviceDropout, GmresSurvivesAndConverges) {
   const TestSystem s = make_system(3);
-  Machine machine(3);
-  sim::parse_fault_spec("kill:d1@op=400", machine.fault_injector());
-  const core::SolveResult res = core::gmres(machine, s.p, base_opts());
-  EXPECT_TRUE(res.stats.converged);
-  EXPECT_EQ(machine.n_devices(), 2);  // one device retired
-  EXPECT_EQ(res.stats.recovery.device_failures, 1);
-  EXPECT_EQ(res.stats.recovery.repartitions, 1);
-  EXPECT_GE(res.stats.recovery.rollbacks, 1);
-  EXPECT_GT(res.stats.recovery.time_lost, 0.0);
-  EXPECT_LT(relative_residual(s, res.x), 1e-5);
+  const std::pair<NamedSolver, const char*> cases[] = {
+      {kGmres, "kill:d1@op=400"}, {kPipelined, "kill:d1@op=300"}};
+  for (const auto& [solver, spec] : cases) {
+    Machine machine(3);
+    sim::parse_fault_spec(spec, machine.fault_injector());
+    const core::SolveResult res = solver.solve(machine, s.p, base_opts());
+    EXPECT_TRUE(res.stats.converged) << solver.name;
+    EXPECT_EQ(machine.n_devices(), 2) << solver.name;  // one device retired
+    EXPECT_EQ(res.stats.recovery.device_failures, 1) << solver.name;
+    EXPECT_EQ(res.stats.recovery.repartitions, 1) << solver.name;
+    EXPECT_GE(res.stats.recovery.rollbacks, 1) << solver.name;
+    EXPECT_GT(res.stats.recovery.time_lost, 0.0) << solver.name;
+    EXPECT_LT(relative_residual(s, res.x), 1e-5) << solver.name;
+  }
 }
 
 TEST(DeviceDropout, CaGmresSurvivesAndConverges) {
@@ -502,15 +524,18 @@ TEST(TransferStall, ChargesExtraLatency) {
 
 TEST(KernelNan, GmresScrubsAndConverges) {
   const TestSystem s = make_system(3);
-  Machine machine(3);
-  sim::parse_fault_spec("seed=11;nan:p=0.002", machine.fault_injector());
-  const core::SolveResult res = core::gmres(machine, s.p, base_opts());
-  EXPECT_TRUE(res.stats.converged);
-  EXPECT_GT(res.stats.recovery.kernel_faults, 0);
-  EXPECT_GT(res.stats.recovery.blocks_replayed + res.stats.recovery.rollbacks,
-            0);
-  EXPECT_LT(relative_residual(s, res.x), 1e-5);
-  EXPECT_TRUE(std::isfinite(res.stats.final_residual));
+  for (const NamedSolver& solver : {kGmres, kPipelined}) {
+    Machine machine(3);
+    sim::parse_fault_spec("seed=11;nan:p=0.002", machine.fault_injector());
+    const core::SolveResult res = solver.solve(machine, s.p, base_opts());
+    EXPECT_TRUE(res.stats.converged) << solver.name;
+    EXPECT_GT(res.stats.recovery.kernel_faults, 0) << solver.name;
+    EXPECT_GT(
+        res.stats.recovery.blocks_replayed + res.stats.recovery.rollbacks, 0)
+        << solver.name;
+    EXPECT_LT(relative_residual(s, res.x), 1e-5) << solver.name;
+    EXPECT_TRUE(std::isfinite(res.stats.final_residual)) << solver.name;
+  }
 }
 
 TEST(KernelNan, CaGmresScrubsAndConverges) {
@@ -544,12 +569,15 @@ TEST(KernelNan, PoisonedGramBreakdownIsReplayedNotFatal) {
 
 TEST(KernelNan, ScheduledSingleFaultIsScrubbed) {
   const TestSystem s = make_system(3);
-  Machine machine(3);
-  sim::parse_fault_spec("nan:d0@op=200", machine.fault_injector());
-  const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
-  EXPECT_TRUE(res.stats.converged);
-  EXPECT_EQ(res.stats.recovery.kernel_faults, 1);
-  EXPECT_LT(relative_residual(s, res.x), 1e-5);
+  for (const NamedSolver& solver : {kCaGmres, kPipelined}) {
+    Machine machine(3);
+    sim::parse_fault_spec("nan:d0@op=200", machine.fault_injector());
+    const core::SolveResult res = solver.solve(machine, s.p, base_opts());
+    EXPECT_TRUE(res.stats.converged) << solver.name;
+    EXPECT_EQ(res.stats.recovery.kernel_faults, 1) << solver.name;
+    EXPECT_LT(relative_residual(s, res.x), 1e-5) << solver.name;
+    EXPECT_TRUE(std::isfinite(res.stats.final_residual)) << solver.name;
+  }
 }
 
 // --- everything at once ------------------------------------------------

@@ -10,6 +10,7 @@
 #include "core/pipelined.hpp"
 #include "core/solver_common.hpp"
 #include "sim/machine.hpp"
+#include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
 
 namespace cagmres::core {
@@ -96,6 +97,30 @@ TEST(Pipelined, HidesLatencyBetterThanCgsGmresWhenLatencyGrows) {
   const double high = ratio_at(10.0);
   EXPECT_GT(high, low);   // the advantage grows with latency
   EXPECT_GT(high, 1.05);  // and is material when latency dominates
+}
+
+TEST(Pipelined, HappyBreakdownKeepsTheFinalColumn) {
+  // A = I: v_1 = z_0 - v_0 is exactly zero after the first step. The
+  // breakdown column [1; 0] is complete and solves the system, so — like
+  // GMRES — the cycle must keep it rather than discard it.
+  sparse::CooBuilder builder(4, 4);
+  for (int i = 0; i < 4; ++i) builder.add(i, i, 1.0);
+  const sparse::CsrMatrix a = builder.build();
+  const std::vector<double> b(4, 1.0);
+  const Problem p = make_problem(a, b, 1, graph::Ordering::kNatural, false, 1);
+  SolverOptions opts;
+  opts.m = 10;
+  opts.tol = 1e-10;
+  opts.max_restarts = 20;
+  sim::Machine m1(1), m2(1);
+  const SolveResult rg = gmres(m1, p, opts);
+  const SolveResult rp = pipelined_gmres(m2, p, opts);
+  for (const SolveResult* r : {&rg, &rp}) {
+    EXPECT_TRUE(r->stats.converged);
+    EXPECT_EQ(r->stats.restarts, 1);
+    EXPECT_EQ(r->stats.iterations, 1);
+    for (const double xi : r->x) EXPECT_NEAR(xi, 1.0, 1e-12);
+  }
 }
 
 TEST(Pipelined, HonestNonConvergenceUnderCap) {

@@ -2,7 +2,7 @@
 //
 // Default: generate --schedules randomized fault schedules from --seed, run
 // each over {barrier, event} x {0, 2 host workers} with alternating
-// CA-GMRES / GMRES, and check the invariant oracle. Any violation is
+// CA-GMRES / GMRES / pipelined GMRES, and check the invariant oracle. Any violation is
 // delta-debugged to a minimal reproducer and printed as a --faults spec.
 // Exit code 1 when violations were found.
 //
@@ -61,7 +61,9 @@ int main(int argc, char** argv) {
   opts.add("matrix-scale", "1.0", "size scale for --matrix");
   opts.add("modes", "both", "sync modes to cover: barrier | event | both");
   opts.add("workers", "0,2", "host worker counts to cover");
-  opts.add("solver", "both", "ca | gmres | both (alternate by index)");
+  opts.add("solver", "both",
+           "ca | gmres | both (alternate CA-GMRES, GMRES and pipelined "
+           "GMRES by index)");
   opts.add("precond", "",
            "ILU spec (e.g. ilu:k=1,underlap=1): widen the alternation with "
            "right-preconditioned drivers so faults land in precond setup "
