@@ -1,5 +1,6 @@
 #include "mpk/exec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -29,6 +30,35 @@ double node_local_ext_bytes(const sim::Machine& m, int d,
     if (m.node_of(o) == myn) bytes += 8.0;
   }
   return bytes;
+}
+
+/// Bits of MpkExecutor::charge_steps' result: which of a step's four charged kernels on a
+/// device consumed an injected fault latch.
+enum : unsigned char {
+  kHitSpmv = 1,
+  kHitBoundary = 2,
+  kHitShift = 4,
+  kHitCopy = 8,
+};
+
+/// Step k's (1-based) shift: v_k = (A - theta I) v_{k-1} (+ beta2 v_{k-2}
+/// on the second member of a complex conjugate pair).
+struct StepShift {
+  double theta = 0.0;
+  bool pair_second = false;
+  double beta2 = 0.0;
+
+  bool shifted() const { return theta != 0.0 || pair_second; }
+};
+
+StepShift step_shift(const ShiftSeq& shifts, int k) {
+  StepShift sh;
+  if (shifts.re != nullptr) sh.theta = shifts.re[k - 1];
+  sh.pair_second = shifts.im != nullptr && shifts.im[k - 1] < 0.0;
+  if (sh.pair_second && k >= 2) {
+    sh.beta2 = shifts.im[k - 2] * shifts.im[k - 2];
+  }
+  return sh;
 }
 
 }  // namespace
@@ -305,56 +335,66 @@ void MpkExecutor::exchange_events(sim::Machine& m, const sim::DistMultiVec& v,
   }
 }
 
-void MpkExecutor::apply(sim::Machine& m, sim::DistMultiVec& v, int c0,
-                        int steps, ShiftSeq shifts) {
+void MpkExecutor::run(sim::Machine& m, sim::DistMultiVec& v, int c0,
+                      int steps, ShiftSeq shifts, bool shared) {
   const MpkPlan& plan = *plan_;
   CAGMRES_REQUIRE(1 <= steps && steps <= plan.s,
                   "steps must be in [1, plan.s]");
   CAGMRES_REQUIRE(c0 >= 0 && c0 + steps < v.cols(), "column range overflow");
   CAGMRES_REQUIRE(v.n_parts() == plan.n_devices(), "layout mismatch");
-  sim::PhaseScope phase(m, "mpk");
-  // The complex-pair check below can throw mid-loop with device closures
-  // still parked on the streams (reading z_ and v); drain on unwind so the
-  // caller's fault handler never races a stale SpMV during rollback.
-  sim::UnwindDrainGuard unwind_guard(m);
-  const int ng = plan.n_devices();
-
-  for (int d = 0; d < ng; ++d) {
+  for (int k = 1; k <= steps; ++k) {
+    CAGMRES_REQUIRE(!step_shift(shifts, k).pair_second ||
+                        (k >= 2 && shifts.im[k - 2] > 0.0),
+                    "complex pair straddles the MPK call boundary");
+  }
+  for (int d = 0; d < plan.n_devices(); ++d) {
     CAGMRES_REQUIRE(v.local_rows(d) == plan.dev[static_cast<std::size_t>(d)].owned,
                     "multivector rows do not match the plan");
   }
+  sim::PhaseScope phase(m, "mpk");
+  // A device fault can throw from the charge loop with the exchange's
+  // closures still parked on the streams (reading z_ and v); drain on
+  // unwind so the caller's fault handler never races them during rollback.
+  sim::UnwindDrainGuard unwind_guard(m);
+
+  const std::int64_t faults_before = m.kernel_faults_consumed();
   // Slot 0 holds the starting vector (z^(d,1) of Fig. 4).
   exchange(m, v, c0, /*slot=*/0);
+  const std::vector<unsigned char> hits = charge_steps(m, steps, shifts);
+  m.sync();  // the exchange's closures filled slot 0; run the steps on it
 
+  // Each device's copy of a ghost row equals its owner's value bit for bit
+  // when no codec rewrote the halo, no poison landed anywhere in this apply
+  // (a latch pending on entry is consumed by the exchange and counts), and
+  // every value stays finite (DESIGN.md §16). Otherwise replay the steps
+  // per device exactly as the charges describe them.
+  if (shared && !m.codec(sim::TrafficClass::kHalo).active() &&
+      m.kernel_faults_consumed() == faults_before) {
+    if (shared_steps(m, v, c0, steps, shifts)) return;
+    assemble_start(v, c0);
+  }
+  ghost_zone_steps(m, v, c0, steps, shifts, hits);
+}
+
+std::vector<unsigned char> MpkExecutor::charge_steps(sim::Machine& m,
+                                                     int steps,
+                                                     ShiftSeq shifts) {
+  const MpkPlan& plan = *plan_;
+  const int ng = plan.n_devices();
+  std::vector<unsigned char> hits(
+      static_cast<std::size_t>(steps) * static_cast<std::size_t>(ng), 0);
   for (int k = 1; k <= steps; ++k) {
-    const double theta = (shifts.re != nullptr) ? shifts.re[k - 1] : 0.0;
-    const bool pair_second =
-        (shifts.im != nullptr) && (shifts.im[k - 1] < 0.0);
-    CAGMRES_REQUIRE(!pair_second || (k >= 2 && shifts.im[k - 2] > 0.0),
-                    "complex pair straddles the MPK call boundary");
-    const double beta2 =
-        pair_second ? shifts.im[k - 2] * shifts.im[k - 2] : 0.0;
-
+    const StepShift sh = step_shift(shifts, k);
     for (int d = 0; d < ng; ++d) {
       const MpkDevicePlan& dp = plan.dev[static_cast<std::size_t>(d)];
-      auto& bufs = z_[static_cast<std::size_t>(d)];
-      const std::vector<double>& zin =
-          bufs[static_cast<std::size_t>((k - 1) % 3)];
-      std::vector<double>& zout = bufs[static_cast<std::size_t>(k % 3)];
-      const std::vector<double>& zprev2 =
-          bufs[static_cast<std::size_t>((k + 1) % 3)];  // two steps back
-
+      unsigned char hit = 0;
       // Local block multiply (the reused A^(d), ELLPACK on the device).
-      if (plan.use_ell) {
-        sim::dev_spmv_ell(m, d, dp.local_ell, zin.data(), zout.data());
-      } else {
-        sim::dev_spmv_csr(m, d, dp.local_csr, zin.data(), zout.data());
+      if (plan.use_ell ? sim::charge_spmv_ell(m, d, dp.local_ell)
+                       : sim::charge_spmv_csr(m, d, dp.local_csr)) {
+        hit |= kHitSpmv;
       }
-
-      // Boundary rows this step still has to produce (hop <= s-k prefix).
-      // Charged here, computed on the device's stream: the closure reads
-      // zin (finished earlier on the same in-order stream) and writes zout
-      // positions disjoint from the local-block SpMV ahead of it.
+      // Boundary rows this step still has to produce (hop <= s-k prefix):
+      // the redundant ghost-zone work every device pays for.
       const int brows =
           dp.boundary_rows_at_step[static_cast<std::size_t>(k) - 1];
       if (brows > 0) {
@@ -362,66 +402,190 @@ void MpkExecutor::apply(sim::Machine& m, sim::DistMultiVec& v, int c0,
             dp.boundary.row_ptr[static_cast<std::size_t>(brows)]);
         m.charge_device(d, sim::Kernel::kSpmvCsr, 2.0 * bnnz,
                         bnnz * 20.0 + 12.0 * brows);
-        const bool hit = m.consume_kernel_fault(d);
-        const MpkDevicePlan* dpp = &dp;
-        const double* zi = zin.data();
-        double* zo = zout.data();
-        m.run_on_device(d, [=] {
-          const auto& b = dpp->boundary;
-#pragma omp parallel for schedule(static) if (brows > 1 << 10)
-          for (int i = 0; i < brows; ++i) {
-            double acc = 0.0;
-            const auto lo = b.row_ptr[static_cast<std::size_t>(i)];
-            const auto hi = b.row_ptr[static_cast<std::size_t>(i) + 1];
-            for (auto p = lo; p < hi; ++p) {
-              acc += b.vals[static_cast<std::size_t>(p)] *
-                     zi[b.col_idx[static_cast<std::size_t>(p)]];
-            }
-            zo[dpp->boundary_out_pos[static_cast<std::size_t>(i)]] = acc;
-          }
-          if (hit) {
-            for (int i = 0; i < brows; ++i) {
-              zo[dpp->boundary_out_pos[static_cast<std::size_t>(i)]] =
-                  std::numeric_limits<double>::quiet_NaN();
-            }
-          }
-        });
+        if (m.consume_kernel_fault(d)) hit |= kHitBoundary;
       }
-
-      // Newton shift: zout -= theta * zin on every computed position
-      // (owned rows plus the boundary prefix), fused into one AXPY charge.
-      if (theta != 0.0 || pair_second) {
+      // Newton shift on every computed position (owned rows plus the
+      // boundary prefix), fused into one AXPY charge.
+      if (sh.shifted()) {
         const double rows = static_cast<double>(dp.owned + brows);
         m.charge_device(d, sim::Kernel::kAxpy,
-                        (pair_second ? 4.0 : 2.0) * rows,
-                        (pair_second ? 4.0 : 3.0) * 8.0 * rows);
-        const bool hit = m.consume_kernel_fault(d);
-        const MpkDevicePlan* dpp = &dp;
-        const int owned = dp.owned;
-        const double* zi = zin.data();
-        const double* zp2 = zprev2.data();
-        double* zo = zout.data();
-        m.run_on_device(d, [=] {
-#pragma omp parallel for schedule(static) if (owned > 1 << 13)
-          for (int i = 0; i < owned; ++i) {
-            zo[i] -= theta * zi[i];
-            if (pair_second) zo[i] += beta2 * zp2[i];
-          }
-          for (int i = 0; i < brows; ++i) {
-            const int pos =
-                dpp->boundary_out_pos[static_cast<std::size_t>(i)];
-            zo[pos] -= theta * zi[pos];
-            if (pair_second) zo[pos] += beta2 * zp2[pos];
-          }
-          if (hit) poison(zo, owned);
-        });
+                        (sh.pair_second ? 4.0 : 2.0) * rows,
+                        (sh.pair_second ? 4.0 : 3.0) * 8.0 * rows);
+        if (m.consume_kernel_fault(d)) hit |= kHitShift;
       }
-
       // Store the owned part as the next basis column (Fig. 4 last line).
-      sim::dev_copy(m, d, dp.owned, zout.data(), v.col(d, c0 + k));
+      if (sim::charge_copy(m, d, dp.owned)) hit |= kHitCopy;
+      hits[static_cast<std::size_t>(k - 1) * static_cast<std::size_t>(ng) +
+           static_cast<std::size_t>(d)] = hit;
+    }
+  }
+  return hits;
+}
+
+bool MpkExecutor::shared_steps(sim::Machine& m, sim::DistMultiVec& v, int c0,
+                               int steps, ShiftSeq shifts) {
+  const MpkPlan& plan = *plan_;
+  const int ng = plan.n_devices();
+  std::vector<char> finite(static_cast<std::size_t>(ng), 1);
+  char* fin = finite.data();
+  sim::DistMultiVec* vp = &v;
+  for (int k = 1; k <= steps; ++k) {
+    const StepShift sh = step_shift(shifts, k);
+    for (int d = 0; d < ng; ++d) {
+      m.run_on_device(d, [this, vp, fin, c0, k, d, sh] {
+        const MpkPlan& pl = *plan_;
+        const MpkDevicePlan& dp = pl.dev[static_cast<std::size_t>(d)];
+        auto& bufs = z_[static_cast<std::size_t>(d)];
+        double* zi = bufs[static_cast<std::size_t>((k - 1) % 3)].data();
+        double* zo = bufs[static_cast<std::size_t>(k % 3)].data();
+        const double* zp2 = bufs[static_cast<std::size_t>((k + 1) % 3)].data();
+        if (k > 1) {
+          // Owned rows read only hop-1 ghosts; take them from the owners'
+          // column of the previous step (finished before the last sync).
+          const int h1 = pl.s >= 2 ? dp.boundary_rows_at_step[
+                                         static_cast<std::size_t>(pl.s) - 2]
+                                   : 0;
+          for (int e = 0; e < h1; ++e) {
+            zi[dp.owned + e] =
+                vp->col(dp.ext_owner[static_cast<std::size_t>(e)],
+                        c0 + k - 1)[dp.ext_owner_row[static_cast<std::size_t>(e)]];
+          }
+        }
+        if (pl.use_ell) {
+          sparse::spmv(dp.local_ell, zi, zo);
+        } else {
+          sparse::spmv(dp.local_csr, zi, zo);
+        }
+        if (sh.shifted()) {
+          for (int i = 0; i < dp.owned; ++i) {
+            zo[i] -= sh.theta * zi[i];
+            if (sh.pair_second) zo[i] += sh.beta2 * zp2[i];
+          }
+        }
+        double* out = vp->col(d, c0 + k);
+        bool ok = true;
+        for (int i = 0; i < dp.owned; ++i) {
+          out[i] = zo[i];
+          ok &= std::isfinite(zo[i]);
+        }
+        fin[d] = ok ? 1 : 0;
+      });
+    }
+    m.sync();  // step k's columns are complete before anyone refreshes
+    for (const char ok : finite) {
+      if (ok == 0) return false;
+    }
+  }
+  return true;
+}
+
+void MpkExecutor::assemble_start(const sim::DistMultiVec& v, int c0) {
+  const MpkPlan& plan = *plan_;
+  for (int d = 0; d < plan.n_devices(); ++d) {
+    const MpkDevicePlan& dp = plan.dev[static_cast<std::size_t>(d)];
+    std::vector<double>& zd = z_[static_cast<std::size_t>(d)][0];
+    const double* own = v.col(d, c0);
+    std::copy(own, own + dp.owned, zd.begin());
+    for (std::size_t e = 0; e < dp.ext_global.size(); ++e) {
+      zd[static_cast<std::size_t>(dp.owned) + e] =
+          v.col(dp.ext_owner[e], c0)[dp.ext_owner_row[e]];
     }
   }
 }
+
+void MpkExecutor::ghost_zone_steps(sim::Machine& m, sim::DistMultiVec& v,
+                                   int c0, int steps, ShiftSeq shifts,
+                                   const std::vector<unsigned char>& hits) {
+  const MpkPlan& plan = *plan_;
+  const int ng = plan.n_devices();
+  sim::DistMultiVec* vp = &v;
+  // The closures outlive this call (the caller may rewrite the shift
+  // arrays first), so each takes its own copy of the per-step shifts and
+  // of its device's hits.
+  std::vector<StepShift> sh(static_cast<std::size_t>(steps));
+  for (int k = 1; k <= steps; ++k) {
+    sh[static_cast<std::size_t>(k) - 1] = step_shift(shifts, k);
+  }
+  for (int d = 0; d < ng; ++d) {
+    std::vector<unsigned char> dev_hits(static_cast<std::size_t>(steps));
+    for (int k = 1; k <= steps; ++k) {
+      dev_hits[static_cast<std::size_t>(k) - 1] =
+          hits[static_cast<std::size_t>(k - 1) * static_cast<std::size_t>(ng) +
+               static_cast<std::size_t>(d)];
+    }
+    // Devices are independent here: each reads and writes only its own
+    // z-buffers and its own block of v.
+    m.run_on_device(d, [this, vp, c0, steps, sh, hits = std::move(dev_hits),
+                        d] {
+      const MpkPlan& pl = *plan_;
+      const MpkDevicePlan& dp = pl.dev[static_cast<std::size_t>(d)];
+      auto& bufs = z_[static_cast<std::size_t>(d)];
+      const int owned = dp.owned;
+      for (int k = 1; k <= steps; ++k) {
+        const StepShift& shk = sh[static_cast<std::size_t>(k) - 1];
+        const unsigned char hit = hits[static_cast<std::size_t>(k) - 1];
+        const double* zi = bufs[static_cast<std::size_t>((k - 1) % 3)].data();
+        double* zo = bufs[static_cast<std::size_t>(k % 3)].data();
+        const double* zp2 = bufs[static_cast<std::size_t>((k + 1) % 3)].data();
+
+        if (pl.use_ell) {
+          sparse::spmv(dp.local_ell, zi, zo);
+        } else {
+          sparse::spmv(dp.local_csr, zi, zo);
+        }
+        if ((hit & kHitSpmv) != 0) poison(zo, owned);
+
+        const int brows =
+            dp.boundary_rows_at_step[static_cast<std::size_t>(k) - 1];
+        const auto& b = dp.boundary;
+        const int* out_pos = dp.boundary_out_pos.data();
+#pragma omp parallel for schedule(static) if (brows > 1 << 10)
+        for (int i = 0; i < brows; ++i) {
+          double acc = 0.0;
+          const auto lo = b.row_ptr[static_cast<std::size_t>(i)];
+          const auto hi = b.row_ptr[static_cast<std::size_t>(i) + 1];
+          for (auto p = lo; p < hi; ++p) {
+            acc += b.vals[static_cast<std::size_t>(p)] *
+                   zi[b.col_idx[static_cast<std::size_t>(p)]];
+          }
+          zo[out_pos[i]] = acc;
+        }
+        if ((hit & kHitBoundary) != 0) {
+          for (int i = 0; i < brows; ++i) {
+            zo[out_pos[i]] = std::numeric_limits<double>::quiet_NaN();
+          }
+        }
+
+        if (shk.shifted()) {
+          for (int i = 0; i < owned; ++i) {
+            zo[i] -= shk.theta * zi[i];
+            if (shk.pair_second) zo[i] += shk.beta2 * zp2[i];
+          }
+          for (int i = 0; i < brows; ++i) {
+            const int pos = out_pos[i];
+            zo[pos] -= shk.theta * zi[pos];
+            if (shk.pair_second) zo[pos] += shk.beta2 * zp2[pos];
+          }
+          if ((hit & kHitShift) != 0) poison(zo, owned);
+        }
+
+        double* out = vp->col(d, c0 + k);
+        std::copy(zo, zo + owned, out);
+        if ((hit & kHitCopy) != 0) poison(out, owned);
+      }
+    });
+  }
+}
+
+namespace detail {
+
+void apply_per_device(MpkExecutor& exec, sim::Machine& m,
+                      sim::DistMultiVec& v, int c0, int steps,
+                      const ShiftSeq& shifts) {
+  exec.run(m, v, c0, steps, shifts, /*shared=*/false);
+}
+
+}  // namespace detail
 
 void MpkExecutor::spmv(sim::Machine& m, sim::DistMultiVec& v, int xcol,
                        int ycol) {

@@ -7,6 +7,10 @@
 //   real-arithmetic Newton basis).
 // theta = 0 everywhere gives the monomial basis. MpkExecutor::spmv runs the
 // plain one-hop distributed SpMV on an s=1 plan (the GMRES baseline).
+//
+// Every device is charged for its redundant ghost-zone rows, as on the
+// paper's GPUs, but the host computes each row once whenever that is
+// bitwise identical to the per-device evaluation (DESIGN.md §16).
 #pragma once
 
 #include <vector>
@@ -15,6 +19,19 @@
 #include "sim/machine.hpp"
 
 namespace cagmres::mpk {
+
+class MpkExecutor;
+struct ShiftSeq;
+
+namespace detail {
+/// MpkExecutor::apply with the shared evaluation disabled: every device
+/// recomputes its own ghost zone, as the paper's devices do. Same charges,
+/// same fault handling; apply() must match it bit for bit (the reference
+/// the MPK tests compare against).
+void apply_per_device(MpkExecutor& exec, sim::Machine& machine,
+                      sim::DistMultiVec& v, int c0, int steps,
+                      const ShiftSeq& shifts);
+}  // namespace detail
 
 /// Newton-basis shift sequence; null pointers mean the monomial basis.
 /// re/im must hold at least `steps` entries; a complex conjugate pair
@@ -36,7 +53,9 @@ class MpkExecutor {
   /// steps <= plan.s and c0 + steps < v.cols(). Charges all kernels and the
   /// exchange to `machine` under phase "mpk".
   void apply(sim::Machine& machine, sim::DistMultiVec& v, int c0, int steps,
-             ShiftSeq shifts = {});
+             ShiftSeq shifts = {}) {
+    run(machine, v, c0, steps, shifts, /*shared=*/true);
+  }
 
   /// y(:, ycol) := A x(:, xcol) with the standard one-hop halo exchange.
   /// Requires a plan built with s == 1. Charged under phase "spmv".
@@ -54,6 +73,34 @@ class MpkExecutor {
   sim::DistMultiVec& stage(int cols);
 
  private:
+  friend void detail::apply_per_device(MpkExecutor&, sim::Machine&,
+                                       sim::DistMultiVec&, int, int,
+                                       const ShiftSeq&);
+
+  /// apply(): the exchange and the full per-device charge sequence, then
+  /// the numerics — shared (each row once) when `shared` is set and the
+  /// exactness conditions hold, else per-device with the recorded hits.
+  void run(sim::Machine& machine, sim::DistMultiVec& v, int c0, int steps,
+           ShiftSeq shifts, bool shared);
+  /// Charges every step's kernels in apply order without running them.
+  /// Returns the fault latches consumed, one byte of kHit* bits per
+  /// (step, device), step-major.
+  std::vector<unsigned char> charge_steps(sim::Machine& machine, int steps,
+                                          ShiftSeq shifts);
+  /// Shared evaluation: each device computes only its owned rows and
+  /// refreshes its hop-1 ghosts from the owners' new column. Returns false
+  /// (leaving z_ and v partly written) at the first non-finite value.
+  bool shared_steps(sim::Machine& machine, sim::DistMultiVec& v, int c0,
+                    int steps, ShiftSeq shifts);
+  /// Per-device evaluation: every device recomputes its ghost zone from its
+  /// own z-buffers, applying the poison of `hits` (one closure per device).
+  void ghost_zone_steps(sim::Machine& machine, sim::DistMultiVec& v, int c0,
+                        int steps, ShiftSeq shifts,
+                        const std::vector<unsigned char>& hits);
+  /// Rebuilds z-buffer slot 0 from v(:, c0) as an unfaulted, uncoded
+  /// exchange leaves it.
+  void assemble_start(const sim::DistMultiVec& v, int c0);
+
   /// Halo exchange of column c0 into z-buffer `slot` of every device.
   /// Dispatches on machine.sync_mode(): the barrier path is the seed's
   /// gather / host_wait_all / scatter, the event path hands each consumer

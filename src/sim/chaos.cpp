@@ -58,6 +58,21 @@ std::string to_string(ChaosSolver s) {
   return "?";
 }
 
+ChaosSolver parse_chaos_solver(const std::string& name) {
+  if (name == "ca") return ChaosSolver::kCaGmres;
+  if (name == "pipelined") return ChaosSolver::kPipelined;
+  for (const ChaosSolver s :
+       {ChaosSolver::kCaGmres, ChaosSolver::kGmres,
+        ChaosSolver::kPrecondCaGmres, ChaosSolver::kPrecondGmres,
+        ChaosSolver::kPipelined}) {
+    if (name == to_string(s)) return s;
+  }
+  throw Error("unknown chaos solver '" + name +
+                  "' (ca | gmres | pipelined | ca_gmres | pipelined_gmres | "
+                  "precond_ca_gmres | precond_gmres)",
+              ErrorCode::kBadInput);
+}
+
 namespace {
 
 bool is_precond(ChaosSolver s) {
@@ -540,6 +555,17 @@ ChaosSchedule ChaosRunner::generate(std::uint64_t campaign_seed, int index) {
 std::vector<ChaosViolation> ChaosRunner::run_schedule(
     const ChaosSchedule& schedule, int index) {
   return impl_->collect(schedule, impl_->solver_for(index), index, nullptr);
+}
+
+std::vector<ChaosViolation> ChaosRunner::run_schedule(
+    const ChaosSchedule& schedule, ChaosSolver solver) {
+  const std::vector<ChaosSolver> r = impl_->roster();
+  if (std::find(r.begin(), r.end(), solver) == r.end()) {
+    throw Error("chaos: solver " + to_string(solver) +
+                    " is not in this configuration's roster",
+                ErrorCode::kBadInput);
+  }
+  return impl_->collect(schedule, solver, 0, nullptr);
 }
 
 ChaosCampaignStats ChaosRunner::run_campaign(

@@ -46,6 +46,9 @@ enum class ChaosSolver {
   kPipelined
 };
 std::string to_string(ChaosSolver s);
+/// Inverse of to_string, plus the short aliases "ca" and "pipelined".
+/// Throws Error(kBadInput) on any other name.
+ChaosSolver parse_chaos_solver(const std::string& name);
 
 /// Sanctioned terminal states of one run (see file comment).
 enum class ChaosOutcome { kConverged, kUnconverged, kCleanError, kWatchdog };
@@ -180,6 +183,12 @@ class ChaosRunner {
   /// replay bit-identity, zero-fault baseline match). Returns violations.
   std::vector<ChaosViolation> run_schedule(const ChaosSchedule& schedule,
                                            int index);
+  /// Same, on a named solver (the one-schedule replay of tools/chaos
+  /// --faults). The solver must be in the configuration's roster, whose
+  /// baselines and watchdog deadline the oracle uses; throws
+  /// Error(kBadInput) otherwise.
+  std::vector<ChaosViolation> run_schedule(const ChaosSchedule& schedule,
+                                           ChaosSolver solver);
 
   /// Generates and runs `n_schedules` schedules.
   ChaosCampaignStats run_campaign(

@@ -87,9 +87,13 @@ void dev_scal(Machine& m, int d, int n, double alpha, double* x) {
   });
 }
 
-void dev_copy(Machine& m, int d, int n, const double* x, double* y) {
+bool charge_copy(Machine& m, int d, int n) {
   m.charge_device(d, Kernel::kCopy, 0.0, 2.0 * kW * n);
-  const bool hit = m.consume_kernel_fault(d);
+  return m.consume_kernel_fault(d);
+}
+
+void dev_copy(Machine& m, int d, int n, const double* x, double* y) {
+  const bool hit = charge_copy(m, d, n);
   m.run_on_device(d, [=] {
     blas::copy(n, x, y);
     if (hit) poison(y, n);
@@ -259,13 +263,17 @@ void dev_qr_explicit(Machine& m, int d, const blas::DMat& v, blas::DMat& q,
   if (hit) poison_panel(q.data(), q.rows(), q.cols(), q.ld());
 }
 
-void dev_spmv_ell(Machine& m, int d, const sparse::EllMatrix& a,
-                  const double* x, double* y) {
+bool charge_spmv_ell(Machine& m, int d, const sparse::EllMatrix& a) {
   const double slots = static_cast<double>(a.stored_slots());
   // 8B value + 4B index + 8B gathered x per slot, plus the result vector.
   m.charge_device(d, Kernel::kSpmvEll, 2.0 * slots,
                   slots * 20.0 + kW * a.n_rows);
-  const bool hit = m.consume_kernel_fault(d);
+  return m.consume_kernel_fault(d);
+}
+
+void dev_spmv_ell(Machine& m, int d, const sparse::EllMatrix& a,
+                  const double* x, double* y) {
+  const bool hit = charge_spmv_ell(m, d, a);
   const sparse::EllMatrix* ap = &a;
   m.run_on_device(d, [=] {
     sparse::spmv(*ap, x, y);
@@ -273,12 +281,16 @@ void dev_spmv_ell(Machine& m, int d, const sparse::EllMatrix& a,
   });
 }
 
-void dev_spmv_csr(Machine& m, int d, const sparse::CsrMatrix& a,
-                  const double* x, double* y) {
+bool charge_spmv_csr(Machine& m, int d, const sparse::CsrMatrix& a) {
   const double nnz = static_cast<double>(a.nnz());
   m.charge_device(d, Kernel::kSpmvCsr, 2.0 * nnz,
                   nnz * 20.0 + 12.0 * a.n_rows);
-  const bool hit = m.consume_kernel_fault(d);
+  return m.consume_kernel_fault(d);
+}
+
+void dev_spmv_csr(Machine& m, int d, const sparse::CsrMatrix& a,
+                  const double* x, double* y) {
+  const bool hit = charge_spmv_csr(m, d, a);
   const sparse::CsrMatrix* ap = &a;
   m.run_on_device(d, [=] {
     sparse::spmv(*ap, x, y);

@@ -97,6 +97,14 @@ void dev_spmv_ell(Machine& m, int d, const sparse::EllMatrix& a,
 void dev_spmv_csr(Machine& m, int d, const sparse::CsrMatrix& a,
                   const double* x, double* y);
 
+/// Charge halves of dev_copy / dev_spmv_ell / dev_spmv_csr: charge the
+/// kernel exactly as the full wrapper does and consume device d's fault
+/// latch, returning whether it was hit. For callers that run the numerics
+/// later themselves (MpkExecutor::apply) and apply the NaN poison on a hit.
+bool charge_copy(Machine& m, int d, int n);
+bool charge_spmv_ell(Machine& m, int d, const sparse::EllMatrix& a);
+bool charge_spmv_csr(Machine& m, int d, const sparse::CsrMatrix& a);
+
 /// out[i] := x[idx[i]] — gather (compress) kernel used by MPK and the
 /// reduction paths to pack boundary elements into a contiguous send buffer.
 void dev_pack(Machine& m, int d, const std::vector<int>& idx, const double* x,

@@ -354,7 +354,16 @@ class Machine {
     const auto p = static_cast<std::size_t>(physical_device(d));
     const bool hit = dev_poison_[p] != 0;
     dev_poison_[p] = 0;
+    if (hit) ++kernel_faults_consumed_;
     return hit;
+  }
+
+  /// Monotone machine-wide count of consume_kernel_fault hits (never reset).
+  /// A region that diffs it sees every poison its own charges applied,
+  /// including a latch left pending by a charge that does not consume
+  /// (charge_codec, the ILU numeric builds) and picked up inside the region.
+  std::int64_t kernel_faults_consumed() const {
+    return kernel_faults_consumed_;
   }
 
   /// Removes logical device d from the machine after a permanent failure;
@@ -428,6 +437,7 @@ class Machine {
   std::vector<std::int64_t> dev_ops_;     ///< per-physical op counter
   std::vector<double> dev_busy_;          ///< per-physical charged seconds
   std::vector<char> dev_poison_;          ///< per-physical NaN latch
+  std::int64_t kernel_faults_consumed_ = 0;  ///< see kernel_faults_consumed
   /// Coordinating-host NIC: time each link direction frees up
   /// ([0] = into the host / d2h + DMA, [1] = out of the host / h2d).
   /// Cross-network messages queue here; see charge_transfer.

@@ -298,6 +298,45 @@ TEST(ChaosPipelined, FaultyScheduleRecoversAndReplaysBitIdentically) {
   EXPECT_EQ(one.fingerprint, two.fingerprint);
 }
 
+TEST(ChaosReplay, NamedSolverReplaysTheScheduleOnThatSolver) {
+  // The one-schedule replay (tools/chaos --faults=... --solver=pipelined)
+  // must run the named solver, not the roster's first. The demo oracle
+  // flags every run, so the violations name the solver that ran.
+  ChaosConfig cfg = slim_config();
+  cfg.both_solvers = true;
+  cfg.demo_bug_kills = 0;
+  ChaosRunner r(cfg);
+  const ChaosSchedule s = ChaosSchedule::from_spec("seed=5;nan:p=0.001");
+  for (const ChaosSolver solver :
+       {ChaosSolver::kPipelined, ChaosSolver::kGmres, ChaosSolver::kCaGmres}) {
+    const auto v = r.run_schedule(s, solver);
+    ASSERT_FALSE(v.empty());
+    for (const auto& e : v) EXPECT_EQ(e.solver, solver) << e.what;
+  }
+  // A solver outside the configured roster has no baseline to check.
+  ChaosRunner ca_only(slim_config());
+  EXPECT_THROW(ca_only.run_schedule(s, ChaosSolver::kPipelined), Error);
+}
+
+TEST(ChaosReplay, SolverNamesParseAndUnknownOnesAreRejected) {
+  for (const ChaosSolver solver :
+       {ChaosSolver::kCaGmres, ChaosSolver::kGmres,
+        ChaosSolver::kPrecondCaGmres, ChaosSolver::kPrecondGmres,
+        ChaosSolver::kPipelined}) {
+    EXPECT_EQ(sim::parse_chaos_solver(to_string(solver)), solver);
+  }
+  EXPECT_EQ(sim::parse_chaos_solver("ca"), ChaosSolver::kCaGmres);
+  EXPECT_EQ(sim::parse_chaos_solver("pipelined"), ChaosSolver::kPipelined);
+  for (const char* bad : {"both", "pipe", "", "GMRES"}) {
+    try {
+      sim::parse_chaos_solver(bad);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadInput);
+    }
+  }
+}
+
 // --- preconditioned drivers in the alternation ------------------------
 
 TEST(ChaosPrecond, CampaignWithIluDriversIsViolationFree) {

@@ -283,9 +283,11 @@ TEST(ErrorCodes, CarryCodeAndDevice) {
 
 TEST(ErrorCodes, CholqrReportsBreakdownPivotColumn) {
   // An exactly zero third column makes the Gram matrix singular with its
-  // first non-positive pivot at column 2.
-  Machine machine(1);
+  // first non-positive pivot at column 2. The block is declared before the
+  // machine so it outlives the pool's drain: tsqr returns with device
+  // closures that still read it.
   sim::DistMultiVec v({8}, 3);
+  Machine machine(1);
   for (int i = 0; i < 8; ++i) {
     v.col(0, 0)[i] = static_cast<double>(i + 1);
     v.col(0, 1)[i] = (i % 2 == 0) ? 1.0 : -1.0;
@@ -313,8 +315,8 @@ TEST(ErrorCodes, CholqrFailsFastOnNonFiniteGram) {
   // A NaN anywhere in the block makes the Gram matrix non-finite; the
   // shifted retry can't fix that, so CholQR must throw kBreakdown
   // immediately (even with shifts enabled) rather than loop its shifts.
+  sim::DistMultiVec v({8}, 2);  // outlives the machine's drain (see above)
   Machine machine(1);
-  sim::DistMultiVec v({8}, 2);
   for (int i = 0; i < 8; ++i) {
     v.col(0, 0)[i] = static_cast<double>(i + 1);
     v.col(0, 1)[i] = 1.0;

@@ -2,6 +2,10 @@
 // boundary sets, plan construction, execution vs. repeated SpMV, Newton
 // shifts with complex pairs, and the communication statistics.
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +15,7 @@
 #include "mpk/boundary.hpp"
 #include "mpk/exec.hpp"
 #include "mpk/plan.hpp"
+#include "sim/fault.hpp"
 #include "sim/machine.hpp"
 
 #include "codec_tol.hpp"
@@ -413,13 +418,15 @@ TEST(MpkExec, LatencySavingsVsRepeatedSpmv) {
   MpkExecutor mpk(plan_s);
   MpkExecutor spmv(plan_1);
 
+  // One basis per machine: each machine's worker streams write their own.
   DistMultiVec v(plan_s.rows_per_device(), s + 1);
   for (int d = 0; d < ng; ++d) {
     for (int i = 0; i < v.local_rows(d); ++i) v.col(d, 0)[i] = 1.0;
   }
+  DistMultiVec w = v;
   Machine m_mpk(ng), m_spmv(ng);
   mpk.apply(m_mpk, v, 0, s);
-  for (int k = 0; k < s; ++k) spmv.spmv(m_spmv, v, k, k + 1);
+  for (int k = 0; k < s; ++k) spmv.spmv(m_spmv, w, k, k + 1);
   EXPECT_LT(m_mpk.clock().elapsed(), m_spmv.clock().elapsed());
   // And it used far fewer messages.
   EXPECT_LT(m_mpk.counters().total_msgs(), m_spmv.counters().total_msgs());
@@ -475,6 +482,203 @@ TEST(MpkCodec, HaloWireBytesMatchTheCodecSize) {
   EXPECT_DOUBLE_EQ(c.h2d_logical_bytes, 2.0 * c.h2d_bytes);
   // One codec pass per communicating endpoint.
   EXPECT_EQ(c.kernel_count[static_cast<std::size_t>(sim::Kernel::kCodec)], 4);
+}
+
+// --- Shared ghost-zone evaluation vs the per-device reference -----------
+//
+// apply() computes each ghost-zone row once on the host when that is exact
+// (DESIGN.md §16); detail::apply_per_device is the evaluation the paper's
+// devices run. They must agree bit for bit — values, NaN poison and charged
+// seconds — on every basis, device count and depth, faulted or not.
+
+/// Bitwise (NaN-aware) equality of every column of two multivectors.
+bool same_bits(const DistMultiVec& x, const DistMultiVec& y) {
+  if (x.n_parts() != y.n_parts() || x.cols() != y.cols()) return false;
+  for (int d = 0; d < x.n_parts(); ++d) {
+    for (int j = 0; j < x.cols(); ++j) {
+      const std::size_t bytes =
+          static_cast<std::size_t>(x.local_rows(d)) * sizeof(double);
+      if (std::memcmp(x.col(d, j), y.col(d, j), bytes) != 0) return false;
+    }
+  }
+  return true;
+}
+
+bool any_nan(const DistMultiVec& x) {
+  for (int d = 0; d < x.n_parts(); ++d) {
+    for (int j = 0; j < x.cols(); ++j) {
+      for (int i = 0; i < x.local_rows(d); ++i) {
+        if (std::isnan(x.col(d, j)[i])) return true;
+      }
+    }
+  }
+  return false;
+}
+
+enum class Basis { kMonomial, kNewton, kComplexPairs };
+
+std::string basis_name(Basis b) {
+  switch (b) {
+    case Basis::kMonomial: return "monomial";
+    case Basis::kNewton: return "newton";
+    case Basis::kComplexPairs: return "pairs";
+  }
+  return "";
+}
+
+/// Shift arrays for `steps` steps of one basis: real Newton shifts, or
+/// conjugate pairs (im > 0 then im < 0) with a real shift in the odd slot.
+struct Shifts {
+  std::vector<double> re, im;
+  Basis basis = Basis::kMonomial;
+
+  Shifts(Basis b, int steps) : basis(b) {
+    for (int k = 0; k < steps; ++k) {
+      re.push_back(0.3 + 0.25 * k);
+      double v = 0.0;
+      if (b == Basis::kComplexPairs && k + 1 < steps && k % 2 == 0) v = 0.6;
+      if (b == Basis::kComplexPairs && k % 2 == 1) v = -0.6;
+      im.push_back(v);
+    }
+  }
+  ShiftSeq seq() const {
+    if (basis == Basis::kMonomial) return {};
+    return {re.data(), im.data()};
+  }
+};
+
+DistMultiVec random_start(const MpkPlan& plan, int cols, std::uint64_t seed) {
+  DistMultiVec v(plan.rows_per_device(), cols);
+  Rng rng(seed);
+  for (int d = 0; d < plan.n_devices(); ++d) {
+    for (int i = 0; i < v.local_rows(d); ++i) v.col(d, 0)[i] = rng.normal();
+  }
+  return v;
+}
+
+class MpkSharedTest
+    : public ::testing::TestWithParam<std::tuple<int, int, Basis>> {};
+
+TEST_P(MpkSharedTest, ApplyMatchesPerDeviceReferenceBitwise) {
+  const auto [ng, s, basis] = GetParam();
+  const CsrMatrix a = sparse::make_circuit_like(0.1, true, 29);
+  const MpkPlan plan = build_mpk_plan(a, offsets_of(a, ng), s);
+  const Shifts sh(basis, s);
+  MpkExecutor shared(plan), reference(plan);
+  Machine m_shared(ng), m_ref(ng);
+  DistMultiVec v_shared = random_start(plan, s + 1, 41);
+  DistMultiVec v_ref = random_start(plan, s + 1, 41);
+  // Two applies per executor, so the second runs on z-buffers the first
+  // left behind (stale ghost slots included).
+  for (int rep = 0; rep < 2; ++rep) {
+    shared.apply(m_shared, v_shared, 0, s, sh.seq());
+    detail::apply_per_device(reference, m_ref, v_ref, 0, s, sh.seq());
+  }
+  m_shared.sync();
+  m_ref.sync();
+  EXPECT_TRUE(same_bits(v_shared, v_ref));
+  EXPECT_FALSE(any_nan(v_shared));
+  EXPECT_EQ(m_shared.clock().elapsed(), m_ref.clock().elapsed());
+  EXPECT_EQ(m_shared.counters().total_dev_flops(),
+            m_ref.counters().total_dev_flops());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, MpkSharedTest,
+    ::testing::Combine(::testing::Values(1, 2, 3, 16),
+                       ::testing::Values(1, 3, 5, 15),
+                       ::testing::Values(Basis::kMonomial, Basis::kNewton,
+                                         Basis::kComplexPairs)),
+    [](const auto& info) {
+      return "ng" + std::to_string(std::get<0>(info.param)) + "_s" +
+             std::to_string(std::get<1>(info.param)) + "_" +
+             basis_name(std::get<2>(info.param));
+    });
+
+TEST(MpkShared, DeepZoneSpansTheMatrix) {
+  // The grid above is only a test of redundant work if the zones are deep:
+  // on the scrambled circuit analog a 16-way, 15-hop plan gives each device
+  // a ghost zone covering most of the rows it does not own.
+  const CsrMatrix a = sparse::make_circuit_like(0.1, true, 29);
+  const MpkPlan plan = build_mpk_plan(a, offsets_of(a, 16), 15);
+  for (const MpkDevicePlan& dp : plan.dev) {
+    EXPECT_GT(static_cast<double>(dp.ext_global.size()),
+              0.8 * (a.n_rows - dp.owned));
+  }
+}
+
+TEST(MpkShared, NonFiniteStartFallsBackBitwise) {
+  // ELL padding adds 0 * x[i], with x[i] the row's own entry: exact for a
+  // finite x[i], NaN for an infinite one, where a ghost copy's boundary CSR
+  // row stays infinite. Positive tridiagonal, except that device 1's first
+  // row r = 6 drops its right neighbour and so carries one padding slot.
+  // With x[r] = Inf the owner gets NaN for row r and device 0's ghost copy
+  // +Inf, so device 0's full-width row 5 differs at step 2 (NaN vs +Inf)
+  // unless the shared path notices and hands the apply to the per-device
+  // evaluation.
+  const int n = 12, ng = 2, s = 2;
+  sparse::CooBuilder coo(n, n);
+  for (int i = 0; i < n; ++i) {
+    coo.add(i, i, 2.0);
+    if (i > 0) coo.add(i, i - 1, 1.0);
+    if (i + 1 < n && i != 6) coo.add(i, i + 1, 1.0);
+  }
+  const CsrMatrix a = coo.build();
+  const MpkPlan plan = build_mpk_plan(a, {0, 6, n}, s);
+  MpkExecutor shared(plan), reference(plan);
+  Machine m_shared(ng), m_ref(ng);
+  DistMultiVec v_shared = random_start(plan, s + 1, 47);
+  DistMultiVec v_ref = random_start(plan, s + 1, 47);
+  v_shared.col(1, 0)[0] = std::numeric_limits<double>::infinity();
+  v_ref.col(1, 0)[0] = std::numeric_limits<double>::infinity();
+  shared.apply(m_shared, v_shared, 0, s);
+  detail::apply_per_device(reference, m_ref, v_ref, 0, s, {});
+  m_shared.sync();
+  m_ref.sync();
+  EXPECT_TRUE(std::isinf(v_ref.col(0, 2)[5]));
+  EXPECT_TRUE(same_bits(v_shared, v_ref));
+}
+
+/// apply() vs the per-device reference on two `ng`-device machines armed
+/// with the same fault schedule; `before` runs on each ahead of the apply.
+void expect_faulted_match(int ng, const std::string& spec,
+                          const std::function<void(Machine&)>& before) {
+  const CsrMatrix a = sparse::make_circuit_like(0.1, true, 29);
+  const int s = 5;
+  const MpkPlan plan = build_mpk_plan(a, offsets_of(a, ng), s);
+  const Shifts sh(Basis::kComplexPairs, s);
+  MpkExecutor shared(plan), reference(plan);
+  Machine m_shared(ng), m_ref(ng);
+  sim::parse_fault_spec(spec, m_shared.fault_injector());
+  sim::parse_fault_spec(spec, m_ref.fault_injector());
+  DistMultiVec v_shared = random_start(plan, s + 1, 43);
+  DistMultiVec v_ref = random_start(plan, s + 1, 43);
+  before(m_shared);
+  before(m_ref);
+  shared.apply(m_shared, v_shared, 0, s, sh.seq());
+  detail::apply_per_device(reference, m_ref, v_ref, 0, s, sh.seq());
+  m_shared.sync();
+  m_ref.sync();
+  EXPECT_TRUE(any_nan(v_ref)) << "the injected poison never landed";
+  EXPECT_TRUE(same_bits(v_shared, v_ref));
+  EXPECT_EQ(m_shared.clock().elapsed(), m_ref.clock().elapsed());
+}
+
+TEST(MpkShared, KernelNanMidApplyFallsBackBitwise) {
+  // Device 1's eighth op is a kernel of the first step: the poison is
+  // recorded by the charge loop and must reach the per-device replay.
+  expect_faulted_match(3, "seed=1;nan:d1@op=8", [](Machine&) {});
+}
+
+TEST(MpkShared, PendingLatchFallsBackBitwise) {
+  // A charge that does not consume its latch (as charge_codec and the ILU
+  // numeric builds do) leaves the device poisoned on entry. With nothing to
+  // pack, the exchange's copy consumes it and poisons the starting
+  // z-buffer. The shared path must see that consume, not only the step
+  // loop's own hits.
+  expect_faulted_match(1, "seed=1;nan:d0@op=1", [](Machine& m) {
+    m.charge_device(0, sim::Kernel::kAxpy, 0.0, 8.0);
+  });
 }
 
 }  // namespace

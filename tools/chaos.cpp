@@ -8,6 +8,7 @@
 //
 //   ./tools/chaos --schedules=64 --seed=7
 //   ./tools/chaos --faults="seed=42;kill:*@t=5ms;corrupt:p=0.7" --solver=ca
+//   ./tools/chaos --faults="seed=3;nan:p=0.01" --solver=pipelined
 //   ./tools/chaos --schedules=16 --demo-bug-kills=2   # exercise the minimizer
 #include <cstdio>
 #include <string>
@@ -62,8 +63,9 @@ int main(int argc, char** argv) {
   opts.add("modes", "both", "sync modes to cover: barrier | event | both");
   opts.add("workers", "0,2", "host worker counts to cover");
   opts.add("solver", "both",
-           "ca | gmres | both (alternate CA-GMRES, GMRES and pipelined "
-           "GMRES by index)");
+           "both (alternate CA-GMRES, GMRES and pipelined GMRES by index) | "
+           "ca; a --faults replay also takes gmres | pipelined (or any "
+           "solver name a violation prints)");
   opts.add("precond", "",
            "ILU spec (e.g. ilu:k=1,underlap=1): widen the alternation with "
            "right-preconditioned drivers so faults land in precond setup "
@@ -91,18 +93,41 @@ int main(int argc, char** argv) {
   cfg.modes = parse_modes(opts.get("modes"));
   cfg.worker_counts = opts.get_int_list("workers");
   cfg.demo_bug_kills = opts.get_int("demo-bug-kills");
-  const std::string solver_arg = opts.get("solver");
-  cfg.both_solvers = solver_arg == "both";
   cfg.precond = opts.get("precond");
+  const std::string spec = opts.get("faults");
+  // A campaign alternates the roster by index ("both") or runs CA-GMRES
+  // only ("ca"); a --faults replay runs the named solver ("both": CA-GMRES,
+  // the roster's first). Replays of a non-CA solver keep the full roster,
+  // so baselines and the watchdog deadline match the campaign they came
+  // from.
+  const std::string solver_arg = opts.get("solver");
+  ChaosSolver replay_solver = ChaosSolver::kCaGmres;
+  if (solver_arg != "both") {
+    try {
+      replay_solver = cagmres::sim::parse_chaos_solver(solver_arg);
+    } catch (const cagmres::Error& e) {
+      std::fprintf(stderr, "chaos: %s\n\n%s", e.what(), opts.help().c_str());
+      return 2;
+    }
+    if (spec.empty() && replay_solver != ChaosSolver::kCaGmres) {
+      std::fprintf(stderr,
+                   "chaos: --solver=%s needs --faults (campaigns take "
+                   "--solver=both or ca)\n\n%s",
+                   solver_arg.c_str(), opts.help().c_str());
+      return 2;
+    }
+  }
+  cfg.both_solvers =
+      solver_arg == "both" || replay_solver != ChaosSolver::kCaGmres;
 
   ChaosRunner runner(cfg);
   std::vector<ChaosViolation> violations;
 
-  const std::string spec = opts.get("faults");
   if (!spec.empty()) {
     const ChaosSchedule sched = ChaosSchedule::from_spec(spec);
-    std::printf("schedule: %s\n", sched.to_spec().c_str());
-    violations = runner.run_schedule(sched, solver_arg == "gmres" ? 1 : 0);
+    std::printf("schedule: %s\nsolver: %s\n", sched.to_spec().c_str(),
+                to_string(replay_solver).c_str());
+    violations = runner.run_schedule(sched, replay_solver);
     if (violations.empty()) std::printf("ok: no invariant violations\n");
   } else {
     int n = opts.get_int("schedules");
