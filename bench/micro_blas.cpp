@@ -50,7 +50,7 @@ BENCHMARK(BM_Axpy)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_GemvT_TallSkinny(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
-  const int k = 30;
+  const int k = static_cast<int>(state.range(1));
   const auto a = random_vec(static_cast<std::size_t>(n) * k, 3);
   const auto x = random_vec(static_cast<std::size_t>(n), 4);
   std::vector<double> y(static_cast<std::size_t>(k));
@@ -60,7 +60,28 @@ void BM_GemvT_TallSkinny(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n * k * 2);
 }
-BENCHMARK(BM_GemvT_TallSkinny)->Arg(1 << 14)->Arg(1 << 18);
+// k = 120: the CGS/BOrth projection against a full CA-GMRES(15,120) basis.
+BENCHMARK(BM_GemvT_TallSkinny)
+    ->Args({1 << 14, 30})
+    ->Args({1 << 18, 30})
+    ->Args({2667, 120});
+
+// The BOrth projection V^T W (Trans::T x Trans::N) on one device of an
+// 8k-row system split over 3 GPUs: 2667 rows, an m-column basis against a
+// 15-column block. Items are flops.
+void BM_GemmTN_BorthShape(benchmark::State& state) {
+  const int rows = 2667, m = static_cast<int>(state.range(0)), n = 15;
+  const auto v = random_vec(static_cast<std::size_t>(rows) * m, 9);
+  const auto w = random_vec(static_cast<std::size_t>(rows) * n, 10);
+  std::vector<double> c(static_cast<std::size_t>(m) * n);
+  for (auto _ : state) {
+    blas::gemm(blas::Trans::T, blas::Trans::N, m, n, rows, 1.0, v.data(), rows,
+               w.data(), rows, 0.0, c.data(), m);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2ll * rows * m * n);
+}
+BENCHMARK(BM_GemmTN_BorthShape)->Arg(16)->Arg(61)->Arg(106);
 
 void BM_Gram_TallSkinny(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

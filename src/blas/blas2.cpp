@@ -1,6 +1,9 @@
 #include "blas/blas2.hpp"
 
 #include <cstddef>
+#include <memory>
+
+#include "blas/blas3.hpp"
 
 namespace cagmres::blas {
 
@@ -21,14 +24,12 @@ void gemv_n(int m, int n, double alpha, const double* a, int lda,
 
 void gemv_t(int m, int n, double alpha, const double* a, int lda,
             const double* x, double beta, double* y) {
-  // One column per task: each output entry is an independent serial dot
-  // product, so the result is thread-count independent.
-#pragma omp parallel for schedule(static) if (static_cast<long long>(m) * n > 1 << 16)
+  // The n = 1 case of the T,N dot tiles: each y(j) is a serial dot product
+  // of column j with x, so the result is thread-count independent.
+  const std::unique_ptr<double[]> acc(new double[n]);
+  dot_tiles(n, 1, m, a, lda, Trans::N, x, m, false, acc.get(), n);
   for (int j = 0; j < n; ++j) {
-    const double* col = a + static_cast<std::size_t>(j) * lda;
-    double acc = 0.0;
-    for (int i = 0; i < m; ++i) acc += col[i] * x[i];
-    y[j] = alpha * acc + (beta == 0.0 ? 0.0 : beta * y[j]);
+    y[j] = alpha * acc[j] + (beta == 0.0 ? 0.0 : beta * y[j]);
   }
 }
 

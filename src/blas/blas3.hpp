@@ -12,6 +12,15 @@ void gemm(Trans ta, Trans tb, int m, int n, int k, double alpha,
           const double* a, int lda, const double* b, int ldb, double beta,
           double* c, int ldc);
 
+/// Tall-skinny dot tiles, the kernel under gemm(T, *), syrk_tn and gemv_t:
+/// acc(i,j) := sum over p < k of A(p,i) * op(B)(p,j), for k x m A and k x n
+/// op(B) (B itself is k x n for Trans::N, n x k for Trans::T). Every sum is
+/// formed one term at a time in p order starting from 0.0, so it is bitwise
+/// equal to the naive loop for any thread count. With `upper` (m == n),
+/// only the 4 x 4 tiles touching the upper triangle are written.
+void dot_tiles(int m, int n, int k, const double* a, int lda, Trans tb,
+               const double* b, int ldb, bool upper, double* acc, int ldacc);
+
 /// Gram matrix C := A^T * A for a tall-skinny m x n panel A (C is n x n).
 /// Exploits symmetry: only the upper triangle is computed, then mirrored.
 /// This is the BLAS-3 workhorse of CholQR/SVQR.

@@ -1,6 +1,10 @@
 // Unit tests for the dense BLAS / LAPACK-lite substrate.
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -209,7 +213,7 @@ TEST(Blas3, GemmTransTransWithAlphaBeta) {
 // The cache-blocked tall-skinny paths (N,N panel update, T,N Gram product,
 // syrk) kick in past the 1024-row long-dimension block; check them against
 // the reference triple loop on shapes that straddle the block boundary and
-// the OpenMP-enable thresholds.
+// the OpenMP-enable thresholds. The contracted-dimension paths are exact.
 TEST(Blas3, BlockedTallSkinnyPathsMatchReference) {
   const int m = 3000, k = 7;  // crosses kLongBlock twice, m*k > 1<<14
   Rng rng(56);
@@ -225,9 +229,9 @@ TEST(Blas3, BlockedTallSkinnyPathsMatchReference) {
       double acc = 0.0;
       for (int p = 0; p < m; ++p) acc += v(p, i) * w(p, j);
       g_ref(i, j) = acc;
+      EXPECT_EQ(g(i, j), g_ref(i, j)) << "i=" << i << " j=" << j;
     }
   }
-  EXPECT_LT(frob_diff(g, g_ref), 1e-9 * std::sqrt(static_cast<double>(m)));
 
   // Panel update V <- V - W G (N,N path, the BOrth projection shape).
   DMat upd = v;
@@ -246,7 +250,9 @@ TEST(Blas3, BlockedTallSkinnyPathsMatchReference) {
   syrk_tn(m, k, v.data(), v.ld(), s.data(), s.ld());
   gemm(Trans::T, Trans::N, k, k, m, 1.0, v.data(), v.ld(), v.data(), v.ld(),
        0.0, s_ref.data(), s_ref.ld());
-  EXPECT_LT(frob_diff(s, s_ref), 1e-9 * std::sqrt(static_cast<double>(m)));
+  for (int j = 0; j < k; ++j) {
+    for (int i = 0; i < k; ++i) EXPECT_EQ(s(i, j), s_ref(i, j));
+  }
 }
 
 // The transposed-B branches (N,T and T,T) share the blocking schemes above
@@ -302,6 +308,128 @@ TEST(Blas3, BlockedTransposedBPathsAreBitIdenticalToNaive) {
   }
 }
 
+// Bitwise equality, NaN payloads and signed zeros included, with the index
+// of the first mismatch on failure.
+::testing::AssertionResult bit_identical(const std::vector<double>& got,
+                                         const std::vector<double>& want) {
+  if (got.size() != want.size()) {
+    return ::testing::AssertionFailure() << "size " << got.size() << " vs "
+                                         << want.size();
+  }
+  for (std::size_t e = 0; e < got.size(); ++e) {
+    if (std::bit_cast<std::uint64_t>(got[e]) !=
+        std::bit_cast<std::uint64_t>(want[e])) {
+      return ::testing::AssertionFailure()
+             << "entry " << e << ": " << got[e] << " vs " << want[e];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The register-tiled dot kernel under gemm(T,N), gemm(T,T), syrk_tn and
+// gemv_t keeps the naive loop's operation sequence: every entry sums its k
+// terms one at a time in p order from 0.0, then alpha/beta are applied with
+// the documented expressions. Check that bitwise over a grid of tile tails
+// (m, n mod 4), p-block boundaries (k around 1024), padded leading
+// dimensions, every alpha/beta branch, and a NaN/Inf input.
+TEST(Blas3, DotTilesAreBitIdenticalToNaive) {
+  const int sizes[] = {1, 2, 3, 4, 5, 7, 15, 16, 17, 121};
+  const int depths[] = {0, 1, 3, 1023, 1024, 1025, 2667};
+  const double alphas[] = {0.0, 1.0, -1.5};
+  const double betas[] = {0.0, 1.0, -0.5};
+  const int wmax = 121;
+  Rng rng(58);
+  int combo = 0;  // cycles alpha/beta through all nine pairs over the grid
+
+  auto check_depth = [&](int k, int nan_p, int inf_p) {
+    // A and B hold wmax columns of length k with padded leading dimensions;
+    // Bt is B transposed (the Trans::T operand). Entries of op(A)^T op(B)
+    // for leading sub-blocks are leading blocks of the full-width sums.
+    const int lda = k + 3, ldb = k + 2, ldbt = wmax + 1;
+    std::vector<double> a(static_cast<std::size_t>(lda) * wmax);
+    std::vector<double> b(static_cast<std::size_t>(ldb) * wmax);
+    std::vector<double> bt(static_cast<std::size_t>(ldbt) * std::max(k, 1));
+    for (auto& e : a) e = rng.normal();
+    for (auto& e : b) e = rng.normal();
+    auto at = [&](int p, int i) -> double& { return a[std::size_t(i) * lda + p]; };
+    auto bv = [&](int p, int j) -> double& { return b[std::size_t(j) * ldb + p]; };
+    if (nan_p >= 0) at(nan_p, 2) = std::nan("");
+    if (inf_p >= 0) bv(inf_p, 1) = INFINITY;
+    for (int p = 0; p < k; ++p) {
+      for (int j = 0; j < wmax; ++j) bt[std::size_t(p) * ldbt + j] = bv(p, j);
+    }
+    std::vector<double> sab(wmax * wmax), saa(wmax * wmax);
+    for (int j = 0; j < wmax; ++j) {
+      for (int i = 0; i < wmax; ++i) {
+        double s = 0.0, g = 0.0;
+        for (int p = 0; p < k; ++p) {
+          s += at(p, i) * bv(p, j);
+          g += at(p, i) * at(p, j);
+        }
+        sab[j * wmax + i] = s;
+        saa[j * wmax + i] = g;
+      }
+    }
+
+    for (int m : sizes) {
+      for (int n : sizes) {
+        const double alpha = alphas[combo % 3], beta = betas[combo / 3 % 3];
+        ++combo;
+        const int ldc = m + 1;
+        std::vector<double> c0(static_cast<std::size_t>(ldc) * n);
+        for (auto& e : c0) e = rng.normal();
+        std::vector<double> want = c0;
+        for (int j = 0; j < n; ++j) {
+          for (int i = 0; i < m; ++i) {
+            double& w = want[std::size_t(j) * ldc + i];
+            if (beta == 0.0) {
+              w = 0.0;
+            } else if (beta != 1.0) {
+              w *= beta;
+            }
+            if (alpha != 0.0 && k != 0) w += alpha * sab[j * wmax + i];
+          }
+        }
+        std::vector<double> tn = c0, tt = c0;
+        gemm(Trans::T, Trans::N, m, n, k, alpha, a.data(), lda, b.data(), ldb,
+             beta, tn.data(), ldc);
+        gemm(Trans::T, Trans::T, m, n, k, alpha, a.data(), lda, bt.data(),
+             ldbt, beta, tt.data(), ldc);
+        EXPECT_TRUE(bit_identical(tn, want)) << "T,N m=" << m << " n=" << n
+                                             << " k=" << k;
+        EXPECT_TRUE(bit_identical(tt, want)) << "T,T m=" << m << " n=" << n
+                                             << " k=" << k;
+      }
+      // gemv_t: y = alpha * A(:, 0:m)^T x + beta * y with x = B(:, 0).
+      const double alpha = alphas[combo % 3], beta = betas[combo / 3 % 3];
+      ++combo;
+      std::vector<double> y(m), want(m);
+      for (int j = 0; j < m; ++j) {
+        y[j] = rng.normal();
+        want[j] = alpha * sab[j] + (beta == 0.0 ? 0.0 : beta * y[j]);
+      }
+      gemv_t(k, m, alpha, a.data(), lda, b.data(), beta, y.data());
+      EXPECT_TRUE(bit_identical(y, want)) << "gemv_t n=" << m << " k=" << k;
+
+      // syrk_tn over the first m columns of A, both triangles.
+      std::vector<double> c(static_cast<std::size_t>(m + 1) * m, -7.0);
+      std::vector<double> gram = c;
+      for (int j = 0; j < m; ++j) {
+        for (int i = 0; i < m; ++i) {
+          gram[std::size_t(j) * (m + 1) + i] =
+              saa[std::max(i, j) * wmax + std::min(i, j)];
+        }
+      }
+      syrk_tn(k, m, a.data(), lda, c.data(), m + 1);
+      EXPECT_TRUE(bit_identical(c, gram)) << "syrk_tn n=" << m << " k=" << k;
+    }
+  };
+  for (int k : depths) check_depth(k, -1, -1);
+  // NaN in A's column 2 (second p-block) and +Inf in B's column 1 reach the
+  // same entries as in the naive loop.
+  check_depth(1025, 1024, 3);
+}
+
 TEST(Blas3, SyrkMatchesGemm) {
   const int m = 50, n = 6;
   Rng rng(7);
@@ -310,10 +438,12 @@ TEST(Blas3, SyrkMatchesGemm) {
   syrk_tn(m, n, a.data(), a.ld(), c.data(), c.ld());
   gemm(Trans::T, Trans::N, n, n, m, 1.0, a.data(), a.ld(), a.data(), a.ld(),
        0.0, ref.data(), ref.ld());
-  EXPECT_LT(frob_diff(c, ref), 1e-11);
-  // Exact symmetry by construction.
+  // Same dot kernel, same term order: exact, and exactly symmetric.
   for (int j = 0; j < n; ++j) {
-    for (int i = 0; i < n; ++i) EXPECT_EQ(c(i, j), c(j, i));
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(c(i, j), ref(i, j));
+      EXPECT_EQ(c(i, j), c(j, i));
+    }
   }
 }
 
