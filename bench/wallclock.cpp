@@ -54,6 +54,7 @@
 #include <fstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -62,8 +63,8 @@
 #include "common/options.hpp"
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
-#include "core/precondition.hpp"
 #include "ortho/reduce.hpp"
+#include "precond/precond.hpp"
 #include "sim/machine.hpp"
 
 using namespace cagmres;
@@ -499,17 +500,17 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- precond: none vs block-Jacobi vs ILU(0) vs ILU(1) -----------------
+  // --- precond: none vs ILU(0) vs ILU(1) ---------------------------------
   // The ROADMAP's preconditioning item made concrete: the cant-like and
   // circuit-like analogs under GMRES(30) with a 1200-iteration budget
-  // (m=30 x 40 restarts), unpreconditioned vs left block-Jacobi vs the
-  // right-preconditioned ILU(k) handle subsystem (src/precond/). The
-  // circuit shape exhausts its budget raw; ILU must converge it in fewer
-  // iterations AND fewer total charged seconds (setup + solve) — that is
-  // the perf gate bench.sh --compare enforces.
+  // (m=30 x 40 restarts), unpreconditioned vs the right-preconditioned
+  // ILU(k) handle subsystem (src/precond/). The circuit shape exhausts its
+  // budget raw; ILU must converge it in fewer iterations AND fewer total
+  // charged seconds (setup + solve) — that is the perf gate bench.sh
+  // --compare enforces.
   struct PrecondRow {
     std::string matrix;
-    std::string precond;  // none | bj | ilu0 | ilu1
+    std::string precond;  // none | ilu0 | ilu1
     int iterations = 0;
     int restarts = 0;
     double setup_sim_seconds = 0.0;
@@ -534,35 +535,25 @@ int main(int argc, char** argv) {
       po.m = 30;
       po.max_restarts = 40;  // 1200-iteration budget
       po.tol = opts.get_double("tol");
-      for (const char* which : {"none", "bj", "ilu0", "ilu1"}) {
+      for (const auto& [which, spec] :
+           {std::pair{"none", "none"}, std::pair{"ilu0", "ilu:k=0"},
+            std::pair{"ilu1", "ilu:k=1"}}) {
         sim::Machine mp(ng);
         PrecondRow row;
         row.matrix = pname;
         row.precond = which;
-        if (std::string(which) == "bj") {
-          const core::PreconditionedResult r =
-              core::preconditioned_gmres(mp, pm, po, 16);
-          row.iterations = r.solve.stats.iterations;
-          row.restarts = r.solve.stats.restarts;
-          row.solve_sim_seconds = r.solve.stats.time_total;
-          row.converged = r.solve.stats.converged;
-        } else {
-          const char* spec = std::string(which) == "none" ? "none"
-                             : std::string(which) == "ilu0"
-                                 ? "ilu:k=0"
-                                 : "ilu:k=1";
-          const core::IluPreconditionedResult r = core::preconditioned_gmres(
-              mp, pm, po, precond::parse_precond_spec(spec));
-          row.iterations = r.solve.stats.iterations;
-          row.restarts = r.solve.stats.restarts;
-          row.setup_sim_seconds = r.precond.setup_seconds;
-          row.solve_sim_seconds =
-              r.solve.stats.time_total - r.precond.setup_seconds;
-          row.fill_nnz = r.precond.fill_nnz;
-          row.max_levels =
-              std::max(r.precond.max_levels_l, r.precond.max_levels_u);
-          row.converged = r.solve.stats.converged;
-        }
+        precond::PrecondHandle handle(precond::parse_precond_spec(spec));
+        core::SolverOptions hpo = po;
+        if (handle.armed()) hpo.precond = &handle;
+        const core::SolveResult r = core::gmres(mp, pm, hpo);
+        const precond::PrecondStats& ps = handle.stats();
+        row.iterations = r.stats.iterations;
+        row.restarts = r.stats.restarts;
+        row.setup_sim_seconds = ps.setup_seconds;
+        row.solve_sim_seconds = r.stats.time_total - ps.setup_seconds;
+        row.fill_nnz = ps.fill_nnz;
+        row.max_levels = std::max(ps.max_levels_l, ps.max_levels_u);
+        row.converged = r.stats.converged;
         row.total_sim_seconds = row.setup_sim_seconds + row.solve_sim_seconds;
         precond_rows.push_back(row);
         std::printf(

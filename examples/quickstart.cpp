@@ -7,10 +7,10 @@
 // generator -> problem preparation (partitioning + balancing) -> solver ->
 // solution recovery -> phase timings.
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/cagmres.hpp"
 #include "core/solver_common.hpp"
+#include "sim/machine.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/stats.hpp"
 
@@ -42,9 +42,7 @@ int main() {
   // A quantizing transfer codec (CAGMRES_COMPRESS, DESIGN.md §14) carries
   // wire traffic in fp32: the attainable residual is then capped near
   // single precision, so ask only for codec grade.
-  if (const char* cc = std::getenv("CAGMRES_COMPRESS"); cc != nullptr && *cc) {
-    opts.tol = 1e-6;
-  }
+  if (sim::env_config().codecs.any_active()) opts.tol = 1e-6;
   const core::SolveResult result = core::ca_gmres(machine, problem, opts);
 
   // 5. result.x is in the ORIGINAL row ordering and scaling.

@@ -12,8 +12,8 @@
 #include "common/options.hpp"
 #include "core/cagmres.hpp"
 #include "core/cpu_gmres.hpp"
-#include "core/precondition.hpp"
 #include "core/gmres.hpp"
+#include "precond/precond.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/io.hpp"
 #include "sparse/stats.hpp"
@@ -35,8 +35,9 @@ int main(int argc, char** argv) {
   opts.add("reorth", "0", "always reorthogonalize blocks (the paper's 2x)");
   opts.add("adaptive", "0", "adapt s on TSQR breakdowns");
   opts.add("balance", "1", "row/column equilibration before solving");
-  opts.add("jacobi_block", "0",
-           "block-Jacobi preconditioning with this block size (0 = off)");
+  opts.add("precond", "",
+           "right-preconditioner spec for ca|gmres, e.g. ilu:k=1,underlap=1 "
+           "(empty or \"none\" = off)");
   opts.add("tol", "1e-8", "relative residual tolerance");
   opts.add("max_restarts", "1000", "restart cap");
   opts.add("solution", "", "optional path to write x (MatrixMarket array)");
@@ -67,16 +68,9 @@ int main(int argc, char** argv) {
   }
 
   const int ng = opts.get_int("ng");
-  core::Problem p = core::make_problem(
+  const core::Problem p = core::make_problem(
       a, b, ng, graph::parse_ordering(opts.get("ordering")),
       opts.get_bool("balance"), 7);
-  if (opts.get_int("jacobi_block") > 0) {
-    const core::PreconditionStats ps =
-        core::apply_block_jacobi(p, opts.get_int("jacobi_block"));
-    std::printf("block-Jacobi: %d blocks, nnz %lld -> %lld\n", ps.blocks,
-                static_cast<long long>(ps.nnz_before),
-                static_cast<long long>(ps.nnz_after));
-  }
 
   core::SolverOptions so;
   so.m = opts.get_int("m");
@@ -88,9 +82,16 @@ int main(int argc, char** argv) {
   so.reorthogonalize = opts.get_bool("reorth");
   so.adaptive_s = opts.get_bool("adaptive");
 
+  const std::string solver = opts.get("solver");
+  const precond::PrecondSpec pspec =
+      precond::parse_precond_spec(opts.get("precond"));
+  CAGMRES_REQUIRE(!pspec.armed() || solver != "cpu",
+                  "--precond needs --solver ca|gmres");
+  precond::PrecondHandle handle(pspec);
+  if (pspec.armed()) so.precond = &handle;
+
   sim::Machine machine(ng);
   core::SolveResult res;
-  const std::string solver = opts.get("solver");
   if (solver == "ca") {
     res = core::ca_gmres(machine, p, so);
   } else if (solver == "gmres") {
@@ -115,6 +116,13 @@ int main(int argc, char** argv) {
               st.time_total * 1e3, st.time_spmv * 1e3, st.time_mpk * 1e3,
               st.time_orth * 1e3, st.time_borth * 1e3, st.time_tsqr * 1e3,
               st.time_other * 1e3);
+  if (pspec.armed()) {
+    const auto& ps = handle.stats();
+    std::printf("precond %s: fill %lld nnz, %d+%d levels (L+U), "
+                "setup %.2f ms\n",
+                pspec.to_string().c_str(), static_cast<long long>(ps.fill_nnz),
+                ps.max_levels_l, ps.max_levels_u, ps.setup_seconds * 1e3);
+  }
   if (st.cholqr_breakdowns > 0) {
     std::printf("CholQR breakdowns: %d (reorthogonalized %d blocks)\n",
                 st.cholqr_breakdowns, st.reorth_blocks);

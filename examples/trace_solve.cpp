@@ -45,8 +45,8 @@ int main(int argc, char** argv) {
            "basis-vector (iteration) budget; 0 = unlimited (same error)");
   opts.add("precond", "",
            "right-preconditioner spec, e.g. ilu:k=1,underlap=1 (DESIGN.md "
-           "§15); empty reads CAGMRES_PRECOND, \"none\" disables. The "
-           "trisolve levels show up as extra kSpmvCsr kernels inside the "
+           "§15); empty or \"none\" runs unpreconditioned. The trisolve "
+           "levels show up as extra kSpmvCsr kernels inside the "
            "\"precond\" phase rows of the trace");
   if (!opts.parse(argc, argv)) return 0;
 
@@ -73,12 +73,10 @@ int main(int argc, char** argv) {
   so.health.max_solve_seconds = opts.get_double("deadline") * 1e-3;
   so.health.max_iterations = opts.get_int("budget");
 
-  // --precond overrides the CAGMRES_PRECOND env; either arms a cached
-  // ILU(k) handle on the options so the solve runs right-preconditioned.
+  // --precond arms a cached ILU(k) handle on the options so the solve runs
+  // right-preconditioned.
   const precond::PrecondSpec pspec =
-      opts.get("precond").empty()
-          ? precond::env_precond_spec()
-          : precond::parse_precond_spec(opts.get("precond"));
+      precond::parse_precond_spec(opts.get("precond"));
   precond::PrecondHandle handle(pspec);
   if (pspec.armed()) so.precond = &handle;
 

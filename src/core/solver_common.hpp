@@ -96,9 +96,9 @@ struct SolverOptions {
   /// their pre-health behavior.
   HealthOptions health = {};
 
-  /// Right preconditioner: a built precond::PrecondHandle (non-owning; the
-  /// caller keeps it alive across the solve — core/precondition.hpp's
-  /// spec-based drivers do this). The solvers iterate on A M^{-1} u = b,
+  /// Right preconditioner: a precond::PrecondHandle (non-owning; the
+  /// caller keeps it alive across the solve and points this at it only
+  /// when its spec is armed). The solvers iterate on A M^{-1} u = b,
   /// so residuals and x stay in the true (unpreconditioned) space, and
   /// they rebuild the handle's affected device factors after a
   /// repartition. nullptr (the default) is the unpreconditioned path,

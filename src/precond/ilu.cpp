@@ -182,8 +182,7 @@ void ilu_numeric(const sparse::CsrMatrix& a, DeviceFactor& f) {
   f.pivot_fallbacks = 0;
   double flops = 0.0;
 
-  // Pivot-fallback threshold scales with the block's largest diagonal,
-  // mirroring invert_dense in core/precondition.cpp.
+  // Pivot-fallback threshold scales with the block's largest diagonal.
   double dmax = 0.0;
   for (int i = 0; i < n; ++i) {
     dmax = std::max(dmax, std::fabs(a.at(row0 + i, row0 + i)));

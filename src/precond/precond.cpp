@@ -1,7 +1,6 @@
 #include "precond/precond.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/error.hpp"
 #include "precond/trisolve.hpp"
@@ -59,12 +58,6 @@ PrecondSpec parse_precond_spec(const std::string& text) {
     }
   }
   return spec;
-}
-
-PrecondSpec env_precond_spec() {
-  const char* s = std::getenv("CAGMRES_PRECOND");
-  if (s == nullptr) return {};
-  return parse_precond_spec(s);
 }
 
 DeviceFactor* PrecondHandle::factor_for(sim::Machine& m,

@@ -1,5 +1,5 @@
 // The preconditioner subsystem's public face: a parsed spec
-// (CAGMRES_PRECOND=ilu:k=1,underlap=1), and a PrecondHandle owning the
+// ("ilu:k=1,underlap=1"), and a PrecondHandle owning the
 // per-device ILU(k) factors with the symbolic phase cached across numeric
 // refreshes, restarts, and repartitions (a repartition rebuilds only the
 // devices whose row ranges changed; unchanged ranges reuse their factor).
@@ -43,11 +43,8 @@ struct PrecondSpec {
 
 /// Parses "ilu", "ilu:k=1", "ilu:k=1,underlap=2" (key aliases: k/level,
 /// underlap/u). "", "none", "off", and "0" give kNone. Throws
-/// Error(kBadConfig) on anything else.
+/// Error(kBadInput) on anything else.
 PrecondSpec parse_precond_spec(const std::string& text);
-
-/// Spec from the CAGMRES_PRECOND environment variable (kNone when unset).
-PrecondSpec env_precond_spec();
 
 /// Cumulative handle telemetry (never reset by rebuilds).
 struct PrecondStats {

@@ -134,7 +134,7 @@ std::string CodecConfig::to_string() const {
   return out.empty() ? "none" : out;
 }
 
-CodecConfig parse_codec_config(const std::string& spec, bool lenient) {
+CodecConfig parse_codec_config(const std::string& spec) {
   CodecConfig cfg;
   std::size_t pos = 0;
   while (pos <= spec.size()) {
@@ -143,29 +143,24 @@ CodecConfig parse_codec_config(const std::string& spec, bool lenient) {
     const std::string entry = spec.substr(pos, comma - pos);
     pos = comma + 1;
     if (entry.empty()) continue;
-    try {
-      const std::size_t eq = entry.find('=');
-      if (eq == std::string::npos)
-        throw Error("codec spec: want class=codec: " + entry);
-      const std::string cls = entry.substr(0, eq);
-      const CodecSpec s = parse_codec(entry.substr(eq + 1));
-      if (cls == "halo") {
-        cfg.halo = s;
-      } else if (cls == "reduce") {
-        cfg.reduce = s;
-      } else if (cls == "ckpt") {
-        if (s.kind == Codec::kFrsz2)
-          throw Error(
-              "codec spec: ckpt requires a lossless-restorable codec "
-              "(none|fp32); frsz2 block boundaries shift on repartition");
-        cfg.ckpt = s;
-      } else {
-        throw Error("codec spec: unknown traffic class "
-                    "(want halo|reduce|ckpt): " + cls);
-      }
-    } catch (const Error&) {
-      if (!lenient) throw;
-      // Environment path: drop the bad entry, keep the rest.
+    const std::size_t eq = entry.find('=');
+    if (eq == std::string::npos)
+      throw Error("codec spec: want class=codec: " + entry);
+    const std::string cls = entry.substr(0, eq);
+    const CodecSpec s = parse_codec(entry.substr(eq + 1));
+    if (cls == "halo") {
+      cfg.halo = s;
+    } else if (cls == "reduce") {
+      cfg.reduce = s;
+    } else if (cls == "ckpt") {
+      if (s.kind == Codec::kFrsz2)
+        throw Error(
+            "codec spec: ckpt requires a lossless-restorable codec "
+            "(none|fp32); frsz2 block boundaries shift on repartition");
+      cfg.ckpt = s;
+    } else {
+      throw Error("codec spec: unknown traffic class "
+                  "(want halo|reduce|ckpt): " + cls);
     }
   }
   return cfg;

@@ -72,11 +72,8 @@ struct CodecConfig {
 };
 
 /// Parses the CAGMRES_COMPRESS syntax: comma-separated `class=codec` entries,
-/// e.g. "halo=fp32,reduce=frsz2:16,ckpt=fp32". Strict mode throws Error on
-/// unknown classes/codecs and on the unrestorable ckpt=frsz2 combination;
-/// lenient mode (the environment path, matching CAGMRES_TOPOLOGY's behavior)
-/// silently drops invalid entries instead, so a stray value in the
-/// environment can never blow up every Machine in the process.
-CodecConfig parse_codec_config(const std::string& spec, bool lenient = false);
+/// e.g. "halo=fp32,reduce=frsz2:16,ckpt=fp32". Throws Error on unknown
+/// classes/codecs and on the unrestorable ckpt=frsz2 combination.
+CodecConfig parse_codec_config(const std::string& spec);
 
 }  // namespace cagmres::sim

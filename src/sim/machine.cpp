@@ -1,9 +1,10 @@
 #include "sim/machine.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
 #include <numeric>
+#include <string_view>
 
 #include "common/error.hpp"
 
@@ -11,72 +12,91 @@ namespace cagmres::sim {
 
 namespace {
 
-/// Worker count for new machines: CAGMRES_HOST_WORKERS in the environment,
-/// clamped at the physical device count (extra workers would idle — streams
-/// are pinned worker = stream % n_workers). Unset/0 = serial inline mode.
-int default_host_workers(int n_devices) {
-  const char* s = std::getenv("CAGMRES_HOST_WORKERS");
-  if (s == nullptr || *s == '\0') return 0;
-  const int n = std::atoi(s);
-  return std::clamp(n, 0, n_devices);
+/// Whole-string decimal integer >= `min` (no sign, no blanks); false on
+/// anything else, including overflow.
+bool parse_int(std::string_view s, int min, int& out) {
+  if (s.empty() || s.front() < '0' || s.front() > '9') return false;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  return ec == std::errc() && end == s.data() + s.size() && out >= min;
 }
 
-/// Sync mode for new machines: per-buffer events are the default (they are
-/// bitwise identical to the barriers and never slower on the charged
-/// clock); CAGMRES_SYNC_MODE=barrier restores the seed's coarse
-/// host_wait_all structure as an escape hatch.
-SyncMode default_sync_mode() {
-  const char* s = std::getenv("CAGMRES_SYNC_MODE");
-  if (s != nullptr && std::string(s) == "barrier") return SyncMode::kBarrier;
-  return SyncMode::kEvent;
-}
-
-/// Topology for machines built by device count: CAGMRES_TOPOLOGY in the
-/// environment as "NxG" (N nodes of G devices) or a bare node count "N"
-/// (devices split evenly). A shape that does not tile the device count is
-/// silently ignored — the same binary drives machines of many sizes, and a
-/// 2x4 request must not blow up the 3-device paper testbed. Machines built
-/// from an explicit Topology are never overridden.
-/// Hierarchical-collectives default for new machines: on (it charges
-/// strictly less on deep shapes and is bitwise identical);
-/// CAGMRES_HIER_REDUCE=0|flat|off restores the flat per-device fold as an
-/// escape hatch. Only consulted on multi-node topologies.
-bool default_hier_reduce() {
-  const char* s = std::getenv("CAGMRES_HIER_REDUCE");
-  if (s == nullptr || *s == '\0') return true;
-  const std::string v(s);
-  return !(v == "0" || v == "flat" || v == "off");
-}
-
-Topology default_topology(int n_devices) {
-  const Topology flat{1, n_devices};
-  const char* s = std::getenv("CAGMRES_TOPOLOGY");
-  if (s == nullptr || *s == '\0') return flat;
-  int nodes = 0, gpus = 0;
-  if (std::sscanf(s, "%dx%d", &nodes, &gpus) < 2) {
-    if (std::sscanf(s, "%d", &nodes) == 1 && nodes > 0 &&
-        n_devices % nodes == 0) {
-      gpus = n_devices / nodes;
-    }
-  }
-  if (nodes >= 1 && gpus >= 1 && nodes * gpus == n_devices) {
-    return Topology{nodes, gpus};
-  }
-  return flat;
-}
-
-/// Transfer codecs for new machines: CAGMRES_COMPRESS in the environment,
-/// e.g. "halo=fp32,reduce=frsz2:16,ckpt=fp32" (DESIGN.md §14). Parsed
-/// leniently like CAGMRES_TOPOLOGY — invalid entries are dropped rather
-/// than blowing up every Machine in the process. Unset = all none, which
-/// is bitwise identical to a machine without the codec layer.
-CodecConfig default_codec_config() {
-  const char* s = std::getenv("CAGMRES_COMPRESS");
-  if (s == nullptr || *s == '\0') return {};
-  return parse_codec_config(s, /*lenient=*/true);
+[[noreturn]] void bad_env(const char* name, const std::string& value,
+                          const std::string& want) {
+  throw Error(std::string(name) + "=\"" + value + "\": " + want);
 }
 
 }  // namespace
+
+Topology EnvConfig::topology_for(int n_devices) const {
+  const int gpus = topology_gpus > 0 ? topology_gpus
+                   : topology_nodes > 0 && n_devices % topology_nodes == 0
+                       ? n_devices / topology_nodes
+                       : 0;
+  if (topology_nodes > 0 &&
+      static_cast<long long>(topology_nodes) * gpus == n_devices) {
+    return Topology{topology_nodes, gpus};
+  }
+  return Topology{1, n_devices};
+}
+
+EnvConfig parse_env_config(
+    const std::function<const char*(const char*)>& lookup) {
+  EnvConfig cfg;
+  const auto read = [&](const char* name) {
+    const char* v = lookup(name);
+    return std::string(v == nullptr ? "" : v);
+  };
+
+  if (const std::string v = read("CAGMRES_HOST_WORKERS"); !v.empty()) {
+    if (!parse_int(v, 0, cfg.host_workers)) {
+      bad_env("CAGMRES_HOST_WORKERS", v, "want a non-negative integer");
+    }
+  }
+
+  if (const std::string v = read("CAGMRES_SYNC_MODE"); v == "barrier") {
+    cfg.sync_mode = SyncMode::kBarrier;
+  } else if (!v.empty() && v != "event") {
+    bad_env("CAGMRES_SYNC_MODE", v, "want event|barrier");
+  }
+
+  if (const std::string v = read("CAGMRES_HIER_REDUCE"); !v.empty()) {
+    if (v == "0" || v == "off" || v == "flat") {
+      cfg.hier_reduce = false;
+    } else if (v != "1" && v != "on" && v != "hier") {
+      bad_env("CAGMRES_HIER_REDUCE", v, "want 1|on|hier or 0|off|flat");
+    }
+  }
+
+  if (const std::string v = read("CAGMRES_TOPOLOGY"); !v.empty()) {
+    const std::size_t x = v.find('x');
+    const bool ok =
+        x == std::string::npos
+            ? parse_int(v, 1, cfg.topology_nodes)
+            : parse_int(std::string_view(v).substr(0, x), 1,
+                        cfg.topology_nodes) &&
+                  parse_int(std::string_view(v).substr(x + 1), 1,
+                            cfg.topology_gpus);
+    if (!ok) {
+      bad_env("CAGMRES_TOPOLOGY", v,
+              "want N or NxG (N nodes of G devices, positive integers)");
+    }
+  }
+
+  if (const std::string v = read("CAGMRES_COMPRESS"); !v.empty()) {
+    try {
+      cfg.codecs = parse_codec_config(v);
+    } catch (const Error& e) {
+      bad_env("CAGMRES_COMPRESS", v, e.what());
+    }
+  }
+  return cfg;
+}
+
+const EnvConfig& env_config() {
+  static const EnvConfig cfg = parse_env_config(
+      [](const char* name) -> const char* { return std::getenv(name); });
+  return cfg;
+}
 
 Counters Counters::operator-(const Counters& rhs) const {
   Counters out(static_cast<int>(dev_flops.size()));
@@ -117,21 +137,7 @@ double Counters::total_dev_flops() const {
 }
 
 Machine::Machine(int n_devices, PerfModel model)
-    : model_(model),
-      topo_(default_topology(n_devices)),
-      clock_(n_devices),
-      counters_(n_devices),
-      dev_ops_(static_cast<std::size_t>(n_devices), 0),
-      dev_busy_(static_cast<std::size_t>(n_devices), 0.0),
-      dev_poison_(static_cast<std::size_t>(n_devices), 0),
-      codecs_(default_codec_config()),
-      hier_reduce_(default_hier_reduce()),
-      sync_mode_(default_sync_mode()),
-      pool_(n_devices, default_host_workers(n_devices)) {
-  dev_map_.resize(static_cast<std::size_t>(n_devices));
-  std::iota(dev_map_.begin(), dev_map_.end(), 0);
-  faults_.set_gpus_per_node(topo_.gpus_per_node);
-}
+    : Machine(env_config().topology_for(n_devices), model) {}
 
 Machine::Machine(Topology topology, PerfModel model)
     : model_(model),
@@ -141,11 +147,11 @@ Machine::Machine(Topology topology, PerfModel model)
       dev_ops_(static_cast<std::size_t>(topology.n_devices()), 0),
       dev_busy_(static_cast<std::size_t>(topology.n_devices()), 0.0),
       dev_poison_(static_cast<std::size_t>(topology.n_devices()), 0),
-      codecs_(default_codec_config()),
-      hier_reduce_(default_hier_reduce()),
-      sync_mode_(default_sync_mode()),
+      codecs_(env_config().codecs),
+      hier_reduce_(env_config().hier_reduce),
+      sync_mode_(env_config().sync_mode),
       pool_(topology.n_devices(),
-            default_host_workers(topology.n_devices())) {
+            std::min(env_config().host_workers, topology.n_devices())) {
   CAGMRES_REQUIRE(topology.n_nodes >= 1 && topology.gpus_per_node >= 1,
                   "empty topology");
   dev_map_.resize(static_cast<std::size_t>(topology.n_devices()));

@@ -116,6 +116,42 @@ struct RetryPolicy {
   double backoff_mult = 2.0;  ///< exponential growth per attempt
 };
 
+/// Construction-time Machine defaults from the CAGMRES_* environment. Each
+/// field's initializer is what an unset (or empty) variable gives; the
+/// Machine setters still override any of them after construction.
+struct EnvConfig {
+  /// CAGMRES_HOST_WORKERS: a non-negative integer, clamped to the device
+  /// count at construction (0 = serial inline mode).
+  int host_workers = 0;
+  /// CAGMRES_SYNC_MODE: event | barrier.
+  SyncMode sync_mode = SyncMode::kEvent;
+  /// CAGMRES_HIER_REDUCE: 1|on|hier | 0|off|flat.
+  bool hier_reduce = true;
+  /// CAGMRES_TOPOLOGY: "N" (N nodes, devices split evenly) or "NxG" (N
+  /// nodes of G devices), positive integers. 0 = not requested.
+  int topology_nodes = 0;
+  int topology_gpus = 0;  ///< 0 with nodes set = the bare "N" form
+  /// CAGMRES_COMPRESS: the parse_codec_config grammar.
+  CodecConfig codecs;
+
+  /// Topology for a machine built by device count: the requested shape
+  /// when it tiles `n_devices` exactly, else one flat node — the same
+  /// binary drives machines of many sizes, and a 2x4 request must not
+  /// blow up the 3-device paper testbed.
+  Topology topology_for(int n_devices) const;
+};
+
+/// Parses the CAGMRES_* variables, reading each through `lookup` (nullptr
+/// = unset). Unset or empty variables keep the defaults; a malformed value
+/// throws Error(kBadInput) whose message names the variable.
+EnvConfig parse_env_config(
+    const std::function<const char*(const char*)>& lookup);
+
+/// The process environment through parse_env_config, parsed once, on the
+/// first call (the first Machine built). The only environment read in the
+/// library.
+const EnvConfig& env_config();
+
 /// The simulated node: n devices + host, a perf model, a clock, counters,
 /// and phase attribution of elapsed time.
 ///
@@ -126,10 +162,13 @@ struct RetryPolicy {
 /// existing device loops keep working on the shrunken machine.
 class Machine {
  public:
-  /// Single-node machine with `n_devices` GPUs (the paper's testbed shape).
+  /// Machine with `n_devices` GPUs: one node (the paper's testbed shape)
+  /// unless CAGMRES_TOPOLOGY requests a shape that tiles the count. Both
+  /// constructors apply env_config() and throw when it is malformed.
   Machine(int n_devices, PerfModel model = {});
 
-  /// Multi-node machine (the §VII projection).
+  /// Multi-node machine (the §VII projection); CAGMRES_TOPOLOGY never
+  /// overrides an explicit topology.
   Machine(Topology topology, PerfModel model = {});
 
   /// Active (non-retired) device count.
@@ -231,7 +270,8 @@ class Machine {
   // --- per-buffer events (the cudaEvent analogue, DESIGN.md §10) -------
   /// Sync structure the solvers should build: coarse barriers (seed
   /// behaviour) or per-buffer events. Defaults to kEvent; overridable at
-  /// construction with CAGMRES_SYNC_MODE=event|barrier.
+  /// construction with CAGMRES_SYNC_MODE=event|barrier (any other value
+  /// throws).
   SyncMode sync_mode() const { return sync_mode_; }
   void set_sync_mode(SyncMode mode) { sync_mode_ = mode; }
   /// Shorthand for the call sites that branch on the mode.
@@ -242,8 +282,9 @@ class Machine {
   /// device and broadcasts fan out through one, so at most one message per
   /// node crosses the network (DESIGN.md §13). Results are bitwise
   /// identical to the flat fold either way; only the charged communication
-  /// schedule differs. CAGMRES_HIER_REDUCE=0|flat|off disables it at
-  /// construction; single-node machines always take the flat path.
+  /// schedule differs. At construction CAGMRES_HIER_REDUCE=0|off|flat
+  /// disables it and 1|on|hier keeps it (any other value throws);
+  /// single-node machines always take the flat path.
   bool hier_reduce() const { return hier_reduce_ && topo_.n_nodes > 1; }
   void set_hier_reduce(bool on) { hier_reduce_ = on; }
 

@@ -1,8 +1,9 @@
 // Transfer codec layer (sim/codec.hpp, DESIGN.md §14): wire formats,
-// round-trip error bounds, wire-size math, spec parsing (strict vs the
-// lenient environment path), and the Machine-side arming/charging rules.
+// round-trip error bounds, wire-size math, strict spec parsing (API and
+// environment paths), and the Machine-side arming/charging rules.
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -167,7 +168,7 @@ TEST(CodecParse, SingleSpecs) {
   EXPECT_THROW(sim::parse_codec("zstd"), Error);
 }
 
-TEST(CodecParse, ConfigStrictVsLenientEnvironmentPath) {
+TEST(CodecParse, ConfigIsStrictOnApiAndEnvironmentPaths) {
   const CodecConfig cfg =
       sim::parse_codec_config("halo=fp32,reduce=frsz2:12,ckpt=fp32");
   EXPECT_EQ(cfg.halo.kind, Codec::kFp32);
@@ -179,18 +180,25 @@ TEST(CodecParse, ConfigStrictVsLenientEnvironmentPath) {
   EXPECT_FALSE(sim::parse_codec_config("").any_active());
   EXPECT_EQ(sim::parse_codec_config("").to_string(), "none");
 
-  // Strict mode refuses garbage and the unrestorable ckpt=frsz2.
+  // The parser refuses garbage and the unrestorable ckpt=frsz2.
   EXPECT_THROW(sim::parse_codec_config("ckpt=frsz2"), Error);
   EXPECT_THROW(sim::parse_codec_config("dma=fp32"), Error);
   EXPECT_THROW(sim::parse_codec_config("halo"), Error);
 
-  // The environment path drops bad entries and keeps the rest, so a stray
-  // CAGMRES_COMPRESS value can never blow up every Machine in the process.
-  const CodecConfig len = sim::parse_codec_config(
-      "halo=fp32,ckpt=frsz2,dma=fp32,reduce=fp32", /*lenient=*/true);
-  EXPECT_EQ(len.halo.kind, Codec::kFp32);
-  EXPECT_EQ(len.reduce.kind, Codec::kFp32);
-  EXPECT_FALSE(len.ckpt.active());
+  // So does the environment path: one bad entry rejects the whole value,
+  // naming the variable, instead of silently dropping a codec.
+  const auto env = [](const char* name) -> const char* {
+    return std::string(name) == "CAGMRES_COMPRESS" ? "halo=fp32,dma=fp32"
+                                                   : nullptr;
+  };
+  try {
+    sim::parse_env_config(env);
+    ADD_FAILURE() << "CAGMRES_COMPRESS=halo=fp32,dma=fp32 was accepted";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kBadInput);
+    EXPECT_NE(std::string(e.what()).find("CAGMRES_COMPRESS"),
+              std::string::npos);
+  }
 }
 
 TEST(CodecMachine, SetCodecArmsAndRejectsUnrestorableCkpt) {

@@ -3,19 +3,18 @@
 // with CAGMRES_COMPRESS=halo=fp32,reduce=fp32 (sim/codec.hpp): the wire
 // then carries ~single-precision coefficients, so results track the
 // uncompressed run only to fp32 accuracy. codec_tol(t) returns t normally
-// and max(t, coded) when CAGMRES_COMPRESS is set, so one test body serves
-// both runs without forking.
+// and max(t, coded) when CAGMRES_COMPRESS arms a codec, so one test body
+// serves both runs without forking.
 #pragma once
 
 #include <algorithm>
-#include <cstdlib>
+#include <cmath>
+
+#include "sim/machine.hpp"
 
 namespace cagmres::test {
 
-inline bool codec_armed() {
-  const char* e = std::getenv("CAGMRES_COMPRESS");
-  return e != nullptr && *e != '\0';
-}
+inline bool codec_armed() { return sim::env_config().codecs.any_active(); }
 
 inline double codec_tol(double tol, double coded = 1e-5) {
   return codec_armed() ? std::max(tol, coded) : tol;

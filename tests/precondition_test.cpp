@@ -1,5 +1,6 @@
-// Tests for the preconditioner layer: the block-Jacobi one-shot transform
-// and the ILU(k) handle subsystem (src/precond/).
+// Tests for the ILU(k) preconditioner subsystem (src/precond/) and the
+// solvers' right-preconditioned path through a PrecondHandle.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -9,11 +10,9 @@
 #include "blas/blas1.hpp"
 #include "codec_tol.hpp"
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
 #include "core/pipelined.hpp"
-#include "core/precondition.hpp"
 #include "precond/ilu.hpp"
 #include "precond/precond.hpp"
 #include "sim/fault.hpp"
@@ -23,207 +22,6 @@
 
 namespace cagmres::core {
 namespace {
-
-TEST(BlockJacobi, PreconditionedSystemHasSameSolution) {
-  const sparse::CsrMatrix a = sparse::make_laplace2d(14, 13, 0.3, 0.2);
-  const int n = a.n_rows;
-  Rng rng(31);
-  std::vector<double> x_true(static_cast<std::size_t>(n));
-  for (auto& v : x_true) v = rng.normal();
-  std::vector<double> b(static_cast<std::size_t>(n));
-  sparse::spmv(a, x_true.data(), b.data());
-
-  Problem p = make_problem(a, b, 2, graph::Ordering::kNatural, false, 1);
-  const PreconditionStats st = apply_block_jacobi(p, 6);
-  EXPECT_GT(st.blocks, n / 6 - 2);
-  EXPECT_GE(st.nnz_after, st.nnz_before);  // row mixing adds fill
-
-  // x_true still solves the transformed system M^{-1}A x = M^{-1}b.
-  std::vector<double> lhs(static_cast<std::size_t>(n));
-  // The prepared system is in permuted space (natural here => identity).
-  sparse::spmv(p.a, x_true.data(), lhs.data());
-  for (int i = 0; i < n; ++i) {
-    EXPECT_NEAR(lhs[static_cast<std::size_t>(i)],
-                p.b[static_cast<std::size_t>(i)], 1e-9);
-  }
-}
-
-TEST(BlockJacobi, DiagonalBlocksBecomeIdentity) {
-  const sparse::CsrMatrix a = sparse::make_laplace2d(10, 10, 0.1, 0.5);
-  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
-  Problem p = make_problem(a, b, 1, graph::Ordering::kNatural, false, 1);
-  const int bs = 5;
-  apply_block_jacobi(p, bs);
-  for (int b0 = 0; b0 < p.n(); b0 += bs) {
-    const int b1 = std::min(b0 + bs, p.n());
-    for (int i = b0; i < b1; ++i) {
-      for (int j = b0; j < b1; ++j) {
-        EXPECT_NEAR(p.a.at(i, j), i == j ? 1.0 : 0.0, 1e-10);
-      }
-    }
-  }
-}
-
-TEST(BlockJacobi, ReducesIterationsOnIllScaledSystem) {
-  // A diagonally ill-scaled grid (no balancing): block-Jacobi must slash
-  // the unpreconditioned iteration count.
-  sparse::CsrMatrix a = sparse::make_laplace2d(24, 24, 0.0, 0.01);
-  Rng rng(32);
-  for (int i = 0; i < a.n_rows; ++i) {
-    const double s = std::pow(10.0, 3.0 * rng.uniform());
-    const auto lo = a.row_ptr[static_cast<std::size_t>(i)];
-    const auto hi = a.row_ptr[static_cast<std::size_t>(i) + 1];
-    for (auto k = lo; k < hi; ++k) a.vals[static_cast<std::size_t>(k)] *= s;
-  }
-  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
-
-  SolverOptions opts;
-  opts.m = 30;
-  opts.tol = 1e-6;
-  opts.max_restarts = 400;
-
-  Problem plain = make_problem(a, b, 1, graph::Ordering::kNatural, false, 1);
-  sim::Machine m1(1);
-  const auto r_plain = gmres(m1, plain, opts).stats;
-
-  Problem pre = make_problem(a, b, 1, graph::Ordering::kNatural, false, 1);
-  apply_block_jacobi(pre, 8);
-  sim::Machine m2(1);
-  const auto r_pre = gmres(m2, pre, opts).stats;
-
-  ASSERT_TRUE(r_pre.converged);
-  EXPECT_LT(r_pre.iterations, r_plain.iterations / 2 + 2);
-}
-
-TEST(BlockJacobi, WorksUnderCaGmresWithMpk) {
-  const sparse::CsrMatrix a = sparse::make_laplace2d(16, 16, 0.2, 0.1);
-  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
-  Problem p = make_problem(a, b, 2, graph::Ordering::kKway, false, 3);
-  apply_block_jacobi(p, 4);
-  sim::Machine machine(2);
-  SolverOptions opts;
-  opts.m = 20;
-  opts.s = 5;
-  opts.tol = 1e-7;
-  const SolveResult res = ca_gmres(machine, p, opts);
-  EXPECT_TRUE(res.stats.converged);
-  // Verify in the ORIGINAL system: recover and check A x = b.
-  const double rel =
-      true_residual(a, b, res.x) / blas::nrm2(a.n_rows, b.data());
-  EXPECT_LT(rel, 1e-5);
-}
-
-TEST(BlockJacobi, SingularBlockFallsBackToIdentity) {
-  // A matrix with a zero 2x2 diagonal block: that block must stay as-is.
-  sparse::CooBuilder builder(4, 4);
-  builder.add(0, 0, 2.0);
-  builder.add(1, 1, 3.0);
-  builder.add(2, 3, 1.0);  // rows 2,3 have zero diagonal block? no:
-  builder.add(3, 2, 1.0);  // block {2,3} = [[0,1],[1,0]] — invertible.
-  // Make rows 2..3 exactly singular instead: both rows identical.
-  builder.add(2, 0, 1.0);
-  builder.add(3, 0, 1.0);
-  sparse::CsrMatrix a = builder.build();
-  // Overwrite to create a singular diagonal block {2,3}: zero it out.
-  for (int i = 2; i < 4; ++i) {
-    const auto lo = a.row_ptr[static_cast<std::size_t>(i)];
-    const auto hi = a.row_ptr[static_cast<std::size_t>(i) + 1];
-    for (auto k = lo; k < hi; ++k) {
-      if (a.col_idx[static_cast<std::size_t>(k)] >= 2) {
-        a.vals[static_cast<std::size_t>(k)] = 0.0;
-      }
-    }
-  }
-  const std::vector<double> b = {1.0, 2.0, 3.0, 4.0};
-  Problem p = make_problem(a, b, 1, graph::Ordering::kNatural, false, 1);
-  const PreconditionStats st = apply_block_jacobi(p, 2);
-  EXPECT_EQ(st.blocks, 2);
-  EXPECT_EQ(st.identity_fallbacks, 1);  // exactly the singular block
-  // Block {0,1} was preconditioned (unit diagonal)...
-  EXPECT_NEAR(p.a.at(0, 0), 1.0, 1e-12);
-  EXPECT_NEAR(p.a.at(1, 1), 1.0, 1e-12);
-  // ...while the singular block kept its original rows and rhs.
-  EXPECT_DOUBLE_EQ(p.b[2], 3.0);
-  EXPECT_DOUBLE_EQ(p.b[3], 4.0);
-}
-
-TEST(Preconditioned, DriversMatchManualTransformThenSolve) {
-  const sparse::CsrMatrix a = sparse::make_laplace2d(16, 14, 0.2, 0.1);
-  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
-  const Problem p = make_problem(a, b, 2, graph::Ordering::kNatural, false, 1);
-  SolverOptions opts;
-  opts.m = 20;
-  opts.s = 5;
-  opts.tol = 1e-7;
-
-  // GMRES: wrapper vs transform-then-solve by hand — byte-identical.
-  Problem manual = p;
-  const PreconditionStats manual_st = apply_block_jacobi(manual, 6);
-  sim::Machine m1(2);
-  const SolveResult by_hand = gmres(m1, manual, opts);
-  sim::Machine m2(2);
-  const PreconditionedResult wrapped = preconditioned_gmres(m2, p, opts, 6);
-  EXPECT_EQ(wrapped.precond.blocks, manual_st.blocks);
-  EXPECT_EQ(wrapped.precond.nnz_after, manual_st.nnz_after);
-  EXPECT_EQ(wrapped.solve.x, by_hand.x);
-  EXPECT_EQ(wrapped.solve.stats.iterations, by_hand.stats.iterations);
-  EXPECT_EQ(wrapped.solve.stats.time_total, by_hand.stats.time_total);
-
-  // CA-GMRES: same contract, and a real solution of the original system.
-  sim::Machine m3(2);
-  const PreconditionedResult ca = preconditioned_ca_gmres(m3, p, opts, 6);
-  ASSERT_TRUE(ca.solve.stats.converged);
-  const double rel =
-      true_residual(a, b, ca.solve.x) / blas::nrm2(a.n_rows, b.data());
-  EXPECT_LT(rel, 1e-5);
-}
-
-TEST(Preconditioned, DriverLeavesCallerProblemUntouched) {
-  const sparse::CsrMatrix a = sparse::make_laplace2d(10, 10, 0.1, 0.3);
-  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
-  const Problem p = make_problem(a, b, 1, graph::Ordering::kNatural, false, 1);
-  const std::vector<double> vals_before = p.a.vals;
-  sim::Machine m(1);
-  SolverOptions opts;
-  opts.m = 15;
-  opts.tol = 1e-8;
-  preconditioned_gmres(m, p, opts, 5);
-  EXPECT_EQ(p.a.vals, vals_before);
-  EXPECT_EQ(p.b, b);
-}
-
-TEST(Preconditioned, HealthMonitorRidesThroughTheWrapper) {
-  const sparse::CsrMatrix a = sparse::make_laplace2d(20, 20, 0.0, 0.005);
-  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
-  const Problem p = make_problem(a, b, 2, graph::Ordering::kNatural, false, 1);
-  SolverOptions opts;
-  opts.m = 20;
-  opts.s = 5;
-  opts.tol = 1e-12;
-  opts.max_restarts = 200;
-
-  // An iteration budget armed through opts.health must fire inside the
-  // delegated solver, for both wrapped drivers.
-  opts.health.max_iterations = 10;
-  sim::Machine mg(2);
-  EXPECT_THROW(preconditioned_gmres(mg, p, opts, 8), Error);
-  sim::Machine mc(2);
-  EXPECT_THROW(preconditioned_ca_gmres(mc, p, opts, 8), Error);
-
-  // Report-only stagnation monitoring surfaces events in the returned
-  // stats without changing the outcome.
-  opts.health = HealthOptions{};
-  opts.health.monitor_stagnation = true;
-  opts.health.stagnation_window = 2;
-  opts.health.stagnation_reduction = 1.0;
-  opts.health.escalate = false;
-  opts.tol = 1e-6;
-  sim::Machine m(2);
-  const PreconditionedResult res = preconditioned_ca_gmres(m, p, opts, 8);
-  EXPECT_TRUE(res.solve.stats.converged);
-}
-
-// === ILU(k) handle subsystem (src/precond/) ===========================
 
 using precond::DeviceFactor;
 using precond::LevelSchedule;
@@ -418,25 +216,28 @@ TEST(IluPrecond, ReducesIterationsAndSolvesOriginalSystem) {
   opts.max_restarts = 400;
 
   sim::Machine m_plain(2);
-  const IluPreconditionedResult plain =
-      preconditioned_gmres(m_plain, p, opts, parse_precond_spec("none"));
+  const SolveResult plain = gmres(m_plain, p, opts);
+  PrecondHandle handle(parse_precond_spec("ilu:k=1"));
+  SolverOptions popts = opts;
+  popts.precond = &handle;
   sim::Machine m_ilu(2);
-  const IluPreconditionedResult ilu =
-      preconditioned_gmres(m_ilu, p, opts, parse_precond_spec("ilu:k=1"));
+  const SolveResult ilu = gmres(m_ilu, p, popts);
 
-  ASSERT_TRUE(plain.solve.stats.converged);
-  ASSERT_TRUE(ilu.solve.stats.converged);
-  EXPECT_LT(ilu.solve.stats.iterations, plain.solve.stats.iterations / 2 + 2);
-  EXPECT_GT(ilu.precond.applies, 0);
-  EXPECT_GT(ilu.precond.fill_nnz, 0);
-  EXPECT_GT(ilu.precond.setup_seconds, 0.0);
-  EXPECT_GT(ilu.solve.stats.time_precond, 0.0);
+  ASSERT_TRUE(plain.stats.converged);
+  ASSERT_TRUE(ilu.stats.converged);
+  EXPECT_LT(ilu.stats.iterations, plain.stats.iterations / 2 + 2);
+  EXPECT_GT(handle.stats().applies, 0);
+  EXPECT_GT(handle.stats().fill_nnz, 0);
+  EXPECT_GT(handle.stats().setup_seconds, 0.0);
+  EXPECT_GT(ilu.stats.time_precond, 0.0);
   const double rel =
-      true_residual(a, b, ilu.solve.x) / blas::nrm2(a.n_rows, b.data());
+      true_residual(a, b, ilu.x) / blas::nrm2(a.n_rows, b.data());
   EXPECT_LT(rel, codec_tol(1e-6, 1e-4));
 }
 
 TEST(IluPrecond, KNoneSpecIsByteIdenticalToPlainSolvers) {
+  // Callers arm opts.precond only for an armed spec, so a kNone
+  // spec is bit-for-bit the plain solver and leaves its handle untouched.
   const sparse::CsrMatrix a = sparse::make_laplace2d(16, 14, 0.2, 0.1);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
   const Problem p = make_problem(a, b, 2, graph::Ordering::kNatural, false, 1);
@@ -447,14 +248,15 @@ TEST(IluPrecond, KNoneSpecIsByteIdenticalToPlainSolvers) {
 
   sim::Machine m1(2), m2(2);
   const SolveResult direct = ca_gmres(m1, p, opts);
-  const IluPreconditionedResult wrapped =
-      preconditioned_ca_gmres(m2, p, opts, PrecondSpec{});
-  EXPECT_EQ(wrapped.solve.x, direct.x);
-  EXPECT_EQ(wrapped.solve.stats.time_total, direct.stats.time_total);
-  EXPECT_EQ(wrapped.solve.stats.residual_history,
-            direct.stats.residual_history);
-  EXPECT_EQ(wrapped.precond.applies, 0);
-  EXPECT_EQ(wrapped.precond.symbolic_builds, 0);
+  PrecondHandle handle(parse_precond_spec("none"));
+  SolverOptions popts = opts;
+  if (handle.armed()) popts.precond = &handle;
+  const SolveResult none = ca_gmres(m2, p, popts);
+  EXPECT_EQ(none.x, direct.x);
+  EXPECT_EQ(none.stats.time_total, direct.stats.time_total);
+  EXPECT_EQ(none.stats.residual_history, direct.stats.residual_history);
+  EXPECT_EQ(handle.stats().applies, 0);
+  EXPECT_EQ(handle.stats().symbolic_builds, 0);
 }
 
 TEST(IluPrecond, AllThreeSolversConvergeOnOriginalSystem) {
@@ -469,21 +271,24 @@ TEST(IluPrecond, AllThreeSolversConvergeOnOriginalSystem) {
   const PrecondSpec spec = parse_precond_spec("ilu:k=1");
   const double bn = blas::nrm2(a.n_rows, b.data());
 
-  sim::Machine mg(2);
-  const IluPreconditionedResult rg = preconditioned_gmres(mg, p, opts, spec);
-  sim::Machine mc(2);
-  const IluPreconditionedResult rc = preconditioned_ca_gmres(mc, p, opts, spec);
-  sim::Machine mp(2);
-  const IluPreconditionedResult rp =
-      preconditioned_pipelined_gmres(mp, p, opts, spec);
-  for (const IluPreconditionedResult* r : {&rg, &rc, &rp}) {
-    ASSERT_TRUE(r->solve.stats.converged);
-    EXPECT_GT(r->precond.applies, 0);
-    EXPECT_LT(true_residual(a, b, r->solve.x) / bn, codec_tol(1e-5));
+  PrecondHandle hg(spec), hc(spec), hp(spec);
+  SolverOptions og = opts, oc = opts, op = opts;
+  og.precond = &hg;
+  oc.precond = &hc;
+  op.precond = &hp;
+  sim::Machine mg(2), mc(2), mp(2);
+  const SolveResult rg = gmres(mg, p, og);
+  const SolveResult rc = ca_gmres(mc, p, oc);
+  const SolveResult rp = pipelined_gmres(mp, p, op);
+  for (const auto& [r, h] : {std::pair{&rg, &hg}, std::pair{&rc, &hc},
+                             std::pair{&rp, &hp}}) {
+    ASSERT_TRUE(r->stats.converged);
+    EXPECT_GT(h->stats().applies, 0);
+    EXPECT_LT(true_residual(a, b, r->x) / bn, codec_tol(1e-5));
   }
   // CA-GMRES with a preconditioner routes blocks through plain SpMVs (the
   // fused MPK kernel cannot interleave the trisolve), so MPK time is zero.
-  EXPECT_EQ(rc.solve.stats.time_mpk, 0.0);
+  EXPECT_EQ(rc.stats.time_mpk, 0.0);
 }
 
 TEST(IluPrecond, BitwiseIdenticalAcrossModesWorkersAndShapes) {
@@ -514,18 +319,20 @@ TEST(IluPrecond, BitwiseIdenticalAcrossModesWorkersAndShapes) {
         m.set_hier_reduce(hier);
         m.set_sync_mode(mode);
         m.set_host_workers(workers);
-        const IluPreconditionedResult r =
-            preconditioned_ca_gmres(m, p, opts, spec);
-        ASSERT_TRUE(r.solve.stats.converged);
+        PrecondHandle handle(spec);
+        SolverOptions popts = opts;
+        popts.precond = &handle;
+        const SolveResult r = ca_gmres(m, p, popts);
+        ASSERT_TRUE(r.stats.converged);
         if (first) {
-          x0 = r.solve.x;
-          hist0 = r.solve.stats.residual_history;
+          x0 = r.x;
+          hist0 = r.stats.residual_history;
           first = false;
         } else {
-          EXPECT_EQ(r.solve.x, x0)
+          EXPECT_EQ(r.x, x0)
               << "hier=" << hier << " event="
               << (mode == sim::SyncMode::kEvent) << " workers=" << workers;
-          EXPECT_EQ(r.solve.stats.residual_history, hist0);
+          EXPECT_EQ(r.stats.residual_history, hist0);
         }
       }
     }
@@ -564,19 +371,21 @@ TEST(IluPrecond, BitwiseIdenticalUnderInjectedKernelNan) {
       m.set_sync_mode(mode);
       m.set_host_workers(workers);
       sim::parse_fault_spec("nan:d3@op=335", m.fault_injector());
-      const IluPreconditionedResult r =
-          preconditioned_ca_gmres(m, p, opts, spec);
-      ASSERT_TRUE(r.solve.stats.converged);
-      EXPECT_GE(r.solve.stats.recovery.blocks_replayed, 1);
+      PrecondHandle handle(spec);
+      SolverOptions popts = opts;
+      popts.precond = &handle;
+      const SolveResult r = ca_gmres(m, p, popts);
+      ASSERT_TRUE(r.stats.converged);
+      EXPECT_GE(r.stats.recovery.blocks_replayed, 1);
       if (first) {
-        x0 = r.solve.x;
-        hist0 = r.solve.stats.residual_history;
+        x0 = r.x;
+        hist0 = r.stats.residual_history;
         first = false;
       } else {
-        EXPECT_EQ(r.solve.x, x0)
+        EXPECT_EQ(r.x, x0)
             << "event=" << (mode == sim::SyncMode::kEvent)
             << " workers=" << workers;
-        EXPECT_EQ(r.solve.stats.residual_history, hist0);
+        EXPECT_EQ(r.stats.residual_history, hist0);
       }
     }
   }
@@ -678,15 +487,50 @@ TEST(IluPrecond, FullUnderlapDegeneratesToJacobiAndStillSolves) {
   opts.m = 25;
   opts.tol = 1e-7;
   opts.max_restarts = 200;
+  PrecondHandle handle(parse_precond_spec("ilu:k=0,underlap=100000"));
+  opts.precond = &handle;
   sim::Machine m(2);
-  const IluPreconditionedResult r = preconditioned_gmres(
-      m, p, opts, parse_precond_spec("ilu:k=0,underlap=100000"));
-  ASSERT_TRUE(r.solve.stats.converged);
-  EXPECT_EQ(r.precond.max_levels_l, 1);  // diagonal-only: fully parallel
-  EXPECT_EQ(r.precond.max_levels_u, 1);
+  const SolveResult r = gmres(m, p, opts);
+  ASSERT_TRUE(r.stats.converged);
+  EXPECT_EQ(handle.stats().max_levels_l, 1);  // diagonal-only: fully parallel
+  EXPECT_EQ(handle.stats().max_levels_u, 1);
   const double rel =
-      true_residual(a, b, r.solve.x) / blas::nrm2(a.n_rows, b.data());
+      true_residual(a, b, r.x) / blas::nrm2(a.n_rows, b.data());
   EXPECT_LT(rel, codec_tol(1e-5));
+}
+
+TEST(IluPrecond, HealthMonitorRidesThroughThePreconditionedSolve) {
+  const sparse::CsrMatrix a = sparse::make_laplace2d(20, 20, 0.0, 0.005);
+  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
+  const Problem p = make_problem(a, b, 2, graph::Ordering::kNatural, false, 1);
+  SolverOptions opts;
+  opts.m = 20;
+  opts.s = 5;
+  opts.tol = 1e-12;
+  opts.max_restarts = 200;
+  PrecondHandle handle(parse_precond_spec("ilu:k=0"));
+  opts.precond = &handle;
+
+  // An iteration budget armed through opts.health must fire inside the
+  // preconditioned solve, for both gmres and ca_gmres.
+  opts.health.max_iterations = 10;
+  sim::Machine mg(2);
+  EXPECT_THROW(gmres(mg, p, opts), Error);
+  sim::Machine mc(2);
+  EXPECT_THROW(ca_gmres(mc, p, opts), Error);
+  EXPECT_GT(handle.stats().applies, 0);
+
+  // Report-only stagnation monitoring surfaces events in the returned
+  // stats without changing the outcome.
+  opts.health = HealthOptions{};
+  opts.health.monitor_stagnation = true;
+  opts.health.stagnation_window = 2;
+  opts.health.stagnation_reduction = 1.0;
+  opts.health.escalate = false;
+  opts.tol = 1e-6;
+  sim::Machine m(2);
+  const SolveResult res = ca_gmres(m, p, opts);
+  EXPECT_TRUE(res.stats.converged);
 }
 
 }  // namespace

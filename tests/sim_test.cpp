@@ -6,8 +6,11 @@
 #include <memory>
 #include <cstddef>
 #include <future>
+#include <map>
 #include <mutex>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -558,6 +561,93 @@ TEST(Machine, HostWorkerCountComesFromEnvOrApi) {
   EXPECT_EQ(m.host_workers(), 2);
   m.set_host_workers(0);
   EXPECT_EQ(m.host_workers(), 0);
+}
+
+/// parse_env_config over a fixed name -> value map (unlisted = unset), so
+/// the parser is tested without touching the process environment.
+EnvConfig parse_env(const std::map<std::string, std::string>& vars) {
+  return parse_env_config([&](const char* name) -> const char* {
+    const auto it = vars.find(name);
+    return it == vars.end() ? nullptr : it->second.c_str();
+  });
+}
+
+void expect_default(const EnvConfig& c) {
+  EXPECT_EQ(c.host_workers, 0);
+  EXPECT_EQ(c.sync_mode, SyncMode::kEvent);
+  EXPECT_TRUE(c.hier_reduce);
+  EXPECT_EQ(c.topology_nodes, 0);
+  EXPECT_EQ(c.topology_gpus, 0);
+  EXPECT_FALSE(c.codecs.any_active());
+  EXPECT_EQ(c.topology_for(4).n_nodes, 1);
+  EXPECT_EQ(c.topology_for(4).gpus_per_node, 4);
+}
+
+TEST(EnvConfig, UnsetOrEmptyVariablesGiveTheDefaults) {
+  expect_default(parse_env({}));
+  expect_default(parse_env({{"CAGMRES_HOST_WORKERS", ""},
+                            {"CAGMRES_SYNC_MODE", ""},
+                            {"CAGMRES_HIER_REDUCE", ""},
+                            {"CAGMRES_TOPOLOGY", ""},
+                            {"CAGMRES_COMPRESS", ""}}));
+}
+
+TEST(EnvConfig, EveryDocumentedSpellingParses) {
+  EXPECT_EQ(parse_env({{"CAGMRES_HOST_WORKERS", "0"}}).host_workers, 0);
+  EXPECT_EQ(parse_env({{"CAGMRES_HOST_WORKERS", "2"}}).host_workers, 2);
+  EXPECT_EQ(parse_env({{"CAGMRES_SYNC_MODE", "event"}}).sync_mode,
+            SyncMode::kEvent);
+  EXPECT_EQ(parse_env({{"CAGMRES_SYNC_MODE", "barrier"}}).sync_mode,
+            SyncMode::kBarrier);
+  for (const char* on : {"1", "on", "hier"}) {
+    EXPECT_TRUE(parse_env({{"CAGMRES_HIER_REDUCE", on}}).hier_reduce) << on;
+  }
+  for (const char* off : {"0", "off", "flat"}) {
+    EXPECT_FALSE(parse_env({{"CAGMRES_HIER_REDUCE", off}}).hier_reduce)
+        << off;
+  }
+  const EnvConfig bare = parse_env({{"CAGMRES_TOPOLOGY", "2"}});
+  EXPECT_EQ(bare.topology_for(4).n_nodes, 2);
+  EXPECT_EQ(bare.topology_for(4).gpus_per_node, 2);
+  const EnvConfig shaped = parse_env({{"CAGMRES_TOPOLOGY", "2x3"}});
+  EXPECT_EQ(shaped.topology_for(6).n_nodes, 2);
+  EXPECT_EQ(shaped.topology_for(6).gpus_per_node, 3);
+  const EnvConfig coded =
+      parse_env({{"CAGMRES_COMPRESS", "halo=fp32,reduce=frsz2:16,ckpt=fp32"}});
+  EXPECT_EQ(coded.codecs.to_string(), "halo=fp32,reduce=frsz2:16,ckpt=fp32");
+}
+
+TEST(EnvConfig, MalformedValuesThrowNamingTheVariable) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"CAGMRES_HIER_REDUCE", "false"},
+      {"CAGMRES_SYNC_MODE", "barier"},
+      {"CAGMRES_HOST_WORKERS", "two"},
+      {"CAGMRES_HOST_WORKERS", "-1"},
+      {"CAGMRES_COMPRESS", "halo=fp23,reduce=fp32"},
+      {"CAGMRES_TOPOLOGY", "2by2"},
+      {"CAGMRES_TOPOLOGY", "0"},
+      {"CAGMRES_TOPOLOGY", "2x"},
+  };
+  for (const auto& [name, value] : bad) {
+    try {
+      parse_env({{name, value}});
+      ADD_FAILURE() << name << "=" << value << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadInput);
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(EnvConfig, TopologyThatDoesNotTileStaysFlat) {
+  // The same binary drives machines of many sizes: a parsed request that
+  // does not tile the device count leaves that machine on one node.
+  for (const char* req : {"2", "2x2"}) {
+    const Topology t = parse_env({{"CAGMRES_TOPOLOGY", req}}).topology_for(3);
+    EXPECT_EQ(t.n_nodes, 1) << req;
+    EXPECT_EQ(t.gpus_per_node, 3) << req;
+  }
 }
 
 /// The engine's core guarantee (ISSUE 3, extended by ISSUE 4 to both sync
