@@ -200,6 +200,12 @@ detail::CycleOutcome PipelinedStep::cycle(detail::Cycle& c) {
     out.k = j + 1;
     if (breakdown || out.ls_residual <= c.abs_tol) break;
   }
+  // The last lookahead exchange can still have closures parked on consumer
+  // streams that read the owners' stage column in place; the host never
+  // waited on them (step (3) waits only for the reductions), and the
+  // preconditioned solution update rewrites that column next. Wall-only,
+  // so charged time is unchanged.
+  machine.sync();
   machine.charge_host(sim::Kernel::kSmall,
                       3.0 * static_cast<double>(out.k) * out.k, 0.0);
   out.y = ls.solve();

@@ -12,8 +12,8 @@ namespace cagmres::mpk {
 namespace {
 
 /// Injected transient kernel fault on one of the executor's inline charged
-/// loops (boundary SpMV, fused shift AXPY, halo expand): NaN-poison the
-/// region that loop produced, mirroring sim/device_blas.cpp.
+/// kernels (a fused MPK step, the halo expand): NaN-poison the region that
+/// kernel produced, mirroring sim/device_blas.cpp.
 void poison(double* p, int n) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   for (int i = 0; i < n; ++i) p[i] = nan;
@@ -32,15 +32,6 @@ double node_local_ext_bytes(const sim::Machine& m, int d,
   return bytes;
 }
 
-/// Bits of MpkExecutor::charge_steps' result: which of a step's four charged kernels on a
-/// device consumed an injected fault latch.
-enum : unsigned char {
-  kHitSpmv = 1,
-  kHitBoundary = 2,
-  kHitShift = 4,
-  kHitCopy = 8,
-};
-
 /// Step k's (1-based) shift: v_k = (A - theta I) v_{k-1} (+ beta2 v_{k-2}
 /// on the second member of a complex conjugate pair).
 struct StepShift {
@@ -49,6 +40,8 @@ struct StepShift {
   double beta2 = 0.0;
 
   bool shifted() const { return theta != 0.0 || pair_second; }
+  /// Basis vectors the shift epilogue reads (sim::charge_mpk_step).
+  int terms() const { return pair_second ? 2 : (theta != 0.0 ? 1 : 0); }
 };
 
 StepShift step_shift(const ShiftSeq& shifts, int k) {
@@ -384,39 +377,20 @@ std::vector<unsigned char> MpkExecutor::charge_steps(sim::Machine& m,
   std::vector<unsigned char> hits(
       static_cast<std::size_t>(steps) * static_cast<std::size_t>(ng), 0);
   for (int k = 1; k <= steps; ++k) {
-    const StepShift sh = step_shift(shifts, k);
+    const int terms = step_shift(shifts, k).terms();
     for (int d = 0; d < ng; ++d) {
       const MpkDevicePlan& dp = plan.dev[static_cast<std::size_t>(d)];
-      unsigned char hit = 0;
-      // Local block multiply (the reused A^(d), ELLPACK on the device).
-      if (plan.use_ell ? sim::charge_spmv_ell(m, d, dp.local_ell)
-                       : sim::charge_spmv_csr(m, d, dp.local_csr)) {
-        hit |= kHitSpmv;
-      }
-      // Boundary rows this step still has to produce (hop <= s-k prefix):
-      // the redundant ghost-zone work every device pays for.
+      // One fused kernel per step: the owned-row SpMV (the reused A^(d)),
+      // the boundary rows this step still has to produce (hop <= s-k
+      // prefix, the redundant ghost-zone work every device pays for), the
+      // Newton shift and the store of v(:, c0+k) (Fig. 4 last line).
       const int brows =
           dp.boundary_rows_at_step[static_cast<std::size_t>(k) - 1];
-      if (brows > 0) {
-        const double bnnz = static_cast<double>(
-            dp.boundary.row_ptr[static_cast<std::size_t>(brows)]);
-        m.charge_device(d, sim::Kernel::kSpmvCsr, 2.0 * bnnz,
-                        bnnz * 20.0 + 12.0 * brows);
-        if (m.consume_kernel_fault(d)) hit |= kHitBoundary;
-      }
-      // Newton shift on every computed position (owned rows plus the
-      // boundary prefix), fused into one AXPY charge.
-      if (sh.shifted()) {
-        const double rows = static_cast<double>(dp.owned + brows);
-        m.charge_device(d, sim::Kernel::kAxpy,
-                        (sh.pair_second ? 4.0 : 2.0) * rows,
-                        (sh.pair_second ? 4.0 : 3.0) * 8.0 * rows);
-        if (m.consume_kernel_fault(d)) hit |= kHitShift;
-      }
-      // Store the owned part as the next basis column (Fig. 4 last line).
-      if (sim::charge_copy(m, d, dp.owned)) hit |= kHitCopy;
+      const bool hit = sim::charge_mpk_step(
+          m, d, plan.use_ell ? &dp.local_ell : nullptr, dp.local_csr,
+          dp.boundary, brows, terms);
       hits[static_cast<std::size_t>(k - 1) * static_cast<std::size_t>(ng) +
-           static_cast<std::size_t>(d)] = hit;
+           static_cast<std::size_t>(d)] = hit ? 1 : 0;
     }
   }
   return hits;
@@ -523,7 +497,7 @@ void MpkExecutor::ghost_zone_steps(sim::Machine& m, sim::DistMultiVec& v,
       const int owned = dp.owned;
       for (int k = 1; k <= steps; ++k) {
         const StepShift& shk = sh[static_cast<std::size_t>(k) - 1];
-        const unsigned char hit = hits[static_cast<std::size_t>(k) - 1];
+        const bool hit = hits[static_cast<std::size_t>(k) - 1] != 0;
         const double* zi = bufs[static_cast<std::size_t>((k - 1) % 3)].data();
         double* zo = bufs[static_cast<std::size_t>(k % 3)].data();
         const double* zp2 = bufs[static_cast<std::size_t>((k + 1) % 3)].data();
@@ -533,7 +507,6 @@ void MpkExecutor::ghost_zone_steps(sim::Machine& m, sim::DistMultiVec& v,
         } else {
           sparse::spmv(dp.local_csr, zi, zo);
         }
-        if ((hit & kHitSpmv) != 0) poison(zo, owned);
 
         const int brows =
             dp.boundary_rows_at_step[static_cast<std::size_t>(k) - 1];
@@ -550,11 +523,6 @@ void MpkExecutor::ghost_zone_steps(sim::Machine& m, sim::DistMultiVec& v,
           }
           zo[out_pos[i]] = acc;
         }
-        if ((hit & kHitBoundary) != 0) {
-          for (int i = 0; i < brows; ++i) {
-            zo[out_pos[i]] = std::numeric_limits<double>::quiet_NaN();
-          }
-        }
 
         if (shk.shifted()) {
           for (int i = 0; i < owned; ++i) {
@@ -566,12 +534,17 @@ void MpkExecutor::ghost_zone_steps(sim::Machine& m, sim::DistMultiVec& v,
             zo[pos] -= shk.theta * zi[pos];
             if (shk.pair_second) zo[pos] += shk.beta2 * zp2[pos];
           }
-          if ((hit & kHitShift) != 0) poison(zo, owned);
+        }
+        // A fault on the fused kernel poisons everything the step wrote.
+        if (hit) {
+          poison(zo, owned);
+          for (int i = 0; i < brows; ++i) {
+            zo[out_pos[i]] = std::numeric_limits<double>::quiet_NaN();
+          }
         }
 
         double* out = vp->col(d, c0 + k);
         std::copy(zo, zo + owned, out);
-        if ((hit & kHitCopy) != 0) poison(out, owned);
       }
     });
   }

@@ -25,9 +25,11 @@ struct ShiftSeq;
 
 namespace detail {
 /// MpkExecutor::apply with the shared evaluation disabled: every device
-/// recomputes its own ghost zone, as the paper's devices do. Same charges,
-/// same fault handling; apply() must match it bit for bit (the reference
-/// the MPK tests compare against).
+/// recomputes its own ghost zone, as the paper's devices do. Same charges
+/// (the exchange, then one fused kernel per step and device) and the same
+/// fault handling (a hit on a step's kernel NaN-poisons its owned rows,
+/// its boundary slots and v(:, c0+k)); apply() must match it bit for bit
+/// (the reference the MPK tests compare against).
 void apply_per_device(MpkExecutor& exec, sim::Machine& machine,
                       sim::DistMultiVec& v, int c0, int steps,
                       const ShiftSeq& shifts);
@@ -50,8 +52,10 @@ class MpkExecutor {
   const MpkPlan& plan() const { return *plan_; }
 
   /// Generates v(:, c0+1 .. c0+steps) from v(:, c0). Requires
-  /// steps <= plan.s and c0 + steps < v.cols(). Charges all kernels and the
-  /// exchange to `machine` under phase "mpk".
+  /// steps <= plan.s and c0 + steps < v.cols(). Charges the exchange and
+  /// one fused kernel per (step, device) — local SpMV, boundary rows, shift
+  /// and basis store in a single launch (sim::charge_mpk_step) — to
+  /// `machine` under phase "mpk".
   void apply(sim::Machine& machine, sim::DistMultiVec& v, int c0, int steps,
              ShiftSeq shifts = {}) {
     run(machine, v, c0, steps, shifts, /*shared=*/true);
@@ -82,9 +86,9 @@ class MpkExecutor {
   /// exactness conditions hold, else per-device with the recorded hits.
   void run(sim::Machine& machine, sim::DistMultiVec& v, int c0, int steps,
            ShiftSeq shifts, bool shared);
-  /// Charges every step's kernels in apply order without running them.
-  /// Returns the fault latches consumed, one byte of kHit* bits per
-  /// (step, device), step-major.
+  /// Charges every step's fused kernel (sim::charge_mpk_step) in apply
+  /// order without running it. Returns the fault latches consumed, one
+  /// flag per (step, device), step-major.
   std::vector<unsigned char> charge_steps(sim::Machine& machine, int steps,
                                           ShiftSeq shifts);
   /// Shared evaluation: each device computes only its owned rows and

@@ -100,11 +100,9 @@ bool block_norms_finite(sim::Machine& machine, const sim::DistMultiVec& v,
       static_cast<std::size_t>(ng),
       std::vector<double>(static_cast<std::size_t>(blk), 0.0));
   for (int d = 0; d < ng; ++d) {
-    for (int j = 0; j < blk; ++j) {
-      partial[static_cast<std::size_t>(d)][static_cast<std::size_t>(j)] =
-          sim::dev_dot(machine, d, v.local_rows(d), v.col(d, c0 + j),
-                       v.col(d, c0 + j));
-    }
+    sim::dev_col_sqnorms(machine, d, v.local_rows(d), blk, v.col(d, c0),
+                         v.local(d).ld(),
+                         partial[static_cast<std::size_t>(d)].data());
   }
   std::vector<double> norms(static_cast<std::size_t>(blk), 0.0);
   detail::reduce_to_host(machine, partial, blk, norms.data());

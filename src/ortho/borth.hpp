@@ -29,11 +29,12 @@ blas::DMat borth(sim::Machine& machine, BorthMethod method,
                  sim::DistMultiVec& v, int c0, int c1);
 
 /// Charged health scrub for the recovery layer: computes the squared column
-/// norms of columns [c0, c1) (one DOT per column per device plus one
-/// reduction) and reports whether every norm is finite. A single NaN/Inf
-/// anywhere in the panel makes its column norm non-finite, so the norms act
-/// as a one-number-per-column checksum for data poisoned by an injected
-/// kernel fault. Only called when the machine's fault injection is armed.
+/// norms of columns [c0, c1) (one column-norms kernel per device,
+/// sim::dev_col_sqnorms, plus one reduction) and reports whether every norm
+/// is finite. A single NaN/Inf anywhere in the panel makes its column norm
+/// non-finite, so the norms act as a one-number-per-column checksum for
+/// data poisoned by an injected kernel fault. Only called when the
+/// machine's fault injection is armed.
 bool block_norms_finite(sim::Machine& machine, const sim::DistMultiVec& v,
                         int c0, int c1);
 

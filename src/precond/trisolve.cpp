@@ -21,7 +21,7 @@ void level_trisolve(sim::Machine& m, int d, const DeviceFactor& f,
 
   // Forward sweep: L y = in, unit diagonal. out[i] = in[i] - sum l_ij y[j]
   // with every j in an earlier level, so the whole level is one parallel
-  // kernel. Charged per level like the boundary SpMV in mpk/exec.cpp.
+  // kernel, charged per level as a CSR-class SpMV.
   for (int l = 0; l < f.l_sched.levels(); ++l) {
     const int lo = f.l_sched.level_ptr[static_cast<std::size_t>(l)];
     const int rows = f.l_sched.level_rows(l);

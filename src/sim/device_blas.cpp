@@ -55,6 +55,26 @@ std::vector<double> snap_panel(const double* p, int rows, int cols, int ld) {
   return out;
 }
 
+/// Charged flops and bytes of one device kernel.
+struct KernelCost {
+  double flops = 0.0;
+  double bytes = 0.0;
+};
+
+KernelCost spmv_ell_cost(const sparse::EllMatrix& a) {
+  const double slots = static_cast<double>(a.stored_slots());
+  // 8B value + 4B index + 8B gathered x per slot, plus the result vector.
+  return {2.0 * slots, slots * 20.0 + kW * a.n_rows};
+}
+
+/// CSR SpMV over the first `rows` rows of `a`.
+KernelCost spmv_csr_cost(const sparse::CsrMatrix& a, int rows) {
+  const double nnz =
+      rows > 0 ? static_cast<double>(a.row_ptr[static_cast<std::size_t>(rows)])
+               : 0.0;
+  return {2.0 * nnz, nnz * 20.0 + 12.0 * rows};
+}
+
 }  // namespace
 
 double dev_dot(Machine& m, int d, int n, const double* x, const double* y) {
@@ -66,6 +86,19 @@ double dev_dot(Machine& m, int d, int n, const double* x, const double* y) {
   const double out = blas::dot(n, x, y);
   if (hit) return std::numeric_limits<double>::quiet_NaN();
   return out;
+}
+
+void dev_col_sqnorms(Machine& m, int d, int rows, int k, const double* a,
+                     int lda, double* out) {
+  const double elems = static_cast<double>(rows) * k;
+  m.charge_device(d, Kernel::kDot, 2.0 * elems, kW * elems);
+  const bool hit = m.consume_kernel_fault(d);
+  m.drain_device(d);
+  for (int j = 0; j < k; ++j) {
+    const double* col = a + static_cast<std::size_t>(j) * lda;
+    out[j] = hit ? std::numeric_limits<double>::quiet_NaN()
+                 : blas::dot(rows, col, col);
+  }
 }
 
 void dev_axpy(Machine& m, int d, int n, double alpha, const double* x,
@@ -87,13 +120,9 @@ void dev_scal(Machine& m, int d, int n, double alpha, double* x) {
   });
 }
 
-bool charge_copy(Machine& m, int d, int n) {
-  m.charge_device(d, Kernel::kCopy, 0.0, 2.0 * kW * n);
-  return m.consume_kernel_fault(d);
-}
-
 void dev_copy(Machine& m, int d, int n, const double* x, double* y) {
-  const bool hit = charge_copy(m, d, n);
+  m.charge_device(d, Kernel::kCopy, 0.0, 2.0 * kW * n);
+  const bool hit = m.consume_kernel_fault(d);
   m.run_on_device(d, [=] {
     blas::copy(n, x, y);
     if (hit) poison(y, n);
@@ -263,17 +292,11 @@ void dev_qr_explicit(Machine& m, int d, const blas::DMat& v, blas::DMat& q,
   if (hit) poison_panel(q.data(), q.rows(), q.cols(), q.ld());
 }
 
-bool charge_spmv_ell(Machine& m, int d, const sparse::EllMatrix& a) {
-  const double slots = static_cast<double>(a.stored_slots());
-  // 8B value + 4B index + 8B gathered x per slot, plus the result vector.
-  m.charge_device(d, Kernel::kSpmvEll, 2.0 * slots,
-                  slots * 20.0 + kW * a.n_rows);
-  return m.consume_kernel_fault(d);
-}
-
 void dev_spmv_ell(Machine& m, int d, const sparse::EllMatrix& a,
                   const double* x, double* y) {
-  const bool hit = charge_spmv_ell(m, d, a);
+  const KernelCost c = spmv_ell_cost(a);
+  m.charge_device(d, Kernel::kSpmvEll, c.flops, c.bytes);
+  const bool hit = m.consume_kernel_fault(d);
   const sparse::EllMatrix* ap = &a;
   m.run_on_device(d, [=] {
     sparse::spmv(*ap, x, y);
@@ -281,21 +304,39 @@ void dev_spmv_ell(Machine& m, int d, const sparse::EllMatrix& a,
   });
 }
 
-bool charge_spmv_csr(Machine& m, int d, const sparse::CsrMatrix& a) {
-  const double nnz = static_cast<double>(a.nnz());
-  m.charge_device(d, Kernel::kSpmvCsr, 2.0 * nnz,
-                  nnz * 20.0 + 12.0 * a.n_rows);
-  return m.consume_kernel_fault(d);
-}
-
 void dev_spmv_csr(Machine& m, int d, const sparse::CsrMatrix& a,
                   const double* x, double* y) {
-  const bool hit = charge_spmv_csr(m, d, a);
+  const KernelCost c = spmv_csr_cost(a, a.n_rows);
+  m.charge_device(d, Kernel::kSpmvCsr, c.flops, c.bytes);
+  const bool hit = m.consume_kernel_fault(d);
   const sparse::CsrMatrix* ap = &a;
   m.run_on_device(d, [=] {
     sparse::spmv(*ap, x, y);
     if (hit) poison(y, ap->n_rows);
   });
+}
+
+bool charge_mpk_step(Machine& m, int d, const sparse::EllMatrix* ell,
+                     const sparse::CsrMatrix& csr,
+                     const sparse::CsrMatrix& boundary, int brows,
+                     int shift_terms) {
+  const int owned = ell != nullptr ? ell->n_rows : csr.n_rows;
+  KernelCost c = ell != nullptr ? spmv_ell_cost(*ell)
+                                : spmv_csr_cost(csr, csr.n_rows);
+  // The boundary rows are CSR-traversed, so inside an ELL-classed kernel
+  // their bytes carry the uncoalesced penalty.
+  const KernelCost b = spmv_csr_cost(boundary, brows);
+  c.flops += b.flops;
+  c.bytes += (ell != nullptr ? kCsrUncoalesced : 1.0) * b.bytes;
+  // The shift epilogue reads z_{k-1} (and z_{k-2} for a pair) on every
+  // computed row; the result is still in registers, so the store of the
+  // owned rows is one write.
+  const double rows = static_cast<double>(owned + brows);
+  c.flops += 2.0 * shift_terms * rows;
+  c.bytes += kW * shift_terms * rows + kW * owned;
+  m.charge_device(d, ell != nullptr ? Kernel::kSpmvEll : Kernel::kSpmvCsr,
+                  c.flops, c.bytes);
+  return m.consume_kernel_fault(d);
 }
 
 void dev_pack(Machine& m, int d, const std::vector<int>& idx, const double* x,

@@ -20,6 +20,13 @@ namespace cagmres::sim {
 /// device; callers charge the d2h transfer when they reduce it on the host.
 double dev_dot(Machine& m, int d, int n, const double* x, const double* y);
 
+/// out[j] := a(:, j)^T a(:, j) for the k columns of an m x k panel on
+/// device d: every squared column norm in one DOT-class launch (the
+/// recovery layer's block scrub). Synchronous like dev_dot; a fault on the
+/// launch NaN-poisons all k results.
+void dev_col_sqnorms(Machine& m, int d, int rows, int k, const double* a,
+                     int lda, double* out);
+
 /// y := alpha*x + y on device d.
 void dev_axpy(Machine& m, int d, int n, double alpha, const double* x,
               double* y);
@@ -97,13 +104,23 @@ void dev_spmv_ell(Machine& m, int d, const sparse::EllMatrix& a,
 void dev_spmv_csr(Machine& m, int d, const sparse::CsrMatrix& a,
                   const double* x, double* y);
 
-/// Charge halves of dev_copy / dev_spmv_ell / dev_spmv_csr: charge the
-/// kernel exactly as the full wrapper does and consume device d's fault
-/// latch, returning whether it was hit. For callers that run the numerics
-/// later themselves (MpkExecutor::apply) and apply the NaN poison on a hit.
-bool charge_copy(Machine& m, int d, int n);
-bool charge_spmv_ell(Machine& m, int d, const sparse::EllMatrix& a);
-bool charge_spmv_csr(Machine& m, int d, const sparse::CsrMatrix& a);
+/// Charge half of one fused matrix-powers step on device d, the one kernel
+/// per (step, device) of MpkExecutor::apply: the owned-row SpMV (`ell`, or
+/// `csr` when `ell` is null), the first `brows` rows of the `boundary` CSR
+/// block, the Newton shift epilogue on every computed row (`shift_terms` =
+/// 0 for none, 1 for a real shift, 2 for the second member of a complex
+/// pair) and the store of the owned rows into the basis. Flops are the sum
+/// of the parts; bytes are the local SpMV's as dev_spmv_ell/_csr charge
+/// them, the boundary rows' (times kCsrUncoalesced when the kernel is
+/// ELL-classed), 8 B per computed row per shift term and 8 B per owned row
+/// for the store. Classed kSpmvEll, or kSpmvCsr without `ell`, where the
+/// model's penalty already covers the whole kernel. Consumes device d's
+/// fault latch and returns whether it was hit; the caller runs the
+/// numerics later and poisons everything the step wrote on a hit.
+bool charge_mpk_step(Machine& m, int d, const sparse::EllMatrix* ell,
+                     const sparse::CsrMatrix& csr,
+                     const sparse::CsrMatrix& boundary, int brows,
+                     int shift_terms);
 
 /// out[i] := x[idx[i]] — gather (compress) kernel used by MPK and the
 /// reduction paths to pack boundary elements into a contiguous send buffer.

@@ -53,9 +53,7 @@ double PerfModel::device_seconds(Kernel k, double flops, double bytes) const {
       t += bytes / spmv_bw;
       break;
     case Kernel::kSpmvCsr:
-      // CSR on the device suffers uncoalesced row traversal; the paper uses
-      // ELLPACK on GPUs for exactly this reason.
-      t += 1.8 * bytes / spmv_bw;
+      t += kCsrUncoalesced * bytes / spmv_bw;
       break;
     case Kernel::kGemv:
     case Kernel::kGemm:

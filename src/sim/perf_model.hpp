@@ -38,6 +38,11 @@ enum class Kernel {
   kCodec,       ///< transfer payload (de)compression (DESIGN.md §14)
 };
 
+/// Time multiplier of a device CSR SpMV over the coalesced ELLPACK stream:
+/// CSR on the device suffers uncoalesced row traversal, which is why the
+/// paper uses ELLPACK on GPUs.
+inline constexpr double kCsrUncoalesced = 1.8;
+
 /// Kernel implementation generation (paper §V-F).
 enum class KernelProfile {
   kStandard,   ///< CUBLAS 4.2 as shipped

@@ -5,6 +5,7 @@
 // converged with the recovery recorded in SolveStats, while a zero-fault
 // schedule stays byte-identical to a machine without the layer.
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <string>
 #include <utility>
@@ -20,6 +21,7 @@
 #include "ortho/tsqr.hpp"
 #include "sim/fault.hpp"
 #include "sim/machine.hpp"
+#include "sim/trace.hpp"
 #include "sparse/generators.hpp"
 
 #include "codec_tol.hpp"
@@ -552,21 +554,70 @@ TEST(KernelNan, CaGmresScrubsAndConverges) {
   EXPECT_LT(relative_residual(s, res.x), 1e-5);
 }
 
-TEST(KernelNan, PoisonedGramBreakdownIsReplayedNotFatal) {
-  // At this rate the NaN regularly lands in the Gram kernel itself, so
-  // CholQR throws kBreakdown (no shift can fix a NaN Gram) before the
-  // post-TSQR scrub runs; the solver must treat that as a tainted block
-  // and replay, not die. Seeds chosen so every run converges.
-  for (const char* spec : {"seed=1;nan:p=0.004", "seed=4;nan:p=0.004",
-                           "seed=8;nan:p=0.004"}) {
-    const TestSystem s = make_system(3);
-    Machine machine(3);
-    sim::parse_fault_spec(spec, machine.fault_injector());
-    const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
-    EXPECT_TRUE(res.stats.converged) << spec;
-    EXPECT_GT(res.stats.recovery.blocks_replayed, 0) << spec;
-    EXPECT_LT(relative_residual(s, res.x), 1e-5) << spec;
+/// 1-based op-counter index (FaultEvent::at_op) of the first kernel named
+/// `name` charged to physical device `dev` under `phase`, read off a traced
+/// run: every charged kernel and transfer of a device is one interval on
+/// its timeline, and markers ("event:record", "fault:nan", ...) carry a ':'
+/// and are not ops. Returns -1 when there is no such kernel.
+std::int64_t op_index_of(const sim::Trace& trace, int dev,
+                         const std::string& name, const std::string& phase) {
+  std::int64_t op = 0;
+  for (const sim::TraceEvent& e : trace.events()) {
+    if (e.device != dev || e.name.find(':') != std::string::npos) continue;
+    ++op;
+    if (e.name == name && e.phase == phase) return op;
   }
+  return -1;
+}
+
+TEST(KernelNan, PoisonedGramBreakdownIsReplayedNotFatal) {
+  // A NaN landing in the Gram kernel itself makes CholQR throw kBreakdown
+  // (no shift can fix a NaN Gram) before the post-TSQR scrub runs; the
+  // solver must treat that as a tainted block and replay, not die. The
+  // fault is scheduled on exactly that kernel — device 0's first
+  // tsqr-phase gemm — so the scenario does not depend on how many kernels
+  // a block launches. The op is located on a traced run armed with an
+  // event that never fires: an armed machine also charges the cycle
+  // checkpoints, which an unarmed one skips.
+  const TestSystem s = make_system(3);
+  Machine clean(3);
+  const core::SolveResult ref = core::ca_gmres(clean, s.p, base_opts());
+  ASSERT_TRUE(ref.stats.converged);
+  Machine probe(3);
+  probe.enable_trace();
+  sim::parse_fault_spec("nan:d0@op=1000000000", probe.fault_injector());
+  const core::SolveResult probed = core::ca_gmres(probe, s.p, base_opts());
+  ASSERT_EQ(probed.x, ref.x);
+  const std::int64_t gram_op = op_index_of(probe.trace(), 0, "gemm", "tsqr");
+  ASSERT_GT(gram_op, 0);
+
+  Machine machine(3);
+  machine.enable_trace();
+  sim::parse_fault_spec("nan:d0@op=" + std::to_string(gram_op),
+                        machine.fault_injector());
+  const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
+  ASSERT_EQ(machine.fault_injector().log().size(), 1u);
+  EXPECT_EQ(machine.fault_injector().log()[0].op, gram_op);
+  // The poisoned op is the Gram: the first op after the marker is a gemm.
+  const auto& ev = machine.trace().events();
+  std::size_t i = 0;
+  while (i < ev.size() && ev[i].name != "fault:nan") ++i;
+  ASSERT_LT(i, ev.size());
+  EXPECT_EQ(ev[i].phase, "tsqr");
+  while (i < ev.size() &&
+         (ev[i].device != 0 || ev[i].name.find(':') != std::string::npos)) {
+    ++i;
+  }
+  ASSERT_LT(i, ev.size());
+  EXPECT_EQ(ev[i].name, "gemm");
+
+  EXPECT_TRUE(res.stats.converged);
+  EXPECT_GE(res.stats.recovery.blocks_replayed, 1);
+  EXPECT_EQ(res.stats.recovery.kernel_faults, 1);
+  // The replay regenerates the block from the last accepted column, so
+  // the solution is the unarmed one bit for bit.
+  EXPECT_EQ(res.x, ref.x);
+  EXPECT_EQ(res.stats.iterations, ref.stats.iterations);
 }
 
 TEST(KernelNan, ScheduledSingleFaultIsScrubbed) {

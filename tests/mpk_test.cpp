@@ -2,10 +2,12 @@
 // boundary sets, plan construction, execution vs. repeated SpMV, Newton
 // shifts with complex pairs, and the communication statistics.
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +19,8 @@
 #include "mpk/plan.hpp"
 #include "sim/fault.hpp"
 #include "sim/machine.hpp"
+#include "sim/perf_model.hpp"
+#include "sim/trace.hpp"
 
 #include "codec_tol.hpp"
 #include "sparse/coo.hpp"
@@ -665,8 +669,9 @@ void expect_faulted_match(int ng, const std::string& spec,
 }
 
 TEST(MpkShared, KernelNanMidApplyFallsBackBitwise) {
-  // Device 1's eighth op is a kernel of the first step: the poison is
-  // recorded by the charge loop and must reach the per-device replay.
+  // Device 1's eighth op is a fused step kernel (on the flat topology the
+  // exchange takes five ops, so it is step 3's): the poison is recorded by
+  // the charge loop and must reach the per-device replay.
   expect_faulted_match(3, "seed=1;nan:d1@op=8", [](Machine&) {});
 }
 
@@ -680,6 +685,179 @@ TEST(MpkShared, PendingLatchFallsBackBitwise) {
     m.charge_device(0, sim::Kernel::kAxpy, 0.0, 8.0);
   });
 }
+
+// --- One fused kernel per (step, device) ---------------------------------
+
+/// Charged seconds of one fused MPK step, written out from DESIGN.md §18
+/// independently of sim::charge_mpk_step: the local SpMV's flops and bytes,
+/// the boundary prefix's (1.8x its bytes inside an ELL-classed kernel), the
+/// shift epilogue's 2 flops and 8 B per computed row per term, and 8 B per
+/// owned row for the store.
+double fused_step_seconds(const sim::PerfModel& pm, const MpkPlan& plan,
+                          const MpkDevicePlan& dp, int k, int terms) {
+  const int owned = dp.owned;
+  const int brows = dp.boundary_rows_at_step[static_cast<std::size_t>(k) - 1];
+  const double bnnz =
+      brows > 0 ? static_cast<double>(
+                      dp.boundary.row_ptr[static_cast<std::size_t>(brows)])
+                : 0.0;
+  double flops = 0.0;
+  double bytes = 0.0;
+  if (plan.use_ell) {
+    const double slots = static_cast<double>(dp.local_ell.stored_slots());
+    flops = 2.0 * slots;
+    bytes = 20.0 * slots + 8.0 * owned;
+  } else {
+    const double nnz = static_cast<double>(dp.local_csr.nnz());
+    flops = 2.0 * nnz;
+    bytes = 20.0 * nnz + 12.0 * owned;
+  }
+  const double rows = static_cast<double>(owned + brows);
+  flops += 2.0 * bnnz + 2.0 * terms * rows;
+  bytes += (plan.use_ell ? 1.8 : 1.0) * (20.0 * bnnz + 12.0 * brows) +
+           8.0 * terms * rows + 8.0 * owned;
+  return pm.device_seconds(
+      plan.use_ell ? sim::Kernel::kSpmvEll : sim::Kernel::kSpmvCsr, flops,
+      bytes);
+}
+
+/// 1-based op-counter index (FaultEvent::at_op) of the `nth` kernel named
+/// `name` on physical device `dev` in a traced run; markers carry a ':'
+/// and are not ops. -1 when there is none.
+std::int64_t op_index_of(const sim::Trace& trace, int dev,
+                         const std::string& name, int nth) {
+  std::int64_t op = 0;
+  for (const sim::TraceEvent& e : trace.events()) {
+    if (e.device != dev || e.name.find(':') != std::string::npos) continue;
+    ++op;
+    if (e.name == name && --nth == 0) return op;
+  }
+  return -1;
+}
+
+class MpkFusedTest : public ::testing::TestWithParam<std::tuple<bool, Basis>> {
+};
+
+TEST_P(MpkFusedTest, OneKernelPerStepPerDevice) {
+  const auto [use_ell, basis] = GetParam();
+  const CsrMatrix a = sparse::make_circuit_like(0.1, true, 29);
+  const int ng = 3, s = 5;
+  const MpkPlan plan = build_mpk_plan(a, offsets_of(a, ng), s, use_ell);
+  const Shifts sh(basis, s);
+  MpkExecutor exec(plan);
+  Machine m(ng);
+  m.enable_trace();
+  DistMultiVec v = random_start(plan, s + 1, 53);
+  exec.apply(m, v, 0, s, sh.seq());
+  m.sync();
+
+  const std::string step_kernel = use_ell ? "spmv_ell" : "spmv_csr";
+  for (int d = 0; d < ng; ++d) {
+    const MpkDevicePlan& dp = plan.dev[static_cast<std::size_t>(d)];
+    // The exchange launches a pack for the senders' rows, the owned-row
+    // copy into z, the expand of the received ghosts and, when a halo
+    // codec is armed (CAGMRES_COMPRESS), its (de)compression passes; every
+    // other kernel on the device is one fused step.
+    int codec_passes = 0;
+    for (const sim::TraceEvent& e : m.trace().events()) {
+      if (e.device == d && e.name == "codec") ++codec_passes;
+    }
+    const int exchange_kernels = (dp.send_local_rows.empty() ? 0 : 1) + 1 +
+                                 (dp.ext_global.empty() ? 0 : 1) +
+                                 codec_passes;
+    EXPECT_EQ(m.counters().dev_kernels[static_cast<std::size_t>(d)],
+              exchange_kernels + s)
+        << "device " << d;
+    std::vector<double> step_seconds;
+    for (const sim::TraceEvent& e : m.trace().events()) {
+      if (e.device == d && e.name == step_kernel) {
+        EXPECT_EQ(e.phase, "mpk");
+        step_seconds.push_back(e.t_end - e.t_start);
+      }
+    }
+    ASSERT_EQ(static_cast<int>(step_seconds.size()), s) << "device " << d;
+    for (int k = 1; k <= s; ++k) {
+      int terms = 0;
+      if (basis != Basis::kMonomial) {
+        terms = sh.im[static_cast<std::size_t>(k) - 1] < 0.0 ? 2 : 1;
+      }
+      const double want = fused_step_seconds(m.perf(), plan, dp, k, terms);
+      EXPECT_NEAR(step_seconds[static_cast<std::size_t>(k) - 1], want,
+                  1e-12 * want)
+          << "device " << d << " step " << k;
+    }
+  }
+}
+
+TEST_P(MpkFusedTest, NanOnOneStepPoisonsTheRestOfTheBlock) {
+  // One latch per (step, device): a NaN scheduled on device d's step-k
+  // kernel poisons v(:, k..s) on d and nothing before it, and apply()
+  // still matches the per-device reference bit for bit, unarmed or not.
+  const auto [use_ell, basis] = GetParam();
+  const CsrMatrix a = sparse::make_circuit_like(0.1, true, 29);
+  const int ng = 3, s = 5;
+  const MpkPlan plan = build_mpk_plan(a, offsets_of(a, ng), s, use_ell);
+  const Shifts sh(basis, s);
+  const std::string step_kernel = use_ell ? "spmv_ell" : "spmv_csr";
+
+  Machine traced(ng);
+  traced.enable_trace();
+  {
+    MpkExecutor exec(plan);
+    DistMultiVec v = random_start(plan, s + 1, 59);
+    exec.apply(traced, v, 0, s, sh.seq());
+    traced.sync();
+  }
+
+  const std::vector<std::pair<int, int>> cases = {{-1, 0}, {0, 1}, {1, 3},
+                                                  {2, 5}};
+  for (const auto& [dev, k] : cases) {
+    std::string spec = "seed=1";
+    if (dev >= 0) {
+      const std::int64_t op =
+          op_index_of(traced.trace(), dev, step_kernel, k);
+      ASSERT_GT(op, 0);
+      spec = "nan:d" + std::to_string(dev) + "@op=" + std::to_string(op);
+    }
+    MpkExecutor shared(plan), reference(plan);
+    Machine m_shared(ng), m_ref(ng);
+    sim::parse_fault_spec(spec, m_shared.fault_injector());
+    sim::parse_fault_spec(spec, m_ref.fault_injector());
+    DistMultiVec v_shared = random_start(plan, s + 1, 59);
+    DistMultiVec v_ref = random_start(plan, s + 1, 59);
+    shared.apply(m_shared, v_shared, 0, s, sh.seq());
+    detail::apply_per_device(reference, m_ref, v_ref, 0, s, sh.seq());
+    m_shared.sync();
+    m_ref.sync();
+    EXPECT_TRUE(same_bits(v_shared, v_ref)) << spec;
+    EXPECT_EQ(m_shared.clock().elapsed(), m_ref.clock().elapsed()) << spec;
+    if (dev < 0) {
+      EXPECT_FALSE(any_nan(v_shared)) << spec;
+      continue;
+    }
+    EXPECT_EQ(m_shared.kernel_faults_consumed(), 1) << spec;
+    for (int j = 1; j <= s; ++j) {
+      const double* col = v_shared.col(dev, j);
+      for (int i = 0; i < v_shared.local_rows(dev); ++i) {
+        if (j < k) {
+          ASSERT_TRUE(std::isfinite(col[i])) << spec << " col " << j;
+        } else {
+          ASSERT_TRUE(std::isnan(col[i])) << spec << " col " << j;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Formats, MpkFusedTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(Basis::kMonomial,
+                                         Basis::kComplexPairs)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "ell" : "csr") + "_" +
+             basis_name(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace cagmres::mpk

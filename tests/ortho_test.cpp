@@ -13,7 +13,10 @@
 #include "ortho/metrics.hpp"
 #include "ortho/reduce.hpp"
 #include "ortho/tsqr.hpp"
+#include "sim/fault.hpp"
 #include "sim/machine.hpp"
+#include "sim/perf_model.hpp"
+#include "sim/trace.hpp"
 
 #include "codec_tol.hpp"
 
@@ -369,6 +372,53 @@ TEST(Borth, BitwiseIdenticalAcrossSyncModesAndWorkers) {
       }
     }
   }
+}
+
+TEST(BlockScrub, OneColumnNormsKernelPerDevice) {
+  // The recovery layer's block scrub launches one DOT-class kernel per
+  // device for the whole block, not one per column.
+  const int ng = 3, n = 300, c0 = 2, c1 = 7;
+  DistMultiVec v(split_rows(n, ng), 8);
+  Rng rng(61);
+  fill_random(v, rng);
+  Machine m(ng);
+  m.enable_trace();
+  EXPECT_TRUE(block_norms_finite(m, v, c0, c1));
+  EXPECT_EQ(m.counters().kernel_count[static_cast<std::size_t>(
+                sim::Kernel::kDot)],
+            ng);
+  for (int d = 0; d < ng; ++d) {
+    // The only other device kernels are the reduction's launch-free codec
+    // passes, present when CAGMRES_COMPRESS arms a reduce codec.
+    int codec_passes = 0;
+    for (const sim::TraceEvent& e : m.trace().events()) {
+      if (e.device == d && e.name == "codec") ++codec_passes;
+    }
+    EXPECT_EQ(m.counters().dev_kernels[static_cast<std::size_t>(d)],
+              1 + codec_passes);
+    EXPECT_DOUBLE_EQ(m.counters().dev_flops[static_cast<std::size_t>(d)],
+                     2.0 * v.local_rows(d) * (c1 - c0));
+  }
+  // A NaN in the data shows up in its column norm.
+  v.col(2, c1 - 1)[5] = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_FALSE(block_norms_finite(m, v, c0, c1));
+}
+
+TEST(BlockScrub, ScheduledNanOnTheNormsKernelFailsTheScrub) {
+  // Device 1's first op is its column-norms kernel: the single latch
+  // poisons every partial norm of that device, so the clean block fails.
+  const int ng = 3, n = 300;
+  DistMultiVec v(split_rows(n, ng), 6);
+  Rng rng(67);
+  fill_random(v, rng);
+  Machine m(ng);
+  sim::parse_fault_spec("nan:d1@op=1", m.fault_injector());
+  EXPECT_FALSE(block_norms_finite(m, v, 0, 6));
+  EXPECT_EQ(m.kernel_faults_consumed(), 1);
+  EXPECT_EQ(m.fault_injector().stats().kernel_nans, 1);
+  // The scrub only reads the block: once the one-shot event has fired,
+  // the next call passes.
+  EXPECT_TRUE(block_norms_finite(m, v, 0, 6));
 }
 
 TEST(Metrics, ConditionNumberOfOrthonormalIsOne) {
