@@ -1,7 +1,7 @@
 // Real wall-clock benchmark for the host execution engine (DESIGN.md §9)
 // and the cache-blocked tall-skinny BLAS paths.
 //
-// Two experiments, written to BENCH_wallclock.json:
+// Seven experiments, written to BENCH_wallclock.json:
 //
 //   1. solver_sweep — Fig. 14-style CA-GMRES and GMRES(CGS) workloads,
 //      timed with std::chrono while sweeping the host worker count
@@ -12,33 +12,34 @@
 //      single-core container (see "nproc" in the output) no speedup can
 //      materialize — the engine's scaling needs real cores.
 //
-//   2. event_overlap — the same CA-GMRES workload solved once under
-//      SyncMode::kBarrier (the seed's coarse host_wait_all structure) and
-//      once under kEvent (per-buffer record/wait, DESIGN.md §10), solver
-//      results byte-compared. The charged pipeline seconds must drop in
-//      event mode: the halo exchange's consumers stop blocking on devices
-//      they never read.
-//
-//   3. scale_sweep — the CA-GMRES workload fault-free at ng = 3, 8, 16, 64
+//   2. scale_sweep — the CA-GMRES workload fault-free at ng = 3, 8, 16, 64
 //      devices, each on the flat single-node machine and (where the count
 //      tiles) on a multi-node topology (2x4, 4x4, 8x8), recording the
 //      charged seconds and the bytes that crossed the inter-node network
 //      vs the intra-node links — the §VII projection of how the two-level
 //      fabric prices the same algorithm.
 //
-//   4. hier_reduce — the deep shapes solved with the hierarchical two-stage
-//      collectives on vs forced off, across both sync modes and worker
-//      counts: all eight solutions bitwise identical, hier charging less,
-//      and a single reduction placing at most one inter-node message per
-//      node where the flat fold pays one per off-node device.
+//   3. hier_reduce — the deep shapes solved with the hierarchical two-stage
+//      collectives on vs forced off, across worker counts: all four
+//      solutions bitwise identical, hier charging less, and a single
+//      reduction placing at most one inter-node message per node where the
+//      flat fold pays one per off-node device.
 //
-//   5. node_kill_recovery — at each multi-node shape, one whole-node kill
+//   4. node_kill_recovery — at each multi-node shape, one whole-node kill
 //      mid-solve, recovered once with hierarchical partner checkpointing
 //      (SolverOptions::partner_checkpoint, the default) and once with the
 //      flat host-checkpoint path. partner_cheaper records whether the
 //      buddy scheme won in charged seconds; it must at ng >= 16.
 //
-//   6. gram_microbench — the blocked V^T·W Gram kernel and the V·R panel
+//   5. compress — the 4x4 shape solved with no transfer codec, fp32 on
+//      every traffic class, and FRSZ2:16 on halo and reduce, recording
+//      charged seconds and per-tier wire vs logical bytes (DESIGN.md §14).
+//
+//   6. precond — GMRES(30) on the cant and g3 analogs, unpreconditioned vs
+//      right-preconditioned ILU(0) and ILU(1), recording setup and solve
+//      charged seconds, fill and level counts (DESIGN.md §15).
+//
+//   7. gram_microbench — the blocked V^T·W Gram kernel and the V·R panel
 //      update in blas3.cpp against naive triple loops, single-threaded,
 //      on a panel shape (long m, narrow k) where the long dimension
 //      doesn't fit in cache. This isolates the cache-blocking win from
@@ -202,46 +203,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- event overlap: barrier vs per-buffer event sync -------------------
-  // Same problem, same worker count (0 — charged times are worker-
-  // invariant); only the sync structure differs. The arithmetic is
-  // identical in both modes, so x must match bitwise.
-  double sim_barrier = 0.0, sim_event = 0.0;
-  double mpk_barrier = 0.0, mpk_event = 0.0;
-  double borth_barrier = 0.0, borth_event = 0.0;
-  double tsqr_barrier = 0.0, tsqr_event = 0.0;
-  bool event_identical = false;
-  bool event_converged = true;
-  {
-    std::vector<double> x_barrier, x_event;
-    for (const bool ev : {false, true}) {
-      sim::Machine machine(ng);
-      machine.set_sync_mode(ev ? sim::SyncMode::kEvent
-                               : sim::SyncMode::kBarrier);
-      core::SolverOptions so = sopts;
-      so.s = smoke ? 5 : opts.get_int("s");
-      const core::SolveResult res = core::ca_gmres(machine, p, so);
-      (ev ? sim_event : sim_barrier) = res.stats.time_total;
-      (ev ? mpk_event : mpk_barrier) = res.stats.time_mpk;
-      (ev ? borth_event : borth_barrier) = res.stats.time_borth;
-      (ev ? tsqr_event : tsqr_barrier) = res.stats.time_tsqr;
-      (ev ? x_event : x_barrier) = res.x;
-      event_converged = event_converged && res.stats.converged;
-    }
-    event_identical = x_event == x_barrier;
-    std::printf(
-        "\n  event_overlap: barrier sim=%.6fs  event sim=%.6fs  "
-        "(%.4fx)%s\n",
-        sim_barrier, sim_event,
-        sim_event > 0.0 ? sim_barrier / sim_event : 0.0,
-        event_identical ? "" : "  RESULTS DIVERGED");
-    std::printf(
-        "    ortho phases: mpk %.6fs -> %.6fs  borth %.6fs -> %.6fs  "
-        "tsqr %.6fs -> %.6fs\n",
-        mpk_barrier, mpk_event, borth_barrier, borth_event, tsqr_barrier,
-        tsqr_event);
-  }
-
   // --- scale sweep: ng x topology, fault-free ----------------------------
   struct ScaleRow {
     int ng = 0;
@@ -356,11 +317,11 @@ int main(int argc, char** argv) {
   // --- hier_reduce: two-stage node-grouped reductions vs flat fold -------
   // At each deep shape, the same node-first problem solved with the
   // hierarchical collectives on (Machine default for nodes > 1) and forced
-  // off, across {barrier, event} x {0, 2 workers}: all eight solutions must
-  // match bitwise (the fold tree is knob/mode/worker invariant; only the
-  // charges move), hier must charge less, and a single reduction must put
-  // at most `nodes` messages on the inter-node network where the flat fold
-  // pays one per off-node device.
+  // off, across {0, 2 workers}: all four solutions must match bitwise (the
+  // fold tree is knob/worker invariant; only the charges move), hier must
+  // charge less, and a single reduction must put at most `nodes` messages
+  // on the inter-node network where the flat fold pays one per off-node
+  // device.
   struct HierRow {
     int ng = 0;
     int nodes = 1;
@@ -386,28 +347,23 @@ int main(int argc, char** argv) {
       std::vector<double> x0;
       bool first = true;
       for (const bool hier : {false, true}) {
-        for (const bool ev : {false, true}) {
-          for (const int w : {0, 2}) {
-            sim::Machine mh(hng);
-            mh.set_topology(hnodes, hng / hnodes);
-            mh.set_hier_reduce(hier);
-            mh.set_sync_mode(ev ? sim::SyncMode::kEvent
-                                : sim::SyncMode::kBarrier);
-            mh.set_host_workers(w);
-            core::SolverOptions so = sopts;
-            so.s = smoke ? 5 : opts.get_int("s");
-            const core::SolveResult rs = core::ca_gmres(mh, ph, so);
-            if (first) {
-              x0 = rs.x;
-              first = false;
-            }
-            hr.identical = hr.identical && rs.x == x0;
-            hr.converged = hr.converged && rs.stats.converged;
-            // Headline charge comparison at the default sync mode (event),
-            // workers are charge-invariant.
-            if (ev && w == 0) {
-              (hier ? hr.hier_sim : hr.flat_sim) = rs.stats.time_total;
-            }
+        for (const int w : {0, 2}) {
+          sim::Machine mh(hng);
+          mh.set_topology(hnodes, hng / hnodes);
+          mh.set_hier_reduce(hier);
+          mh.set_host_workers(w);
+          core::SolverOptions so = sopts;
+          so.s = smoke ? 5 : opts.get_int("s");
+          const core::SolveResult rs = core::ca_gmres(mh, ph, so);
+          if (first) {
+            x0 = rs.x;
+            first = false;
+          }
+          hr.identical = hr.identical && rs.x == x0;
+          hr.converged = hr.converged && rs.stats.converged;
+          // Headline charge comparison; workers are charge-invariant.
+          if (w == 0) {
+            (hier ? hr.hier_sim : hr.flat_sim) = rs.stats.time_total;
           }
         }
       }
@@ -635,22 +591,6 @@ int main(int argc, char** argv) {
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
-  out << "  \"event_overlap\": {\n";
-  out << "    \"solver\": \"ca_gmres\", \"ng\": " << ng
-      << ", \"workers\": 0,\n";
-  out << "    \"barrier_sim_seconds\": " << sim_barrier
-      << ", \"event_sim_seconds\": " << sim_event << ",\n";
-  out << "    \"barrier_mpk_seconds\": " << mpk_barrier
-      << ", \"event_mpk_seconds\": " << mpk_event << ",\n";
-  out << "    \"barrier_borth_seconds\": " << borth_barrier
-      << ", \"event_borth_seconds\": " << borth_event << ",\n";
-  out << "    \"barrier_tsqr_seconds\": " << tsqr_barrier
-      << ", \"event_tsqr_seconds\": " << tsqr_event << ",\n";
-  out << "    \"speedup\": "
-      << (sim_event > 0.0 ? sim_barrier / sim_event : 0.0) << ",\n";
-  out << "    \"converged\": " << json_bool(event_converged)
-      << ", \"identical_results\": " << json_bool(event_identical) << "\n";
-  out << "  },\n";
   out << "  \"scale_sweep\": [\n";
   for (std::size_t i = 0; i < scale_rows.size(); ++i) {
     const auto& r = scale_rows[i];

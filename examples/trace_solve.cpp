@@ -9,11 +9,10 @@
 // burst per s basis vectors, and the CholQR TSQR appears as one gemm +
 // one trsm per block instead of GMRES's per-iteration reduction ladders.
 //
-// Run with CAGMRES_SYNC_MODE=event to see the per-buffer event markers
-// (DESIGN.md §10): "event:record" on the producing device row,
-// "event:stream_wait" on the waiting device row, and "event:host_wait" on
-// the host row — the halo expand then rides behind stream waits instead of
-// the barrier gather, which is visible as earlier device starts.
+// The per-buffer event markers (DESIGN.md §10) show the sync schedule:
+// "event:record" on the producing device row, "event:stream_wait" on the
+// waiting device row, and "event:host_wait" on the host row — the halo
+// expand rides behind stream waits on only the senders each device reads.
 #include <cstdio>
 #include <fstream>
 

@@ -70,8 +70,7 @@ detail::CycleOutcome PipelinedStep::cycle(detail::Cycle& c) {
     // (1) Post the fused reduction for z_j: projections V^T z_j plus
     //     ||z_j||^2, one D2H message per device, and record one event per
     //     message — the reduction's arrival, before the lookahead SpMV is
-    //     queued behind it. (Barrier mode keeps the hand-rolled timestamp
-    //     capture this event API generalizes; both charge identically.)
+    //     queued behind it.
     std::vector<sim::Event> red_ev(static_cast<std::size_t>(ng));
     for (int d = 0; d < ng; ++d) {
       auto& p = partial[static_cast<std::size_t>(d)];
@@ -81,14 +80,7 @@ detail::CycleOutcome PipelinedStep::cycle(detail::Cycle& c) {
           machine, d, v.local_rows(d), z.col(d, j), z.col(d, j));
       machine.charge_codec(d, rcd, prev + 1);
       machine.d2h(d, rcd.wire_bytes(prev + 1), 8.0 * (prev + 1));
-      if (machine.event_sync()) red_ev[static_cast<std::size_t>(d)] =
-          machine.record_event(d);
-    }
-    double t_red = machine.clock().host_time();
-    if (!machine.event_sync()) {
-      for (int d = 0; d < ng; ++d) {
-        t_red = std::max(t_red, machine.clock().device_time(d));
-      }
+      red_ev[static_cast<std::size_t>(d)] = machine.record_event(d);
     }
 
     // (2) Lookahead product w = A z_j (A M^{-1} z_j preconditioned),
@@ -103,17 +95,12 @@ detail::CycleOutcome PipelinedStep::cycle(detail::Cycle& c) {
     }
 
     // (3) The host waits only for the reduction messages, not the SpMV.
-    //     In event mode the waits also cover, wall-clock, exactly the
-    //     closures that filled partial[] — the host sum below no longer
-    //     leans on the lookahead exchange having drained the machine.
+    //     The waits also cover, wall-clock, exactly the closures that
+    //     filled partial[].
     {
       sim::PhaseScope phase2(machine, "orth");
-      if (machine.event_sync()) {
-        for (int d = 0; d < ng; ++d) {
-          machine.host_wait_event(red_ev[static_cast<std::size_t>(d)]);
-        }
-      } else {
-        machine.clock().host_wait_time(t_red);
+      for (int d = 0; d < ng; ++d) {
+        machine.host_wait_event(red_ev[static_cast<std::size_t>(d)]);
       }
       machine.charge_host(sim::Kernel::kAxpy,
                           static_cast<double>(prev + 1) * ng,

@@ -105,14 +105,11 @@ class MpkExecutor {
   /// exchange leaves it.
   void assemble_start(const sim::DistMultiVec& v, int c0);
 
-  /// Halo exchange of column c0 into z-buffer `slot` of every device.
-  /// Dispatches on machine.sync_mode(): the barrier path is the seed's
-  /// gather / host_wait_all / scatter, the event path hands each consumer
-  /// only the senders it reads (exchange_events).
+  /// Halo exchange of column c0 into z-buffer `slot` of every device:
+  /// gather through the host, then hand each consumer only the senders it
+  /// reads, behind per-buffer events.
   void exchange(sim::Machine& machine, const sim::DistMultiVec& v, int c0,
                 int slot);
-  void exchange_events(sim::Machine& machine, const sim::DistMultiVec& v,
-                       int c0, int slot);
 
   /// Rebuilds the per-sender node split (send_local_bytes_ /
   /// send_cross_bytes_) if the machine's topology changed since the last
@@ -125,7 +122,7 @@ class MpkExecutor {
   std::vector<std::vector<std::vector<double>>> z_;
   std::vector<std::vector<double>> pack_buf_;
   // Distinct sending devices whose packed entries device d consumes, in
-  // ascending order (derived once from ext_owner; drives the event path).
+  // ascending order (derived once from ext_owner; drives the exchange).
   std::vector<std::vector<int>> ext_owners_;
   // Multi-node sender split (build_node_split): bytes of each sender's
   // packed rows read by same-node consumers (shipped d2h_node, peer tier)

@@ -73,12 +73,11 @@ double condition_number_charged(sim::Machine& m, const sim::DistMultiVec& v,
     m.charge_device(d, sim::Kernel::kGemm, rows * k * k,
                     8.0 * (rows * k + static_cast<double>(k) * k));
     m.d2h(d, 8.0 * static_cast<double>(k) * k);
-    if (m.event_sync()) ev.push_back(m.record_event(d));
+    ev.push_back(m.record_event(d));
   }
   // The waits come after every message is in flight (waiting inside the
   // posting loop would serialize the device kernels through the host).
   for (const sim::Event& e : ev) m.host_wait_event(e);
-  if (!m.event_sync()) m.host_wait_all();
   m.charge_host(sim::Kernel::kSmall, 30.0 * static_cast<double>(k) * k * k,
                 0.0);
   return condition_number(v, c0, c1);

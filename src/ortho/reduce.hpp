@@ -16,18 +16,17 @@ namespace cagmres::ortho::detail {
 /// that ship derived data back — CAQR's R panels, BOrth's block updates —
 /// can gate consumer streams on exactly these events.
 ///
-/// Under SyncMode::kBarrier the wait is a host_wait_all. Under kEvent the
-/// host waits per event, and the *charged* schedule is chosen
+/// The host waits per event, and the *charged* schedule is chosen
 /// deterministically from the (already known) event timestamps: either one
 /// bulk add after the last arrival, or arrival-batched partial adds that
-/// overlap summation with the stragglers' transfers. Both modes fold the
+/// overlap summation with the stragglers' transfers. Both schedules fold the
 /// partials in the same order — ascending cumulative charged device time,
 /// so the heaviest-loaded device (the likely straggler) is folded last and
 /// the post-straggler add covers one partial instead of ng. That order is a
-/// pure function of the charge sequence, never of mode-sensitive
-/// timestamps, so results are bitwise identical across modes and worker
-/// counts; the cheaper charged completion is picked per reduction, so event
-/// mode never loses to the barrier here even when the per-charge fixed cost
+/// pure function of the charge sequence, never of event timestamps, so
+/// results are bitwise identical across schedules and worker counts; the
+/// cheaper charged completion is picked per reduction, so the reduction
+/// never loses to a single bulk add even when the per-charge fixed cost
 /// outweighs the overlap win.
 ///
 /// On a multi-node topology the fold runs through a two-level tree grouped

@@ -109,8 +109,8 @@ void add_partials(const std::vector<std::vector<double>>& partials,
 /// of the gemm + d2h chains feeding the reduce; putting it last lets the
 /// event schedule sum everyone else while its transfer is still in flight.
 /// device_busy is a pure function of the charge sequence — identical across
-/// sync modes and worker counts — so the summation order (and with it every
-/// bit of the result) never depends on mode-sensitive timestamps.
+/// worker counts — so the summation order (and with it every bit of the
+/// result) never depends on charged timestamps.
 std::vector<int> fold_order(const sim::Machine& m) {
   std::vector<int> perm(static_cast<std::size_t>(m.n_devices()));
   for (std::size_t d = 0; d < perm.size(); ++d) perm[d] = static_cast<int>(d);
@@ -283,19 +283,8 @@ std::vector<sim::Event> reduce_grouped(
     for (int j = 0; j < len; ++j) out[j] += s[j];
   };
 
-  if (!m.event_sync()) {
-    m.host_wait_all();
-    double tot = 0.0;
-    for (std::size_t k = 0; k < nn; ++k) {
-      fold_node(k);
-      tot += work[k];
-    }
-    m.charge_host(sim::Kernel::kAxpy, tot, 16.0 * tot);
-    return ev;
-  }
-
-  // Event mode: same bulk-vs-incremental charged-schedule choice as the
-  // flat path, over node groups instead of devices (see below).
+  // Same bulk-vs-incremental charged-schedule choice as the flat path,
+  // over node groups instead of devices (see below).
   double h_bulk = m.clock().host_time();
   double tot = 0.0;
   for (std::size_t k = 0; k < nn; ++k) {
@@ -365,15 +354,7 @@ std::vector<sim::Event> reduce_to_host_events(
     return ev[static_cast<std::size_t>(perm[static_cast<std::size_t>(i)])];
   };
 
-  if (!m.event_sync()) {
-    m.host_wait_all();
-    add_partials(partials, perm, 0, ng, len, out, cd);
-    m.charge_host(sim::Kernel::kAxpy, static_cast<double>(len) * ng,
-                  16.0 * len * ng);
-    return ev;
-  }
-
-  // Event mode. Every event timestamp is already known, so the charged
+  // Every event timestamp is already known, so the charged
   // completion of both candidate schedules is computed exactly up front and
   // the cheaper one is executed — a deterministic choice (it depends only
   // on charged times, which are worker-invariant):

@@ -181,7 +181,7 @@ struct ChaosRunner::Impl {
     std::uint64_t fingerprint = 0;
     double elapsed = 0.0;
   };
-  /// Fault-free fingerprints per (solver, mode, workers) configuration.
+  /// Fault-free fingerprints per (solver, workers) configuration.
   std::map<int, Baseline> baselines;
   bool baselines_ready = false;
   double time_hint = 0.0;  ///< slowest fault-free run (scales triggers)
@@ -218,9 +218,8 @@ struct ChaosRunner::Impl {
     return o;
   }
 
-  int config_key(ChaosSolver solver, SyncMode mode, int workers) const {
-    return static_cast<int>(solver) * 1000 +
-           (mode == SyncMode::kEvent ? 1 : 0) * 100 + workers;
+  int config_key(ChaosSolver solver, int workers) const {
+    return static_cast<int>(solver) * 1000 + workers;
   }
 
   /// The campaign's driver roster: the unpreconditioned solvers, widened
@@ -334,28 +333,21 @@ struct ChaosRunner::Impl {
     return r;
   }
 
-  void configure(Machine& m, SyncMode mode, int workers) {
-    m.set_sync_mode(mode);
-    m.set_host_workers(workers);
-  }
-
   void ensure_baselines() {
     if (baselines_ready) return;
     const ChaosSchedule none;  // unarmed: the byte-identity reference
     for (const ChaosSolver solver : roster()) {
-      for (const SyncMode mode : cfg.modes) {
-        for (const int w : cfg.worker_counts) {
-          Machine m(cfg.n_devices);
-          shape(m);
-          configure(m, mode, w);
-          none.arm(m.fault_injector());
-          const ChaosRunResult r = run_with(m, solver);
-          CAGMRES_REQUIRE(r.outcome == ChaosOutcome::kConverged &&
-                              r.violation.empty(),
-                          "chaos baseline run failed to converge");
-          baselines[config_key(solver, mode, w)] = {r.fingerprint, r.elapsed};
-          time_hint = std::max(time_hint, r.elapsed);
-        }
+      for (const int w : cfg.worker_counts) {
+        Machine m(cfg.n_devices);
+        shape(m);
+        m.set_host_workers(w);
+        none.arm(m.fault_injector());
+        const ChaosRunResult r = run_with(m, solver);
+        CAGMRES_REQUIRE(r.outcome == ChaosOutcome::kConverged &&
+                            r.violation.empty(),
+                        "chaos baseline run failed to converge");
+        baselines[config_key(solver, w)] = {r.fingerprint, r.elapsed};
+        time_hint = std::max(time_hint, r.elapsed);
       }
     }
     deadline = cfg.deadline_factor * time_hint;
@@ -368,56 +360,53 @@ struct ChaosRunner::Impl {
                                       ChaosCampaignStats* stats) {
     ensure_baselines();
     std::vector<ChaosViolation> out;
-    auto flag = [&](SyncMode mode, int w, const std::string& what) {
-      out.push_back({index, solver, mode, w, what, sched.to_spec()});
+    auto flag = [&](int w, const std::string& what) {
+      out.push_back({index, solver, w, what, sched.to_spec()});
     };
-    for (const SyncMode mode : cfg.modes) {
-      for (const int w : cfg.worker_counts) {
-        Machine m(cfg.n_devices);
-        shape(m);
-        configure(m, mode, w);
-        sched.arm(m.fault_injector());
-        if (sched.armed()) m.set_deadline(deadline);
-        const ChaosRunResult r1 = run_with(m, solver);
-        if (stats != nullptr) {
-          ++stats->runs;
-          switch (r1.outcome) {
-            case ChaosOutcome::kConverged: ++stats->converged; break;
-            case ChaosOutcome::kUnconverged: ++stats->unconverged; break;
-            case ChaosOutcome::kCleanError: ++stats->clean_errors; break;
-            case ChaosOutcome::kWatchdog: ++stats->watchdogs; break;
-          }
-          if (r1.degraded) ++stats->degraded;
-          stats->peer_bytes += r1.peer_bytes;
-          stats->peer_logical_bytes += r1.peer_logical_bytes;
-          stats->pcie_bytes += r1.pcie_bytes;
-          stats->pcie_logical_bytes += r1.pcie_logical_bytes;
-          stats->net_bytes += r1.net_bytes;
-          stats->net_logical_bytes += r1.net_logical_bytes;
+    for (const int w : cfg.worker_counts) {
+      Machine m(cfg.n_devices);
+      shape(m);
+      m.set_host_workers(w);
+      sched.arm(m.fault_injector());
+      if (sched.armed()) m.set_deadline(deadline);
+      const ChaosRunResult r1 = run_with(m, solver);
+      if (stats != nullptr) {
+        ++stats->runs;
+        switch (r1.outcome) {
+          case ChaosOutcome::kConverged: ++stats->converged; break;
+          case ChaosOutcome::kUnconverged: ++stats->unconverged; break;
+          case ChaosOutcome::kCleanError: ++stats->clean_errors; break;
+          case ChaosOutcome::kWatchdog: ++stats->watchdogs; break;
         }
-        if (!r1.violation.empty()) flag(mode, w, r1.violation);
-        if (cfg.demo_bug_kills >= 0 &&
-            r1.device_failures >= cfg.demo_bug_kills) {
-          flag(mode, w, "[demo oracle] observed " +
-                            std::to_string(r1.device_failures) +
-                            " device kills (threshold " +
-                            std::to_string(cfg.demo_bug_kills) + ")");
+        if (r1.degraded) ++stats->degraded;
+        stats->peer_bytes += r1.peer_bytes;
+        stats->peer_logical_bytes += r1.peer_logical_bytes;
+        stats->pcie_bytes += r1.pcie_bytes;
+        stats->pcie_logical_bytes += r1.pcie_logical_bytes;
+        stats->net_bytes += r1.net_bytes;
+        stats->net_logical_bytes += r1.net_logical_bytes;
+      }
+      if (!r1.violation.empty()) flag(w, r1.violation);
+      if (cfg.demo_bug_kills >= 0 &&
+          r1.device_failures >= cfg.demo_bug_kills) {
+        flag(w, "[demo oracle] observed " +
+                    std::to_string(r1.device_failures) +
+                    " device kills (threshold " +
+                    std::to_string(cfg.demo_bug_kills) + ")");
+      }
+      if (cfg.check_replay) {
+        m.reset();
+        const ChaosRunResult r2 = run_with(m, solver);
+        if (r2.fingerprint != r1.fingerprint) {
+          flag(w, "same-seed replay diverged (fingerprint " +
+                      std::to_string(r1.fingerprint) + " vs " +
+                      std::to_string(r2.fingerprint) + ")");
         }
-        if (cfg.check_replay) {
-          m.reset();
-          const ChaosRunResult r2 = run_with(m, solver);
-          if (r2.fingerprint != r1.fingerprint) {
-            flag(mode, w,
-                 "same-seed replay diverged (fingerprint " +
-                     std::to_string(r1.fingerprint) + " vs " +
-                     std::to_string(r2.fingerprint) + ")");
-          }
-        }
-        if (!sched.armed()) {
-          const Baseline& base = baselines.at(config_key(solver, mode, w));
-          if (r1.fingerprint != base.fingerprint) {
-            flag(mode, w, "zero-fault schedule diverged from baseline");
-          }
+      }
+      if (!sched.armed()) {
+        const Baseline& base = baselines.at(config_key(solver, w));
+        if (r1.fingerprint != base.fingerprint) {
+          flag(w, "zero-fault schedule diverged from baseline");
         }
       }
     }
@@ -427,8 +416,7 @@ struct ChaosRunner::Impl {
 
 ChaosRunner::ChaosRunner(const ChaosConfig& cfg)
     : impl_(std::make_unique<Impl>(cfg)) {
-  CAGMRES_REQUIRE(cfg.n_devices >= 1 && !cfg.modes.empty() &&
-                      !cfg.worker_counts.empty(),
+  CAGMRES_REQUIRE(cfg.n_devices >= 1 && !cfg.worker_counts.empty(),
                   "chaos: empty configuration");
   CAGMRES_REQUIRE(cfg.n_nodes >= 1 && cfg.n_devices % cfg.n_nodes == 0,
                   "chaos: n_nodes must divide n_devices");
@@ -586,12 +574,11 @@ ChaosCampaignStats ChaosRunner::run_campaign(
 }
 
 ChaosRunResult ChaosRunner::run_one(const ChaosSchedule& schedule,
-                                    ChaosSolver solver, SyncMode mode,
-                                    int workers) {
+                                    ChaosSolver solver, int workers) {
   impl_->ensure_baselines();
   Machine m(impl_->cfg.n_devices);
   impl_->shape(m);
-  impl_->configure(m, mode, workers);
+  m.set_host_workers(workers);
   schedule.arm(m.fault_injector());
   if (schedule.armed()) m.set_deadline(impl_->deadline);
   return impl_->run_with(m, solver);

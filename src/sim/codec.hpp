@@ -44,8 +44,8 @@ struct CodecSpec {
 
   /// In-place encode+decode round trip: x[0..n) afterwards holds exactly
   /// what a consumer of the compressed message would decode. A pure function
-  /// of the input values — identical across sync modes, worker counts, and
-  /// the hier_reduce knob. FRSZ2 blocks containing non-finite values pass
+  /// of the input values — identical across worker counts and the
+  /// hier_reduce knob. FRSZ2 blocks containing non-finite values pass
   /// through unchanged so injected NaN poison survives for the fault scrubs.
   void roundtrip(double* x, int n) const;
 

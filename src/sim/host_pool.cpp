@@ -1,5 +1,11 @@
 #include "sim/host_pool.hpp"
 
+#include <algorithm>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace cagmres::sim {
 
 namespace {
@@ -42,12 +48,13 @@ HostPool::~HostPool() {
 
 void HostPool::spawn(int n_workers) {
   CAGMRES_REQUIRE(n_workers >= 0, "host pool: negative worker count");
-  n_workers_ = n_workers;  // set before the first thread reads it
+  // A worker beyond one per stream would own no stream.
+  n_workers_ = std::min(n_workers, n_streams_);  // before any thread reads it
   wstate_ = std::make_unique<std::atomic<int>[]>(
-      static_cast<std::size_t>(n_workers));
-  for (int w = 0; w < n_workers; ++w) wstate_[w].store(kAwake, kRelaxed);
-  threads_.reserve(static_cast<std::size_t>(n_workers));
-  for (int w = 0; w < n_workers; ++w) {
+      static_cast<std::size_t>(n_workers_));
+  for (int w = 0; w < n_workers_; ++w) wstate_[w].store(kAwake, kRelaxed);
+  threads_.reserve(static_cast<std::size_t>(n_workers_));
+  for (int w = 0; w < n_workers_; ++w) {
     threads_.emplace_back(
         [this, w] { worker_main(static_cast<std::size_t>(w)); });
   }
@@ -188,6 +195,11 @@ bool HostPool::run_ready(std::size_t s) {
 }
 
 void HostPool::worker_main(std::size_t w) {
+#ifdef _OPENMP
+  // The workers already run the devices' kernels concurrently; a full-width
+  // OpenMP team inside each one would oversubscribe the host cores.
+  omp_set_num_threads(1);
+#endif
   const auto ns = static_cast<std::size_t>(n_streams_);
   const auto nw = static_cast<std::size_t>(n_workers_);
   for (;;) {

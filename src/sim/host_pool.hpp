@@ -78,8 +78,9 @@ class HostPool {
   int n_workers() const { return n_workers_; }
   int n_streams() const { return n_streams_; }
 
-  /// Drains, joins the current workers, and respawns `n_workers` of them
-  /// (0 = run everything inline on the calling thread).
+  /// Drains, joins the current workers, and respawns `n_workers` of them,
+  /// clamped to the stream count (0 = run everything inline on the calling
+  /// thread). The constructor applies the same clamp.
   void resize(int n_workers);
 
   /// Appends a task to `stream`. With zero workers the task runs inline and

@@ -53,12 +53,6 @@ EnvConfig parse_env_config(
     }
   }
 
-  if (const std::string v = read("CAGMRES_SYNC_MODE"); v == "barrier") {
-    cfg.sync_mode = SyncMode::kBarrier;
-  } else if (!v.empty() && v != "event") {
-    bad_env("CAGMRES_SYNC_MODE", v, "want event|barrier");
-  }
-
   if (const std::string v = read("CAGMRES_HIER_REDUCE"); !v.empty()) {
     if (v == "0" || v == "off" || v == "flat") {
       cfg.hier_reduce = false;
@@ -149,9 +143,7 @@ Machine::Machine(Topology topology, PerfModel model)
       dev_poison_(static_cast<std::size_t>(topology.n_devices()), 0),
       codecs_(env_config().codecs),
       hier_reduce_(env_config().hier_reduce),
-      sync_mode_(env_config().sync_mode),
-      pool_(topology.n_devices(),
-            std::min(env_config().host_workers, topology.n_devices())) {
+      pool_(topology.n_devices(), env_config().host_workers) {
   CAGMRES_REQUIRE(topology.n_nodes >= 1 && topology.gpus_per_node >= 1,
                   "empty topology");
   dev_map_.resize(static_cast<std::size_t>(topology.n_devices()));
@@ -363,7 +355,7 @@ void Machine::charge_transfer(int d, double bytes, double logical_bytes,
     // message reaches the wire once its PCIe stage (plus any injected
     // stall) completes, then waits for the link direction to free up.
     // Charging runs on the main thread in program order, so the queue is
-    // deterministic for any sync mode or worker count.
+    // deterministic for any worker count.
     const double net = model_.net_seconds(bytes);
     const double ready = clock_.device_time(p) + resend + stall;
     double& link = net_free_[to_device ? 1 : 0];

@@ -100,11 +100,11 @@ struct Event {
   std::int64_t ticket = 0;  ///< host-pool enqueue ticket (wall-clock half)
 };
 
-/// How the solvers synchronize producer/consumer buffer hand-offs.
-/// kBarrier reproduces the original coarse host_wait_all structure;
-/// kEvent replaces those barriers with per-buffer record/wait pairs so a
-/// consumer never blocks on streams it does not read (DESIGN.md §10).
-enum class SyncMode { kBarrier, kEvent };
+/// The solvers have one sync schedule: per-buffer record/wait pairs, so a
+/// consumer never blocks on streams it does not read (DESIGN.md §10). This
+/// enum and Machine::set_sync_mode exist only so perfbench/workloads.cpp,
+/// which selects kEvent explicitly, keeps compiling; nothing else uses them.
+enum class SyncMode { kEvent };
 
 /// Bounded retry with exponential backoff for checksum-failed transfers.
 /// The retransmission and every backoff interval are charged to the
@@ -121,10 +121,8 @@ struct RetryPolicy {
 /// Machine setters still override any of them after construction.
 struct EnvConfig {
   /// CAGMRES_HOST_WORKERS: a non-negative integer, clamped to the device
-  /// count at construction (0 = serial inline mode).
+  /// count like set_host_workers (0 = serial inline mode).
   int host_workers = 0;
-  /// CAGMRES_SYNC_MODE: event | barrier.
-  SyncMode sync_mode = SyncMode::kEvent;
   /// CAGMRES_HIER_REDUCE: 1|on|hier | 0|off|flat.
   bool hier_reduce = true;
   /// CAGMRES_TOPOLOGY: "N" (N nodes, devices split evenly) or "NxG" (N
@@ -268,14 +266,9 @@ class Machine {
   }
 
   // --- per-buffer events (the cudaEvent analogue, DESIGN.md §10) -------
-  /// Sync structure the solvers should build: coarse barriers (seed
-  /// behaviour) or per-buffer events. Defaults to kEvent; overridable at
-  /// construction with CAGMRES_SYNC_MODE=event|barrier (any other value
-  /// throws).
-  SyncMode sync_mode() const { return sync_mode_; }
-  void set_sync_mode(SyncMode mode) { sync_mode_ = mode; }
-  /// Shorthand for the call sites that branch on the mode.
-  bool event_sync() const { return sync_mode_ == SyncMode::kEvent; }
+  /// No-op: per-buffer events are the only sync schedule. Kept only for
+  /// perfbench/workloads.cpp (see SyncMode).
+  void set_sync_mode(SyncMode) {}
 
   /// Hierarchical collectives knob: when true (the default) AND the
   /// topology is multi-node, reductions fold intra-node on a node-leader
@@ -295,12 +288,12 @@ class Machine {
 
   /// Cumulative charged seconds posted to logical device d's timeline —
   /// kernels and transfers, excluding event waits. Unlike the device clock
-  /// (whose stalls depend on the sync mode), this is a pure function of the
-  /// charge sequence, so it is identical under kBarrier and kEvent and for
-  /// any worker count. The reduce-to-host fold order is keyed on it: the
-  /// heaviest-loaded device is the likely straggler, and folding it last
-  /// lets the other partials' summation hide under its transfer without the
-  /// order ever depending on mode-sensitive timestamps.
+  /// (whose stalls depend on the waits), this is a pure function of the
+  /// charge sequence, so it is identical for any worker count. The
+  /// reduce-to-host fold order is keyed on it: the heaviest-loaded device is
+  /// the likely straggler, and folding it last lets the other partials'
+  /// summation hide under its transfer without the order ever depending on
+  /// wait-sensitive timestamps.
   double device_busy(int d) const {
     return dev_busy_[static_cast<std::size_t>(physical_device(d))];
   }
@@ -332,7 +325,8 @@ class Machine {
   /// Number of real worker threads backing the simulated devices (0 =
   /// everything runs inline on the calling thread).
   int host_workers() const { return pool_.n_workers(); }
-  /// Drains outstanding work and rebuilds the pool with `n` workers.
+  /// Drains outstanding work and rebuilds the pool with `n` workers, clamped
+  /// to the device count (a worker beyond one per stream would idle).
   void set_host_workers(int n) { pool_.resize(n); }
 
   /// Enqueues a functional kernel body on logical device d's in-order
@@ -486,7 +480,6 @@ class Machine {
   CodecConfig codecs_;  ///< per-traffic-class transfer codecs (§14)
   bool hier_reduce_;  ///< hierarchical-collectives knob (see hier_reduce())
   bool tracing_ = false;
-  SyncMode sync_mode_;
   std::string phase_ = "other";
   double phase_mark_ = 0.0;
   HostPool pool_;  ///< last member: destroyed (joined) first

@@ -320,55 +320,41 @@ TEST(Borth, EmptyPreviousBasisIsNoop) {
 
 /// Pins the BOrth reduction schedule: the per-device event chain and the
 /// straggler-last fold order may reorder charged time, never arithmetic.
-/// Coefficients and the projected block must be bitwise identical across
-/// {barrier, event} x {0, 2 host workers} for both flavors, and on 2+
-/// devices the event-mode charged time must not exceed barrier mode — a
-/// per-buffer wait can only remove charged blocking, never add it.
-TEST(Borth, BitwiseIdenticalAcrossSyncModesAndWorkers) {
+/// Coefficients, the projected block and the charged time must be bitwise
+/// identical across {0, 2 host workers} for both flavors.
+TEST(Borth, BitwiseIdenticalAcrossWorkers) {
   const int n = 480, prev = 6, blk = 4, ng = 3;
   for (const BorthMethod method : {BorthMethod::kCgs, BorthMethod::kMgs}) {
-    std::vector<double> ref;        // flattened C + projected block
-    double barrier_seconds = -1.0;  // workers=0 charged borth time per mode
-    for (const sim::SyncMode mode :
-         {sim::SyncMode::kBarrier, sim::SyncMode::kEvent}) {
-      for (const int workers : {0, 2}) {
-        Machine m(ng);
-        m.set_sync_mode(mode);
-        m.set_host_workers(workers);
-        Rng rng(97);
-        DistMultiVec v(split_rows(n, ng), prev + blk);
-        fill_random(v, rng);
-        tsqr(m, Method::kCaqr, v, 0, prev);
-        m.sync();
-        const double t0 = m.clock().elapsed();
-        const blas::DMat c = borth(m, method, v, prev, prev + blk);
-        m.sync();
-        const double borth_seconds = m.clock().elapsed() - t0;
-        if (workers == 0) {
-          if (mode == sim::SyncMode::kBarrier) {
-            barrier_seconds = borth_seconds;
-          } else {
-            EXPECT_LE(borth_seconds, barrier_seconds) << to_string(method);
-          }
+    std::vector<double> ref;  // flattened C + projected block
+    double ref_seconds = -1.0;
+    for (const int workers : {0, 2}) {
+      Machine m(ng);
+      m.set_host_workers(workers);
+      Rng rng(97);
+      DistMultiVec v(split_rows(n, ng), prev + blk);
+      fill_random(v, rng);
+      tsqr(m, Method::kCaqr, v, 0, prev);
+      m.sync();
+      const double t0 = m.clock().elapsed();
+      const blas::DMat c = borth(m, method, v, prev, prev + blk);
+      m.sync();
+      const double borth_seconds = m.clock().elapsed() - t0;
+      std::vector<double> sig;
+      for (int j = 0; j < blk; ++j) {
+        for (int l = 0; l < prev; ++l) sig.push_back(c(l, j));
+      }
+      for (int d = 0; d < ng; ++d) {
+        for (int j = prev; j < prev + blk; ++j) {
+          const double* col = v.col(d, j);
+          for (int i = 0; i < v.local_rows(d); ++i) sig.push_back(col[i]);
         }
-        std::vector<double> sig;
-        for (int j = 0; j < blk; ++j) {
-          for (int l = 0; l < prev; ++l) sig.push_back(c(l, j));
-        }
-        for (int d = 0; d < ng; ++d) {
-          for (int j = prev; j < prev + blk; ++j) {
-            const double* col = v.col(d, j);
-            for (int i = 0; i < v.local_rows(d); ++i) sig.push_back(col[i]);
-          }
-        }
-        if (ref.empty()) {
-          ref = sig;
-        } else {
-          EXPECT_EQ(ref, sig) << to_string(method) << " mode "
-                              << (mode == sim::SyncMode::kEvent ? "event"
-                                                                : "barrier")
-                              << " workers " << workers;
-        }
+      }
+      if (ref.empty()) {
+        ref = sig;
+        ref_seconds = borth_seconds;
+      } else {
+        EXPECT_EQ(ref, sig) << to_string(method) << " workers " << workers;
+        EXPECT_EQ(ref_seconds, borth_seconds) << to_string(method);
       }
     }
   }

@@ -291,10 +291,10 @@ TEST(IluPrecond, AllThreeSolversConvergeOnOriginalSystem) {
   EXPECT_EQ(rc.stats.time_mpk, 0.0);
 }
 
-TEST(IluPrecond, BitwiseIdenticalAcrossModesWorkersAndShapes) {
+TEST(IluPrecond, BitwiseIdenticalAcrossWorkersAndShapes) {
   // The trisolve charges on the calling thread in program order, so for a
   // fixed handle the preconditioned solve must be bit-for-bit reproducible
-  // across {barrier, event} x {0, 2 workers} x {flat, hier} collectives on
+  // across {0, 2 workers} x {flat, hier} collectives on
   // a fixed 2x2 machine (the hier-reduce contract of DESIGN §13).
   const sparse::CsrMatrix a = sparse::make_laplace2d(20, 20, 0.1, 0.02);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
@@ -311,29 +311,23 @@ TEST(IluPrecond, BitwiseIdenticalAcrossModesWorkersAndShapes) {
   std::vector<double> hist0;
   bool first = true;
   for (const bool hier : {false, true}) {
-    for (const sim::SyncMode mode :
-         {sim::SyncMode::kBarrier, sim::SyncMode::kEvent}) {
-      for (const int workers : {0, 2}) {
-        sim::Machine m(ng);
-        m.set_topology(2, 2);
-        m.set_hier_reduce(hier);
-        m.set_sync_mode(mode);
-        m.set_host_workers(workers);
-        PrecondHandle handle(spec);
-        SolverOptions popts = opts;
-        popts.precond = &handle;
-        const SolveResult r = ca_gmres(m, p, popts);
-        ASSERT_TRUE(r.stats.converged);
-        if (first) {
-          x0 = r.x;
-          hist0 = r.stats.residual_history;
-          first = false;
-        } else {
-          EXPECT_EQ(r.x, x0)
-              << "hier=" << hier << " event="
-              << (mode == sim::SyncMode::kEvent) << " workers=" << workers;
-          EXPECT_EQ(r.stats.residual_history, hist0);
-        }
+    for (const int workers : {0, 2}) {
+      sim::Machine m(ng);
+      m.set_topology(2, 2);
+      m.set_hier_reduce(hier);
+      m.set_host_workers(workers);
+      PrecondHandle handle(spec);
+      SolverOptions popts = opts;
+      popts.precond = &handle;
+      const SolveResult r = ca_gmres(m, p, popts);
+      ASSERT_TRUE(r.stats.converged);
+      if (first) {
+        x0 = r.x;
+        hist0 = r.stats.residual_history;
+        first = false;
+      } else {
+        EXPECT_EQ(r.x, x0) << "hier=" << hier << " workers=" << workers;
+        EXPECT_EQ(r.stats.residual_history, hist0);
       }
     }
   }
@@ -344,11 +338,11 @@ TEST(IluPrecond, BitwiseIdenticalUnderInjectedKernelNan) {
   // the MPK executor's scratch multivector. Reusing ONE scratch column for
   // every step of a block let step i+1's trisolve overwrite rows that a
   // peer's still-parked halo closure from step i was reading — a
-  // write-after-read hazard only visible in event mode with live workers,
-  // and only observable when the two orders produce different bytes (an
-  // injected NaN makes them wildly different). generate_by_spmv now stages
-  // one column per step; a NaN-poisoned run must be bit-identical across
-  // every sync mode and worker count, like any other run.
+  // write-after-read hazard only visible with live workers, and only
+  // observable when the two orders produce different bytes (an injected
+  // NaN makes them wildly different). generate_by_spmv now stages one
+  // column per step; a NaN-poisoned run must be bit-identical across
+  // worker counts, like any other run.
   const sparse::CsrMatrix a = sparse::make_laplace2d(24, 24, 0.1, 0.02);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
   const int ng = 4;
@@ -363,30 +357,24 @@ TEST(IluPrecond, BitwiseIdenticalUnderInjectedKernelNan) {
   std::vector<double> x0;
   std::vector<double> hist0;
   bool first = true;
-  for (const sim::SyncMode mode :
-       {sim::SyncMode::kBarrier, sim::SyncMode::kEvent}) {
-    for (const int workers : {0, 2}) {
-      sim::Machine m(ng);
-      m.set_topology(2, 2);
-      m.set_sync_mode(mode);
-      m.set_host_workers(workers);
-      sim::parse_fault_spec("nan:d3@op=335", m.fault_injector());
-      PrecondHandle handle(spec);
-      SolverOptions popts = opts;
-      popts.precond = &handle;
-      const SolveResult r = ca_gmres(m, p, popts);
-      ASSERT_TRUE(r.stats.converged);
-      EXPECT_GE(r.stats.recovery.blocks_replayed, 1);
-      if (first) {
-        x0 = r.x;
-        hist0 = r.stats.residual_history;
-        first = false;
-      } else {
-        EXPECT_EQ(r.x, x0)
-            << "event=" << (mode == sim::SyncMode::kEvent)
-            << " workers=" << workers;
-        EXPECT_EQ(r.stats.residual_history, hist0);
-      }
+  for (const int workers : {0, 2}) {
+    sim::Machine m(ng);
+    m.set_topology(2, 2);
+    m.set_host_workers(workers);
+    sim::parse_fault_spec("nan:d3@op=335", m.fault_injector());
+    PrecondHandle handle(spec);
+    SolverOptions popts = opts;
+    popts.precond = &handle;
+    const SolveResult r = ca_gmres(m, p, popts);
+    ASSERT_TRUE(r.stats.converged);
+    EXPECT_GE(r.stats.recovery.blocks_replayed, 1);
+    if (first) {
+      x0 = r.x;
+      hist0 = r.stats.residual_history;
+      first = false;
+    } else {
+      EXPECT_EQ(r.x, x0) << "workers=" << workers;
+      EXPECT_EQ(r.stats.residual_history, hist0);
     }
   }
 }
