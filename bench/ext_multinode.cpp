@@ -7,10 +7,8 @@
 // Expected shape: as communication gets more expensive, the CA-GMRES
 // advantage GROWS — the latency terms it eliminates (per-iteration
 // reductions, per-SpMV halo exchanges) are exactly the ones the network
-// amplifies. On the multi-node shapes CA-GMRES runs once with the
-// hierarchical two-stage collectives (the default) and once with the flat
-// fold forced, so the table also shows what the one-message-per-node
-// reductions buy at each depth.
+// amplifies. On the multi-node shapes the collectives fold through a node
+// leader, so each reduction sends at most one inter-node message per node.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -78,29 +76,18 @@ int main(int argc, char** argv) {
 
     so.s = opts.get_int("s");
     so.reorthogonalize = true;
-    // CA-GMRES with the hierarchical collectives (the nodes > 1 default),
-    // then with the flat per-device fold forced, to price the two-stage
-    // reductions at this depth. On one node the knob is inert: skip the
-    // duplicate row.
-    for (const bool hier : tp.t.n_nodes > 1 ? std::vector<bool>{true, false}
-                                            : std::vector<bool>{true}) {
-      sim::Machine mc(tp.t);
-      mc.set_hier_reduce(hier);
-      const auto rc = core::ca_gmres(mc, p, so).stats;
-      const double cper = rc.restarts ? rc.time_total / rc.restarts : 0.0;
-      table.add_row(
-          {tp.label, std::to_string(ng),
-           tp.t.n_nodes > 1 ? (hier ? "CA-GMRES hier" : "CA-GMRES flat")
-                            : "CA-GMRES",
-           Table::fmt(rc.traffic.peer_bytes / 1024.0, 1),
-           Table::fmt(rc.traffic.net_bytes / 1024.0, 1),
-           Table::fmt_int(rc.traffic.net_msgs),
-           bench::ms(rc.restarts ? rc.time_ortho_total() / rc.restarts : 0),
-           bench::ms(rc.restarts ? (rc.time_spmv + rc.time_mpk) / rc.restarts
-                                 : 0),
-           bench::ms(cper),
-           cper > 0 ? Table::fmt(gper / cper, 2) : "-"});
-    }
+    sim::Machine mc(tp.t);
+    const auto rc = core::ca_gmres(mc, p, so).stats;
+    const double cper = rc.restarts ? rc.time_total / rc.restarts : 0.0;
+    table.add_row(
+        {tp.label, std::to_string(ng), "CA-GMRES",
+         Table::fmt(rc.traffic.peer_bytes / 1024.0, 1),
+         Table::fmt(rc.traffic.net_bytes / 1024.0, 1),
+         Table::fmt_int(rc.traffic.net_msgs),
+         bench::ms(rc.restarts ? rc.time_ortho_total() / rc.restarts : 0),
+         bench::ms(rc.restarts ? (rc.time_spmv + rc.time_mpk) / rc.restarts
+                               : 0),
+         bench::ms(cper), cper > 0 ? Table::fmt(gper / cper, 2) : "-"});
     table.add_separator();
   }
   std::printf("%s\n", table.str().c_str());

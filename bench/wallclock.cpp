@@ -20,10 +20,9 @@
 //      fabric prices the same algorithm.
 //
 //   3. hier_reduce — the deep shapes solved with the hierarchical two-stage
-//      collectives on vs forced off, across worker counts: all four
-//      solutions bitwise identical, hier charging less, and a single
-//      reduction placing at most one inter-node message per node where the
-//      flat fold pays one per off-node device.
+//      collectives across worker counts: both solutions bitwise identical,
+//      and a single reduction placing at most one inter-node message per
+//      node.
 //
 //   4. node_kill_recovery — at each multi-node shape, one whole-node kill
 //      mid-solve, recovered once with hierarchical partner checkpointing
@@ -36,7 +35,7 @@
 //      charged seconds and per-tier wire vs logical bytes (DESIGN.md §14).
 //
 //   6. precond — GMRES(30) on the cant and g3 analogs, unpreconditioned vs
-//      right-preconditioned ILU(0) and ILU(1), recording setup and solve
+//      right-preconditioned block ILU(0), recording setup and solve
 //      charged seconds, fill and level counts (DESIGN.md §15).
 //
 //   7. gram_microbench — the blocked V^T·W Gram kernel and the V·R panel
@@ -314,21 +313,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- hier_reduce: two-stage node-grouped reductions vs flat fold -------
-  // At each deep shape, the same node-first problem solved with the
-  // hierarchical collectives on (Machine default for nodes > 1) and forced
-  // off, across {0, 2 workers}: all four solutions must match bitwise (the
-  // fold tree is knob/worker invariant; only the charges move), hier must
-  // charge less, and a single reduction must put at most `nodes` messages
-  // on the inter-node network where the flat fold pays one per off-node
-  // device.
+  // --- hier_reduce: two-stage node-grouped reductions --------------------
+  // At each deep shape, the node-first problem solved across {0, 2
+  // workers}: both solutions must match bitwise (the fold tree is worker
+  // invariant; only wall-clock moves), and a single reduction must put at
+  // most `nodes` messages on the inter-node network.
   struct HierRow {
     int ng = 0;
     int nodes = 1;
-    double flat_sim = 0.0;
-    double hier_sim = 0.0;
-    long long flat_red_net_msgs = 0;
-    long long hier_red_net_msgs = 0;
+    double sim = 0.0;
+    long long red_net_msgs = 0;
     bool identical = false;
     bool converged = true;
   };
@@ -336,7 +330,7 @@ int main(int argc, char** argv) {
   {
     std::vector<std::pair<int, int>> hshapes = {{8, 2}};
     if (!smoke) hshapes = {{16, 4}, {64, 8}};
-    std::printf("\n  hier_reduce (two-stage vs flat fold):\n");
+    std::printf("\n  hier_reduce (two-stage node-leader fold):\n");
     for (const auto& [hng, hnodes] : hshapes) {
       const core::Problem ph = core::make_problem(
           a, b, hng, graph::parse_ordering(oname), true, 7, hnodes);
@@ -345,52 +339,39 @@ int main(int argc, char** argv) {
       hr.nodes = hnodes;
       hr.identical = true;
       std::vector<double> x0;
-      bool first = true;
-      for (const bool hier : {false, true}) {
-        for (const int w : {0, 2}) {
-          sim::Machine mh(hng);
-          mh.set_topology(hnodes, hng / hnodes);
-          mh.set_hier_reduce(hier);
-          mh.set_host_workers(w);
-          core::SolverOptions so = sopts;
-          so.s = smoke ? 5 : opts.get_int("s");
-          const core::SolveResult rs = core::ca_gmres(mh, ph, so);
-          if (first) {
-            x0 = rs.x;
-            first = false;
-          }
-          hr.identical = hr.identical && rs.x == x0;
-          hr.converged = hr.converged && rs.stats.converged;
-          // Headline charge comparison; workers are charge-invariant.
-          if (w == 0) {
-            (hier ? hr.hier_sim : hr.flat_sim) = rs.stats.time_total;
-          }
+      for (const int w : {0, 2}) {
+        sim::Machine mh(hng);
+        mh.set_topology(hnodes, hng / hnodes);
+        mh.set_host_workers(w);
+        core::SolverOptions so = sopts;
+        so.s = smoke ? 5 : opts.get_int("s");
+        const core::SolveResult rs = core::ca_gmres(mh, ph, so);
+        if (w == 0) {
+          x0 = rs.x;
+          hr.sim = rs.stats.time_total;  // workers are charge-invariant
         }
+        hr.identical = hr.identical && rs.x == x0;
+        hr.converged = hr.converged && rs.stats.converged;
       }
       // Per-reduction network message microcount: one bare reduce of ng
       // device partials on an otherwise idle machine.
-      for (const bool hier : {false, true}) {
+      {
         sim::Machine mh(hng);
         mh.set_topology(hnodes, hng / hnodes);
-        mh.set_hier_reduce(hier);
         std::vector<std::vector<double>> parts(
             static_cast<std::size_t>(hng), std::vector<double>(8, 1.0));
         std::vector<double> sum(8, 0.0);
         const std::int64_t before = mh.counters().net_msgs;
         ortho::detail::reduce_to_host(mh, parts, 8, sum.data());
         mh.sync();
-        (hier ? hr.hier_red_net_msgs : hr.flat_red_net_msgs) =
+        hr.red_net_msgs =
             static_cast<long long>(mh.counters().net_msgs - before);
       }
       hier_rows.push_back(hr);
-      std::printf(
-          "    ng=%-3d %dx%-2d  flat=%9.4fs  hier=%9.4fs  (%.3fx)  "
-          "red_net_msgs %lld -> %lld%s%s\n",
-          hng, hnodes, hng / hnodes, hr.flat_sim, hr.hier_sim,
-          hr.hier_sim > 0.0 ? hr.flat_sim / hr.hier_sim : 0.0,
-          hr.flat_red_net_msgs, hr.hier_red_net_msgs,
-          hr.converged ? "" : " (nc)",
-          hr.identical ? "" : "  RESULTS DIVERGED");
+      std::printf("    ng=%-3d %dx%-2d  sim=%9.4fs  red_net_msgs %lld%s%s\n",
+                  hng, hnodes, hng / hnodes, hr.sim, hr.red_net_msgs,
+                  hr.converged ? "" : " (nc)",
+                  hr.identical ? "" : "  RESULTS DIVERGED");
     }
   }
 
@@ -460,13 +441,13 @@ int main(int argc, char** argv) {
   // The ROADMAP's preconditioning item made concrete: the cant-like and
   // circuit-like analogs under GMRES(30) with a 1200-iteration budget
   // (m=30 x 40 restarts), unpreconditioned vs the right-preconditioned
-  // ILU(k) handle subsystem (src/precond/). The circuit shape exhausts its
+  // ILU(0) handle subsystem (src/precond/). The circuit shape exhausts its
   // budget raw; ILU must converge it in fewer iterations AND fewer total
   // charged seconds (setup + solve) — that is the perf gate bench.sh
   // --compare enforces.
   struct PrecondRow {
     std::string matrix;
-    std::string precond;  // none | ilu0 | ilu1
+    std::string precond;  // none | ilu0
     int iterations = 0;
     int restarts = 0;
     double setup_sim_seconds = 0.0;
@@ -492,8 +473,7 @@ int main(int argc, char** argv) {
       po.max_restarts = 40;  // 1200-iteration budget
       po.tol = opts.get_double("tol");
       for (const auto& [which, spec] :
-           {std::pair{"none", "none"}, std::pair{"ilu0", "ilu:k=0"},
-            std::pair{"ilu1", "ilu:k=1"}}) {
+           {std::pair{"none", "none"}, std::pair{"ilu0", "ilu"}}) {
         sim::Machine mp(ng);
         PrecondRow row;
         row.matrix = pname;
@@ -606,15 +586,11 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < hier_rows.size(); ++i) {
     const auto& r = hier_rows[i];
     out << "    {\"ng\": " << r.ng << ", \"nodes\": " << r.nodes
-        << ", \"flat_sim_seconds\": " << r.flat_sim
-        << ", \"hier_sim_seconds\": " << r.hier_sim << ", \"speedup\": "
-        << (r.hier_sim > 0.0 ? r.flat_sim / r.hier_sim : 0.0)
-        << ", \"flat_reduction_net_msgs\": " << r.flat_red_net_msgs
-        << ", \"hier_reduction_net_msgs\": " << r.hier_red_net_msgs
-        << ", \"hier_cheaper\": " << json_bool(r.hier_sim < r.flat_sim)
+        << ", \"sim_seconds\": " << r.sim
+        << ", \"reduction_net_msgs\": " << r.red_net_msgs
         << ", \"at_most_one_msg_per_node\": "
-        << json_bool(r.hier_red_net_msgs <= r.nodes)
-        << ", \"identical_results\": " << json_bool(r.identical)
+        << json_bool(r.red_net_msgs <= r.nodes)
+        << ", \"identical_across_workers\": " << json_bool(r.identical)
         << ", \"converged\": " << json_bool(r.converged) << "}"
         << (i + 1 < hier_rows.size() ? "," : "") << "\n";
   }

@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   opts.add("adaptive", "0", "adapt s on TSQR breakdowns");
   opts.add("balance", "1", "row/column equilibration before solving");
   opts.add("precond", "",
-           "right-preconditioner spec for ca|gmres, e.g. ilu:k=1,underlap=1 "
+           "right-preconditioner spec for ca|gmres: ilu (block ILU(0)) "
            "(empty or \"none\" = off)");
   opts.add("tol", "1e-8", "relative residual tolerance");
   opts.add("max_restarts", "1000", "restart cap");

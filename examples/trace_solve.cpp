@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
   opts.add("budget", "0",
            "basis-vector (iteration) budget; 0 = unlimited (same error)");
   opts.add("precond", "",
-           "right-preconditioner spec, e.g. ilu:k=1,underlap=1 (DESIGN.md "
-           "§15); empty or \"none\" runs unpreconditioned. The trisolve "
+           "right-preconditioner spec: ilu (block ILU(0), DESIGN.md §15); "
+           "empty or \"none\" runs unpreconditioned. The trisolve "
            "levels show up as extra kSpmvCsr kernels inside the "
            "\"precond\" phase rows of the trace");
   if (!opts.parse(argc, argv)) return 0;

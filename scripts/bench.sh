@@ -9,21 +9,20 @@
 #               sections: every sweep point must have run, and partner
 #               checkpointing must beat the flat host-checkpoint restart at
 #               every ng >= 16 shape present.
-#               The hier_reduce section gates too: the hierarchical
-#               two-stage fold must charge strictly less than the flat
-#               per-device fold at every ng >= 16 shape, send at most one
-#               inter-node message per node per reduction, and match the
-#               flat results bitwise. The compress section gates on every
+#               The hier_reduce section gates too: the two-stage
+#               node-leader fold must send at most one inter-node message
+#               per node per reduction and give bitwise-identical results
+#               across host worker counts. The compress section gates on every
 #               coded run shipping strictly fewer net bytes than the
 #               uncoded one while staying within the convergence health
 #               budget (a coded run may not unconverge a converging shape).
-#               The precond section gates on the ILU(k) subsystem earning
+#               The precond section gates on the ILU(0) subsystem earning
 #               its keep: on every shape whose unpreconditioned run
-#               exhausted the iteration budget, some ILU row must converge
+#               exhausted the iteration budget, the ILU row must converge
 #               with strictly fewer iterations; at least one capped shape
-#               must exist at all, and on at least one of them the best
-#               ILU row must also charge a lower total (setup + solve)
-#               than the capped run.
+#               must exist at all, and on at least one of them the ILU row
+#               must also charge a lower total (setup + solve) than the
+#               capped run.
 #               A JSON missing a section (e.g. an older baseline written
 #               before that section existed) only warns; the remaining
 #               gates still run.
@@ -97,26 +96,17 @@ if not hier:
     warn_missing("hier_reduce")
     hier = []
 for row in hier:
-    if not row.get("identical_results"):
-        sys.exit(f"compare: hier and flat folds produced different x: {row}")
+    if not row.get("identical_across_workers"):
+        sys.exit(f"compare: hier fold results diverged across workers: {row}")
     if not row.get("at_most_one_msg_per_node"):
         sys.exit(
             "compare: reduction sent more than one inter-node message per "
             f"node: {row}"
         )
-    if row["ng"] >= 16 and not row.get("hier_cheaper"):
-        sys.exit(
-            "compare: hierarchical fold lost to flat fold at "
-            f"ng={row['ng']}: hier {row['hier_sim_seconds']:.6f}s vs "
-            f"flat {row['flat_sim_seconds']:.6f}s"
-        )
     print(
         f"compare OK: ng={row['ng']} ({row['nodes']} nodes) hier "
-        f"{row['hier_sim_seconds']:.6f}s vs flat "
-        f"{row['flat_sim_seconds']:.6f}s "
-        f"(speedup {row['speedup']:.4f}x, "
-        f"reduction net msgs {row['flat_reduction_net_msgs']} -> "
-        f"{row['hier_reduction_net_msgs']})"
+        f"{row['sim_seconds']:.6f}s, "
+        f"reduction net msgs {row['reduction_net_msgs']}"
     )
 
 comp = doc.get("compress")
@@ -164,7 +154,7 @@ for matrix, rows in by_matrix.items():
     none = rows.get("none")
     if none is None:
         sys.exit(f"compare: precond section has no 'none' row for {matrix}")
-    ilus = [rows[k] for k in ("ilu0", "ilu1") if k in rows]
+    ilus = [rows[k] for k in ("ilu0",) if k in rows]
     if not ilus:
         sys.exit(f"compare: precond section has no ILU rows for {matrix}")
     if none["converged"]:

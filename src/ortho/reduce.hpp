@@ -31,21 +31,18 @@ namespace cagmres::ortho::detail {
 ///
 /// On a multi-node topology the fold runs through a two-level tree grouped
 /// by node (node subtotals in fold order, then subtotals straggler-last —
-/// DESIGN.md §13). With Machine::hier_reduce() on, each multi-member node's
-/// subtotal is computed on a node-leader device behind intra-node peer
-/// transfers, and exactly one D2H per node crosses the inter-node link;
-/// with it off every device ships its own partial and the host folds the
-/// same tree. Both sides produce bitwise-identical results (the leader
-/// stages are busy-normalized so even the fold permutation matches); the
-/// single-node path is untouched. ev[d] then marks device d's partial
-/// leaving the device (the node leader's event covers its shipped
-/// subtotal).
+/// DESIGN.md §13). Each multi-member node's subtotal is computed on a
+/// node-leader device behind intra-node peer transfers, and exactly one
+/// D2H per node crosses the inter-node link. The leader stages are
+/// busy-normalized to direct device->host messages, so the fold permutation
+/// never depends on the route. ev[d] then marks device d's partial leaving
+/// the device (the node leader's event covers its shipped subtotal).
 ///
 /// With a reduce codec armed (Machine::codec(kReduce)), each partial is
 /// folded as the consumer of its coded message would see it — quantized
-/// exactly once, identically on every schedule and on both sides of the
-/// hier knob — messages are wire-priced, and every producer is charged one
-/// encode pass per reduction (DESIGN.md §14).
+/// exactly once, identically on every schedule and every route — messages
+/// are wire-priced, and every producer is charged one encode pass per
+/// reduction (DESIGN.md §14).
 std::vector<sim::Event> reduce_to_host_events(
     sim::Machine& m, const std::vector<std::vector<double>>& partials,
     int len, double* out);
@@ -56,9 +53,9 @@ void reduce_to_host(sim::Machine& m,
                     double* out);
 
 /// Charges the broadcast of `len` doubles from the host to every device
-/// and makes subsequent device kernels wait for it. Flat: one H2D message
-/// per device. With Machine::hier_reduce() on, one inter-node H2D per node
-/// leader and intra-node relays behind its event (charge-only either way).
+/// and makes subsequent device kernels wait for it. One node: one H2D
+/// message per device. More than one: one inter-node H2D per node leader
+/// and intra-node relays behind its event (charge-only either way).
 ///
 /// `payload` (optional) is the host buffer being broadcast. When a reduce
 /// codec is armed and the payload is supplied, the broadcast ships the

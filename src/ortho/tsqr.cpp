@@ -122,14 +122,14 @@ std::vector<int> fold_order(const sim::Machine& m) {
 
 // ---- multi-node grouped fold (DESIGN.md §13) ----------------------------
 //
-// At nodes > 1 BOTH sides of the Machine::hier_reduce() knob fold through
-// the same two-level summation tree: within each node, partials are summed
-// in global fold order into a zero-initialized node subtotal; the subtotals
-// are then folded into `out` (also zero-initialized) with nodes ordered by
-// their last member's position in the fold order (straggler-last across
-// nodes). The knob only moves WHERE a subtotal is computed — on the host
-// behind ng flat messages, or on a node-leader device behind one inter-node
-// message per node — so the bits agree whichever side ran.
+// At nodes > 1 the fold is a two-level summation tree: within each node,
+// partials are summed in global fold order into a zero-initialized node
+// subtotal; the subtotals are then folded into `out` (also
+// zero-initialized) with nodes ordered by their last member's position in
+// the fold order (straggler-last across nodes). A multi-member node's
+// subtotal is computed on its node-leader device behind one inter-node
+// message; a single-member node ships its partial and the host computes
+// the (one-term) subtotal at fold time.
 
 /// Node buckets of the fold order: members of the k-th node to finish, each
 /// bucket in fold order (so .back() is that node's straggler, the leader).
@@ -157,12 +157,12 @@ std::vector<std::vector<int>> node_buckets(const sim::Machine& m,
   return out;
 }
 
-/// One node's subtotal: zero-init + sequential member adds. The host (flat
-/// knob) and the leader-device closure (hier knob) both run exactly this —
-/// including the per-member codec round trip, so the subtotal's bits agree
-/// whichever side computed it. The shipped subtotal itself is modeled as a
+/// One node's subtotal: zero-init + sequential member adds, including the
+/// per-member codec round trip, so each partial is quantized exactly once,
+/// as on the single-node path. The shipped subtotal itself is modeled as a
 /// lossless re-encode (wire-priced, not re-quantized): re-quantizing it
-/// would make hier fold different values than flat (DESIGN.md §14).
+/// would round the node's partials a second time, unlike the single-node
+/// path (DESIGN.md §14).
 void node_subtotal(const std::vector<std::vector<double>>& partials,
                    const std::vector<int>& members, int len, double* s,
                    const sim::CodecSpec& cd) {
@@ -181,31 +181,31 @@ void node_subtotal(const std::vector<std::vector<double>>& partials,
   }
 }
 
-/// Flat-equivalent charge of shipping `bytes` between device d and the
-/// coordinating host — the busy-normalization target for peer-routed
-/// hierarchical stages (see Machine::adjust_device_busy).
-double flat_ship_seconds(const sim::Machine& m, int d, double bytes) {
+/// Direct charge of shipping `bytes` between device d and the coordinating
+/// host — the busy-normalization target for messages routed through a node
+/// leader, so the fold order never depends on the route (see
+/// Machine::adjust_device_busy).
+double direct_ship_seconds(const sim::Machine& m, int d, double bytes) {
   double t = m.perf().transfer_seconds(bytes);
   if (m.is_remote(d)) t += m.perf().net_seconds(bytes);
   return t;
 }
 
-/// The nodes > 1 reduction, both knob settings. Hier stage 1 (per
-/// multi-member node): members peer their partials to the node's host
-/// memory, the leader stream-waits them, sums them with a charged device
-/// add, and ships the one subtotal inter-node. Stage 2: the host folds
-/// node contributions in node order, with the bulk-vs-incremental charged
-/// schedule chosen exactly like the flat path, per node group.
+/// The nodes > 1 reduction. Stage 1 (per multi-member node): members peer
+/// their partials to the node's host memory, the leader stream-waits them,
+/// sums them with a charged device add, and ships the one subtotal
+/// inter-node. Stage 2: the host folds node contributions in node order,
+/// with the bulk-vs-incremental charged schedule chosen exactly like the
+/// single-node path, per node group.
 std::vector<sim::Event> reduce_grouped(
     sim::Machine& m, const std::vector<std::vector<double>>& partials,
     int len, double* out) {
-  const bool hier = m.hier_reduce();
   const sim::PerfModel& pm = m.perf();
   std::vector<sim::Event> ev(static_cast<std::size_t>(m.n_devices()));
   // The fold order is sampled at entry, before this reduction's own
-  // transfer charges land; the hierarchical stages are busy-normalized to
-  // the flat ones, so the permutation — and with it the summation tree —
-  // is identical whichever side of the knob runs.
+  // transfer charges land; the leader-routed stages are busy-normalized to
+  // direct device<->host messages, so the permutation — and with it the
+  // summation tree — never depends on how a partial was routed.
   const std::vector<int> perm = fold_order(m);
   const std::vector<std::vector<int>> nodes = node_buckets(m, perm);
   const std::size_t nn = nodes.size();
@@ -221,7 +221,7 @@ std::vector<sim::Event> reduce_grouped(
   for (std::size_t k = 0; k < nn; ++k) {
     const std::vector<int>& mem = nodes[k];
     sums[k].assign(static_cast<std::size_t>(len), 0.0);
-    if (hier && mem.size() > 1) {
+    if (mem.size() > 1) {
       const int lead = mem.back();  // the within-node straggler
       for (std::size_t i = 0; i + 1 < mem.size(); ++i) {
         const int d = mem[i];
@@ -229,7 +229,7 @@ std::vector<sim::Event> reduce_grouped(
         m.d2h_node(d, wire, bytes);
         ev[static_cast<std::size_t>(d)] = m.record_event(d);
         m.adjust_device_busy(
-            d, flat_ship_seconds(m, d, wire) - pm.peer_seconds(wire));
+            d, direct_ship_seconds(m, d, wire) - pm.peer_seconds(wire));
       }
       for (std::size_t i = 0; i + 1 < mem.size(); ++i) {
         m.stream_wait_event(lead, ev[static_cast<std::size_t>(mem[i])]);
@@ -249,10 +249,10 @@ std::vector<sim::Event> reduce_grouped(
           }
         }
       });
-      // One encode per device per reduction on either side of the knob:
-      // members encoded their partials above, the leader encodes the one
-      // subtotal it ships — same kCodec busy as the flat branch, so the
-      // fold-order permutation stays knob-invariant without an adjustment.
+      // One encode per device per reduction: members encoded their
+      // partials above, the leader encodes the one subtotal it ships — the
+      // same kCodec busy as a direct ship, so the fold order needs no
+      // adjustment for it.
       m.charge_codec(lead, cd, len);
       m.d2h(lead, wire, bytes);
       ev[static_cast<std::size_t>(lead)] = m.record_event(lead);
@@ -260,31 +260,28 @@ std::vector<sim::Event> reduce_grouped(
       ready[k] = ev[static_cast<std::size_t>(lead)].t;
       work[k] = static_cast<double>(len);  // out += subtotal
     } else {
-      // Flat knob, or a single-member node: every member ships its own
-      // partial and the host computes the subtotal at fold time.
-      for (const int d : mem) {
-        m.charge_codec(d, cd, len);
-        m.d2h(d, wire, bytes);
-        ev[static_cast<std::size_t>(d)] = m.record_event(d);
-        waits[k].push_back(ev[static_cast<std::size_t>(d)]);
-        ready[k] = std::max(ready[k], ev[static_cast<std::size_t>(d)].t);
-      }
-      work[k] = static_cast<double>(len) * (mem.size() + 1);
+      // A single-member node ships its own partial; the host computes the
+      // subtotal at fold time.
+      const int d = mem.front();
+      m.charge_codec(d, cd, len);
+      m.d2h(d, wire, bytes);
+      ev[static_cast<std::size_t>(d)] = m.record_event(d);
+      waits[k].push_back(ev[static_cast<std::size_t>(d)]);
+      ready[k] = ev[static_cast<std::size_t>(d)].t;
+      work[k] = 2.0 * len;  // subtotal = 0 + partial, then out += subtotal
     }
   }
 
   for (int j = 0; j < len; ++j) out[j] = 0.0;
   const auto fold_node = [&](std::size_t k) {
     const std::vector<int>& mem = nodes[k];
-    if (!(hier && mem.size() > 1)) {
-      node_subtotal(partials, mem, len, sums[k].data(), cd);
-    }
+    if (mem.size() == 1) node_subtotal(partials, mem, len, sums[k].data(), cd);
     const double* s = sums[k].data();
     for (int j = 0; j < len; ++j) out[j] += s[j];
   };
 
-  // Same bulk-vs-incremental charged-schedule choice as the flat path,
-  // over node groups instead of devices (see below).
+  // Same bulk-vs-incremental charged-schedule choice as the single-node
+  // path, over node groups instead of devices (see below).
   double h_bulk = m.clock().host_time();
   double tot = 0.0;
   for (std::size_t k = 0; k < nn; ++k) {
@@ -429,19 +426,20 @@ void broadcast_charge(sim::Machine& m, int len, double* payload) {
   if (coded) cd.roundtrip(payload, len);
   const double bytes = 8.0 * len;
   const double wire = coded ? cd.wire_bytes(len) : bytes;
-  if (!m.hier_reduce()) {
+  if (m.topology().n_nodes == 1) {
     for (int d = 0; d < m.n_devices(); ++d) {
       m.h2d(d, wire, bytes);
       if (coded) m.charge_codec(d, cd, len);
     }
     return;
   }
-  // Hierarchical fan-out (charge-only, like the flat path — the data is in
-  // host memory either way): one inter-node h2d to a node leader, then the
-  // other members pull over the intra-node link behind the leader's event.
-  // The leader is the node's least-busy device, so the relayed copies start
-  // as early as possible. Peer-routed members are busy-normalized to the
-  // flat h2d they replace, keeping the reduce fold order knob-invariant.
+  // Multi-node fan-out (charge-only, like the single-node path — the data
+  // is in host memory either way): one inter-node h2d to a node leader,
+  // then the other members pull over the intra-node link behind the
+  // leader's event. The leader is the node's least-busy device, so the
+  // relayed copies start as early as possible. Peer-routed members are
+  // busy-normalized to a direct h2d, so the reduce fold order never
+  // depends on the route.
   const sim::PerfModel& pm = m.perf();
   const std::vector<int> perm = fold_order(m);
   for (const std::vector<int>& mem : node_buckets(m, perm)) {
@@ -455,7 +453,7 @@ void broadcast_charge(sim::Machine& m, int len, double* payload) {
       m.h2d_node(d, wire, bytes);
       if (coded) m.charge_codec(d, cd, len);
       m.adjust_device_busy(
-          d, flat_ship_seconds(m, d, wire) - pm.peer_seconds(wire));
+          d, direct_ship_seconds(m, d, wire) - pm.peer_seconds(wire));
     }
   }
 }

@@ -54,11 +54,10 @@ LevelSchedule build_schedule(int n, const std::vector<std::int64_t>& ptr,
 
 }  // namespace
 
-void ilu_symbolic(const sparse::CsrMatrix& a, int row0, int row1, int level,
-                  int underlap, DeviceFactor& f) {
+void ilu_symbolic(const sparse::CsrMatrix& a, int row0, int row1,
+                  DeviceFactor& f) {
   CAGMRES_REQUIRE(0 <= row0 && row0 <= row1 && row1 <= a.n_rows,
                   "ILU block out of range");
-  CAGMRES_REQUIRE(level >= 0 && underlap >= 0, "bad ILU(k) parameters");
   const int n = row1 - row0;
   f.row0 = row0;
   f.row1 = row1;
@@ -67,103 +66,23 @@ void ilu_symbolic(const sparse::CsrMatrix& a, int row0, int row1, int level,
   f.l_idx.clear();
   f.u_idx.clear();
 
-  // A local row is Jacobi-treated (diagonal-only in M) when it falls in the
-  // underlap margin at either end of the block.
-  auto jacobi_row = [&](int i) { return i < underlap || i >= n - underlap; };
-
-  // Per-U-entry fill levels, needed while later rows merge this row.
-  std::vector<std::int64_t> ulev_ptr(f.u_ptr.begin(), f.u_ptr.end());
-  std::vector<int> u_fill_lev;
-
-  // Sorted-pattern working row as a linked list over local columns:
-  // nxt[c] = next pattern column after c (n = list head sentinel, -1 = end).
-  const int kHead = n;
-  std::vector<int> nxt(static_cast<std::size_t>(n) + 1, -1);
-  std::vector<int> lev(static_cast<std::size_t>(n), 0);
-  std::vector<char> in_row(static_cast<std::size_t>(n), 0);
-
+  // The pattern is the block-local part of A's row (couplings outside the
+  // block are dropped) split at the diagonal, which is always in the
+  // factor (inv_diag) whether or not A stores it.
   for (int i = 0; i < n; ++i) {
-    if (jacobi_row(i)) {  // diagonal-only: empty L and U rows
-      f.l_ptr[static_cast<std::size_t>(i) + 1] =
-          static_cast<std::int64_t>(f.l_idx.size());
-      f.u_ptr[static_cast<std::size_t>(i) + 1] =
-          static_cast<std::int64_t>(f.u_idx.size());
-      continue;
-    }
-    // Seed the pattern with the block-local part of A's row i + the
-    // diagonal (level 0).
-    nxt[static_cast<std::size_t>(kHead)] = -1;
-    int tail = kHead;
-    const auto rlo = a.row_ptr[static_cast<std::size_t>(row0 + i)];
-    const auto rhi = a.row_ptr[static_cast<std::size_t>(row0 + i) + 1];
-    bool have_diag = false;
-    for (auto p = rlo; p < rhi; ++p) {
+    for (auto p = a.row_ptr[static_cast<std::size_t>(row0 + i)];
+         p < a.row_ptr[static_cast<std::size_t>(row0 + i) + 1]; ++p) {
       const int c = a.col_idx[static_cast<std::size_t>(p)] - row0;
-      if (c < 0 || c >= n) continue;  // coupling outside the block: dropped
-      nxt[static_cast<std::size_t>(tail)] = c;
-      nxt[static_cast<std::size_t>(c)] = -1;
-      lev[static_cast<std::size_t>(c)] = 0;
-      in_row[static_cast<std::size_t>(c)] = 1;
-      tail = c;
-      if (c == i) have_diag = true;
-    }
-    if (!have_diag) {  // structurally missing diagonal: add it (value 0)
-      int at = kHead;
-      while (nxt[static_cast<std::size_t>(at)] != -1 &&
-             nxt[static_cast<std::size_t>(at)] < i) {
-        at = nxt[static_cast<std::size_t>(at)];
-      }
-      nxt[static_cast<std::size_t>(i)] = nxt[static_cast<std::size_t>(at)];
-      nxt[static_cast<std::size_t>(at)] = i;
-      lev[static_cast<std::size_t>(i)] = 0;
-      in_row[static_cast<std::size_t>(i)] = 1;
-    }
-
-    // Merge the U rows of every pivot p < i in the (growing, sorted)
-    // pattern: fill at column q gets level lev(i,p) + lev(p,q) + 1.
-    for (int p = nxt[static_cast<std::size_t>(kHead)]; p != -1 && p < i;
-         p = nxt[static_cast<std::size_t>(p)]) {
-      const int lip = lev[static_cast<std::size_t>(p)];
-      if (lip >= level) continue;  // any fill through p would exceed k
-      int at = p;  // merged columns are > p: scan forward from p
-      for (auto e = ulev_ptr[static_cast<std::size_t>(p)];
-           e < ulev_ptr[static_cast<std::size_t>(p) + 1]; ++e) {
-        const int q = f.u_idx[static_cast<std::size_t>(e)];
-        const int lq =
-            lip + u_fill_lev[static_cast<std::size_t>(e)] + 1;
-        if (lq > level) continue;
-        if (in_row[static_cast<std::size_t>(q)] != 0) {
-          lev[static_cast<std::size_t>(q)] =
-              std::min(lev[static_cast<std::size_t>(q)], lq);
-          continue;
-        }
-        while (nxt[static_cast<std::size_t>(at)] != -1 &&
-               nxt[static_cast<std::size_t>(at)] < q) {
-          at = nxt[static_cast<std::size_t>(at)];
-        }
-        nxt[static_cast<std::size_t>(q)] = nxt[static_cast<std::size_t>(at)];
-        nxt[static_cast<std::size_t>(at)] = q;
-        lev[static_cast<std::size_t>(q)] = lq;
-        in_row[static_cast<std::size_t>(q)] = 1;
-      }
-    }
-
-    // Harvest the row into L (c < i) and U (c > i), clearing the markers.
-    for (int c = nxt[static_cast<std::size_t>(kHead)]; c != -1;
-         c = nxt[static_cast<std::size_t>(c)]) {
-      in_row[static_cast<std::size_t>(c)] = 0;
+      if (c < 0 || c >= n) continue;
       if (c < i) {
         f.l_idx.push_back(c);
       } else if (c > i) {
         f.u_idx.push_back(c);
-        u_fill_lev.push_back(lev[static_cast<std::size_t>(c)]);
       }
     }
     f.l_ptr[static_cast<std::size_t>(i) + 1] =
         static_cast<std::int64_t>(f.l_idx.size());
     f.u_ptr[static_cast<std::size_t>(i) + 1] =
-        static_cast<std::int64_t>(f.u_idx.size());
-    ulev_ptr[static_cast<std::size_t>(i) + 1] =
         static_cast<std::int64_t>(f.u_idx.size());
   }
 
@@ -192,7 +111,7 @@ void ilu_numeric(const sparse::CsrMatrix& a, DeviceFactor& f) {
   std::vector<double> w(static_cast<std::size_t>(n), 0.0);
   std::vector<double> diag(static_cast<std::size_t>(n), 1.0);
   // pos[c] = i + 1 marks column c as present in row i's pattern (updates
-  // landing outside the pattern are dropped — the ILU(k) dropping rule).
+  // landing outside the pattern are dropped — the ILU(0) dropping rule).
   std::vector<int> pos(static_cast<std::size_t>(n), 0);
 
   for (int i = 0; i < n; ++i) {

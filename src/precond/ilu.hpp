@@ -1,20 +1,15 @@
-// ILU(k) factorization of device-local blocks, split into a cached
-// symbolic phase and a cheap numeric phase (the spiluk-style design the
-// roadmap asks for; DESIGN.md §15).
+// ILU(0) factorization of device-local blocks, split into a cached
+// symbolic phase and a cheap numeric phase (the spiluk-style design;
+// DESIGN.md §15).
 //
 // The factor is block-local: only couplings inside one device's row range
 // [row0, row1) enter M, so M^{-1} applies with zero communication and the
-// s-step MPK dependency structure of A survives unchanged. An `underlap`
-// of u additionally replaces the u leading and trailing rows of the block
-// by their diagonal (Jacobi-treated), trimming the triangular dependency
-// chains near the partition boundary; underlap >= block size degenerates
-// to plain diagonal (Jacobi) scaling.
+// s-step MPK dependency structure of A survives unchanged.
 //
-// The symbolic phase computes the fill pattern by level of fill
-// (lev(fill at (i,j) via pivot p) = lev(i,p) + lev(p,j) + 1, kept while
-// <= k) plus the level sets that make the triangular solves parallel:
-// within one level every row's in-factor dependencies are already done,
-// so the solver dispatches one kernel per level (precond/trisolve.hpp).
+// The symbolic phase takes A's block-local pattern (no fill) and computes
+// the level sets that make the triangular solves parallel: within one
+// level every row's in-factor dependencies are already done, so the
+// solver dispatches one kernel per level (precond/trisolve.hpp).
 #pragma once
 
 #include <cstdint>
@@ -39,7 +34,7 @@ struct LevelSchedule {
   }
 };
 
-/// One device block's ILU(k) factor A_local ~= L U in local row indices
+/// One device block's ILU(0) factor A_local ~= L U in local row indices
 /// (local row i = global row row0 + i). L is strictly lower triangular
 /// with an implicit unit diagonal; U is strictly upper triangular with the
 /// diagonal held inverted in inv_diag (the solve multiplies, never
@@ -69,12 +64,12 @@ struct DeviceFactor {
   }
 };
 
-/// Symbolic ILU(k): computes the fill pattern and both level schedules for
-/// the block-local rows [row0, row1) of the prepared matrix `a` (couplings
-/// outside the block are dropped; the `underlap` leading/trailing rows
-/// keep only their diagonal). Values are left unset — call ilu_numeric.
-void ilu_symbolic(const sparse::CsrMatrix& a, int row0, int row1, int level,
-                  int underlap, DeviceFactor& f);
+/// Symbolic ILU(0): takes the pattern of the block-local rows [row0, row1)
+/// of the prepared matrix `a` (couplings outside the block are dropped)
+/// and computes both level schedules. Values are left unset — call
+/// ilu_numeric.
+void ilu_symbolic(const sparse::CsrMatrix& a, int row0, int row1,
+                  DeviceFactor& f);
 
 /// Numeric ILU on the cached pattern (IKJ row sweep, fill outside the
 /// pattern dropped). Tiny pivots (|u_ii| <= 1e-13 * max block diagonal)

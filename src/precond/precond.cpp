@@ -8,56 +8,35 @@
 namespace cagmres::precond {
 
 std::string PrecondSpec::to_string() const {
-  if (!armed()) return "none";
-  std::string out = "ilu:k=" + std::to_string(level);
-  if (underlap > 0) out += ",underlap=" + std::to_string(underlap);
-  return out;
+  return armed() ? "ilu" : "none";
 }
 
 PrecondSpec parse_precond_spec(const std::string& text) {
-  PrecondSpec spec;
-  if (text.empty() || text == "none" || text == "off" || text == "0")
-    return spec;
-  std::string body;
-  if (text == "ilu") {
-    spec.kind = PrecondKind::kIlu;
-    return spec;
+  if (text.empty() || text == "none" || text == "off" || text == "0") {
+    return PrecondSpec{};
   }
+  if (text == "ilu" || text == "ilu:k=0") {
+    return PrecondSpec{PrecondKind::kIlu};
+  }
+  // Any other ilu option is a key of the removed ILU(k) grammar (fill
+  // level k >= 1, its `level` alias, the Jacobi-margin keys): name it, so a
+  // spec written for that grammar fails loudly instead of running ILU(0).
   if (text.rfind("ilu:", 0) == 0) {
-    spec.kind = PrecondKind::kIlu;
-    body = text.substr(4);
-  } else {
-    throw Error("precond spec: unknown preconditioner "
-                "(want none|ilu[:k=K,underlap=U]): " + text);
-  }
-  std::size_t pos = 0;
-  while (pos <= body.size()) {
-    std::size_t comma = body.find(',', pos);
-    if (comma == std::string::npos) comma = body.size();
-    const std::string entry = body.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (entry.empty()) continue;
-    const std::size_t eq = entry.find('=');
-    if (eq == std::string::npos)
-      throw Error("precond spec: want key=value: " + entry);
-    const std::string key = entry.substr(0, eq);
-    int value = 0;
-    try {
-      value = std::stoi(entry.substr(eq + 1));
-    } catch (const std::exception&) {
-      throw Error("precond spec: bad integer in: " + entry);
-    }
-    if (value < 0) throw Error("precond spec: negative value in: " + entry);
-    if (key == "k" || key == "level") {
-      spec.level = value;
-    } else if (key == "underlap" || key == "u") {
-      spec.underlap = value;
-    } else {
-      throw Error("precond spec: unknown key (want k|level|underlap|u): " +
-                  key);
+    std::size_t pos = 4;
+    while (pos < text.size()) {
+      std::size_t comma = text.find(',', pos);
+      if (comma == std::string::npos) comma = text.size();
+      const std::string entry = text.substr(pos, comma - pos);
+      if (entry != "k=0") {
+        throw Error("precond spec: key '" + entry.substr(0, entry.find('=')) +
+                    "' in '" + text + "' is not supported: the ILU(k) "
+                    "options were removed and block ILU(0) takes none "
+                    "(want ilu or ilu:k=0)");
+      }
+      pos = comma + 1;
     }
   }
-  return spec;
+  throw Error("precond spec: want none|off|0|ilu|ilu:k=0: " + text);
 }
 
 DeviceFactor* PrecondHandle::factor_for(sim::Machine& m,
@@ -72,11 +51,11 @@ DeviceFactor* PrecondHandle::factor_for(sim::Machine& m,
     }
   }
   auto f = std::make_unique<DeviceFactor>();
-  ilu_symbolic(a, row0, row1, spec_.level, spec_.underlap, *f);
+  ilu_symbolic(a, row0, row1, *f);
   ++stats_.symbolic_builds;
   const double fill = static_cast<double>(f->fill_nnz());
-  // Symbolic analysis is host-side graph work: the pattern merge touches
-  // index data proportional to the fill.
+  // Symbolic analysis is host-side graph work: the pattern scan and level
+  // schedules touch index data proportional to the fill.
   m.charge_host(sim::Kernel::kSmall, fill, 12.0 * fill);
   ilu_numeric(a, *f);
   ++stats_.numeric_builds;

@@ -1,6 +1,5 @@
-// The preconditioner subsystem's public face: a parsed spec
-// ("ilu:k=1,underlap=1"), and a PrecondHandle owning the
-// per-device ILU(k) factors with the symbolic phase cached across numeric
+// The preconditioner subsystem's public face: a parsed spec ("ilu"), and
+// a PrecondHandle owning the per-device ILU(0) factors with the symbolic phase cached across numeric
 // refreshes, restarts, and repartitions (a repartition rebuilds only the
 // devices whose row ranges changed; unchanged ranges reuse their factor).
 //
@@ -26,24 +25,20 @@ namespace cagmres::precond {
 
 enum class PrecondKind {
   kNone,  ///< identity M (the unpreconditioned path, bit-for-bit)
-  kIlu,   ///< device-local ILU(k) with optional underlap
+  kIlu,   ///< device-local ILU(0)
 };
 
-/// Parsed preconditioner request. `level` is the ILU fill level k;
-/// `underlap` Jacobi-treats that many leading/trailing rows of each device
-/// block (0 = full block ILU, >= block size = plain Jacobi scaling).
+/// Parsed preconditioner request.
 struct PrecondSpec {
   PrecondKind kind = PrecondKind::kNone;
-  int level = 0;
-  int underlap = 0;
 
   bool armed() const { return kind != PrecondKind::kNone; }
   std::string to_string() const;
 };
 
-/// Parses "ilu", "ilu:k=1", "ilu:k=1,underlap=2" (key aliases: k/level,
-/// underlap/u). "", "none", "off", and "0" give kNone. Throws
-/// Error(kBadInput) on anything else.
+/// Parses "ilu" or "ilu:k=0" (kIlu) and "", "none", "off" or "0" (kNone).
+/// Throws Error(kBadInput) on anything else; an "ilu:" spec with any other
+/// option (the removed ILU(k) keys) gets a message naming that key.
 PrecondSpec parse_precond_spec(const std::string& text);
 
 /// Cumulative handle telemetry (never reset by rebuilds).

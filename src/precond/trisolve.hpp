@@ -1,4 +1,4 @@
-// Level-scheduled sparse triangular solves for the device-local ILU(k)
+// Level-scheduled sparse triangular solves for the device-local ILU(0)
 // factors: one charged kernel per level per device, rows inside a level
 // running in parallel (the factor's LevelSchedule guarantees their
 // dependencies live in earlier levels). Device-local by construction, so

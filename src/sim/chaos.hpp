@@ -34,7 +34,7 @@ namespace cagmres::sim {
 
 /// Which solver a run drives (the campaign alternates by schedule index).
 /// The kPrecond* variants run the same solvers right-preconditioned with a
-/// fresh ILU(k) PrecondHandle per run (ChaosConfig::precond), so kills and
+/// fresh ILU(0) PrecondHandle per run (ChaosConfig::precond), so kills and
 /// corrupt storms land inside preconditioner setup and the level-scheduled
 /// trisolves as well as the solver proper. kPipelined drives depth-1
 /// pipelined GMRES, unpreconditioned.
@@ -129,7 +129,7 @@ struct ChaosConfig {
   /// Alternate CA-GMRES / GMRES / pipelined GMRES by index (CA-GMRES
   /// only when off).
   bool both_solvers = true;
-  /// Non-empty: a parse_precond_spec string ("ilu:k=1"); the alternation
+  /// Non-empty: a parse_precond_spec string ("ilu"); the alternation
   /// widens to a 5-cycle {ca, gmres, pipelined, precond_ca, precond_gmres}
   /// (2-cycle {ca, precond_ca} when both_solvers is off), so the
   /// preconditioned drivers get their share of the schedules. Empty (the default) keeps the

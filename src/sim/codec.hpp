@@ -44,9 +44,10 @@ struct CodecSpec {
 
   /// In-place encode+decode round trip: x[0..n) afterwards holds exactly
   /// what a consumer of the compressed message would decode. A pure function
-  /// of the input values — identical across worker counts and the
-  /// hier_reduce knob. FRSZ2 blocks containing non-finite values pass
-  /// through unchanged so injected NaN poison survives for the fault scrubs.
+  /// of the input values — identical across worker counts and whichever
+  /// device ships the message. FRSZ2 blocks containing non-finite values
+  /// pass through unchanged so injected NaN poison survives for the fault
+  /// scrubs.
   void roundtrip(double* x, int n) const;
 
   std::string to_string() const;  ///< "none" | "fp32" | "frsz2:<bits>"

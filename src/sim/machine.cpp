@@ -53,14 +53,6 @@ EnvConfig parse_env_config(
     }
   }
 
-  if (const std::string v = read("CAGMRES_HIER_REDUCE"); !v.empty()) {
-    if (v == "0" || v == "off" || v == "flat") {
-      cfg.hier_reduce = false;
-    } else if (v != "1" && v != "on" && v != "hier") {
-      bad_env("CAGMRES_HIER_REDUCE", v, "want 1|on|hier or 0|off|flat");
-    }
-  }
-
   if (const std::string v = read("CAGMRES_TOPOLOGY"); !v.empty()) {
     const std::size_t x = v.find('x');
     const bool ok =
@@ -142,13 +134,19 @@ Machine::Machine(Topology topology, PerfModel model)
       dev_busy_(static_cast<std::size_t>(topology.n_devices()), 0.0),
       dev_poison_(static_cast<std::size_t>(topology.n_devices()), 0),
       codecs_(env_config().codecs),
-      hier_reduce_(env_config().hier_reduce),
       pool_(topology.n_devices(), env_config().host_workers) {
   CAGMRES_REQUIRE(topology.n_nodes >= 1 && topology.gpus_per_node >= 1,
                   "empty topology");
   dev_map_.resize(static_cast<std::size_t>(topology.n_devices()));
   std::iota(dev_map_.begin(), dev_map_.end(), 0);
   faults_.set_gpus_per_node(topo_.gpus_per_node);
+}
+
+void Machine::set_hier_reduce(bool on) {
+  if (!on) {
+    throw Error("set_hier_reduce(false): the flat multi-node fold was "
+                "removed; the node-leader fold is the only schedule");
+  }
 }
 
 void Machine::set_topology(int nodes, int devices_per_node) {

@@ -75,7 +75,7 @@ struct Counters {
 /// coordinating host over PCIe only; devices on other nodes pay an
 /// additional network hop per message, and all network hops serialize on
 /// the coordinating host's NIC (one in-flight message per direction).
-/// Collectives fold intra-node first when hier_reduce() is on — one
+/// On more than one node, collectives fold intra-node first — one
 /// inter-node message per node instead of one per device (DESIGN.md §13).
 struct Topology {
   int n_nodes = 1;
@@ -100,12 +100,6 @@ struct Event {
   std::int64_t ticket = 0;  ///< host-pool enqueue ticket (wall-clock half)
 };
 
-/// The solvers have one sync schedule: per-buffer record/wait pairs, so a
-/// consumer never blocks on streams it does not read (DESIGN.md §10). This
-/// enum and Machine::set_sync_mode exist only so perfbench/workloads.cpp,
-/// which selects kEvent explicitly, keeps compiling; nothing else uses them.
-enum class SyncMode { kEvent };
-
 /// Bounded retry with exponential backoff for checksum-failed transfers.
 /// The retransmission and every backoff interval are charged to the
 /// simulated clock; when the budget is exhausted the machine throws
@@ -123,8 +117,6 @@ struct EnvConfig {
   /// CAGMRES_HOST_WORKERS: a non-negative integer, clamped to the device
   /// count like set_host_workers (0 = serial inline mode).
   int host_workers = 0;
-  /// CAGMRES_HIER_REDUCE: 1|on|hier | 0|off|flat.
-  bool hier_reduce = true;
   /// CAGMRES_TOPOLOGY: "N" (N nodes, devices split evenly) or "NxG" (N
   /// nodes of G devices), positive integers. 0 = not requested.
   int topology_nodes = 0;
@@ -150,6 +142,16 @@ EnvConfig parse_env_config(
 /// library.
 const EnvConfig& env_config();
 
+// ---- Compatibility shims ----------------------------------------------
+// The solvers have one sync schedule (per-buffer record/wait pairs,
+// DESIGN.md §10) and one multi-node reduction schedule (the node-leader
+// fold and broadcast, DESIGN.md §13). perfbench/workloads.cpp predates
+// both and still selects them explicitly; the benchmark sources stay
+// byte-stable so every commit measures the same workloads, so SyncMode
+// and the two Machine setters marked "shim" below exist only for it.
+// Nothing else may use them.
+enum class SyncMode { kEvent };
+
 /// The simulated node: n devices + host, a perf model, a clock, counters,
 /// and phase attribution of elapsed time.
 ///
@@ -160,6 +162,13 @@ const EnvConfig& env_config();
 /// existing device loops keep working on the shrunken machine.
 class Machine {
  public:
+  /// Shim (see SyncMode): events are the only sync schedule.
+  void set_sync_mode(SyncMode) {}
+  /// Shim (see SyncMode): the hierarchical fold is the only multi-node
+  /// schedule. true is a no-op; false throws Error(kBadInput) rather than
+  /// silently running a schedule the caller did not ask for.
+  void set_hier_reduce(bool on);
+
   /// Machine with `n_devices` GPUs: one node (the paper's testbed shape)
   /// unless CAGMRES_TOPOLOGY requests a shape that tiles the count. Both
   /// constructors apply env_config() and throw when it is malformed.
@@ -266,21 +275,6 @@ class Machine {
   }
 
   // --- per-buffer events (the cudaEvent analogue, DESIGN.md §10) -------
-  /// No-op: per-buffer events are the only sync schedule. Kept only for
-  /// perfbench/workloads.cpp (see SyncMode).
-  void set_sync_mode(SyncMode) {}
-
-  /// Hierarchical collectives knob: when true (the default) AND the
-  /// topology is multi-node, reductions fold intra-node on a node-leader
-  /// device and broadcasts fan out through one, so at most one message per
-  /// node crosses the network (DESIGN.md §13). Results are bitwise
-  /// identical to the flat fold either way; only the charged communication
-  /// schedule differs. At construction CAGMRES_HIER_REDUCE=0|off|flat
-  /// disables it and 1|on|hier keeps it (any other value throws);
-  /// single-node machines always take the flat path.
-  bool hier_reduce() const { return hier_reduce_ && topo_.n_nodes > 1; }
-  void set_hier_reduce(bool on) { hier_reduce_ = on; }
-
   /// Records an event on logical device d's stream after everything posted
   /// to it so far (cudaEventRecord analogue). Pure observation: charges
   /// nothing and never faults.
@@ -298,13 +292,13 @@ class Machine {
     return dev_busy_[static_cast<std::size_t>(physical_device(d))];
   }
 
-  /// Normalization hook for charge paths that substitute a hierarchical
-  /// operation for a flat-equivalent one (the two-stage reduce/broadcast):
-  /// adds `delta` to device d's busy account — clock and counters are
-  /// untouched — so the fold-order permutation stays keyed on the
-  /// flat-equivalent charge sequence and is identical whichever side of
-  /// the hier_reduce() knob ran. Same rationale as the stall exclusion in
-  /// charge_transfer: busy is an ordering key, not a timing.
+  /// Normalization hook for charge paths that route a message through a
+  /// node leader (the two-stage reduce/broadcast): adds `delta` to device
+  /// d's busy account — clock and counters are untouched — so the
+  /// fold-order permutation stays keyed on the direct device<->host charge
+  /// of each message, independent of how it was routed. Same rationale as
+  /// the stall exclusion in charge_transfer: busy is an ordering key, not
+  /// a timing.
   void adjust_device_busy(int d, double delta) {
     dev_busy_[static_cast<std::size_t>(physical_device(d))] += delta;
   }
@@ -478,7 +472,6 @@ class Machine {
   /// Cross-network messages queue here; see charge_transfer.
   double net_free_[2] = {0.0, 0.0};
   CodecConfig codecs_;  ///< per-traffic-class transfer codecs (§14)
-  bool hier_reduce_;  ///< hierarchical-collectives knob (see hier_reduce())
   bool tracing_ = false;
   std::string phase_ = "other";
   double phase_mark_ = 0.0;

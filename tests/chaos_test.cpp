@@ -345,7 +345,7 @@ TEST(ChaosPrecond, CampaignWithIluDriversIsViolationFree) {
   // convergence claims, same-seed replay bit-identity across the handle's
   // repartition rebuilds, zero-fault baseline bytes) must stay clean.
   ChaosConfig cfg = slim_config();
-  cfg.precond = "ilu:k=1";
+  cfg.precond = "ilu";
   ChaosRunner r(cfg);
   const auto stats = r.run_campaign(7, 10);
   EXPECT_EQ(stats.schedules, 10);
@@ -358,7 +358,7 @@ TEST(ChaosPrecond, CampaignWithIluDriversIsViolationFree) {
 
 TEST(ChaosPrecond, KillAndCorruptStormSurvivePreconditionedRuns) {
   ChaosConfig cfg = slim_config();
-  cfg.precond = "ilu:k=1,underlap=1";
+  cfg.precond = "ilu";
   ChaosRunner r(cfg);
   // An early op-triggered kill (lands around preconditioner setup of the
   // first restart) plus a transfer-corrupt drizzle; index 1 selects the

@@ -463,13 +463,13 @@ TEST(Tsqr, MoreRobustMethodChainsTowardCaqr) {
   EXPECT_EQ(more_robust_method(Method::kCaqr), Method::kCaqr);  // fixpoint
 }
 
-TEST(HierReduce, OneInterNodeMessagePerNodeAndBitwiseEqualToFlat) {
-  // A bare reduction of 8 partials on a 2x4 machine: the flat fold ships
-  // one D2H per device, so the 4 devices on node 1 each cross the network;
-  // the hierarchical fold folds node 1 on its leader and ships exactly one
-  // inter-node message (node 0 hosts the coordinating CPU — its subtotal
-  // never touches the network). The sums must match bitwise: the grouped
-  // tree and its fold order are knob-invariant.
+TEST(HierReduce, OneInterNodeMessagePerNodeAndTwoLevelFoldOrder) {
+  // A bare reduction of 8 partials on a 2x4 machine: node 1 folds on its
+  // leader and ships exactly one inter-node message (node 0 hosts the
+  // coordinating CPU — its subtotal never touches the network). The sum
+  // must be bitwise the two-level tree: each node's subtotal in fold order
+  // (ascending device busy, so the pre-loaded device 1 comes last), then
+  // the subtotals with the node holding the global straggler last.
   const int len = 13;
   std::vector<std::vector<double>> parts(
       8, std::vector<double>(static_cast<std::size_t>(len)));
@@ -477,47 +477,30 @@ TEST(HierReduce, OneInterNodeMessagePerNodeAndBitwiseEqualToFlat) {
   for (auto& p : parts) {
     for (double& x : p) x = rng.normal();
   }
-  std::vector<double> sum_flat(static_cast<std::size_t>(len), -1.0);
-  std::vector<double> sum_hier(static_cast<std::size_t>(len), -2.0);
-  std::int64_t msgs_flat = 0, msgs_hier = 0;
-  for (const bool hier : {false, true}) {
-    Machine m(sim::Topology{2, 4});
-    m.set_hier_reduce(hier);
-    EXPECT_EQ(m.hier_reduce(), hier);
-    const std::int64_t before = m.counters().net_msgs;
-    detail::reduce_to_host(m, parts, len,
-                           (hier ? sum_hier : sum_flat).data());
-    m.sync();
-    (hier ? msgs_hier : msgs_flat) = m.counters().net_msgs - before;
-  }
-  EXPECT_EQ(sum_hier, sum_flat);
-  EXPECT_EQ(msgs_flat, 4);  // node 1's four devices each cross the network
-  EXPECT_EQ(msgs_hier, 1);  // node 1's leader ships one subtotal
-}
+  Machine m(sim::Topology{2, 4});
+  m.charge_device(1, sim::Kernel::kAxpy, 1e9, 8e9);  // the straggler
+  std::vector<double> sum(static_cast<std::size_t>(len), -1.0);
+  const std::int64_t before = m.counters().net_msgs;
+  detail::reduce_to_host(m, parts, len, sum.data());
+  m.sync();
+  EXPECT_EQ(m.counters().net_msgs - before, 1);  // node 1's leader only
 
-TEST(HierReduce, KnobInertOnSingleNodeMachine) {
-  // On a flat machine the knob must not even engage: same messages, same
-  // charges, same bits — the nodes == 1 path is the untouched seed code.
-  const int len = 7;
-  std::vector<std::vector<double>> parts(
-      3, std::vector<double>(static_cast<std::size_t>(len)));
-  Rng rng(12);
+  // Each partial is folded as its (possibly coded) message decodes.
+  const sim::CodecSpec& cd = m.codec(sim::TrafficClass::kReduce);
   for (auto& p : parts) {
-    for (double& x : p) x = rng.normal();
+    if (cd.active()) cd.roundtrip(p.data(), len);
   }
-  std::vector<double> sum_on(static_cast<std::size_t>(len), 0.0);
-  std::vector<double> sum_off(static_cast<std::size_t>(len), 0.0);
-  double t_on = 0.0, t_off = 0.0;
-  for (const bool knob : {false, true}) {
-    Machine m(3);
-    m.set_hier_reduce(knob);
-    EXPECT_FALSE(m.hier_reduce());  // one node: the knob reads back off
-    detail::reduce_to_host(m, parts, len, (knob ? sum_on : sum_off).data());
-    m.sync();
-    (knob ? t_on : t_off) = m.clock().elapsed();
+  const auto subtotal = [&](std::initializer_list<int> members, int j) {
+    double s = 0.0;
+    for (const int d : members) s += parts[static_cast<std::size_t>(d)][j];
+    return s;
+  };
+  for (int j = 0; j < len; ++j) {
+    double want = 0.0;
+    want += subtotal({4, 5, 6, 7}, j);  // node 1 finishes first
+    want += subtotal({0, 2, 3, 1}, j);  // node 0 holds the straggler
+    EXPECT_EQ(sum[static_cast<std::size_t>(j)], want) << "j=" << j;
   }
-  EXPECT_EQ(sum_on, sum_off);
-  EXPECT_EQ(t_on, t_off);
 }
 
 TEST(Parse, MethodNames) {

@@ -1,4 +1,4 @@
-// Tests for the ILU(k) preconditioner subsystem (src/precond/) and the
+// Tests for the ILU(0) preconditioner subsystem (src/precond/) and the
 // solvers' right-preconditioned path through a PrecondHandle.
 #include <algorithm>
 #include <cmath>
@@ -77,7 +77,7 @@ TEST(IluFactor, IluZeroIsExactOnTridiagonal) {
   const sparse::CsrMatrix a = sparse::make_laplace2d(18, 1, 0.2, 0.3);
   const int n = a.n_rows;
   DeviceFactor f;
-  precond::ilu_symbolic(a, 0, n, /*level=*/0, /*underlap=*/0, f);
+  precond::ilu_symbolic(a, 0, n, f);
   precond::ilu_numeric(a, f);
   EXPECT_EQ(f.pivot_fallbacks, 0);
   for (int i = 0; i < n; ++i) {
@@ -88,25 +88,13 @@ TEST(IluFactor, IluZeroIsExactOnTridiagonal) {
   }
 }
 
-TEST(IluFactor, FillLevelGrowsPattern) {
-  // On a 2D stencil ILU(0) keeps exactly the block-local pattern of A (plus
-  // the always-present diagonal) and ILU(1) strictly adds fill.
-  const sparse::CsrMatrix a = sparse::make_laplace2d(12, 12, 0.1, 0.2);
-  const int n = a.n_rows;
-  DeviceFactor f0, f1;
-  precond::ilu_symbolic(a, 0, n, 0, 0, f0);
-  precond::ilu_symbolic(a, 0, n, 1, 0, f1);
-  EXPECT_EQ(f0.fill_nnz(), a.nnz());  // generator emits full diagonal
-  EXPECT_GT(f1.fill_nnz(), f0.fill_nnz());
-  // Deeper fill couples more rows, so the schedules cannot get shallower.
-  EXPECT_GE(f1.l_sched.levels(), f0.l_sched.levels());
-}
-
 TEST(IluFactor, LevelScheduleRespectsDependencies) {
   const sparse::CsrMatrix a = sparse::make_laplace2d(11, 9, 0.3, 0.1);
   const int n = a.n_rows;
   DeviceFactor f;
-  precond::ilu_symbolic(a, 0, n, 1, 0, f);
+  precond::ilu_symbolic(a, 0, n, f);
+  // ILU(0) keeps exactly A's pattern (the generator emits the diagonal).
+  EXPECT_EQ(f.fill_nnz(), a.nnz());
   const std::vector<int> ll = level_of(f.l_sched, n);
   const std::vector<int> lu = level_of(f.u_sched, n);
   for (int i = 0; i < n; ++i) {
@@ -128,35 +116,6 @@ TEST(IluFactor, LevelScheduleRespectsDependencies) {
   }
 }
 
-TEST(IluFactor, UnderlapRowsAreJacobiTreated) {
-  const sparse::CsrMatrix a = sparse::make_laplace2d(10, 10, 0.0, 0.2);
-  const int n = a.n_rows;
-  const int u = 3;
-  DeviceFactor f;
-  precond::ilu_symbolic(a, 0, n, 1, u, f);
-  precond::ilu_numeric(a, f);
-  for (int i = 0; i < n; ++i) {
-    const bool margin = i < u || i >= n - u;
-    const bool l_empty = f.l_ptr[static_cast<std::size_t>(i)] ==
-                         f.l_ptr[static_cast<std::size_t>(i) + 1];
-    const bool u_empty = f.u_ptr[static_cast<std::size_t>(i)] ==
-                         f.u_ptr[static_cast<std::size_t>(i) + 1];
-    if (margin) {
-      EXPECT_TRUE(l_empty && u_empty) << "row " << i;
-      // Jacobi rows keep the raw diagonal of A.
-      EXPECT_NEAR(1.0 / f.inv_diag[static_cast<std::size_t>(i)], a.at(i, i),
-                  1e-12);
-    }
-  }
-  // underlap >= block size degenerates to plain diagonal scaling: one
-  // trivially parallel level per sweep.
-  DeviceFactor g;
-  precond::ilu_symbolic(a, 0, n, 1, n, g);
-  EXPECT_EQ(g.l_sched.levels(), 1);
-  EXPECT_EQ(g.u_sched.levels(), 1);
-  EXPECT_EQ(g.fill_nnz(), static_cast<std::int64_t>(n));
-}
-
 TEST(IluFactor, TinyPivotFallsBackAndIsCounted) {
   // Row 0 has a structurally zero diagonal: the numeric phase must not
   // divide by it — the documented fallback pins u_00 = 1 and counts it.
@@ -167,7 +126,7 @@ TEST(IluFactor, TinyPivotFallsBackAndIsCounted) {
   builder.add(2, 2, 3.0);
   const sparse::CsrMatrix a = builder.build();
   DeviceFactor f;
-  precond::ilu_symbolic(a, 0, 3, 0, 0, f);
+  precond::ilu_symbolic(a, 0, 3, f);
   precond::ilu_numeric(a, f);
   EXPECT_GE(f.pivot_fallbacks, 1);
   EXPECT_DOUBLE_EQ(f.inv_diag[0], 1.0);
@@ -179,32 +138,39 @@ TEST(PrecondSpec, ParsesKnobsAliasesAndRejectsGarbage) {
   EXPECT_FALSE(parse_precond_spec("none").armed());
   EXPECT_FALSE(parse_precond_spec("off").armed());
   EXPECT_FALSE(parse_precond_spec("0").armed());
-
-  const PrecondSpec plain = parse_precond_spec("ilu");
-  EXPECT_EQ(plain.kind, PrecondKind::kIlu);
-  EXPECT_EQ(plain.level, 0);
-  EXPECT_EQ(plain.underlap, 0);
-
-  const PrecondSpec full = parse_precond_spec("ilu:k=2,underlap=1");
-  EXPECT_EQ(full.level, 2);
-  EXPECT_EQ(full.underlap, 1);
-  const PrecondSpec alias = parse_precond_spec("ilu:level=1,u=3");
-  EXPECT_EQ(alias.level, 1);
-  EXPECT_EQ(alias.underlap, 3);
+  EXPECT_EQ(parse_precond_spec("ilu").kind, PrecondKind::kIlu);
+  EXPECT_EQ(parse_precond_spec("ilu:k=0").kind, PrecondKind::kIlu);
 
   // to_string round-trips through the parser.
-  const PrecondSpec again = parse_precond_spec(full.to_string());
-  EXPECT_EQ(again.level, full.level);
-  EXPECT_EQ(again.underlap, full.underlap);
+  EXPECT_EQ(parse_precond_spec(parse_precond_spec("ilu").to_string()).kind,
+            PrecondKind::kIlu);
+  EXPECT_FALSE(parse_precond_spec(PrecondSpec{}.to_string()).armed());
+
+  // The removed ILU(k) knobs (fill level k >= 1, its level alias, the
+  // Jacobi-margin key u) fail loudly, naming the key.
+  for (const auto& [text, key] :
+       {std::pair{"ilu:k=2", "'k'"}, std::pair{"ilu:k=3,u=1", "'k'"},
+        std::pair{"ilu:level=0", "'level'"}, std::pair{"ilu:u=1", "'u'"},
+        std::pair{"ilu:k=0,u=3", "'u'"}}) {
+    try {
+      parse_precond_spec(text);
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kBadInput);
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << e.what();
+    }
+  }
 
   EXPECT_THROW(parse_precond_spec("lu"), Error);
+  EXPECT_THROW(parse_precond_spec("ilu:"), Error);
   EXPECT_THROW(parse_precond_spec("ilu:k=x"), Error);
   EXPECT_THROW(parse_precond_spec("ilu:fill=2"), Error);
   EXPECT_THROW(parse_precond_spec("ilu:k=-1"), Error);
 }
 
 TEST(IluPrecond, ReducesIterationsAndSolvesOriginalSystem) {
-  // The headline contract: on a plain Poisson problem ILU(1) must slash
+  // The headline contract: on a plain Poisson problem ILU(0) must slash
   // the GMRES iteration count, while the recovered x still solves the
   // ORIGINAL system (right preconditioning never changes the residual).
   const sparse::CsrMatrix a = sparse::make_laplace2d(24, 24, 0.1, 0.0);
@@ -217,7 +183,7 @@ TEST(IluPrecond, ReducesIterationsAndSolvesOriginalSystem) {
 
   sim::Machine m_plain(2);
   const SolveResult plain = gmres(m_plain, p, opts);
-  PrecondHandle handle(parse_precond_spec("ilu:k=1"));
+  PrecondHandle handle(parse_precond_spec("ilu"));
   SolverOptions popts = opts;
   popts.precond = &handle;
   sim::Machine m_ilu(2);
@@ -268,7 +234,7 @@ TEST(IluPrecond, AllThreeSolversConvergeOnOriginalSystem) {
   opts.s = 5;
   opts.tol = 1e-7;
   opts.max_restarts = 200;
-  const PrecondSpec spec = parse_precond_spec("ilu:k=1");
+  const PrecondSpec spec = parse_precond_spec("ilu");
   const double bn = blas::nrm2(a.n_rows, b.data());
 
   PrecondHandle hg(spec), hc(spec), hp(spec);
@@ -294,8 +260,8 @@ TEST(IluPrecond, AllThreeSolversConvergeOnOriginalSystem) {
 TEST(IluPrecond, BitwiseIdenticalAcrossWorkersAndShapes) {
   // The trisolve charges on the calling thread in program order, so for a
   // fixed handle the preconditioned solve must be bit-for-bit reproducible
-  // across {0, 2 workers} x {flat, hier} collectives on
-  // a fixed 2x2 machine (the hier-reduce contract of DESIGN §13).
+  // across {0, 2 workers} on a fixed 2x2 machine, whose collectives fold
+  // through node leaders (DESIGN §13).
   const sparse::CsrMatrix a = sparse::make_laplace2d(20, 20, 0.1, 0.02);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
   const int ng = 4;
@@ -305,30 +271,25 @@ TEST(IluPrecond, BitwiseIdenticalAcrossWorkersAndShapes) {
   opts.s = 5;
   opts.tol = codec_tol(1e-7);
   opts.max_restarts = 200;
-  const PrecondSpec spec = parse_precond_spec("ilu:k=1,underlap=1");
+  const PrecondSpec spec = parse_precond_spec("ilu");
 
   std::vector<double> x0;
   std::vector<double> hist0;
-  bool first = true;
-  for (const bool hier : {false, true}) {
-    for (const int workers : {0, 2}) {
-      sim::Machine m(ng);
-      m.set_topology(2, 2);
-      m.set_hier_reduce(hier);
-      m.set_host_workers(workers);
-      PrecondHandle handle(spec);
-      SolverOptions popts = opts;
-      popts.precond = &handle;
-      const SolveResult r = ca_gmres(m, p, popts);
-      ASSERT_TRUE(r.stats.converged);
-      if (first) {
-        x0 = r.x;
-        hist0 = r.stats.residual_history;
-        first = false;
-      } else {
-        EXPECT_EQ(r.x, x0) << "hier=" << hier << " workers=" << workers;
-        EXPECT_EQ(r.stats.residual_history, hist0);
-      }
+  for (const int workers : {0, 2}) {
+    sim::Machine m(ng);
+    m.set_topology(2, 2);
+    m.set_host_workers(workers);
+    PrecondHandle handle(spec);
+    SolverOptions popts = opts;
+    popts.precond = &handle;
+    const SolveResult r = ca_gmres(m, p, popts);
+    ASSERT_TRUE(r.stats.converged);
+    if (workers == 0) {
+      x0 = r.x;
+      hist0 = r.stats.residual_history;
+    } else {
+      EXPECT_EQ(r.x, x0) << "workers=" << workers;
+      EXPECT_EQ(r.stats.residual_history, hist0);
     }
   }
 }
@@ -352,7 +313,7 @@ TEST(IluPrecond, BitwiseIdenticalUnderInjectedKernelNan) {
   opts.s = 6;
   opts.tol = codec_tol(1e-6, 1e-4);
   opts.max_restarts = 400;
-  const PrecondSpec spec = parse_precond_spec("ilu:k=1");
+  const PrecondSpec spec = parse_precond_spec("ilu");
 
   std::vector<double> x0;
   std::vector<double> hist0;
@@ -391,7 +352,7 @@ TEST(IluPrecond, SymbolicHandleBuiltOnceAcrossRestarts) {
   opts.tol = codec_tol(1e-8);
   opts.max_restarts = 500;
 
-  PrecondHandle handle(parse_precond_spec("ilu:k=1"));
+  PrecondHandle handle(parse_precond_spec("ilu"));
   SolverOptions popts = opts;
   popts.precond = &handle;
   sim::Machine m(2);
@@ -414,7 +375,7 @@ TEST(IluPrecond, RebuildRefactorsOnlyChangedRanges) {
   const sparse::CsrMatrix a = sparse::make_laplace2d(18, 18, 0.1, 0.1);
   const int n = a.n_rows;
   sim::Machine m(3);
-  PrecondHandle handle(parse_precond_spec("ilu:k=1"));
+  PrecondHandle handle(parse_precond_spec("ilu"));
   const std::vector<int> before = {0, n / 3, 2 * n / 3, n};
   handle.build(m, a, before);
   EXPECT_EQ(handle.stats().symbolic_builds, 3);
@@ -448,7 +409,7 @@ TEST(IluPrecond, DeviceKillRepartitionsRebuildsAndConverges) {
   opts.tol = 1e-7;
   opts.max_restarts = 300;
 
-  PrecondHandle handle(parse_precond_spec("ilu:k=1"));
+  PrecondHandle handle(parse_precond_spec("ilu"));
   SolverOptions popts = opts;
   popts.precond = &handle;
   sim::Machine machine(3);
@@ -467,26 +428,6 @@ TEST(IluPrecond, DeviceKillRepartitionsRebuildsAndConverges) {
   EXPECT_LT(rel, codec_tol(1e-4));
 }
 
-TEST(IluPrecond, FullUnderlapDegeneratesToJacobiAndStillSolves) {
-  const sparse::CsrMatrix a = sparse::make_laplace2d(14, 14, 0.1, 0.3);
-  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
-  const Problem p = make_problem(a, b, 2, graph::Ordering::kNatural, false, 1);
-  SolverOptions opts;
-  opts.m = 25;
-  opts.tol = 1e-7;
-  opts.max_restarts = 200;
-  PrecondHandle handle(parse_precond_spec("ilu:k=0,underlap=100000"));
-  opts.precond = &handle;
-  sim::Machine m(2);
-  const SolveResult r = gmres(m, p, opts);
-  ASSERT_TRUE(r.stats.converged);
-  EXPECT_EQ(handle.stats().max_levels_l, 1);  // diagonal-only: fully parallel
-  EXPECT_EQ(handle.stats().max_levels_u, 1);
-  const double rel =
-      true_residual(a, b, r.x) / blas::nrm2(a.n_rows, b.data());
-  EXPECT_LT(rel, codec_tol(1e-5));
-}
-
 TEST(IluPrecond, HealthMonitorRidesThroughThePreconditionedSolve) {
   const sparse::CsrMatrix a = sparse::make_laplace2d(20, 20, 0.0, 0.005);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
@@ -496,7 +437,7 @@ TEST(IluPrecond, HealthMonitorRidesThroughThePreconditionedSolve) {
   opts.s = 5;
   opts.tol = 1e-12;
   opts.max_restarts = 200;
-  PrecondHandle handle(parse_precond_spec("ilu:k=0"));
+  PrecondHandle handle(parse_precond_spec("ilu"));
   opts.precond = &handle;
 
   // An iteration budget armed through opts.health must fire inside the

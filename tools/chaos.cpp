@@ -53,9 +53,9 @@ int main(int argc, char** argv) {
            "ca; a --faults replay also takes gmres | pipelined (or any "
            "solver name a violation prints)");
   opts.add("precond", "",
-           "ILU spec (e.g. ilu:k=1,underlap=1): widen the alternation with "
-           "right-preconditioned drivers so faults land in precond setup "
-           "and the level-scheduled trisolves too");
+           "preconditioner spec (ilu = block ILU(0)): widen the alternation "
+           "with right-preconditioned drivers so faults land in precond "
+           "setup and the level-scheduled trisolves too");
   opts.add("min-devices", "1", "degradation floor passed to the solvers");
   opts.add("degrade", "1", "enable the cpu_gmres degradation floor");
   opts.add("deadline-factor", "50",
