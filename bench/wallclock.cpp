@@ -25,10 +25,9 @@
 //      node.
 //
 //   4. node_kill_recovery — at each multi-node shape, one whole-node kill
-//      mid-solve, recovered once with hierarchical partner checkpointing
-//      (SolverOptions::partner_checkpoint, the default) and once with the
-//      flat host-checkpoint path. partner_cheaper records whether the
-//      buddy scheme won in charged seconds; it must at ng >= 16.
+//      mid-solve, recovered by hierarchical partner checkpointing: the
+//      charged seconds, the recovery time and how many node shards came
+//      back from a partner copy.
 //
 //   5. compress — the 4x4 shape solved with no transfer codec, fp32 on
 //      every traffic class, and FRSZ2:16 on halo and reduce, recording
@@ -215,7 +214,6 @@ int main(int argc, char** argv) {
   struct KillRow {
     int ng = 0;
     int nodes = 1;
-    bool partner = false;
     double sim_seconds = 0.0;
     double time_lost = 0.0;
     int node_failures = 0;
@@ -274,41 +272,29 @@ int main(int argc, char** argv) {
         if (nodes == 1) continue;
 
         // Node-kill recovery at this shape: node 1 dies a quarter of the
-        // way through the fault-free run; compare the partner-checkpoint
-        // restore (default) against the flat host-checkpoint path.
-        for (const bool partner : {true, false}) {
-          sim::Machine mk(sw_ng);
-          mk.set_topology(nodes, sw_ng / nodes);
-          sim::FaultEvent kill;
-          kill.kind = sim::FaultKind::kNodeFail;
-          kill.device = 1;  // node id: a remote node, partner is alive
-          kill.at_time = 0.25 * flat_hint;
-          mk.fault_injector().schedule(kill);
-          core::SolverOptions ko = so;
-          ko.partner_checkpoint = partner;
-          const core::SolveResult res_k = core::ca_gmres(mk, pr, ko);
-          KillRow kr;
-          kr.ng = sw_ng;
-          kr.nodes = nodes;
-          kr.partner = partner;
-          kr.sim_seconds = res_k.stats.time_total;
-          kr.time_lost = res_k.stats.recovery.time_lost;
-          kr.node_failures = res_k.stats.recovery.node_failures;
-          kr.partner_restores = res_k.stats.recovery.partner_restores;
-          kr.converged = res_k.stats.converged;
-          kill_rows.push_back(kr);
-          std::printf(
-              "    ng=%-3d nodes=%d  node-kill %-7s  sim=%9.4fs  "
-              "lost=%8.4fs  partner_restores=%d%s\n",
-              sw_ng, nodes, partner ? "partner" : "host", kr.sim_seconds,
-              kr.time_lost, kr.partner_restores,
-              kr.converged ? "" : " (nc)");
-        }
-        const std::size_t nk = kill_rows.size();
-        const bool cheaper =
-            kill_rows[nk - 2].sim_seconds < kill_rows[nk - 1].sim_seconds;
-        std::printf("    ng=%-3d nodes=%d  partner_cheaper=%s\n", sw_ng,
-                    nodes, cheaper ? "true" : "false");
+        // way through the fault-free run and comes back from its partner.
+        sim::Machine mk(sw_ng);
+        mk.set_topology(nodes, sw_ng / nodes);
+        sim::FaultEvent kill;
+        kill.kind = sim::FaultKind::kNodeFail;
+        kill.device = 1;  // node id: a remote node, partner is alive
+        kill.at_time = 0.25 * flat_hint;
+        mk.fault_injector().schedule(kill);
+        const core::SolveResult res_k = core::ca_gmres(mk, pr, so);
+        KillRow kr;
+        kr.ng = sw_ng;
+        kr.nodes = nodes;
+        kr.sim_seconds = res_k.stats.time_total;
+        kr.time_lost = res_k.stats.recovery.time_lost;
+        kr.node_failures = res_k.stats.recovery.node_failures;
+        kr.partner_restores = res_k.stats.recovery.partner_restores;
+        kr.converged = res_k.stats.converged;
+        kill_rows.push_back(kr);
+        std::printf(
+            "    ng=%-3d nodes=%d  node-kill  sim=%9.4fs  lost=%8.4fs  "
+            "partner_restores=%d%s\n",
+            sw_ng, nodes, kr.sim_seconds, kr.time_lost, kr.partner_restores,
+            kr.converged ? "" : " (nc)");
       }
     }
   }
@@ -383,9 +369,7 @@ int main(int argc, char** argv) {
   struct CompressRow {
     std::string codec;
     double sim_seconds = 0.0;
-    double net_bytes = 0.0, net_logical = 0.0;
-    double peer_bytes = 0.0, peer_logical = 0.0;
-    double pcie_bytes = 0.0, pcie_logical = 0.0;
+    core::TierTraffic traffic;
     int iterations = 0;
     int restarts = 0;
     bool converged = false;
@@ -414,26 +398,17 @@ int main(int argc, char** argv) {
       CompressRow cr;
       cr.codec = spec;
       cr.sim_seconds = rc.stats.time_total;
-      const sim::Counters& cc = mc.counters();
-      cr.net_bytes = cc.net_bytes;
-      cr.net_logical = cc.net_logical_bytes;
-      cr.peer_bytes = cc.peer_bytes;
-      cr.peer_logical = cc.peer_logical_bytes;
-      cr.pcie_bytes = cc.d2h_bytes + cc.h2d_bytes;
-      cr.pcie_logical = cc.d2h_logical_bytes + cc.h2d_logical_bytes;
+      cr.traffic = rc.stats.traffic;
       cr.iterations = rc.stats.iterations;
       cr.restarts = rc.stats.restarts;
       cr.converged = rc.stats.converged;
       compress_rows.push_back(cr);
-      const auto ratio = [](double logical, double wire) {
-        return (wire > 0.0 && logical > 0.0) ? logical / wire : 1.0;
-      };
       std::printf(
           "    %-30s sim=%9.4fs  net=%10.3g B (x%.2f)  pcie=%10.3g B "
           "(x%.2f)  it=%d%s\n",
-          spec, cr.sim_seconds, cr.net_bytes, ratio(cr.net_logical,
-          cr.net_bytes), cr.pcie_bytes, ratio(cr.pcie_logical, cr.pcie_bytes),
-          cr.iterations, cr.converged ? "" : " (nc)");
+          spec, cr.sim_seconds, cr.traffic.net_bytes, cr.traffic.net_ratio(),
+          cr.traffic.pcie_bytes, cr.traffic.pcie_ratio(), cr.iterations,
+          cr.converged ? "" : " (nc)");
     }
   }
 
@@ -596,33 +571,28 @@ int main(int argc, char** argv) {
   }
   out << "  ],\n";
   out << "  \"node_kill_recovery\": [\n";
-  for (std::size_t i = 0; i < kill_rows.size(); i += 2) {
-    const auto& rp = kill_rows[i];      // partner_checkpoint = true
-    const auto& rh = kill_rows[i + 1];  // flat host-checkpoint path
-    out << "    {\"ng\": " << rp.ng << ", \"nodes\": " << rp.nodes
-        << ", \"partner_sim_seconds\": " << rp.sim_seconds
-        << ", \"host_sim_seconds\": " << rh.sim_seconds
-        << ", \"partner_time_lost\": " << rp.time_lost
-        << ", \"host_time_lost\": " << rh.time_lost
-        << ", \"partner_restores\": " << rp.partner_restores
-        << ", \"node_failures\": " << rp.node_failures
-        << ", \"both_converged\": "
-        << json_bool(rp.converged && rh.converged)
-        << ", \"partner_cheaper\": "
-        << json_bool(rp.sim_seconds < rh.sim_seconds) << "}"
-        << (i + 2 < kill_rows.size() ? "," : "") << "\n";
+  for (std::size_t i = 0; i < kill_rows.size(); ++i) {
+    const auto& r = kill_rows[i];
+    out << "    {\"ng\": " << r.ng << ", \"nodes\": " << r.nodes
+        << ", \"partner_sim_seconds\": " << r.sim_seconds
+        << ", \"partner_time_lost\": " << r.time_lost
+        << ", \"partner_restores\": " << r.partner_restores
+        << ", \"node_failures\": " << r.node_failures
+        << ", \"converged\": " << json_bool(r.converged) << "}"
+        << (i + 1 < kill_rows.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   out << "  \"compress\": [\n";
   for (std::size_t i = 0; i < compress_rows.size(); ++i) {
     const auto& r = compress_rows[i];
+    const core::TierTraffic& t = r.traffic;
     out << "    {\"codec\": \"" << r.codec << "\", \"sim_seconds\": "
-        << r.sim_seconds << ", \"net_bytes\": " << r.net_bytes
-        << ", \"net_logical_bytes\": " << r.net_logical
-        << ", \"peer_bytes\": " << r.peer_bytes
-        << ", \"peer_logical_bytes\": " << r.peer_logical
-        << ", \"pcie_bytes\": " << r.pcie_bytes
-        << ", \"pcie_logical_bytes\": " << r.pcie_logical
+        << r.sim_seconds << ", \"net_bytes\": " << t.net_bytes
+        << ", \"net_logical_bytes\": " << t.net_logical_bytes
+        << ", \"peer_bytes\": " << t.peer_bytes
+        << ", \"peer_logical_bytes\": " << t.peer_logical_bytes
+        << ", \"pcie_bytes\": " << t.pcie_bytes
+        << ", \"pcie_logical_bytes\": " << t.pcie_logical_bytes
         << ", \"iterations\": " << r.iterations << ", \"restarts\": "
         << r.restarts << ", \"converged\": " << json_bool(r.converged)
         << "}" << (i + 1 < compress_rows.size() ? "," : "") << "\n";

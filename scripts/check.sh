@@ -142,6 +142,12 @@ if not doc["solver_sweep"]:
 for row in doc["solver_sweep"]:
     if not row.get("identical_to_serial"):
         sys.exit(f"bench smoke: results diverged across workers: {row}")
+if not doc["node_kill_recovery"]:
+    sys.exit("bench smoke: empty node_kill_recovery")
+for row in doc["node_kill_recovery"]:
+    if not (row.get("partner_restores", 0) >= 1
+            and row.get("node_failures") == 1):
+        sys.exit(f"bench smoke: node kill not restored from a partner: {row}")
 if not doc["hier_reduce"]:
     sys.exit("bench smoke: empty hier_reduce")
 for row in doc["hier_reduce"]:

@@ -134,7 +134,7 @@ class CaStep final : public detail::CycleStep {
       case EscalationStep::kForceReorth:
         return !force_reorth_;
       case EscalationStep::kShrinkS:
-        return s_current_ > opts_.adaptive_min_s;
+        return s_current_ > kAdaptiveMinS;
       case EscalationStep::kRebuildShifts:
         return have_shifts_ && last_h_k_ > 1 && !rebuild_shifts_pending_;
       case EscalationStep::kSwitchTsqr:
@@ -152,7 +152,7 @@ class CaStep final : public detail::CycleStep {
         force_reorth_ = true;
         break;
       case EscalationStep::kShrinkS:
-        s_current_ = std::max(opts_.adaptive_min_s, s_current_ / 2);
+        s_current_ = std::max(kAdaptiveMinS, s_current_ / 2);
         ladder_shrunk_s_ = true;
         clean_streak_ = 0;
         break;
@@ -183,25 +183,13 @@ class CaStep final : public detail::CycleStep {
   }
 
   detail::CycleOutcome cycle(detail::Cycle& c) override {
-    ran_gmres_ = !have_shifts_ || fallback_gmres_;
-    if (!ran_gmres_) return ca_cycle(c);
+    if (have_shifts_ && !fallback_gmres_) return ca_cycle(c);
     detail::CycleOutcome out = gmres_.cycle(c);
     if (c.hm.armed() && out.k > 0) {
       last_h_ = out.h;  // freshest Hessenberg for a possible shift rebuild
       last_h_k_ = out.k;
     }
     return out;
-  }
-
-  void after_update(detail::Cycle& c,
-                    const detail::CycleOutcome& out) override {
-    if (ran_gmres_ || !c.hm.armed()) return;
-    // Whole-prefix condition sample (opt-in): one charged Gram sweep over
-    // every orthonormal column this cycle produced, catching cross-block
-    // orthogonality decay the per-block samples miss.
-    const HealthEventKind prefix_trip =
-        c.hm.check_restart_prefix(c.v, out.k + 1, c.restart, c.st.iterations);
-    if (prefix_trip != HealthEventKind::kNone) c.respond(prefix_trip);
   }
 
   void after_restart(detail::Cycle& c,
@@ -244,7 +232,6 @@ class CaStep final : public detail::CycleStep {
   // Step shifts, reused for every block of every restart.
   Shifts step_shifts_;
   bool have_shifts_;
-  bool ran_gmres_ = false;  // the current cycle is a GMRES one
 
   // Adaptive block-size state (opts.adaptive_s): shared across restarts so
   // a learned-safe s persists.
@@ -380,7 +367,7 @@ detail::CycleOutcome CaStep::ca_cycle(detail::Cycle& c) {
         // breakdown on an unarmed machine still propagates.
         if (!c.resilient || e.code() != ErrorCode::kBreakdown) throw;
         ++st.recovery.blocks_replayed;
-        if (++attempts > opts_.max_block_replays) {
+        if (++attempts > detail::kMaxBlockReplays) {
           out.tainted = true;  // escalate to a cycle rollback
           return out;
         }
@@ -398,7 +385,7 @@ detail::CycleOutcome CaStep::ca_cycle(detail::Cycle& c) {
         if (!clean) {
           ++st.recovery.blocks_replayed;
           st.recovery.time_lost += machine.clock().elapsed() - t_scrub;
-          if (++attempts > opts_.max_block_replays) {
+          if (++attempts > detail::kMaxBlockReplays) {
             out.tainted = true;  // escalate to a cycle rollback
             return out;
           }
@@ -415,7 +402,7 @@ detail::CycleOutcome CaStep::ca_cycle(detail::Cycle& c) {
     if (tq.breakdown) ++st.cholqr_breakdowns;
     if (opts_.adaptive_s) {
       if (tq.breakdown) {
-        s_current_ = std::max(opts_.adaptive_min_s, s_current_ / 2);
+        s_current_ = std::max(kAdaptiveMinS, s_current_ / 2);
         clean_streak_ = 0;
       } else if (++clean_streak_ >= 3 && s_current_ < s_) {
         ++s_current_;

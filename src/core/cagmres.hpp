@@ -18,6 +18,10 @@
 
 namespace cagmres::core {
 
+/// Floor of the working block size: SolverOptions::adaptive_s and the
+/// escalation ladder's shrink_s rung never halve s below it.
+inline constexpr int kAdaptiveMinS = 1;
+
 /// Solves the prepared problem with CA-GMRES(opts.s, opts.m).
 SolveResult ca_gmres(sim::Machine& machine, const Problem& problem,
                      const SolverOptions& opts);

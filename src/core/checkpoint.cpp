@@ -12,6 +12,17 @@ bool contains(const std::vector<int>& v, int x) {
   return std::find(v.begin(), v.end(), x) != v.end();
 }
 
+/// Nested-recovery budget, per fault domain: how many consecutive recovery
+/// rounds (a device retirement, checkpoint restore or block replay
+/// re-entered by a fresh fault before a clean restart completed) a solve
+/// may take before it degrades to the host floor. Each round charges
+/// `kRecoveryBackoffS * kRecoveryBackoffMult^round` of host time, so a
+/// fault storm drains the budget in bounded simulated time instead of
+/// livelocking inside recovery.
+constexpr int kMaxRecoveryRounds = 16;
+constexpr double kRecoveryBackoffS = 100e-6;  ///< first inter-round backoff
+constexpr double kRecoveryBackoffMult = 2.0;  ///< growth per round
+
 }  // namespace
 
 namespace detail {
@@ -61,12 +72,8 @@ void restore_x(sim::Machine& m, sim::DistMultiVec& xwork,
 // ---------------------------------------------------------------------------
 // Checkpointer
 
-Checkpointer::Checkpointer(sim::Machine& m, const SolverOptions& opts,
-                           bool resilient)
-    : m_(m),
-      resilient_(resilient),
-      hier_(resilient && opts.partner_checkpoint &&
-            m.topology().n_nodes > 1) {
+Checkpointer::Checkpointer(sim::Machine& m, bool resilient)
+    : m_(m), hier_(resilient && m.topology().n_nodes > 1) {
   const auto nn = static_cast<std::size_t>(m.topology().n_nodes);
   mirror_.resize(nn);
   mirror_ok_.assign(nn, 0);
@@ -237,17 +244,18 @@ void Checkpointer::restore_after_repartition(
 
 RecoveryDomains::RecoveryDomains(sim::Machine& m, const SolverOptions& opts,
                                  bool resilient)
-    : m_(m), opts_(opts), resilient_(resilient) {
+    : m_(m),
+      resilient_(resilient),
+      min_devices_(std::max(1, opts.min_devices)) {
   const auto nn =
       static_cast<std::size_t>(std::max(1, m.topology().n_nodes));
   rounds_.assign(nn, 0);
-  backoff_.assign(nn, m.recovery_budget().backoff_s);
+  backoff_.assign(nn, kRecoveryBackoffS);
 }
 
 void RecoveryDomains::on_restart_completed() {
   std::fill(rounds_.begin(), rounds_.end(), 0);
-  std::fill(backoff_.begin(), backoff_.end(),
-            m_.recovery_budget().backoff_s);
+  std::fill(backoff_.begin(), backoff_.end(), kRecoveryBackoffS);
 }
 
 bool RecoveryDomains::handle(const Error& e, RecoveryStats& rs) {
@@ -289,32 +297,21 @@ bool RecoveryDomains::handle(const Error& e, RecoveryStats& rs) {
   }
   const auto domain = static_cast<std::size_t>(
       nn > 1 ? m_.node_of(e.device()) : 0);
-  const sim::RecoveryBudget& rb = m_.recovery_budget();
   const int survivors = m_.n_devices() - static_cast<int>(dead.size());
-  if (rounds_[domain] >= rb.max_rounds) {
-    if (opts_.degrade_to_cpu) {
-      degrade_reason_ = "nested recovery budget exhausted (" +
-                        std::to_string(rb.max_rounds) + " rounds)";
-      return true;
-    }
-    throw Error("nested recovery budget exhausted after " +
-                    std::to_string(rb.max_rounds) + " rounds (last: " +
-                    std::string(e.what()) + ")",
-                ErrorCode::kRetriesExhausted, e.device());
+  if (rounds_[domain] >= kMaxRecoveryRounds) {
+    degrade_reason_ = "nested recovery budget exhausted (" +
+                      std::to_string(kMaxRecoveryRounds) + " rounds)";
+    return true;
   }
-  if (survivors < std::max(1, opts_.min_devices)) {
-    if (opts_.degrade_to_cpu) {
-      degrade_reason_ = "device floor reached (" + std::to_string(survivors) +
-                        " < " + std::to_string(std::max(1, opts_.min_devices)) +
-                        ")";
-      return true;
-    }
-    throw;
+  if (survivors < min_devices_) {
+    degrade_reason_ = "device floor reached (" + std::to_string(survivors) +
+                      " < " + std::to_string(min_devices_) + ")";
+    return true;
   }
   ++rounds_[domain];
   m_.clock().host_advance(backoff_[domain]);
   rs.time_lost += backoff_[domain];
-  backoff_[domain] *= rb.backoff_mult;
+  backoff_[domain] *= kRecoveryBackoffMult;
   // Retire descending so logical relabelling never shifts a not-yet-retired
   // dead device out from under the loop.
   for (auto it = dead.rbegin(); it != dead.rend(); ++it) {

@@ -26,15 +26,19 @@
 //   rung 4  host checkpoint         the partner itself is gone (correlated
 //                                   double-node loss): fall back to the
 //                                   flat restore path;
-//   rung 5  host_gmres floor        below SolverOptions::min_devices the
-//                                   solver degrades to the host-only core
-//                                   (PR 6), unchanged.
+//   rung 5  host_gmres floor        below SolverOptions::min_devices, or
+//                                   once the nested recovery budget runs
+//                                   out, the solver degrades to the
+//                                   host-only core.
+//
+// Every resilient solve on a machine with more than one node uses the
+// hierarchy; flat machines checkpoint to the coordinating host.
 //
 // RecoveryDomains is the node-aware half of the solvers' fault handler: it
 // surveys which devices a correlated fault actually killed (a node kill
 // marks a whole domain dead but throws from one victim's poll), applies the
-// per-domain sim::RecoveryBudget, and retires every dead device. On a flat
-// machine both classes reproduce the PR 6 behavior exactly.
+// per-domain nested-recovery budget, and retires every dead device. On a
+// flat machine both classes reproduce the PR 6 behavior exactly.
 #pragma once
 
 #include <string>
@@ -51,10 +55,10 @@ namespace cagmres::core {
 /// tracks the per-node mirror events and shard sizes.
 class Checkpointer {
  public:
-  Checkpointer(sim::Machine& m, const SolverOptions& opts, bool resilient);
+  Checkpointer(sim::Machine& m, bool resilient);
 
-  /// True when the buddy hierarchy is active (resilient solve, partner
-  /// checkpointing enabled, and a topology with more than one node).
+  /// True when the buddy hierarchy is active (resilient solve on a
+  /// topology with more than one node).
   bool hierarchical() const { return hier_; }
 
   /// Installs the initial all-zero checkpoint of length n (resilient solves
@@ -100,7 +104,6 @@ class Checkpointer {
   void scatter(sim::DistMultiVec& xwork) const;
 
   sim::Machine& m_;
-  bool resilient_;
   bool hier_;
   std::vector<double> x_;
   bool x_zero_ = true;
@@ -118,11 +121,12 @@ class RecoveryDomains {
 
   /// Handles an Error caught by the solver's restart loop. Must be called
   /// from inside the catch block (it rethrows the active exception for
-  /// unrecoverable faults and for floor breaches with degradation off).
-  /// Returns true when the solver must degrade to the host floor (reason in
-  /// degrade_reason()); returns false when every dead device has been
-  /// retired and the caller must rebuild. Charges the per-domain recovery
-  /// backoff and accounts it in `rs`.
+  /// unrecoverable faults). Returns true when the solver must degrade to
+  /// the host floor (reason in degrade_reason()): the victim domain's
+  /// nested budget ran out or the survivors fell below min_devices.
+  /// Returns false when every dead device has been retired and the caller
+  /// must rebuild. Charges the per-domain recovery backoff and accounts it
+  /// in `rs`.
   bool handle(const Error& e, RecoveryStats& rs);
 
   /// Domains the handled fault finished off (every device dead), in the
@@ -138,8 +142,8 @@ class RecoveryDomains {
 
  private:
   sim::Machine& m_;
-  const SolverOptions& opts_;
   bool resilient_;
+  int min_devices_;  ///< SolverOptions::min_devices, at least 1
   std::vector<int> rounds_;      ///< consecutive recovery rounds, per node
   std::vector<double> backoff_;  ///< next charged backoff, per node
   std::vector<int> lost_nodes_;

@@ -119,10 +119,7 @@ SolveStats host_gmres(sim::Machine& machine, const Problem& problem,
   st.final_residual = res;
 
   st.time_total = machine.clock().elapsed() - t0;
-  const sim::PhaseTimers& ph = machine.phases();
-  st.time_spmv = ph.get("spmv") - phases0.get("spmv");
-  st.time_orth = ph.get("orth") - phases0.get("orth");
-  st.time_other = st.time_total - st.time_spmv - st.time_orth;
+  finalize_phase_times(st, phases0, machine.phases());
   return st;
 }
 

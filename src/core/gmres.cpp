@@ -148,7 +148,7 @@ void GmresStep::apply_rung(EscalationStep /*a*/) {
 CycleOutcome GmresStep::cycle(Cycle& c) {
   CycleOutcome out = arnoldi_cycle(
       c.machine, c.spmv, c.v, opts_.m, orth_, c.beta, c.abs_tol,
-      c.resilient ? opts_.max_block_replays : 0, opts_.precond);
+      c.resilient ? kMaxBlockReplays : 0, opts_.precond);
   c.st.iterations += out.k;
   c.st.recovery.blocks_replayed += out.replays;
   return out;

@@ -121,11 +121,8 @@ HealthEventKind SolveHealthMonitor::check_block(const blas::DMat& r_block,
 
   // Charged sample on the cadence: kappa of the *orthonormalized* block —
   // an honest measurement of whether the orthogonalizer actually worked.
-  // In prefix mode the charged sampling moves to check_restart_prefix (one
-  // whole-basis sweep per cycle instead of per-block newest-block samples).
   double q_kappa = 0.0;
-  const bool sampled = !opts_.condition_sample_prefix &&
-                       opts_.condition_sample_every > 0 &&
+  const bool sampled = opts_.condition_sample_every > 0 &&
                        block % opts_.condition_sample_every == 0;
   if (sampled) q_kappa = ortho::condition_number_charged(m_, v, c0, c1);
 
@@ -140,27 +137,6 @@ HealthEventKind SolveHealthMonitor::check_block(const blas::DMat& r_block,
     std::ostringstream os;
     os << "orthonormalized-block kappa " << q_kappa << " > "
        << opts_.q_kappa_limit;
-    log(HealthEventKind::kConditionTrip, q_kappa, restart, iteration,
-        os.str());
-    return HealthEventKind::kConditionTrip;
-  }
-  return HealthEventKind::kNone;
-}
-
-HealthEventKind SolveHealthMonitor::check_restart_prefix(
-    const sim::DistMultiVec& v, int cols, int restart, int iteration) {
-  if (!opts_.monitor_condition || !opts_.condition_sample_prefix ||
-      cols < 2) {
-    return HealthEventKind::kNone;
-  }
-  const double q_kappa = ortho::condition_number_charged(m_, v, 0, cols);
-  if (blocks_seen_ < condition_mute_until_block_) {
-    return HealthEventKind::kNone;
-  }
-  if (q_kappa > opts_.q_kappa_limit) {
-    std::ostringstream os;
-    os << "basis-prefix kappa over " << cols << " columns: " << q_kappa
-       << " > " << opts_.q_kappa_limit;
     log(HealthEventKind::kConditionTrip, q_kappa, restart, iteration,
         os.str());
     return HealthEventKind::kConditionTrip;

@@ -55,13 +55,6 @@ struct HealthOptions {
   /// Charge an ortho::condition_number_charged sample every Nth committed
   /// block; 0 disables sampling (the free R-diagonal estimate remains).
   int condition_sample_every = 4;
-  /// Sample the condition of the *whole* accumulated basis prefix at
-  /// restart boundaries instead of per-block cadence samples of the newest
-  /// block. Catches the cross-block orthogonality decay a healthy newest
-  /// block hides, at one charged Gram sweep over all committed columns per
-  /// cycle. Off by default: disabled, every code path (and every charged
-  /// time) is identical to before the option existed.
-  bool condition_sample_prefix = false;
 
   // --- monitor 2: false-convergence guard -----------------------------
   /// Compare the recurrence (least-squares) residual against the true
@@ -189,15 +182,6 @@ class SolveHealthMonitor {
   HealthEventKind check_block(const blas::DMat& r_block,
                               const sim::DistMultiVec& v, int c0, int c1,
                               int restart, int iteration);
-
-  /// Monitor 1, whole-prefix variant (condition_sample_prefix): at the end
-  /// of a cycle, charge one Gram condition number over every orthonormal
-  /// column [0, cols) committed this cycle and trip on q_kappa_limit. The
-  /// per-block cadence sample is suppressed while this mode is on (the free
-  /// R-diagonal estimate in check_block still runs); escalation mutes apply
-  /// as usual. No-op unless monitor_condition && condition_sample_prefix.
-  HealthEventKind check_restart_prefix(const sim::DistMultiVec& v, int cols,
-                                       int restart, int iteration);
 
   /// Monitor 2, at a restart boundary: `true_res` is the just-computed
   /// explicit residual, `recurrence_res` the previous cycle's least-squares

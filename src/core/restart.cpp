@@ -181,7 +181,7 @@ SolveResult run_restarts(sim::Machine& machine, const Problem& problem,
   // finite, in prepared row order (valid across repartitions). On a
   // multi-node topology the checkpointer is hierarchical (buddy mirrors,
   // core/checkpoint.hpp); flat machines get the original host path.
-  Checkpointer ckpt(machine, opts, resilient);
+  Checkpointer ckpt(machine, resilient);
   if (resilient) ckpt.init_zero(prob->n());
   bool x_is_zero = true;   // x == 0 exactly (first residual is just b)
   bool needs_rebuild = false;
@@ -190,10 +190,9 @@ SolveResult run_restarts(sim::Machine& machine, const Problem& problem,
 
   // Per-node-domain nested-recovery budget: consecutive hardware-recovery
   // rounds (a fresh fault landing before a post-recovery restart completed)
-  // charge an exponentially growing host backoff and are bounded by the
-  // machine's RecoveryBudget, per fault domain; crossing it (or the
-  // min_devices floor) degrades to the host-only solver, or throws when
-  // degradation is disabled.
+  // charge an exponentially growing host backoff and are bounded per fault
+  // domain; crossing the budget (or the min_devices floor) degrades to the
+  // host-only solver.
   RecoveryDomains domains(machine, opts, resilient);
   bool degrade_now = false;
   std::string degrade_reason;
@@ -244,7 +243,7 @@ SolveResult run_restarts(sim::Machine& machine, const Problem& problem,
         // roll back to the checkpoint and recompute.
         int attempts = 0;
         while (!std::isfinite(res)) {
-          CAGMRES_REQUIRE_CODE(++attempts <= opts.max_block_replays,
+          CAGMRES_REQUIRE_CODE(++attempts <= kMaxBlockReplays,
                                ErrorCode::kRetriesExhausted,
                                "residual stayed non-finite across rollbacks");
           const double t_rb = machine.clock().elapsed();
@@ -301,7 +300,7 @@ SolveResult run_restarts(sim::Machine& machine, const Problem& problem,
         // Persistent poison inside the cycle (e.g. the scaled residual
         // column itself was hit): discard the cycle, restore the
         // checkpointed x, and redo this restart with fresh data.
-        CAGMRES_REQUIRE_CODE(++tainted_rollbacks <= opts.max_block_replays,
+        CAGMRES_REQUIRE_CODE(++tainted_rollbacks <= kMaxBlockReplays,
                              ErrorCode::kRetriesExhausted,
                              "cycle stayed tainted across rollbacks");
         ++st.recovery.rollbacks;
@@ -314,7 +313,6 @@ SolveResult run_restarts(sim::Machine& machine, const Problem& problem,
       update_solution(machine, v, out.k, out.y, xwork, pc,
                       pc != nullptr ? &spmv->stage(2) : nullptr);
       if (out.k > 0) x_is_zero = false;
-      step.after_update(c, out);
       // The true residual decides at the top of the next restart; the
       // recurrence estimate feeds the false-convergence guard there.
       prev_recurrence = out.k > 0 ? out.ls_residual : -1.0;
@@ -382,16 +380,7 @@ SolveResult run_restarts(sim::Machine& machine, const Problem& problem,
 
   st.time_total = machine.clock().elapsed() - t0;
   st.traffic = tier_traffic(ctr0, machine.counters());
-  const sim::PhaseTimers& ph = machine.phases();
-  st.time_spmv = ph.get("spmv") - phases0.get("spmv");
-  st.time_mpk = ph.get("mpk") - phases0.get("mpk");
-  st.time_orth = ph.get("orth") - phases0.get("orth");
-  st.time_borth = ph.get("borth") - phases0.get("borth");
-  st.time_tsqr = ph.get("tsqr") - phases0.get("tsqr");
-  st.time_precond = ph.get("precond") - phases0.get("precond") +
-                    ph.get("precond_setup") - phases0.get("precond_setup");
-  st.time_other = st.time_total - st.time_spmv - st.time_mpk - st.time_orth -
-                  st.time_borth - st.time_tsqr - st.time_precond;
+  finalize_phase_times(st, phases0, machine.phases());
   if (resilient) {
     const sim::FaultStats df = machine.fault_injector().stats() - faults0;
     st.recovery.faults_injected = df.injected_total;

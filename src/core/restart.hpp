@@ -28,6 +28,13 @@
 
 namespace cagmres::core::detail {
 
+/// Recovery bound (armed machines only): how many times one block
+/// (CA-GMRES) or one Arnoldi step (GMRES) is replayed after the health
+/// scrub finds poisoned data before the cycle is rolled back to the restart
+/// checkpoint, and how many consecutive rollbacks a restart may take before
+/// it gives up with kRetriesExhausted.
+inline constexpr int kMaxBlockReplays = 3;
+
 /// What one restart cycle produced.
 struct CycleOutcome {
   int k = 0;                ///< basis columns generated (H has k columns)
@@ -75,9 +82,8 @@ class CycleStep {
   /// unwind the cycle midway; what it already cost stays counted).
   virtual CycleOutcome cycle(Cycle& c) = 0;
 
-  /// After an accepted cycle updated x, before the restart is counted.
-  virtual void after_update(Cycle& /*c*/, const CycleOutcome& /*out*/) {}
-  /// After the restart was counted and the recovery budgets refilled.
+  /// After an accepted cycle updated x, the restart was counted and the
+  /// recovery budgets refilled.
   virtual void after_restart(Cycle& /*c*/, const CycleOutcome& /*out*/) {}
 
  protected:

@@ -37,6 +37,37 @@ TierTraffic tier_traffic(const sim::Counters& before,
   return t;
 }
 
+TierTraffic& TierTraffic::operator+=(const TierTraffic& o) {
+  peer_bytes += o.peer_bytes;
+  peer_msgs += o.peer_msgs;
+  pcie_bytes += o.pcie_bytes;
+  pcie_msgs += o.pcie_msgs;
+  net_bytes += o.net_bytes;
+  net_msgs += o.net_msgs;
+  peer_logical_bytes += o.peer_logical_bytes;
+  pcie_logical_bytes += o.pcie_logical_bytes;
+  net_logical_bytes += o.net_logical_bytes;
+  return *this;
+}
+
+void finalize_phase_times(SolveStats& st, const sim::PhaseTimers& before,
+                          const sim::PhaseTimers& after) {
+  const auto delta = [&](const char* label) {
+    return after.get(label) - before.get(label);
+  };
+  st.time_spmv = delta("spmv");
+  st.time_mpk = delta("mpk");
+  st.time_orth = delta("orth");
+  st.time_borth = delta("borth");
+  st.time_tsqr = delta("tsqr");
+  // One left-to-right sum of the four terms, not a sum of two deltas:
+  // the rounding differs when both labels moved.
+  st.time_precond = after.get("precond") - before.get("precond") +
+                    after.get("precond_setup") - before.get("precond_setup");
+  st.time_other = st.time_total - st.time_spmv - st.time_mpk - st.time_orth -
+                  st.time_borth - st.time_tsqr - st.time_precond;
+}
+
 void trace_tier_traffic(sim::Machine& machine, const sim::Counters& before) {
   if (!machine.tracing()) return;
   const TierTraffic t = tier_traffic(before, machine.counters());

@@ -18,6 +18,14 @@
 
 namespace cagmres::ortho::detail {
 
+namespace {
+
+/// First diagonal shift of the breakdown retry, relative to the Gram
+/// diagonal; each further attempt grows it 100x.
+constexpr double kBreakdownShift = 1e-12;
+
+}  // namespace
+
 TsqrResult tsqr_cholqr(sim::Machine& m, sim::DistMultiVec& v, int c0, int c1,
                        const TsqrOptions& opts, bool float_gram) {
   const int ng = m.n_devices();
@@ -72,7 +80,7 @@ TsqrResult tsqr_cholqr(sim::Machine& m, sim::DistMultiVec& v, int c0, int c1,
                   ErrorCode::kBreakdown);
     }
     // Escalating diagonal shift relative to the Gram diagonal.
-    double shift = opts.cholqr_shift;
+    double shift = kBreakdownShift;
     for (int attempt = 0; attempt < 8 && fail >= 0; ++attempt) {
       r = b;
       for (int j = 0; j < k; ++j) r(j, j) = b(j, j) * (1.0 + shift) + shift;

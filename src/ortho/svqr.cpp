@@ -17,6 +17,14 @@
 
 namespace cagmres::ortho::detail {
 
+namespace {
+
+/// Relative floor on the Gram matrix's singular values: smaller ones are
+/// clamped so the triangular solve stays bounded on rank-deficient blocks.
+constexpr double kSigmaFloor = 1e-14;
+
+}  // namespace
+
 TsqrResult tsqr_svqr(sim::Machine& m, sim::DistMultiVec& v, int c0, int c1,
                      const TsqrOptions& opts) {
   const int ng = m.n_devices();
@@ -65,7 +73,7 @@ TsqrResult tsqr_svqr(sim::Machine& m, sim::DistMultiVec& v, int c0, int c1,
   for (int i = 0; i < k; ++i) {
     const double si =
         std::sqrt(std::max(eig.w[static_cast<std::size_t>(i)],
-                           opts.svqr_sigma_floor * smax));
+                           kSigmaFloor * smax));
     for (int j = 0; j < k; ++j) mmat(i, j) = si * eig.u(j, i);
   }
   // Undo the diagonal scaling: B = D B_hat D => R_final = qr(M * D).

@@ -45,14 +45,10 @@ struct TsqrOptions {
   /// SVQR: scale the Gram matrix to unit diagonal before the SVD (paper
   /// §V-D observes this resolves SVQR's element-wise error issue).
   bool svqr_scale_diagonal = true;
-  /// SVQR: relative floor on singular values of the Gram matrix; smaller
-  /// singular values are clamped so the triangular solve stays bounded.
-  double svqr_sigma_floor = 1e-14;
-  /// CholQR: when Cholesky breaks down, retry once on B + shift*diag(B)
-  /// instead of failing (the result then needs reorthogonalization, which
-  /// the caller decides — `breakdown` is reported either way).
+  /// CholQR: when Cholesky breaks down, retry on a diagonally shifted Gram
+  /// matrix instead of failing (the result then needs reorthogonalization,
+  /// which the caller decides — `breakdown` is reported either way).
   bool cholqr_shift_on_breakdown = true;
-  double cholqr_shift = 1e-12;
 };
 
 /// Outcome of one TSQR call.

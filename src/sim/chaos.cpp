@@ -214,7 +214,6 @@ struct ChaosRunner::Impl {
     o.tol = cfg.tol;
     o.max_restarts = cfg.max_restarts;
     o.min_devices = cfg.min_devices;
-    o.degrade_to_cpu = cfg.degrade_to_cpu;
     return o;
   }
 
@@ -269,12 +268,7 @@ struct ChaosRunner::Impl {
           sr.stats.converged ? ChaosOutcome::kConverged : ChaosOutcome::kUnconverged;
       r.degraded = sr.stats.degraded.active;
       r.final_residual = sr.stats.final_residual;
-      r.peer_bytes = sr.stats.traffic.peer_bytes;
-      r.peer_logical_bytes = sr.stats.traffic.peer_logical_bytes;
-      r.pcie_bytes = sr.stats.traffic.pcie_bytes;
-      r.pcie_logical_bytes = sr.stats.traffic.pcie_logical_bytes;
-      r.net_bytes = sr.stats.traffic.net_bytes;
-      r.net_logical_bytes = sr.stats.traffic.net_logical_bytes;
+      r.traffic = sr.stats.traffic;
     } catch (const Error& e) {
       r.error_code = to_string(e.code());
       if (e.code() == ErrorCode::kDeadlineExceeded && m.deadline() > 0.0 &&
@@ -379,12 +373,7 @@ struct ChaosRunner::Impl {
           case ChaosOutcome::kWatchdog: ++stats->watchdogs; break;
         }
         if (r1.degraded) ++stats->degraded;
-        stats->peer_bytes += r1.peer_bytes;
-        stats->peer_logical_bytes += r1.peer_logical_bytes;
-        stats->pcie_bytes += r1.pcie_bytes;
-        stats->pcie_logical_bytes += r1.pcie_logical_bytes;
-        stats->net_bytes += r1.net_bytes;
-        stats->net_logical_bytes += r1.net_logical_bytes;
+        stats->traffic += r1.traffic;
       }
       if (!r1.violation.empty()) flag(w, r1.violation);
       if (cfg.demo_bug_kills >= 0 &&

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "core/solver_common.hpp"
 #include "sim/fault.hpp"
 #include "sim/machine.hpp"
 
@@ -86,9 +87,7 @@ struct ChaosRunResult {
   /// and the pre-codec payload ("logical") bytes — equal unless a transfer
   /// codec was armed (CAGMRES_COMPRESS). Zero when the solver threw before
   /// returning stats.
-  double peer_bytes = 0.0, peer_logical_bytes = 0.0;
-  double pcie_bytes = 0.0, pcie_logical_bytes = 0.0;
-  double net_bytes = 0.0, net_logical_bytes = 0.0;
+  core::TierTraffic traffic;
 };
 
 /// One confirmed invariant violation.
@@ -121,7 +120,6 @@ struct ChaosConfig {
   double tol = 1e-6;
   int max_restarts = 400;
   int min_devices = 1;         ///< degradation floor passed to the solvers
-  bool degrade_to_cpu = true;
   /// Watchdog: deadline = deadline_factor x the slowest fault-free
   /// baseline, armed on every faulty run.
   double deadline_factor = 50.0;
@@ -156,9 +154,7 @@ struct ChaosCampaignStats {
   /// Summed per-tier traffic over every run (wire vs pre-codec payload
   /// bytes; see ChaosRunResult) so the driver can report the campaign's
   /// achieved compression ratios.
-  double peer_bytes = 0.0, peer_logical_bytes = 0.0;
-  double pcie_bytes = 0.0, pcie_logical_bytes = 0.0;
-  double net_bytes = 0.0, net_logical_bytes = 0.0;
+  core::TierTraffic traffic;
   std::vector<ChaosViolation> violations;
 };
 

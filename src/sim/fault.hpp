@@ -68,19 +68,6 @@ struct FaultRates {
   int corrupt_node = -1;          ///< node the storm targets (-1: disabled)
 };
 
-/// Budget for *nested* recovery: how many consecutive recovery rounds (a
-/// device retirement, checkpoint restore, or block replay re-entered by a
-/// fresh fault before the solver completed a clean restart) the resilient
-/// solvers may attempt before giving up with a clean
-/// Error(kRetriesExhausted). Each round charges `backoff_s * mult^round`
-/// of host time, so a fault storm drains the budget in bounded simulated
-/// time instead of livelocking the solver inside recovery.
-struct RecoveryBudget {
-  int max_rounds = 16;
-  double backoff_s = 100e-6;  ///< first inter-round backoff
-  double backoff_mult = 2.0;  ///< exponential growth per round
-};
-
 /// Injection and recovery-cost counters. Injections are counted here by the
 /// injector; the retry/stall costs are filled in by the Machine, which is
 /// the party that charges them to the simulated clock.

@@ -12,6 +12,14 @@ namespace cagmres::sim {
 
 namespace {
 
+/// Bounded retry with exponential backoff for checksum-failed transfers.
+/// The retransmission and every backoff interval are charged to the
+/// simulated clock; past the last retry the machine throws
+/// Error(kRetriesExhausted) and the resilient solvers retire the device.
+constexpr int kMaxTransferRetries = 4;
+constexpr double kRetryBackoffS = 50e-6;   ///< first backoff interval
+constexpr double kRetryBackoffMult = 2.0;  ///< growth per attempt
+
 /// Whole-string decimal integer >= `min` (no sign, no blanks); false on
 /// anything else, including overflow.
 bool parse_int(std::string_view s, int min, int& out) {
@@ -236,7 +244,7 @@ void Machine::retry_corrupt_transfer(int logical, int physical,
   // authoritative copy, so a verified transfer always delivers clean data.
   // Cross-network messages are additionally exposed to the inter-node
   // link's own corruption rate, and each retry re-rolls both.
-  double backoff = retry_.backoff_s;
+  double backoff = kRetryBackoffS;
   int attempts = 0;
   while (faults_.poll_transfer_corrupt(physical, clock_.device_time(physical),
                                        op) ||
@@ -246,7 +254,7 @@ void Machine::retry_corrupt_transfer(int logical, int physical,
       trace_.record_instant(physical, clock_.device_time(physical),
                             "fault:corrupt", phase_);
     }
-    if (attempts++ >= retry_.max_retries) {
+    if (attempts++ >= kMaxTransferRetries) {
       // Drain before unwinding, like the kill/NaN throws: host workers may
       // still hold tasks referencing stack buffers of the caller that is
       // about to unwind (use-after-free otherwise — found by the chaos
@@ -254,7 +262,7 @@ void Machine::retry_corrupt_transfer(int logical, int physical,
       sync_nothrow();
       throw Error("transfer to/from device " + std::to_string(physical) +
                       " still corrupt after " +
-                      std::to_string(retry_.max_retries) + " retries",
+                      std::to_string(kMaxTransferRetries) + " retries",
                   ErrorCode::kRetriesExhausted, logical);
     }
     const double t = backoff + resend_s;
@@ -265,7 +273,7 @@ void Machine::retry_corrupt_transfer(int logical, int physical,
     }
     ++faults_.stats().transfer_retries;
     faults_.stats().retry_seconds += t;
-    backoff *= retry_.backoff_mult;
+    backoff *= kRetryBackoffMult;
   }
 }
 

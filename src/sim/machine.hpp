@@ -100,16 +100,6 @@ struct Event {
   std::int64_t ticket = 0;  ///< host-pool enqueue ticket (wall-clock half)
 };
 
-/// Bounded retry with exponential backoff for checksum-failed transfers.
-/// The retransmission and every backoff interval are charged to the
-/// simulated clock; when the budget is exhausted the machine throws
-/// Error(kRetriesExhausted) and the resilient solvers retire the device.
-struct RetryPolicy {
-  int max_retries = 4;
-  double backoff_s = 50e-6;   ///< first backoff interval
-  double backoff_mult = 2.0;  ///< exponential growth per attempt
-};
-
 /// Construction-time Machine defaults from the CAGMRES_* environment. Each
 /// field's initializer is what an unset (or empty) variable gives; the
 /// Machine setters still override any of them after construction.
@@ -356,15 +346,6 @@ class Machine {
   /// zero-fault machine behaves bit-identically to one without this layer.
   bool faults_armed() const { return faults_.armed(); }
 
-  RetryPolicy& retry_policy() { return retry_; }
-
-  /// Budget for *nested* recovery rounds (faults landing while a previous
-  /// fault is still being recovered from); consulted by the resilient
-  /// solvers, which charge an exponentially growing host backoff per round
-  /// and give up with a clean Error(kRetriesExhausted) when it runs out.
-  RecoveryBudget& recovery_budget() { return recovery_; }
-  const RecoveryBudget& recovery_budget() const { return recovery_; }
-
   // --- simulated watchdog ----------------------------------------------
   /// Arms a deadline on the simulated clock: the first charged operation
   /// that pushes the global elapsed time past `seconds` throws
@@ -459,8 +440,6 @@ class Machine {
   PhaseTimers phases_;
   Trace trace_;
   FaultInjector faults_;
-  RetryPolicy retry_;
-  RecoveryBudget recovery_;
   double deadline_ = 0.0;  ///< simulated-seconds watchdog (0 = disarmed)
   std::vector<int> dev_map_;              ///< logical -> physical
   std::vector<std::int64_t> dev_ops_;     ///< per-physical op counter

@@ -126,7 +126,7 @@ TEST(AdaptiveS, ShrinksOnBreakdownAndRecovers) {
   }
   // Every block size stays within [min_s, s].
   for (const int bs : res.stats.block_sizes) {
-    EXPECT_GE(bs, opts.adaptive_min_s);
+    EXPECT_GE(bs, core::kAdaptiveMinS);
     EXPECT_LE(bs, opts.s);
   }
 }

@@ -423,19 +423,52 @@ TEST(NodeDropout, CaGmresRecoversViaPartnerCheckpoint) {
   EXPECT_LT(relative_residual(s, res.x), 1e-5);
 }
 
-TEST(NodeDropout, GmresPartnerOffFallsBackToHostCheckpoint) {
-  const TestSystem s = make_system(4);
-  Machine machine(4);
-  machine.set_topology(2, 2);
-  sim::parse_fault_spec("nodekill:n1@op=400", machine.fault_injector());
-  core::SolverOptions o = base_opts();
-  o.partner_checkpoint = false;
-  const core::SolveResult res = core::gmres(machine, s.p, o);
-  EXPECT_TRUE(res.stats.converged);
-  EXPECT_EQ(machine.n_devices(), 2);
-  EXPECT_EQ(res.stats.recovery.node_failures, 1);
-  EXPECT_EQ(res.stats.recovery.partner_restores, 0);
-  EXPECT_LT(relative_residual(s, res.x), 1e-5);
+TEST(NodeDropout, PartnerAlsoLostFallsBackToHostCheckpoint) {
+  // Rung 4 of the checkpoint ladder: three nodes of two devices, partners
+  // k -> (k+1) mod 3. Node 2 dies first; node 1 dies inside node 2's
+  // recovery, before its restore. The restore that completes then has to
+  // recover node 1, whose partner (node 2) is already gone, so it reloads
+  // from the host checkpoint. Node 0 survives, so nothing degrades.
+  const TestSystem s = make_system(6);
+  // Node 1's kill is pinned to an op count that falls inside node 2's
+  // recovery. Codec passes add ops, so an env-armed codec is cleared.
+  const auto shape = [](Machine& m) {
+    m.set_topology(3, 2);
+    for (const sim::TrafficClass c :
+         {sim::TrafficClass::kHalo, sim::TrafficClass::kReduce,
+          sim::TrafficClass::kCkpt}) {
+      m.set_codec(c, sim::CodecSpec{});
+    }
+  };
+  const char* both = "nodekill:n2@t=2ms;nodekill:n1@op=88";
+  for (const NamedSolver& solver : {kGmres, kCaGmres}) {
+    // Control: node 2 alone is restored from its partner, node 0, so the
+    // hierarchy is engaged on this topology.
+    Machine single(6);
+    shape(single);
+    sim::parse_fault_spec("nodekill:n2@t=2ms", single.fault_injector());
+    const core::SolveResult r1 = solver.solve(single, s.p, base_opts());
+    EXPECT_TRUE(r1.stats.converged) << solver.name;
+    EXPECT_GE(r1.stats.recovery.partner_restores, 1) << solver.name;
+
+    Machine machine(6);
+    shape(machine);
+    sim::parse_fault_spec(both, machine.fault_injector());
+    const core::SolveResult res = solver.solve(machine, s.p, base_opts());
+    // Node 2 (physical devices 4-5) went first, then node 1 (2-3), and one
+    // repartition covered both losses.
+    const auto& log = machine.fault_injector().log();
+    ASSERT_EQ(log.size(), 2u) << solver.name;
+    EXPECT_EQ(log[0].device / 2, 2) << solver.name;
+    EXPECT_EQ(log[1].device / 2, 1) << solver.name;
+    EXPECT_EQ(res.stats.recovery.repartitions, 1) << solver.name;
+    EXPECT_EQ(res.stats.recovery.node_failures, 2) << solver.name;
+    EXPECT_EQ(machine.n_devices(), 2) << solver.name;
+    EXPECT_FALSE(res.stats.degraded.active) << solver.name;
+    EXPECT_EQ(res.stats.recovery.partner_restores, 0) << solver.name;
+    EXPECT_TRUE(res.stats.converged) << solver.name;
+    EXPECT_LT(relative_residual(s, res.x), 1e-5) << solver.name;
+  }
 }
 
 // --- acceptance scenario (b): transfer corruption ---------------------
@@ -450,6 +483,21 @@ TEST(TransferCorruption, GmresRetriesAndConverges) {
   EXPECT_GT(res.stats.recovery.transfer_retries, 0);
   EXPECT_GT(res.stats.recovery.time_lost, 0.0);
   EXPECT_LT(relative_residual(s, res.x), 1e-5);
+}
+
+TEST(TransferCorruption, RetryBudgetEndsInTypedError) {
+  // Every attempt corrupt: four charged retries, then one typed error
+  // naming the device (the solvers retire it, or degrade).
+  Machine machine(2);
+  sim::parse_fault_spec("corrupt:p=1", machine.fault_injector());
+  try {
+    machine.h2d(1, 4096.0);
+    FAIL() << "an always-corrupt link must exhaust the retry budget";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kRetriesExhausted) << e.what();
+    EXPECT_EQ(e.device(), 1);
+  }
+  EXPECT_EQ(machine.fault_injector().stats().transfer_retries, 4);
 }
 
 TEST(TransferCorruption, CaGmresRetriesAndConverges) {
@@ -777,28 +825,12 @@ TEST(EventScheduleFaults, KillDuringCheckpointRestartRepartition) {
   EXPECT_LT(relative_residual(s, res.x), 1e-5);
 }
 
-TEST(EventScheduleFaults, CorruptStormExhaustsRetriesIntoCleanError) {
-  // A transfer-corruption storm (70% per attempt, every retry re-rolls)
-  // reliably drains the bounded retry loop. With the degradation floor
-  // disabled the solver must surface ONE clean typed Error — never a hang,
-  // a crash, or a silent wrong answer.
-  const TestSystem s = make_system(3);
-  Machine machine(3);
-  sim::parse_fault_spec("seed=9;corrupt:p=0.7", machine.fault_injector());
-  core::SolverOptions opts = base_opts();
-  opts.degrade_to_cpu = false;
-  try {
-    core::gmres(machine, s.p, opts);
-    FAIL() << "a 70% corruption storm must not complete normally";
-  } catch (const Error& e) {
-    EXPECT_EQ(e.code(), ErrorCode::kRetriesExhausted) << e.what();
-  }
-}
-
 TEST(EventScheduleFaults, CorruptStormDegradesToCpuAndConverges) {
-  // Same storm with the floor enabled: the solver hands off to the host
-  // fallback and still produces a correct solution, with the handoff
-  // recorded in SolveStats::degraded.
+  // A transfer-corruption storm (70% per attempt, every retry re-rolls)
+  // reliably drains the bounded retry loop: the solver hands off to the
+  // host floor and still produces a correct solution, with the handoff
+  // recorded in SolveStats::degraded — never a hang, a crash, or a silent
+  // wrong answer.
   const TestSystem s = make_system(3);
   Machine machine(3);
   sim::parse_fault_spec("seed=9;corrupt:p=0.7", machine.fault_injector());
@@ -825,7 +857,6 @@ TEST(AdaptiveS, HalvesOnBreakdownAndGrowsAfterThreeCleanBlocks) {
   opts.s = 12;
   opts.basis = core::Basis::kMonomial;
   opts.adaptive_s = true;
-  opts.adaptive_min_s = 1;
   opts.tol = 1e-8;
   opts.max_restarts = 20;
   const core::SolveResult res = core::ca_gmres(machine, p, opts);
@@ -839,9 +870,9 @@ TEST(AdaptiveS, HalvesOnBreakdownAndGrowsAfterThreeCleanBlocks) {
   bool saw_halving = false;
   for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
     if (!broke[i]) continue;
-    const int half = std::max(opts.adaptive_min_s, sizes[i] / 2);
+    const int half = std::max(core::kAdaptiveMinS, sizes[i] / 2);
     EXPECT_LE(sizes[i + 1], half) << "block " << i;
-    if (sizes[i] > opts.adaptive_min_s) saw_halving = true;
+    if (sizes[i] > core::kAdaptiveMinS) saw_halving = true;
   }
   EXPECT_TRUE(saw_halving);
 
@@ -859,7 +890,7 @@ TEST(AdaptiveS, HalvesOnBreakdownAndGrowsAfterThreeCleanBlocks) {
 
   // The controller never leaves [min_s, s].
   for (const int bs : sizes) {
-    EXPECT_GE(bs, opts.adaptive_min_s);
+    EXPECT_GE(bs, core::kAdaptiveMinS);
     EXPECT_LE(bs, opts.s);
   }
 }

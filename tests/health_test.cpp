@@ -289,79 +289,6 @@ TEST(SolveHealthMonitor, ConditionMonitorTripsOnBadRDiagonal) {
             HealthEventKind::kConditionTrip);
 }
 
-// --- whole-prefix condition sampling (ISSUE 4 satellite) --------------
-
-TEST(SolveHealthMonitor, PrefixSamplingTripsOnDependentBasisColumns) {
-  Machine m(1);
-  HealthOptions h;
-  h.monitor_condition = true;
-  h.condition_sample_prefix = true;
-  h.q_kappa_limit = 1e6;
-  SolveHealthMonitor hm(m, h, LadderCapabilities{}, 0.0);
-
-  sim::DistMultiVec v({6}, 3);
-  for (int j = 0; j < 3; ++j) {
-    for (int i = 0; i < 6; ++i) v.col(0, j)[i] = (i == j) ? 1.0 : 0.0;
-  }
-  // Orthonormal prefix: kappa = 1, no trip.
-  EXPECT_EQ(hm.check_restart_prefix(v, 3, 0, 6), HealthEventKind::kNone);
-  // A single-column prefix has nothing to measure.
-  EXPECT_EQ(hm.check_restart_prefix(v, 1, 0, 6), HealthEventKind::kNone);
-  // Make column 2 nearly equal to column 0: kappa blows past the limit.
-  for (int i = 0; i < 6; ++i) {
-    v.col(0, 2)[i] = v.col(0, 0)[i] + ((i == 1) ? 1e-12 : 0.0);
-  }
-  EXPECT_EQ(hm.check_restart_prefix(v, 3, 0, 12),
-            HealthEventKind::kConditionTrip);
-  ASSERT_EQ(hm.events().size(), 1u);
-  EXPECT_EQ(hm.events()[0].kind, HealthEventKind::kConditionTrip);
-  EXPECT_NE(hm.events()[0].detail.find("basis-prefix"), std::string::npos);
-}
-
-TEST(SolveHealthMonitor, PrefixModeDisablesPerBlockChargedSamples) {
-  // With prefix sampling on, check_block must keep only the free R-diagonal
-  // estimate: no charged kappa sample even on a sample_every=1 cadence.
-  Machine m(1);
-  HealthOptions h;
-  h.monitor_condition = true;
-  h.condition_sample_prefix = true;
-  h.condition_sample_every = 1;
-  SolveHealthMonitor hm(m, h, LadderCapabilities{}, 0.0);
-
-  sim::DistMultiVec v({4}, 3);
-  blas::DMat r(3, 3);
-  r(0, 0) = r(1, 1) = r(2, 2) = 1.0;
-  const double t0 = m.clock().elapsed();
-  EXPECT_EQ(hm.check_block(r, v, 0, 3, 0, 6), HealthEventKind::kNone);
-  EXPECT_EQ(m.clock().elapsed(), t0);  // nothing charged
-}
-
-TEST(HealthOff, PrefixSamplingOffIsByteIdenticalAndOnOnlyAddsTime) {
-  const TestSystem s = make_system(2);
-  const core::SolverOptions opts = base_opts();
-  ASSERT_FALSE(opts.health.condition_sample_prefix);  // off by default
-
-  Machine m_off(2);
-  const core::SolveResult r_off = core::ca_gmres(m_off, s.p, opts);
-
-  // Prefix sampling on a healthy system: same arithmetic on the basis (the
-  // sweep only reads V), so identical x — but the per-restart charged
-  // sweep must cost simulated time, and no trips fire.
-  core::SolverOptions on = opts;
-  on.health.monitor_condition = true;
-  on.health.condition_sample_prefix = true;
-  on.health.q_kappa_limit = 1e12;
-  Machine m_on(2);
-  const core::SolveResult r_on = core::ca_gmres(m_on, s.p, on);
-  EXPECT_TRUE(r_on.stats.converged);
-  EXPECT_EQ(r_off.x, r_on.x);
-  EXPECT_EQ(r_off.stats.iterations, r_on.stats.iterations);
-  EXPECT_GT(m_on.clock().elapsed(), m_off.clock().elapsed());
-  for (const auto& e : r_on.stats.health_events) {
-    EXPECT_NE(e.kind, HealthEventKind::kConditionTrip);
-  }
-}
-
 // --- byte-identity ----------------------------------------------------
 
 TEST(HealthOff, DefaultOptionsChargeAndComputeNothingExtra) {

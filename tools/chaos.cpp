@@ -56,8 +56,9 @@ int main(int argc, char** argv) {
            "preconditioner spec (ilu = block ILU(0)): widen the alternation "
            "with right-preconditioned drivers so faults land in precond "
            "setup and the level-scheduled trisolves too");
-  opts.add("min-devices", "1", "degradation floor passed to the solvers");
-  opts.add("degrade", "1", "enable the cpu_gmres degradation floor");
+  opts.add("min-devices", "1",
+           "degradation floor: fewer surviving devices hand the solve to "
+           "cpu_gmres");
   opts.add("deadline-factor", "50",
            "watchdog deadline as a multiple of the fault-free baseline");
   opts.add("minimize", "1", "delta-debug violations to minimal reproducers");
@@ -74,7 +75,6 @@ int main(int argc, char** argv) {
   cfg.matrix = opts.get("matrix");
   cfg.matrix_scale = opts.get_double("matrix-scale");
   cfg.min_devices = opts.get_int("min-devices");
-  cfg.degrade_to_cpu = opts.get_bool("degrade");
   cfg.deadline_factor = opts.get_double("deadline-factor");
   cfg.worker_counts = opts.get_int_list("workers");
   cfg.demo_bug_kills = opts.get_int("demo-bug-kills");
@@ -146,26 +146,17 @@ int main(int argc, char** argv) {
         stats.degraded);
     // Campaign-wide interconnect traffic; with CAGMRES_COMPRESS armed the
     // achieved per-tier compression ratio (payload/wire) rides along.
-    const bool compressed = stats.peer_logical_bytes > stats.peer_bytes ||
-                            stats.pcie_logical_bytes > stats.pcie_bytes ||
-                            stats.net_logical_bytes > stats.net_bytes;
-    const auto ratio = [](double logical, double wire) {
-      return (wire > 0.0 && logical > 0.0) ? logical / wire : 1.0;
-    };
-    if (compressed) {
+    const cagmres::core::TierTraffic& t = stats.traffic;
+    if (t.compressed()) {
       std::printf(
           "traffic: peer %.1f MB (x%.2f), pcie %.1f MB (x%.2f), "
           "net %.1f MB (x%.2f)\n",
-          stats.peer_bytes / 1048576.0,
-          ratio(stats.peer_logical_bytes, stats.peer_bytes),
-          stats.pcie_bytes / 1048576.0,
-          ratio(stats.pcie_logical_bytes, stats.pcie_bytes),
-          stats.net_bytes / 1048576.0,
-          ratio(stats.net_logical_bytes, stats.net_bytes));
+          t.peer_bytes / 1048576.0, t.peer_ratio(), t.pcie_bytes / 1048576.0,
+          t.pcie_ratio(), t.net_bytes / 1048576.0, t.net_ratio());
     } else {
       std::printf("traffic: peer %.1f MB, pcie %.1f MB, net %.1f MB\n",
-                  stats.peer_bytes / 1048576.0, stats.pcie_bytes / 1048576.0,
-                  stats.net_bytes / 1048576.0);
+                  t.peer_bytes / 1048576.0, t.pcie_bytes / 1048576.0,
+                  t.net_bytes / 1048576.0);
     }
   }
 
