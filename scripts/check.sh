@@ -76,10 +76,11 @@ CAGMRES_COMPRESS=halo=fp32,reduce=fp32 CAGMRES_HOST_WORKERS=2 \
 
 echo
 echo "== precond escape hatch: precond suite, tsan =="
-# The ILU(0) handle subsystem (DESIGN §15): the level-scheduled trisolves
-# run one OpenMP-parallel kernel per level on device streams the worker
-# pool drains, so the suite must stay race-free under tsan with 2 workers
-# — and bit-stable, which the suite itself asserts.
+# The ILU(0) handle subsystem (DESIGN §15): each trisolve apply runs as one
+# host closure per device on the device streams the worker pool drains,
+# with several applies in flight on one stream, so the suite must stay
+# race-free under tsan with 2 workers — and bit-stable, which the suite
+# itself asserts.
 CAGMRES_HOST_WORKERS=2 \
   ctest --preset tsan -L precond -j"$(nproc)"
 

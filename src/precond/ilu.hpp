@@ -9,7 +9,7 @@
 // The symbolic phase takes A's block-local pattern (no fill) and computes
 // the level sets that make the triangular solves parallel: within one
 // level every row's in-factor dependencies are already done, so the
-// solver dispatches one kernel per level (precond/trisolve.hpp).
+// solver charges one kernel per level (precond/trisolve.hpp).
 #pragma once
 
 #include <cstdint>

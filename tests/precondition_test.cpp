@@ -1,9 +1,12 @@
 // Tests for the ILU(0) preconditioner subsystem (src/precond/) and the
 // solvers' right-preconditioned path through a PrecondHandle.
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 #include "core/pipelined.hpp"
 #include "precond/ilu.hpp"
 #include "precond/precond.hpp"
+#include "precond/trisolve.hpp"
 #include "sim/fault.hpp"
 #include "sim/machine.hpp"
 #include "sparse/coo.hpp"
@@ -30,6 +34,7 @@ using precond::PrecondKind;
 using precond::PrecondSpec;
 using precond::parse_precond_spec;
 using test::codec_tol;
+using sparse::CsrMatrix;
 
 /// Row -> level map of a schedule (-1 when a row never appears).
 std::vector<int> level_of(const LevelSchedule& s, int n) {
@@ -69,6 +74,111 @@ double factor_entry(const DeviceFactor& f, int i, int j) {
   double acc = 0.0;
   for (int p = 0; p <= std::min(i, j); ++p) acc += lower(i, p) * upper(p, j);
   return acc;
+}
+
+/// Block-diagonal matrix of `blocks` followed by `singletons` rows that
+/// hold only a diagonal entry (each one its own level-0 row).
+CsrMatrix block_diagonal(const std::vector<CsrMatrix>& blocks,
+                         int singletons = 0) {
+  int n = singletons;
+  for (const CsrMatrix& b : blocks) n += b.n_rows;
+  sparse::CooBuilder builder(n, n);
+  int off = 0;
+  for (const CsrMatrix& b : blocks) {
+    for (int i = 0; i < b.n_rows; ++i) {
+      for (auto k = b.row_ptr[static_cast<std::size_t>(i)];
+           k < b.row_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
+        builder.add(off + i, off + b.col_idx[static_cast<std::size_t>(k)],
+                    b.vals[static_cast<std::size_t>(k)]);
+      }
+    }
+    off += b.n_rows;
+  }
+  for (int i = off; i < n; ++i) builder.add(i, i, 2.0 + 0.1 * (i - off));
+  return builder.build();
+}
+
+/// ILU(0) factor of the whole of `a` as one device block.
+DeviceFactor factor_of(const CsrMatrix& a) {
+  DeviceFactor f;
+  precond::ilu_symbolic(a, 0, a.n_rows, f);
+  precond::ilu_numeric(a, f);
+  return f;
+}
+
+std::vector<double> test_vector(int n, double phase) {
+  std::vector<double> v(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    v[static_cast<std::size_t>(i)] = std::sin(0.37 * i + phase) + 0.25;
+  }
+  return v;
+}
+
+bool contains(const std::vector<int>& v, int x) {
+  return std::find(v.begin(), v.end(), x) != v.end();
+}
+
+/// The rows of level l of `s`, in schedule order.
+std::vector<int> rows_of(const LevelSchedule& s, int l) {
+  const auto lo = static_cast<std::size_t>(l);
+  return {s.order.begin() + s.level_ptr[lo],
+          s.order.begin() + s.level_ptr[lo + 1]};
+}
+
+/// Reference for level_trisolve, in place on a copy of `in`: every level
+/// is its own loop, as if it ran as its own kernel, and the rows of the
+/// levels listed in `l_hit`/`u_hit` are NaN-poisoned right after that
+/// level is computed.
+std::vector<double> reference_trisolve(const DeviceFactor& f,
+                                       std::vector<double> x,
+                                       const std::vector<int>& l_hit = {},
+                                       const std::vector<int>& u_hit = {}) {
+  const double nan = std::nan("");
+  for (int l = 0; l < f.l_sched.levels(); ++l) {
+    const std::vector<int> rows = rows_of(f.l_sched, l);
+    for (const int r : rows) {
+      const auto i = static_cast<std::size_t>(r);
+      double acc = x[i];
+      for (auto p = f.l_ptr[i]; p < f.l_ptr[i + 1]; ++p) {
+        const auto q = static_cast<std::size_t>(p);
+        acc -= f.l_val[q] * x[static_cast<std::size_t>(f.l_idx[q])];
+      }
+      x[i] = acc;
+    }
+    if (contains(l_hit, l)) {
+      for (const int r : rows) x[static_cast<std::size_t>(r)] = nan;
+    }
+  }
+  for (int l = 0; l < f.u_sched.levels(); ++l) {
+    const std::vector<int> rows = rows_of(f.u_sched, l);
+    for (const int r : rows) {
+      const auto i = static_cast<std::size_t>(r);
+      double acc = x[i];
+      for (auto p = f.u_ptr[i]; p < f.u_ptr[i + 1]; ++p) {
+        const auto q = static_cast<std::size_t>(p);
+        acc -= f.u_val[q] * x[static_cast<std::size_t>(f.u_idx[q])];
+      }
+      x[i] = acc * f.inv_diag[i];
+    }
+    if (contains(u_hit, l)) {
+      for (const int r : rows) x[static_cast<std::size_t>(r)] = nan;
+    }
+  }
+  return x;
+}
+
+/// Bit-for-bit equality of two vectors (operator== calls -0.0 and 0.0
+/// equal).
+bool bitwise_equal(const std::vector<double>& a,
+                   const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) !=
+        std::bit_cast<std::uint64_t>(b[i])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 TEST(IluFactor, IluZeroIsExactOnTridiagonal) {
@@ -131,6 +241,139 @@ TEST(IluFactor, TinyPivotFallsBackAndIsCounted) {
   EXPECT_GE(f.pivot_fallbacks, 1);
   EXPECT_DOUBLE_EQ(f.inv_diag[0], 1.0);
   for (const double d : f.inv_diag) EXPECT_TRUE(std::isfinite(d));
+}
+
+TEST(Trisolve, OneHostPassMatchesPerLevelReference) {
+  // level_trisolve charges one kernel per level but computes the whole
+  // apply in one host pass per device; the result must be bitwise the
+  // per-level reference. Two factors: a laplace2d block, and 1100
+  // independent 3x2 grids whose level 0 is 1100 rows wide, past the
+  // 1024 rows at which a level used to run OpenMP-parallel.
+  const CsrMatrix lap = sparse::make_laplace2d(11, 9, 0.3, 0.1);
+  const CsrMatrix wide = block_diagonal(std::vector<CsrMatrix>(
+      1100, sparse::make_laplace2d(3, 2, 0.2, 0.4)));
+  const DeviceFactor f_lap = factor_of(lap);
+  const DeviceFactor f_wide = factor_of(wide);
+  int widest = 0;
+  for (int l = 0; l < f_wide.l_sched.levels(); ++l) {
+    widest = std::max(widest, f_wide.l_sched.level_rows(l));
+  }
+  ASSERT_GT(widest, 1 << 10);
+
+  for (const int workers : {0, 2}) {
+    for (const DeviceFactor* f : {&f_lap, &f_wide}) {
+      sim::Machine m(2);
+      m.set_host_workers(workers);
+      const std::vector<double> in0 = test_vector(f->n(), 0.5);
+      const std::vector<double> in1 = test_vector(f->n(), 1.5);
+      const std::int64_t kernels = f->l_sched.levels() + f->u_sched.levels();
+      // Device 0 out of place, device 1 in place (out == in), both in
+      // flight on their streams before the barrier.
+      std::vector<double> out0(in0.size(), 0.0);
+      std::vector<double> buf1 = in1;
+      precond::level_trisolve(m, 0, *f, in0.data(), out0.data());
+      precond::level_trisolve(m, 1, *f, buf1.data(), buf1.data());
+      m.sync();
+      EXPECT_TRUE(bitwise_equal(out0, reference_trisolve(*f, in0)))
+          << "workers=" << workers << " n=" << f->n();
+      EXPECT_TRUE(bitwise_equal(buf1, reference_trisolve(*f, in1)))
+          << "in place, workers=" << workers << " n=" << f->n();
+      // One apply charges exactly one kernel per L level plus per U level.
+      EXPECT_EQ(m.counters().dev_kernels[0], kernels);
+      EXPECT_EQ(m.counters().dev_kernels[1], kernels);
+    }
+  }
+}
+
+TEST(Trisolve, InjectedNanPoisonsHitLevelAndDependentsOnly) {
+  // Three independent parts of different depth: an 8x6 grid (13 L and 13 U
+  // levels), a 4x3 grid (6 each) and 5 isolated rows (level 0 only). An
+  // injected NaN on L level 9 lands on grid rows only; one on U level 3
+  // poisons both grids' level-3 rows and their dependents, leaving the
+  // small grid's U levels 0-2 and the isolated rows finite.
+  const CsrMatrix a = block_diagonal(
+      {sparse::make_laplace2d(8, 6, 0.3, 0.1),
+       sparse::make_laplace2d(4, 3, 0.2, 0.4)},
+      5);
+  const DeviceFactor f = factor_of(a);
+  const int n = f.n();
+  ASSERT_EQ(f.l_sched.levels(), 13);
+  ASSERT_EQ(f.u_sched.levels(), 13);
+  const int l_hit = 9;
+  const int u_hit = 3;
+  // A fresh device's op counter numbers its charged kernels from 1, and
+  // level_trisolve charges every L level before the U levels.
+  const std::string spec =
+      "nan:d0@op=" + std::to_string(l_hit + 1) +
+      ";nan:d0@op=" + std::to_string(f.l_sched.levels() + u_hit + 1);
+
+  // Structural expectation: the hit level's rows, plus every row that
+  // reads a NaN row through L (forward) or U (backward).
+  std::vector<char> poisoned(static_cast<std::size_t>(n), 0);
+  const std::vector<int> ll = level_of(f.l_sched, n);
+  const std::vector<int> lu = level_of(f.u_sched, n);
+  for (const int k : f.l_sched.order) {
+    const auto i = static_cast<std::size_t>(k);
+    bool bad = ll[i] == l_hit;
+    for (auto p = f.l_ptr[i]; p < f.l_ptr[i + 1]; ++p) {
+      const auto j = f.l_idx[static_cast<std::size_t>(p)];
+      bad = bad || poisoned[static_cast<std::size_t>(j)];
+    }
+    poisoned[i] = bad;
+  }
+  for (const int k : f.u_sched.order) {
+    const auto i = static_cast<std::size_t>(k);
+    bool bad = poisoned[i] || lu[i] == u_hit;
+    for (auto p = f.u_ptr[i]; p < f.u_ptr[i + 1]; ++p) {
+      const auto j = f.u_idx[static_cast<std::size_t>(p)];
+      bad = bad || poisoned[static_cast<std::size_t>(j)];
+    }
+    poisoned[i] = bad;
+  }
+
+  const std::vector<double> in = test_vector(n, 0.25);
+  const std::vector<double> ref = reference_trisolve(f, in, {l_hit}, {u_hit});
+  const std::vector<double> clean = reference_trisolve(f, in);
+  int n_nan = 0;
+  for (int i = 0; i < n; ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    ASSERT_EQ(std::isnan(ref[u]), poisoned[u] != 0) << "row " << i;
+    n_nan += poisoned[u];
+  }
+  ASSERT_GT(n_nan, 0);
+  ASSERT_LT(n_nan, n - 5);  // the isolated rows and part of the 4x3 grid
+  for (int i = n - 5; i < n; ++i) {
+    ASSERT_FALSE(poisoned[static_cast<std::size_t>(i)]);
+  }
+
+  for (const int workers : {0, 2}) {
+    sim::Machine m(1);
+    m.set_host_workers(workers);
+    sim::parse_fault_spec(spec, m.fault_injector());
+    const std::int64_t consumed = m.kernel_faults_consumed();
+    // Two applies in flight on one stream: the first takes both hits, the
+    // second none, so each closure must carry its own hit levels.
+    std::vector<double> hit(in.size(), 0.0);
+    std::vector<double> next(in.size(), 0.0);
+    precond::level_trisolve(m, 0, f, in.data(), hit.data());
+    precond::level_trisolve(m, 0, f, in.data(), next.data());
+    m.sync();
+    // One consumed fault per hit level, as in the reference.
+    EXPECT_EQ(m.kernel_faults_consumed() - consumed, 2)
+        << "workers=" << workers;
+    for (int i = 0; i < n; ++i) {
+      const auto u = static_cast<std::size_t>(i);
+      ASSERT_EQ(std::isnan(hit[u]), std::isnan(ref[u]))
+          << "row " << i << " workers=" << workers;
+      if (!std::isnan(ref[u])) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(hit[u]),
+                  std::bit_cast<std::uint64_t>(ref[u]))
+            << "row " << i << " workers=" << workers;
+        ASSERT_TRUE(std::isfinite(hit[u])) << "row " << i;
+      }
+    }
+    EXPECT_TRUE(bitwise_equal(next, clean)) << "workers=" << workers;
+  }
 }
 
 TEST(PrecondSpec, ParsesKnobsAliasesAndRejectsGarbage) {
