@@ -36,24 +36,14 @@ int main(int argc, char** argv) {
 
   Table table({"s", "basis", "kappa(block) avg", "kappa max", "breakdowns",
                "reorth blocks", "converged"});
-  struct BasisCfg {
-    core::Basis basis;
-    bool adaptive;
-    const char* label;
-  };
-  const BasisCfg basis_cfgs[] = {
-      {core::Basis::kMonomial, false, "monomial"},
-      {core::Basis::kMonomial, true, "monomial+adapt"},
-      {core::Basis::kNewton, false, "newton"},
-  };
   for (const int s : opts.get_int_list("s")) {
-    for (const auto& bc : basis_cfgs) {
+    for (const core::Basis basis : {core::Basis::kMonomial,
+                                    core::Basis::kNewton}) {
       sim::Machine machine(1);
       core::SolverOptions so;
       so.m = opts.get_int("m");
       so.s = s;
-      so.basis = bc.basis;
-      so.adaptive_s = bc.adaptive;
+      so.basis = basis;
       so.max_restarts = opts.get_int("restarts");
       so.collect_tsqr_errors = true;
       so.tsqr = ortho::Method::kCholQr;
@@ -76,7 +66,7 @@ int main(int argc, char** argv) {
       char avg[24], mxs[24];
       std::snprintf(avg, sizeof avg, "%.1e", cnt ? sum / cnt : 0.0);
       std::snprintf(mxs, sizeof mxs, "%.1e", mx);
-      table.add_row({std::to_string(s), bc.label, avg, mxs,
+      table.add_row({std::to_string(s), core::to_string(basis), avg, mxs,
                      std::to_string(st.cholqr_breakdowns),
                      std::to_string(st.reorth_blocks), conv});
     }

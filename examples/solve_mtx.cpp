@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
   opts.add("tsqr", "cholqr", "mgs|cgs|cholqr|svqr|caqr|cholqr_mp");
   opts.add("basis", "newton", "newton | monomial");
   opts.add("reorth", "0", "always reorthogonalize blocks (the paper's 2x)");
-  opts.add("adaptive", "0", "adapt s on TSQR breakdowns");
   opts.add("balance", "1", "row/column equilibration before solving");
   opts.add("precond", "",
            "right-preconditioner spec for ca|gmres: ilu (block ILU(0)) "
@@ -80,7 +79,6 @@ int main(int argc, char** argv) {
   so.tsqr = ortho::parse_method(opts.get("tsqr"));
   so.basis = core::parse_basis(opts.get("basis"));
   so.reorthogonalize = opts.get_bool("reorth");
-  so.adaptive_s = opts.get_bool("adaptive");
 
   const std::string solver = opts.get("solver");
   const precond::PrecondSpec pspec =

@@ -134,7 +134,7 @@ class CaStep final : public detail::CycleStep {
       case EscalationStep::kForceReorth:
         return !force_reorth_;
       case EscalationStep::kShrinkS:
-        return s_current_ > kAdaptiveMinS;
+        return s_current_ > kShrinkSFloor;
       case EscalationStep::kRebuildShifts:
         return have_shifts_ && last_h_k_ > 1 && !rebuild_shifts_pending_;
       case EscalationStep::kSwitchTsqr:
@@ -152,9 +152,7 @@ class CaStep final : public detail::CycleStep {
         force_reorth_ = true;
         break;
       case EscalationStep::kShrinkS:
-        s_current_ = std::max(kAdaptiveMinS, s_current_ / 2);
-        ladder_shrunk_s_ = true;
-        clean_streak_ = 0;
+        s_current_ = std::max(kShrinkSFloor, s_current_ / 2);
         break;
       case EscalationStep::kRebuildShifts:
         rebuild_shifts_pending_ = true;  // harvested in after_restart
@@ -233,17 +231,13 @@ class CaStep final : public detail::CycleStep {
   Shifts step_shifts_;
   bool have_shifts_;
 
-  // Adaptive block-size state (opts.adaptive_s): shared across restarts so
-  // a learned-safe s persists.
-  int s_current_;
-  int clean_streak_ = 0;
-
   // Ladder-mutable state. Only ladder actions touch these, and the ladder
   // only runs off armed monitors, so an unmonitored solve behaves
-  // byte-identically to the pre-health code.
+  // byte-identically to the pre-health code. The working block size starts
+  // at s_ and persists across restarts once kShrinkS lowers it.
+  int s_current_;
   ortho::Method tsqr_current_;
   bool force_reorth_ = false;
-  bool ladder_shrunk_s_ = false;  // use s_current_ even without adaptive_s
   bool fallback_gmres_ = false;
   blas::DMat last_h_;  // freshest Hessenberg, kept for a shift rebuild
   int last_h_k_ = 0;
@@ -272,9 +266,7 @@ detail::CycleOutcome CaStep::ca_cycle(detail::Cycle& c) {
   int done = 1;
   while (done < mm + 1) {
     if (health_on) c.hm.check_budget(st.iterations, c.restart);
-    const int steps = std::min(
-        (opts_.adaptive_s || ladder_shrunk_s_) ? s_current_ : s_,
-        mm + 1 - done);
+    const int steps = std::min(s_current_, mm + 1 - done);
     is_block_start[static_cast<std::size_t>(done) - 1] = 1;
     const Shifts bs = block_shifts(step_shifts_, steps);
     for (int i = 0; i < steps; ++i) {
@@ -398,17 +390,7 @@ detail::CycleOutcome CaStep::ca_cycle(detail::Cycle& c) {
     // Commit the accepted block: bookkeeping that must not see discarded
     // (replayed) attempts.
     st.block_sizes.push_back(steps);
-    st.block_breakdowns.push_back(tq.breakdown ? 1 : 0);
     if (tq.breakdown) ++st.cholqr_breakdowns;
-    if (opts_.adaptive_s) {
-      if (tq.breakdown) {
-        s_current_ = std::max(kAdaptiveMinS, s_current_ / 2);
-        clean_streak_ = 0;
-      } else if (++clean_streak_ >= 3 && s_current_ < s_) {
-        ++s_current_;
-        clean_streak_ = 0;
-      }
-    }
     if (block_reorthed) ++st.reorth_blocks;
 
     if (health_on) {

@@ -18,9 +18,9 @@
 
 namespace cagmres::core {
 
-/// Floor of the working block size: SolverOptions::adaptive_s and the
-/// escalation ladder's shrink_s rung never halve s below it.
-inline constexpr int kAdaptiveMinS = 1;
+/// Floor of the working block size: the escalation ladder's kShrinkS rung
+/// never halves s below it.
+inline constexpr int kShrinkSFloor = 1;
 
 /// Solves the prepared problem with CA-GMRES(opts.s, opts.m).
 SolveResult ca_gmres(sim::Machine& machine, const Problem& problem,

@@ -98,7 +98,7 @@ struct HealthOptions {
 enum class EscalationStep {
   kNone,
   kForceReorth,    ///< BOrth+TSQR twice for every remaining block
-  kShrinkS,        ///< halve the working s (reuses the adaptive_s state)
+  kShrinkS,        ///< halve the working s for the rest of the solve
   kRebuildShifts,  ///< fresh Newton shifts from the latest Hessenberg
   kSwitchTsqr,     ///< CholQR -> SVQR -> CAQR for the remainder
   kSwitchOrth,     ///< GMRES: CGS -> MGS per-iteration Orth

@@ -1,11 +1,11 @@
-// The restart driver shared by GMRES, CA-GMRES and pipelined GMRES.
+// The restart driver shared by GMRES and CA-GMRES.
 //
-// All three solvers are restarted GMRES: every restart computes the true
+// Both solvers are restarted GMRES: every restart computes the true
 // residual r = b - A x, tests convergence, builds a Krylov basis from
 // r / ||r|| and adds the least-squares combination of that basis to x.
 // They differ only in how one cycle builds the basis (paper §III: CA-GMRES
-// swaps s SpMV+Orth steps for MPK+BOrth+TSQR; pipelined GMRES overlaps the
-// reduction with the next SpMV). run_restarts owns everything else:
+// swaps s SpMV+Orth steps for MPK+BOrth+TSQR). run_restarts owns
+// everything else:
 //   - the distributed buffers (V, x, b), the SpMV executor and DrainGuard;
 //   - the Checkpointer and RecoveryDomains: repartition after a device
 //     loss, residual rollback, checkpoint save, the host_gmres degrade floor;

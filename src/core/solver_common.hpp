@@ -51,13 +51,6 @@ struct SolverOptions {
 
   ortho::TsqrOptions tsqr_opts = {};
 
-  /// CA-GMRES: adapt the block size at run time (the adaptive scheme the
-  /// paper's conclusion points to, ref [23]): halve the working s after a
-  /// block whose TSQR broke down (the basis outran the orthogonalizer),
-  /// and grow it back by one after three consecutive clean blocks, never
-  /// below kAdaptiveMinS (core/cagmres.hpp).
-  bool adaptive_s = false;
-
   /// CA-GMRES: record the Fig. 13 error norms (orthogonality,
   /// factorization, element-wise) of every TSQR call into
   /// SolveStats::tsqr_errors. Costs an extra copy of each block; off by
@@ -203,9 +196,6 @@ struct SolveStats {
   std::vector<double> residual_history;  ///< true residual after each restart
   std::vector<TsqrErrorSample> tsqr_errors;  ///< when collect_tsqr_errors
   std::vector<int> block_sizes;  ///< CA-GMRES: steps of every block run
-  /// Parallel to block_sizes: 1 when that block's TSQR broke down (what the
-  /// adaptive-s controller reacted to).
-  std::vector<char> block_breakdowns;
 
   RecoveryStats recovery;  ///< fault-injection and self-healing log
   DegradedRecord degraded;  ///< set when the solve finished on the CPU floor

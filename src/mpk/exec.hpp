@@ -65,8 +65,9 @@ class MpkExecutor {
   /// Requires a plan built with s == 1. Charged under phase "spmv".
   void spmv(sim::Machine& machine, sim::DistMultiVec& v, int xcol, int ycol);
 
-  /// Cross-multivector variant: y(:, ycol) := A x(:, xcol). Used by
-  /// pipelined GMRES, whose lookahead products live in a second basis.
+  /// Cross-multivector variant: y(:, ycol) := A x(:, xcol). The
+  /// right-preconditioned solvers multiply from the stage() multivector
+  /// that holds M^{-1} v into the basis.
   void spmv(sim::Machine& machine, const sim::DistMultiVec& x, int xcol,
             sim::DistMultiVec& y, int ycol);
 

@@ -26,7 +26,7 @@ namespace cagmres::ortho {
 /// DGEMM throughput and half the traffic — while the Cholesky factor and
 /// the triangular solve stay double. Orthogonality degrades from
 /// O(eps_d kappa^2) to O(eps_s kappa^2), so it pairs with
-/// reorthogonalization or the adaptive-s scheme.
+/// reorthogonalization.
 enum class Method { kMgs, kCgs, kCholQr, kSvqr, kCaqr, kCholQrMp };
 
 /// Parses "mgs", "cgs", "cholqr", "svqr", "caqr", "cholqr_mp".
@@ -58,7 +58,7 @@ struct TsqrResult {
   /// 0-based column of the first non-positive Cholesky pivot when
   /// `breakdown` is set (lapack reports it; -1 = no breakdown). Column j
   /// breaking down means the basis lost independence j+1 vectors into the
-  /// block — the adaptive-s controller can use this to size the retreat.
+  /// block.
   int breakdown_col = -1;
 };
 

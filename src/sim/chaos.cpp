@@ -11,7 +11,6 @@
 #include "common/rng.hpp"
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
-#include "core/pipelined.hpp"
 #include "core/solver_common.hpp"
 #include "precond/precond.hpp"
 #include "sparse/generators.hpp"
@@ -52,24 +51,20 @@ std::string to_string(ChaosSolver s) {
       return "precond_ca_gmres";
     case ChaosSolver::kPrecondGmres:
       return "precond_gmres";
-    case ChaosSolver::kPipelined:
-      return "pipelined_gmres";
   }
   return "?";
 }
 
 ChaosSolver parse_chaos_solver(const std::string& name) {
   if (name == "ca") return ChaosSolver::kCaGmres;
-  if (name == "pipelined") return ChaosSolver::kPipelined;
   for (const ChaosSolver s :
        {ChaosSolver::kCaGmres, ChaosSolver::kGmres,
-        ChaosSolver::kPrecondCaGmres, ChaosSolver::kPrecondGmres,
-        ChaosSolver::kPipelined}) {
+        ChaosSolver::kPrecondCaGmres, ChaosSolver::kPrecondGmres}) {
     if (name == to_string(s)) return s;
   }
   throw Error("unknown chaos solver '" + name +
-                  "' (ca | gmres | pipelined | ca_gmres | pipelined_gmres | "
-                  "precond_ca_gmres | precond_gmres)",
+                  "' (ca | gmres | ca_gmres | precond_ca_gmres | "
+                  "precond_gmres)",
               ErrorCode::kBadInput);
 }
 
@@ -225,10 +220,7 @@ struct ChaosRunner::Impl {
   /// by the preconditioned pair when a spec is armed.
   std::vector<ChaosSolver> roster() const {
     std::vector<ChaosSolver> out = {ChaosSolver::kCaGmres};
-    if (cfg.both_solvers) {
-      out.push_back(ChaosSolver::kGmres);
-      out.push_back(ChaosSolver::kPipelined);
-    }
+    if (cfg.both_solvers) out.push_back(ChaosSolver::kGmres);
     if (pspec.armed()) {
       out.push_back(ChaosSolver::kPrecondCaGmres);
       if (cfg.both_solvers) out.push_back(ChaosSolver::kPrecondGmres);
@@ -258,8 +250,6 @@ struct ChaosRunner::Impl {
     try {
       if (is_ca(solver)) {
         sr = core::ca_gmres(m, prob, opts);
-      } else if (solver == ChaosSolver::kPipelined) {
-        sr = core::pipelined_gmres(m, prob, opts);
       } else {
         sr = core::gmres(m, prob, opts);
       }

@@ -7,7 +7,7 @@
 // op-triggered, including cascading multi-device kills clustered tightly
 // enough to land inside a previous kill's checkpoint-restart) plus
 // continuous rates — and runs each over the configured host worker counts,
-// alternating CA-GMRES, GMRES and pipelined GMRES. Every run must end in
+// alternating CA-GMRES and GMRES. Every run must end in
 // one of the sanctioned states:
 //   - converged, with a finite solution whose TRUE residual (checked
 //     against the original, unprepared system) meets the tolerance;
@@ -37,17 +37,10 @@ namespace cagmres::sim {
 /// The kPrecond* variants run the same solvers right-preconditioned with a
 /// fresh ILU(0) PrecondHandle per run (ChaosConfig::precond), so kills and
 /// corrupt storms land inside preconditioner setup and the level-scheduled
-/// trisolves as well as the solver proper. kPipelined drives depth-1
-/// pipelined GMRES, unpreconditioned.
-enum class ChaosSolver {
-  kCaGmres,
-  kGmres,
-  kPrecondCaGmres,
-  kPrecondGmres,
-  kPipelined
-};
+/// trisolves as well as the solver proper.
+enum class ChaosSolver { kCaGmres, kGmres, kPrecondCaGmres, kPrecondGmres };
 std::string to_string(ChaosSolver s);
-/// Inverse of to_string, plus the short aliases "ca" and "pipelined".
+/// Inverse of to_string, plus the short alias "ca".
 /// Throws Error(kBadInput) on any other name.
 ChaosSolver parse_chaos_solver(const std::string& name);
 
@@ -124,15 +117,14 @@ struct ChaosConfig {
   /// baseline, armed on every faulty run.
   double deadline_factor = 50.0;
   std::vector<int> worker_counts = {0, 2};
-  /// Alternate CA-GMRES / GMRES / pipelined GMRES by index (CA-GMRES
-  /// only when off).
+  /// Alternate CA-GMRES / GMRES by index (CA-GMRES only when off).
   bool both_solvers = true;
   /// Non-empty: a parse_precond_spec string ("ilu"); the alternation
-  /// widens to a 5-cycle {ca, gmres, pipelined, precond_ca, precond_gmres}
-  /// (2-cycle {ca, precond_ca} when both_solvers is off), so the
-  /// preconditioned drivers get their share of the schedules. Empty (the default) keeps the
-  /// campaign byte-identical to the pre-preconditioner engine — schedule
-  /// generation never consumes RNG for this knob.
+  /// widens to a 4-cycle {ca, gmres, precond_ca, precond_gmres} (2-cycle
+  /// {ca, precond_ca} when both_solvers is off), so the preconditioned
+  /// drivers get their share of the schedules. Empty (the default) keeps
+  /// the campaign byte-identical to the pre-preconditioner engine —
+  /// schedule generation never consumes RNG for this knob.
   std::string precond;
   bool check_replay = true;    ///< rerun each config after Machine::reset
   /// Demo hook for exercising the minimizer on a healthy build: when >= 0,

@@ -43,7 +43,7 @@ class Clock {
 
   /// Host blocks until the given simulated timestamp (used to wait for an
   /// event recorded mid-queue — e.g. a transfer posted BEFORE later kernels
-  /// — enabling communication/computation overlap a la pipelined GMRES).
+  /// — so the host can overlap work with the kernels queued after it).
   void host_wait_time(double t) { host_ = std::max(host_, t); }
 
   /// Device d's next op cannot start before the given simulated timestamp

@@ -275,21 +275,21 @@ TEST(ChaosDemoOracle, SeededBugMinimizesToAtMostThreeEvents) {
   EXPECT_TRUE(has_kill);
 }
 
-// --- pipelined GMRES in the alternation --------------------------------
+// --- GMRES in the alternation -----------------------------------------
 
-TEST(ChaosPipelined, FaultyScheduleRecoversAndReplaysBitIdentically) {
-  // Pipelined GMRES runs on the shared restart driver, so a device kill
-  // must repartition and a NaN drizzle roll back like the other solvers,
-  // and a same-seed rerun must reproduce the run bit for bit.
+TEST(ChaosGmres, FaultyScheduleRecoversAndReplaysBitIdentically) {
+  // GMRES runs on the shared restart driver, so a device kill must
+  // repartition and a NaN drizzle roll back like CA-GMRES, and a same-seed
+  // rerun must reproduce the run bit for bit.
   ChaosConfig cfg = slim_config();
-  cfg.both_solvers = true;  // roster {ca, gmres, pipelined}: index 2
+  cfg.both_solvers = true;  // roster {ca, gmres}: index 1
   ChaosRunner r(cfg);
-  EXPECT_EQ(to_string(ChaosSolver::kPipelined), "pipelined_gmres");
+  EXPECT_EQ(to_string(ChaosSolver::kGmres), "gmres");
   const ChaosSchedule s =
       ChaosSchedule::from_spec("seed=5;kill:*@t=2ms;nan:p=0.001");
-  EXPECT_TRUE(r.run_schedule(s, 2).empty());  // includes the reset replay
-  const auto one = r.run_one(s, ChaosSolver::kPipelined, 0);
-  const auto two = r.run_one(s, ChaosSolver::kPipelined, 0);
+  EXPECT_TRUE(r.run_schedule(s, 1).empty());  // includes the reset replay
+  const auto one = r.run_one(s, ChaosSolver::kGmres, 0);
+  const auto two = r.run_one(s, ChaosSolver::kGmres, 0);
   EXPECT_TRUE(one.violation.empty()) << one.violation;
   EXPECT_EQ(one.outcome, ChaosOutcome::kConverged);
   EXPECT_GE(one.device_failures, 1);
@@ -297,7 +297,7 @@ TEST(ChaosPipelined, FaultyScheduleRecoversAndReplaysBitIdentically) {
 }
 
 TEST(ChaosReplay, NamedSolverReplaysTheScheduleOnThatSolver) {
-  // The one-schedule replay (tools/chaos --faults=... --solver=pipelined)
+  // The one-schedule replay (tools/chaos --faults=... --solver=gmres)
   // must run the named solver, not the roster's first. The demo oracle
   // flags every run, so the violations name the solver that ran.
   ChaosConfig cfg = slim_config();
@@ -306,26 +306,25 @@ TEST(ChaosReplay, NamedSolverReplaysTheScheduleOnThatSolver) {
   ChaosRunner r(cfg);
   const ChaosSchedule s = ChaosSchedule::from_spec("seed=5;nan:p=0.001");
   for (const ChaosSolver solver :
-       {ChaosSolver::kPipelined, ChaosSolver::kGmres, ChaosSolver::kCaGmres}) {
+       {ChaosSolver::kGmres, ChaosSolver::kCaGmres}) {
     const auto v = r.run_schedule(s, solver);
     ASSERT_FALSE(v.empty());
     for (const auto& e : v) EXPECT_EQ(e.solver, solver) << e.what;
   }
   // A solver outside the configured roster has no baseline to check.
   ChaosRunner ca_only(slim_config());
-  EXPECT_THROW(ca_only.run_schedule(s, ChaosSolver::kPipelined), Error);
+  EXPECT_THROW(ca_only.run_schedule(s, ChaosSolver::kGmres), Error);
 }
 
 TEST(ChaosReplay, SolverNamesParseAndUnknownOnesAreRejected) {
   for (const ChaosSolver solver :
        {ChaosSolver::kCaGmres, ChaosSolver::kGmres,
-        ChaosSolver::kPrecondCaGmres, ChaosSolver::kPrecondGmres,
-        ChaosSolver::kPipelined}) {
+        ChaosSolver::kPrecondCaGmres, ChaosSolver::kPrecondGmres}) {
     EXPECT_EQ(sim::parse_chaos_solver(to_string(solver)), solver);
   }
   EXPECT_EQ(sim::parse_chaos_solver("ca"), ChaosSolver::kCaGmres);
-  EXPECT_EQ(sim::parse_chaos_solver("pipelined"), ChaosSolver::kPipelined);
-  for (const char* bad : {"both", "pipe", "", "GMRES"}) {
+  for (const char* bad :
+       {"both", "pipe", "", "GMRES", "pipelined", "pipelined_gmres"}) {
     try {
       sim::parse_chaos_solver(bad);
       ADD_FAILURE() << "accepted '" << bad << "'";

@@ -16,7 +16,6 @@
 #include "common/rng.hpp"
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
-#include "core/pipelined.hpp"
 #include "mpk/exec.hpp"
 #include "mpk/plan.hpp"
 #include "ortho/tsqr.hpp"
@@ -182,9 +181,7 @@ TEST(SolverEdge, NonFiniteResidualIsNeverConverged) {
   using Solver = core::SolveResult (*)(sim::Machine&, const core::Problem&,
                                        const core::SolverOptions&);
   const std::pair<const char*, Solver> solvers[] = {
-      {"gmres", core::gmres},
-      {"ca_gmres", core::ca_gmres},
-      {"pipelined_gmres", core::pipelined_gmres}};
+      {"gmres", core::gmres}, {"ca_gmres", core::ca_gmres}};
   for (const auto& [name, solve] : solvers) {
     sim::Machine machine(2);  // unarmed: no checkpoint to roll back to
     core::SolverOptions opts;

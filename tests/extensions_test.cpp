@@ -1,6 +1,6 @@
 // Tests for the paper-§VII extension features: mixed-precision CholQR
-// (ref [23]), the adaptive block-size scheme, and rank-revealing pivoted QR
-// (ref [10]).
+// (ref [23]) and rank-revealing pivoted QR (ref [10]), plus the fixed
+// block size of an unmonitored CA-GMRES solve.
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -101,37 +101,7 @@ TEST(CholQrMixed, SolvesInsideCaGmresWithReorth) {
   EXPECT_LT(rel, 1e-5);
 }
 
-TEST(AdaptiveS, ShrinksOnBreakdownAndRecovers) {
-  // Monomial basis with s=20 on this matrix reliably breaks CholQR; the
-  // adaptive scheme must shrink the block size instead of thrashing.
-  const sparse::CsrMatrix a = sparse::make_laplace2d(30, 30, 0.1, 0.02);
-  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
-  const core::Problem p =
-      core::make_problem(a, b, 1, graph::Ordering::kNatural, true, 1);
-  Machine machine(1);
-  core::SolverOptions opts;
-  opts.m = 40;
-  opts.s = 20;
-  opts.basis = core::Basis::kMonomial;
-  opts.adaptive_s = true;
-  opts.max_restarts = 12;
-  opts.tol = 1e-8;
-  const core::SolveResult res = core::ca_gmres(machine, p, opts);
-  ASSERT_FALSE(res.stats.block_sizes.empty());
-  if (res.stats.cholqr_breakdowns > 0) {
-    // After a breakdown some later block must be smaller than s.
-    int smallest = opts.s;
-    for (const int bs : res.stats.block_sizes) smallest = std::min(smallest, bs);
-    EXPECT_LT(smallest, opts.s);
-  }
-  // Every block size stays within [min_s, s].
-  for (const int bs : res.stats.block_sizes) {
-    EXPECT_GE(bs, core::kAdaptiveMinS);
-    EXPECT_LE(bs, opts.s);
-  }
-}
-
-TEST(AdaptiveS, DisabledKeepsFixedBlocks) {
+TEST(BlockSize, UnmonitoredSolveKeepsFixedBlocks) {
   const sparse::CsrMatrix a = sparse::make_laplace2d(16, 16, 0.2, 0.3);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
   const core::Problem p =

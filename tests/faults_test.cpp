@@ -1,8 +1,8 @@
 // Fault-injection and self-healing tests: the deterministic injector
 // itself, the spec parser, the error taxonomy, and the acceptance
 // scenarios — device dropout, transfer corruption, and transient NaN
-// kernel faults must all leave GMRES, CA-GMRES and pipelined GMRES
-// converged with the recovery recorded in SolveStats, while a zero-fault
+// kernel faults must all leave GMRES and CA-GMRES converged with the
+// recovery recorded in SolveStats, while a zero-fault
 // schedule stays byte-identical to a machine without the layer.
 #include <cmath>
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include "common/error.hpp"
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
-#include "core/pipelined.hpp"
 #include "core/solver_common.hpp"
 #include "ortho/tsqr.hpp"
 #include "sim/fault.hpp"
@@ -70,7 +69,6 @@ struct NamedSolver {
 };
 constexpr NamedSolver kGmres{"gmres", core::gmres};
 constexpr NamedSolver kCaGmres{"ca_gmres", core::ca_gmres};
-constexpr NamedSolver kPipelined{"pipelined_gmres", core::pipelined_gmres};
 
 // --- injector unit tests ---------------------------------------------
 
@@ -341,7 +339,7 @@ TEST(ZeroFault, SeedOnlySpecIsByteIdenticalToPlainMachine) {
   const TestSystem s = make_system(3);
   const core::SolverOptions opts = base_opts();
 
-  for (const NamedSolver& solver : {kCaGmres, kGmres, kPipelined}) {
+  for (const NamedSolver& solver : {kCaGmres, kGmres}) {
     Machine plain(3);
     const core::SolveResult r_plain = solver.solve(plain, s.p, opts);
 
@@ -367,20 +365,16 @@ TEST(ZeroFault, SeedOnlySpecIsByteIdenticalToPlainMachine) {
 
 TEST(DeviceDropout, GmresSurvivesAndConverges) {
   const TestSystem s = make_system(3);
-  const std::pair<NamedSolver, const char*> cases[] = {
-      {kGmres, "kill:d1@op=400"}, {kPipelined, "kill:d1@op=300"}};
-  for (const auto& [solver, spec] : cases) {
-    Machine machine(3);
-    sim::parse_fault_spec(spec, machine.fault_injector());
-    const core::SolveResult res = solver.solve(machine, s.p, base_opts());
-    EXPECT_TRUE(res.stats.converged) << solver.name;
-    EXPECT_EQ(machine.n_devices(), 2) << solver.name;  // one device retired
-    EXPECT_EQ(res.stats.recovery.device_failures, 1) << solver.name;
-    EXPECT_EQ(res.stats.recovery.repartitions, 1) << solver.name;
-    EXPECT_GE(res.stats.recovery.rollbacks, 1) << solver.name;
-    EXPECT_GT(res.stats.recovery.time_lost, 0.0) << solver.name;
-    EXPECT_LT(relative_residual(s, res.x), 1e-5) << solver.name;
-  }
+  Machine machine(3);
+  sim::parse_fault_spec("kill:d1@op=400", machine.fault_injector());
+  const core::SolveResult res = core::gmres(machine, s.p, base_opts());
+  EXPECT_TRUE(res.stats.converged);
+  EXPECT_EQ(machine.n_devices(), 2);  // one device retired
+  EXPECT_EQ(res.stats.recovery.device_failures, 1);
+  EXPECT_EQ(res.stats.recovery.repartitions, 1);
+  EXPECT_GE(res.stats.recovery.rollbacks, 1);
+  EXPECT_GT(res.stats.recovery.time_lost, 0.0);
+  EXPECT_LT(relative_residual(s, res.x), 1e-5);
 }
 
 TEST(DeviceDropout, CaGmresSurvivesAndConverges) {
@@ -576,18 +570,15 @@ TEST(TransferStall, ChargesExtraLatency) {
 
 TEST(KernelNan, GmresScrubsAndConverges) {
   const TestSystem s = make_system(3);
-  for (const NamedSolver& solver : {kGmres, kPipelined}) {
-    Machine machine(3);
-    sim::parse_fault_spec("seed=11;nan:p=0.002", machine.fault_injector());
-    const core::SolveResult res = solver.solve(machine, s.p, base_opts());
-    EXPECT_TRUE(res.stats.converged) << solver.name;
-    EXPECT_GT(res.stats.recovery.kernel_faults, 0) << solver.name;
-    EXPECT_GT(
-        res.stats.recovery.blocks_replayed + res.stats.recovery.rollbacks, 0)
-        << solver.name;
-    EXPECT_LT(relative_residual(s, res.x), 1e-5) << solver.name;
-    EXPECT_TRUE(std::isfinite(res.stats.final_residual)) << solver.name;
-  }
+  Machine machine(3);
+  sim::parse_fault_spec("seed=11;nan:p=0.002", machine.fault_injector());
+  const core::SolveResult res = core::gmres(machine, s.p, base_opts());
+  EXPECT_TRUE(res.stats.converged);
+  EXPECT_GT(res.stats.recovery.kernel_faults, 0);
+  EXPECT_GT(res.stats.recovery.blocks_replayed + res.stats.recovery.rollbacks,
+            0);
+  EXPECT_LT(relative_residual(s, res.x), 1e-5);
+  EXPECT_TRUE(std::isfinite(res.stats.final_residual));
 }
 
 TEST(KernelNan, CaGmresScrubsAndConverges) {
@@ -670,15 +661,13 @@ TEST(KernelNan, PoisonedGramBreakdownIsReplayedNotFatal) {
 
 TEST(KernelNan, ScheduledSingleFaultIsScrubbed) {
   const TestSystem s = make_system(3);
-  for (const NamedSolver& solver : {kCaGmres, kPipelined}) {
-    Machine machine(3);
-    sim::parse_fault_spec("nan:d0@op=200", machine.fault_injector());
-    const core::SolveResult res = solver.solve(machine, s.p, base_opts());
-    EXPECT_TRUE(res.stats.converged) << solver.name;
-    EXPECT_EQ(res.stats.recovery.kernel_faults, 1) << solver.name;
-    EXPECT_LT(relative_residual(s, res.x), 1e-5) << solver.name;
-    EXPECT_TRUE(std::isfinite(res.stats.final_residual)) << solver.name;
-  }
+  Machine machine(3);
+  sim::parse_fault_spec("nan:d0@op=200", machine.fault_injector());
+  const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
+  EXPECT_TRUE(res.stats.converged);
+  EXPECT_EQ(res.stats.recovery.kernel_faults, 1);
+  EXPECT_LT(relative_residual(s, res.x), 1e-5);
+  EXPECT_TRUE(std::isfinite(res.stats.final_residual));
 }
 
 // --- everything at once ------------------------------------------------
@@ -839,60 +828,6 @@ TEST(EventScheduleFaults, CorruptStormDegradesToCpuAndConverges) {
   EXPECT_TRUE(res.stats.degraded.active);
   EXPECT_FALSE(res.stats.degraded.reason.empty());
   EXPECT_LT(relative_residual(s, res.x), 1e-5);
-}
-
-// --- adaptive-s coverage (satellite 3) --------------------------------
-
-TEST(AdaptiveS, HalvesOnBreakdownAndGrowsAfterThreeCleanBlocks) {
-  // A deliberately ill-conditioned monomial basis: s=12 monomial powers of
-  // this operator reliably overrun CholQR, so the controller must retreat;
-  // at the reduced size blocks come out clean and it grows back.
-  const sparse::CsrMatrix a = sparse::make_laplace2d(30, 30, 0.1, 0.02);
-  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
-  const core::Problem p =
-      core::make_problem(a, b, 2, graph::Ordering::kNatural, true, 1);
-  Machine machine(2);
-  core::SolverOptions opts;
-  opts.m = 36;
-  opts.s = 12;
-  opts.basis = core::Basis::kMonomial;
-  opts.adaptive_s = true;
-  opts.tol = 1e-8;
-  opts.max_restarts = 20;
-  const core::SolveResult res = core::ca_gmres(machine, p, opts);
-  const auto& sizes = res.stats.block_sizes;
-  const auto& broke = res.stats.block_breakdowns;
-  ASSERT_EQ(sizes.size(), broke.size());
-  ASSERT_GT(res.stats.cholqr_breakdowns, 0);
-
-  // Halve-on-breakdown: every block that broke down is followed by one no
-  // larger than max(min_s, half) — the cycle tail can only clamp further.
-  bool saw_halving = false;
-  for (std::size_t i = 0; i + 1 < sizes.size(); ++i) {
-    if (!broke[i]) continue;
-    const int half = std::max(core::kAdaptiveMinS, sizes[i] / 2);
-    EXPECT_LE(sizes[i + 1], half) << "block " << i;
-    if (sizes[i] > core::kAdaptiveMinS) saw_halving = true;
-  }
-  EXPECT_TRUE(saw_halving);
-
-  // Grow-after-3-clean: somewhere three consecutive clean blocks are
-  // followed by a strictly larger one.
-  bool saw_growth = false;
-  for (std::size_t i = 0; i + 3 < sizes.size(); ++i) {
-    if (!broke[i] && !broke[i + 1] && !broke[i + 2] &&
-        sizes[i + 3] > sizes[i + 2]) {
-      saw_growth = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(saw_growth);
-
-  // The controller never leaves [min_s, s].
-  for (const int bs : sizes) {
-    EXPECT_GE(bs, core::kAdaptiveMinS);
-    EXPECT_LE(bs, opts.s);
-  }
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "common/error.hpp"
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
-#include "core/pipelined.hpp"
 #include "precond/ilu.hpp"
 #include "precond/precond.hpp"
 #include "precond/trisolve.hpp"
@@ -468,7 +467,7 @@ TEST(IluPrecond, KNoneSpecIsByteIdenticalToPlainSolvers) {
   EXPECT_EQ(handle.stats().symbolic_builds, 0);
 }
 
-TEST(IluPrecond, AllThreeSolversConvergeOnOriginalSystem) {
+TEST(IluPrecond, BothSolversConvergeOnOriginalSystem) {
   const sparse::CsrMatrix a = sparse::make_laplace2d(16, 16, 0.2, 0.05);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
   const Problem p = make_problem(a, b, 2, graph::Ordering::kNatural, false, 1);
@@ -480,17 +479,14 @@ TEST(IluPrecond, AllThreeSolversConvergeOnOriginalSystem) {
   const PrecondSpec spec = parse_precond_spec("ilu");
   const double bn = blas::nrm2(a.n_rows, b.data());
 
-  PrecondHandle hg(spec), hc(spec), hp(spec);
-  SolverOptions og = opts, oc = opts, op = opts;
+  PrecondHandle hg(spec), hc(spec);
+  SolverOptions og = opts, oc = opts;
   og.precond = &hg;
   oc.precond = &hc;
-  op.precond = &hp;
-  sim::Machine mg(2), mc(2), mp(2);
+  sim::Machine mg(2), mc(2);
   const SolveResult rg = gmres(mg, p, og);
   const SolveResult rc = ca_gmres(mc, p, oc);
-  const SolveResult rp = pipelined_gmres(mp, p, op);
-  for (const auto& [r, h] : {std::pair{&rg, &hg}, std::pair{&rc, &hc},
-                             std::pair{&rp, &hp}}) {
+  for (const auto& [r, h] : {std::pair{&rg, &hg}, std::pair{&rc, &hc}}) {
     ASSERT_TRUE(r->stats.converged);
     EXPECT_GT(h->stats().applies, 0);
     EXPECT_LT(true_residual(a, b, r->x) / bn, codec_tol(1e-5));

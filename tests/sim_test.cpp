@@ -20,7 +20,6 @@
 #include "common/rng.hpp"
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
-#include "core/pipelined.hpp"
 #include "core/solver_common.hpp"
 #include "graph/partition.hpp"
 #include "sim/clock.hpp"
@@ -648,31 +647,6 @@ TEST(Machine, SolveIsByteIdenticalForAnyWorkerCount) {
     EXPECT_EQ(ref.residual_history, st.residual_history);
     EXPECT_EQ(results[0].x, results[i].x);
     EXPECT_EQ(elapsed[0], elapsed[i]);
-  }
-}
-
-TEST(Machine, PipelinedSolveIsByteIdenticalForAnyWorkerCount) {
-  const auto a = sparse::make_laplace2d(20, 18, 0.25, 0.3);
-  std::vector<double> b(static_cast<std::size_t>(a.n_rows));
-  Rng rng(21);
-  for (auto& e : b) e = rng.normal();
-  const core::Problem p =
-      core::make_problem(a, b, 2, graph::Ordering::kNatural, false, 1);
-  core::SolverOptions opts;
-  opts.m = 25;
-  opts.tol = 1e-8;
-
-  std::vector<core::SolveResult> results;
-  for (const int workers : {0, 1, 2}) {
-    Machine m(2);
-    m.set_host_workers(workers);
-    results.push_back(core::pipelined_gmres(m, p, opts));
-  }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[0].stats.time_total, results[i].stats.time_total);
-    EXPECT_EQ(results[0].stats.residual_history,
-              results[i].stats.residual_history);
-    EXPECT_EQ(results[0].x, results[i].x);
   }
 }
 

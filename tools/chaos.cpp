@@ -1,14 +1,14 @@
 // Chaos campaign driver (see src/sim/chaos.hpp and DESIGN.md §11).
 //
 // Default: generate --schedules randomized fault schedules from --seed, run
-// each over {0, 2 host workers} with alternating CA-GMRES / GMRES /
-// pipelined GMRES, and check the invariant oracle. Any violation is
+// each over {0, 2 host workers} with alternating CA-GMRES / GMRES, and
+// check the invariant oracle. Any violation is
 // delta-debugged to a minimal reproducer and printed as a --faults spec.
 // Exit code 1 when violations were found.
 //
 //   ./tools/chaos --schedules=64 --seed=7
 //   ./tools/chaos --faults="seed=42;kill:*@t=5ms;corrupt:p=0.7" --solver=ca
-//   ./tools/chaos --faults="seed=3;nan:p=0.01" --solver=pipelined
+//   ./tools/chaos --faults="seed=3;nan:p=0.01" --solver=gmres
 //   ./tools/chaos --schedules=16 --demo-bug-kills=2   # exercise the minimizer
 #include <cstdio>
 #include <string>
@@ -49,9 +49,9 @@ int main(int argc, char** argv) {
   opts.add("matrix-scale", "1.0", "size scale for --matrix");
   opts.add("workers", "0,2", "host worker counts to cover");
   opts.add("solver", "both",
-           "both (alternate CA-GMRES, GMRES and pipelined GMRES by index) | "
-           "ca; a --faults replay also takes gmres | pipelined (or any "
-           "solver name a violation prints)");
+           "both (alternate CA-GMRES and GMRES by index) | ca; a --faults "
+           "replay also takes gmres (or any solver name a violation "
+           "prints)");
   opts.add("precond", "",
            "preconditioner spec (ilu = block ILU(0)): widen the alternation "
            "with right-preconditioned drivers so faults land in precond "
