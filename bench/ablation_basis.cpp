@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   bench::add_matrix_options(opts, "g3_circuit", "0.5");
   opts.add("m", "30", "restart length");
   opts.add("s", "5,10,15,20,25,30", "block sizes to sweep");
-  opts.add("restarts", "10", "restart cap per run");
+  opts.add("restarts", "40", "restart cap per run");
   if (!opts.parse(argc, argv)) return 0;
 
   const sparse::CsrMatrix a = bench::load_matrix(opts);
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
       core::make_problem(a, b, 1, graph::Ordering::kKway, true, 7);
 
   Table table({"s", "basis", "kappa(block) avg", "kappa max", "breakdowns",
-               "reorth blocks", "converged"});
+               "reorth blocks", "restarts", "converged"});
   for (const int s : opts.get_int_list("s")) {
     for (const core::Basis basis : {core::Basis::kMonomial,
                                     core::Basis::kNewton}) {
@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
       std::snprintf(mxs, sizeof mxs, "%.1e", mx);
       table.add_row({std::to_string(s), core::to_string(basis), avg, mxs,
                      std::to_string(st.cholqr_breakdowns),
-                     std::to_string(st.reorth_blocks), conv});
+                     std::to_string(st.reorth_blocks),
+                     std::to_string(st.restarts), conv});
     }
     table.add_separator();
   }

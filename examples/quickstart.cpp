@@ -39,10 +39,10 @@ int main() {
   opts.m = 60;
   opts.s = 10;
   opts.tol = 1e-8;
-  // A quantizing transfer codec (CAGMRES_COMPRESS, DESIGN.md §14) carries
-  // wire traffic in fp32: the attainable residual is then capped near
-  // single precision, so ask only for codec grade.
-  if (sim::env_config().codecs.any_active()) opts.tol = 1e-6;
+  // The fp32 halo codec (CAGMRES_COMPRESS, DESIGN.md §14) carries the halo
+  // exchange in single precision: the attainable residual is then capped
+  // near it, so ask only for codec grade.
+  if (sim::env_config().halo_codec != sim::Codec::kNone) opts.tol = 1e-6;
   const core::SolveResult result = core::ca_gmres(machine, problem, opts);
 
   // 5. result.x is in the ORIGINAL row ordering and scaling.

@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
         static_cast<long long>(tt.pcie_msgs), tt.pcie_ratio(),
         tt.net_bytes / 1024.0, static_cast<long long>(tt.net_msgs),
         tt.net_ratio());
-    std::printf("codec: %s\n\n", machine.codec_config().to_string().c_str());
+    std::printf("codec: %s\n\n", sim::to_string(machine.halo_codec()).c_str());
   } else {
     std::printf(
         "traffic: peer %.1f KB / %lld msgs, pcie %.1f KB / %lld msgs, "

@@ -4,7 +4,7 @@
 # tsan-labeled suites (the host execution engine's concurrency tests) under
 # thread sanitizer with the worker pool active. Reruns cover the runtime
 # suites with the host worker pool on, a forced 2-node topology, the
-# compressed-wire codec layer (CAGMRES_COMPRESS), and the ILU
+# fp32 halo codec (CAGMRES_COMPRESS=halo=fp32), and the ILU
 # preconditioner suite under tsan. Run from anywhere; everything happens
 # relative to the repo root.
 #
@@ -65,13 +65,13 @@ CAGMRES_TOPOLOGY=2 CAGMRES_HOST_WORKERS=2 \
 
 echo
 echo "== compressed-wire escape hatch: mpk/ortho/fault suites, CAGMRES_COMPRESS =="
-# Arm the transfer codec layer (DESIGN §14) on the suites that drive the
-# halo exchange, the reduction tree, and the checkpoint/recovery paths, so
-# the quantized wire formats keep CI coverage under the default build and
-# under tsan (codec passes run on device streams the worker pool drains).
-CAGMRES_COMPRESS=halo=fp32,reduce=fp32 CAGMRES_HOST_WORKERS=2 \
+# Arm the fp32 halo codec (DESIGN §14) on the suites that drive the halo
+# exchange, the solvers built on it and the recovery paths, so the demoted
+# wire keeps CI coverage under the default build and under tsan (codec
+# passes run on device streams the worker pool drains).
+CAGMRES_COMPRESS=halo=fp32 CAGMRES_HOST_WORKERS=2 \
   ctest --preset default -R '^(mpk_test|ortho_test|faults_test)$' -j"$(nproc)"
-CAGMRES_COMPRESS=halo=fp32,reduce=fp32 CAGMRES_HOST_WORKERS=2 \
+CAGMRES_COMPRESS=halo=fp32 CAGMRES_HOST_WORKERS=2 \
   ctest --preset tsan -j"$(nproc)"
 
 echo
@@ -100,10 +100,10 @@ echo "== chaos gate: 64-schedule multi-node campaign (--nodes=2) =="
 
 echo
 echo "== chaos gate: 64-schedule multi-node campaign with compressed wires =="
-# The invariant oracle must hold with quantized transfers armed: codec
-# passes reprice every retransmission and shrink every checkpoint shard,
-# and none of that may open a window the fault schedules can exploit.
-CAGMRES_COMPRESS=halo=fp32,reduce=fp32 \
+# The invariant oracle must hold with the fp32 halo codec armed: codec
+# passes reprice every halo retransmission, and none of that may open a
+# window the fault schedules can exploit.
+CAGMRES_COMPRESS=halo=fp32 \
   ./build/tools/chaos --schedules=64 --seed=7 --nodes=2
 
 echo

@@ -30,21 +30,15 @@ namespace detail {
 std::vector<double> checkpoint_x(sim::Machine& m,
                                  const sim::DistMultiVec& xwork) {
   m.sync();  // wall-clock only: the host reads xwork below
-  const sim::CodecSpec& cd = m.codec(sim::TrafficClass::kCkpt);
   std::vector<double> x;
   x.reserve(static_cast<std::size_t>(xwork.total_rows()));
   for (int d = 0; d < m.n_devices(); ++d) {
     const int rows = xwork.local_rows(d);
-    m.charge_codec(d, cd, rows);
-    m.d2h(d, cd.wire_bytes(rows), 8.0 * rows);
+    m.d2h(d, 8.0 * rows);
     const double* p = xwork.col(d, 0);
     x.insert(x.end(), p, p + rows);
   }
   m.host_wait_all();
-  // The checkpoint holds the decoded wire image. The ckpt codec is
-  // restricted to idempotent demotion (Machine::set_codec), so restore
-  // re-ships these exact bits and a save→restore→save cycle is stable.
-  if (cd.active()) cd.roundtrip(x.data(), static_cast<int>(x.size()));
   return x;
 }
 
@@ -53,14 +47,10 @@ void restore_x(sim::Machine& m, sim::DistMultiVec& xwork,
   CAGMRES_REQUIRE(static_cast<int>(x.size()) == xwork.total_rows(),
                   "checkpoint size mismatch");
   m.sync();  // wall-clock only: the host writes xwork below
-  const sim::CodecSpec& cd = m.codec(sim::TrafficClass::kCkpt);
   std::size_t at = 0;
   for (int d = 0; d < m.n_devices(); ++d) {
     const int rows = xwork.local_rows(d);
-    // The checkpoint already holds decoded wire values (see checkpoint_x),
-    // so the restore ships the same coded image and decodes to those bits.
-    m.h2d(d, cd.wire_bytes(rows), 8.0 * rows);
-    m.charge_codec(d, cd, rows);
+    m.h2d(d, 8.0 * rows);
     double* p = xwork.col(d, 0);
     for (int i = 0; i < rows; ++i) p[static_cast<std::size_t>(i)] = x[at++];
   }
@@ -97,25 +87,18 @@ void Checkpointer::save(sim::DistMultiVec& xwork, bool x_is_zero) {
   // can throw mid-loop under injected transfer faults, and a half-built
   // checkpoint must never clobber the last good one.
   m_.sync();  // wall-clock only: the host reads xwork below
-  const sim::CodecSpec& cd = m_.codec(sim::TrafficClass::kCkpt);
   std::vector<double> staged;
   staged.reserve(static_cast<std::size_t>(xwork.total_rows()));
-  // shard_bytes_ stays LOGICAL (payload doubles); message sites convert to
-  // wire bytes so a later repartition never mis-sizes a shard.
   std::vector<double> staged_bytes(shard_bytes_.size(), 0.0);
   for (int d = 0; d < m_.n_devices(); ++d) {
     const int rows = xwork.local_rows(d);
-    m_.charge_codec(d, cd, rows);
-    m_.d2h_node(d, cd.wire_bytes(rows), 8.0 * rows);
+    m_.d2h_node(d, 8.0 * rows);
     staged_bytes[static_cast<std::size_t>(m_.node_of(d))] += 8.0 * rows;
     const double* p = xwork.col(d, 0);
     staged.insert(staged.end(), p, p + rows);
   }
   m_.host_wait_all();
   x_ = std::move(staged);
-  // Keep the decoded wire image (idempotent demotion only — see
-  // Machine::set_codec), so restores re-ship these exact bits.
-  if (cd.active()) cd.roundtrip(x_.data(), static_cast<int>(x_.size()));
   shard_bytes_ = std::move(staged_bytes);
   x_zero_ = x_is_zero;
   arm_mirrors();
@@ -141,10 +124,7 @@ void Checkpointer::arm_mirrors() {
     const double bytes = shard_bytes_[static_cast<std::size_t>(k)];
     // One coalesced message per node, queued on the shared NIC behind any
     // in-flight cross-node traffic (Machine::nic_dma owns the counters).
-    // The node-host shard already holds the coded image, so the mirror
-    // ships wire bytes with no extra encode charge.
-    const sim::CodecSpec& cd = m_.codec(sim::TrafficClass::kCkpt);
-    latest.t = m_.nic_dma(cd.wire_bytes(bytes / 8.0), latest.t, bytes);
+    latest.t = m_.nic_dma(bytes, latest.t);
     mirror_[static_cast<std::size_t>(k)] = latest;
     mirror_ok_[static_cast<std::size_t>(k)] = 1;
   }
@@ -172,11 +152,8 @@ void Checkpointer::rollback(sim::DistMultiVec& xwork) {
   CAGMRES_REQUIRE(static_cast<int>(x_.size()) == xwork.total_rows(),
                   "checkpoint size mismatch");
   m_.sync();  // wall-clock only: the host writes xwork below
-  const sim::CodecSpec& cd = m_.codec(sim::TrafficClass::kCkpt);
   for (int d = 0; d < m_.n_devices(); ++d) {
-    const int rows = xwork.local_rows(d);
-    m_.h2d_node(d, cd.wire_bytes(rows), 8.0 * rows);
-    m_.charge_codec(d, cd, rows);
+    m_.h2d_node(d, 8.0 * xwork.local_rows(d));
   }
   scatter(xwork);
   m_.host_wait_all();
@@ -210,7 +187,6 @@ void Checkpointer::restore_after_repartition(
   // first waits out the asynchronous mirror (free when the NIC DMA already
   // completed), then the partner ships the shard up — one inter-node
   // message instead of re-sending the whole iterate from the host.
-  const sim::CodecSpec& cd = m_.codec(sim::TrafficClass::kCkpt);
   for (int k : lost_nodes) {
     const int partner = (k + 1) % nn;
     m_.host_wait_event(mirror_[static_cast<std::size_t>(k)]);
@@ -221,19 +197,14 @@ void Checkpointer::restore_after_repartition(
         break;
       }
     }
-    // The mirror holds the coded image; the partner re-ships wire bytes
-    // without a fresh encode.
-    const double lbytes = shard_bytes_[static_cast<std::size_t>(k)];
-    m_.d2h(lead, cd.wire_bytes(lbytes / 8.0), lbytes);
+    m_.d2h(lead, shard_bytes_[static_cast<std::size_t>(k)]);
     m_.host_wait(lead);
     ++partner_restores_;
   }
   // Survivors refill node-locally (their shards never left the node).
   m_.sync();  // wall-clock only: the host writes xwork below
   for (int d = 0; d < m_.n_devices(); ++d) {
-    const int rows = xwork.local_rows(d);
-    m_.h2d_node(d, cd.wire_bytes(rows), 8.0 * rows);
-    m_.charge_codec(d, cd, rows);
+    m_.h2d_node(d, 8.0 * xwork.local_rows(d));
   }
   scatter(xwork);
   m_.host_wait_all();

@@ -53,9 +53,7 @@ CycleOutcome arnoldi_cycle(sim::Machine& m, mpk::MpkExecutor& spmv,
                           partial[static_cast<std::size_t>(d)].data());
         }
         ortho::detail::reduce_to_host(m, partial, k, coeff.data());
-        // Broadcast may quantize the coefficients in place; the device
-        // update and the H column below both read the wire image.
-        ortho::detail::broadcast_charge(m, k, coeff.data());
+        ortho::detail::broadcast_charge(m, k);
         for (int d = 0; d < ng; ++d) {
           sim::dev_gemv_n_sub(m, d, v.local_rows(d), k, v.col(d, 0),
                               v.local(d).ld(), coeff.data(), v.col(d, k));
@@ -71,9 +69,7 @@ CycleOutcome arnoldi_cycle(sim::Machine& m, mpk::MpkExecutor& spmv,
           }
           double r = 0.0;
           ortho::detail::reduce_to_host(m, partial, 1, &r);
-          // Record r after the broadcast so H holds the coefficient the
-          // devices actually subtract (broadcast may quantize in place).
-          ortho::detail::broadcast_charge(m, 1, &r);
+          ortho::detail::broadcast_charge(m, 1);
           out.h(l, j) = r;
           for (int d = 0; d < ng; ++d) {
             sim::dev_axpy(m, d, v.local_rows(d), -r, v.col(d, l), v.col(d, k));
@@ -111,9 +107,7 @@ CycleOutcome arnoldi_cycle(sim::Machine& m, mpk::MpkExecutor& spmv,
       out.ls_residual = ls.append_column(col.data());
       break;
     }
-    // Broadcast first (may quantize nrm), then record: H and the device
-    // scaling must agree on the same wire value.
-    ortho::detail::broadcast_charge(m, 1, &nrm);
+    ortho::detail::broadcast_charge(m, 1);
     out.h(k, j) = nrm;
     for (int d = 0; d < ng; ++d) {
       sim::dev_scal(m, d, v.local_rows(d), 1.0 / nrm, v.col(d, k));

@@ -10,6 +10,14 @@
 
 namespace cagmres::core {
 
+namespace {
+
+/// Trip when the sampled kappa of the *orthonormalized* block exceeds this
+/// (an honest "the orthogonalizer failed" signal; ~1 when healthy).
+constexpr double kQKappaLimit = 1e3;
+
+}  // namespace
+
 std::string to_string(EscalationStep step) {
   switch (step) {
     case EscalationStep::kNone:
@@ -74,8 +82,7 @@ SolveHealthMonitor::SolveHealthMonitor(sim::Machine& machine,
                                        double t_start)
     : m_(machine), opts_(opts), policy_(caps), t_start_(t_start) {
   CAGMRES_REQUIRE(opts.stagnation_window >= 1, "bad stagnation window");
-  CAGMRES_REQUIRE(opts.kappa_limit > 0.0 && opts.q_kappa_limit > 0.0,
-                  "condition limits must be positive");
+  CAGMRES_REQUIRE(opts.kappa_limit > 0.0, "condition limit must be positive");
   CAGMRES_REQUIRE(opts.residual_gap_limit > 1.0,
                   "residual gap limit must exceed 1");
   CAGMRES_REQUIRE(opts.condition_sample_every >= 0, "bad sample cadence");
@@ -133,10 +140,9 @@ HealthEventKind SolveHealthMonitor::check_block(const blas::DMat& r_block,
     log(HealthEventKind::kConditionTrip, est, restart, iteration, os.str());
     return HealthEventKind::kConditionTrip;
   }
-  if (sampled && q_kappa > opts_.q_kappa_limit) {
+  if (sampled && q_kappa > kQKappaLimit) {
     std::ostringstream os;
-    os << "orthonormalized-block kappa " << q_kappa << " > "
-       << opts_.q_kappa_limit;
+    os << "orthonormalized-block kappa " << q_kappa << " > " << kQKappaLimit;
     log(HealthEventKind::kConditionTrip, q_kappa, restart, iteration,
         os.str());
     return HealthEventKind::kConditionTrip;

@@ -49,9 +49,6 @@ struct HealthOptions {
   /// generated block) exceeds this. ~eps^-1/2 is where CholQR's O(eps
   /// kappa^2) orthogonality error reaches O(1).
   double kappa_limit = 1e7;
-  /// Trip when the sampled kappa of the *orthonormalized* block exceeds
-  /// this (an honest "the orthogonalizer failed" signal; ~1 when healthy).
-  double q_kappa_limit = 1e3;
   /// Charge an ortho::condition_number_charged sample every Nth committed
   /// block; 0 disables sampling (the free R-diagonal estimate remains).
   int condition_sample_every = 4;

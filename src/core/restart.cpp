@@ -58,14 +58,11 @@ void update_solution(sim::Machine& m, sim::DistMultiVec& v, int k,
                      precond::PrecondHandle* pc, sim::DistMultiVec* stage) {
   CAGMRES_REQUIRE(static_cast<int>(y.size()) >= k, "short LS solution");
   if (k == 0) return;
-  // Broadcast the (possibly codec-quantized) wire image of y; the devices
-  // accumulate exactly the coefficients that crossed the wire.
-  std::vector<double> yq(y.begin(), y.begin() + k);
-  ortho::detail::broadcast_charge(m, k, yq.data());
+  ortho::detail::broadcast_charge(m, k);
   if (pc == nullptr) {
     for (int d = 0; d < m.n_devices(); ++d) {
       sim::dev_gemv_n_acc(m, d, v.local_rows(d), k, v.col(d, 0),
-                          v.local(d).ld(), yq.data(), xwork.col(d, 0));
+                          v.local(d).ld(), y.data(), xwork.col(d, 0));
     }
     return;
   }
@@ -78,10 +75,10 @@ void update_solution(sim::Machine& m, sim::DistMultiVec& v, int k,
                   "preconditioned update needs a 2-column stage");
   for (int d = 0; d < m.n_devices(); ++d) {
     sim::dev_copy(m, d, v.local_rows(d), v.col(d, 0), stage->col(d, 1));
-    sim::dev_scal(m, d, stage->local_rows(d), yq[0], stage->col(d, 1));
+    sim::dev_scal(m, d, stage->local_rows(d), y[0], stage->col(d, 1));
     if (k > 1) {
       sim::dev_gemv_n_acc(m, d, v.local_rows(d), k - 1, v.col(d, 1),
-                          v.local(d).ld(), yq.data() + 1, stage->col(d, 1));
+                          v.local(d).ld(), y.data() + 1, stage->col(d, 1));
     }
   }
   pc->apply(m, *stage, 1, *stage, 0);
@@ -113,8 +110,8 @@ SolveResult run_restarts(sim::Machine& machine, const Problem& problem,
   const sim::Counters ctr0 = machine.counters();
   // Per-restart tier-traffic trace instants diff against this snapshot.
   sim::Counters ctr_last = ctr0;
-  if (machine.codec_config().any_active()) {
-    machine.trace_instant("codec:" + machine.codec_config().to_string(),
+  if (machine.halo_codec() != sim::Codec::kNone) {
+    machine.trace_instant("codec:" + sim::to_string(machine.halo_codec()),
                           "other");
   }
   std::vector<int> rows = problem.rows_per_device();

@@ -138,7 +138,7 @@ void MpkExecutor::exchange(sim::Machine& m, const sim::DistMultiVec& v,
   // the sender's network hop. The intra-node message goes first: the stream
   // is in-order, so the opposite order would price the hop into the peer
   // event anyway.
-  const sim::CodecSpec& cd = m.codec(sim::TrafficClass::kHalo);
+  const sim::Codec cd = m.halo_codec();
   std::vector<sim::Event> pk_local(static_cast<std::size_t>(ng));
   std::vector<sim::Event> pk_cross(static_cast<std::size_t>(ng));
   for (int d = 0; d < ng; ++d) {
@@ -149,15 +149,15 @@ void MpkExecutor::exchange(sim::Machine& m, const sim::DistMultiVec& v,
     if (hier) {
       const double lb = send_local_bytes_[static_cast<std::size_t>(d)];
       const double cb = send_cross_bytes_[static_cast<std::size_t>(d)];
-      m.charge_codec(d, cd, (lb + cb) / 8.0);
-      if (lb > 0.0) m.d2h_node(d, cd.wire_bytes(lb / 8.0), lb);
+      m.charge_codec(d, (lb + cb) / 8.0);
+      if (lb > 0.0) m.d2h_node(d, sim::wire_bytes(cd, lb / 8.0), lb);
       pk_local[static_cast<std::size_t>(d)] = m.record_event(d);
-      if (cb > 0.0) m.d2h(d, cd.wire_bytes(cb / 8.0), cb);
+      if (cb > 0.0) m.d2h(d, sim::wire_bytes(cd, cb / 8.0), cb);
       pk_cross[static_cast<std::size_t>(d)] = m.record_event(d);
     } else {
       const double rows = static_cast<double>(dp.send_local_rows.size());
-      m.charge_codec(d, cd, rows);
-      m.d2h(d, cd.wire_bytes(rows), 8.0 * rows);
+      m.charge_codec(d, rows);
+      m.d2h(d, sim::wire_bytes(cd, rows), 8.0 * rows);
       pk_local[static_cast<std::size_t>(d)] = m.record_event(d);
       pk_cross[static_cast<std::size_t>(d)] =
           pk_local[static_cast<std::size_t>(d)];
@@ -202,14 +202,14 @@ void MpkExecutor::exchange(sim::Machine& m, const sim::DistMultiVec& v,
     m.charge_host(sim::Kernel::kCopy, 0.0, 16.0 * next);
     if (hier) {
       const double local = node_local_ext_bytes(m, d, dp.ext_owner);
-      if (local > 0.0) m.h2d_node(d, cd.wire_bytes(local / 8.0), local);
+      if (local > 0.0) m.h2d_node(d, sim::wire_bytes(cd, local / 8.0), local);
       if (8.0 * next > local) {
-        m.h2d(d, cd.wire_bytes(next - local / 8.0), 8.0 * next - local);
+        m.h2d(d, sim::wire_bytes(cd, next - local / 8.0), 8.0 * next - local);
       }
     } else {
-      m.h2d(d, cd.wire_bytes(next), 8.0 * next);
+      m.h2d(d, sim::wire_bytes(cd, next), 8.0 * next);
     }
-    m.charge_codec(d, cd, next);
+    m.charge_codec(d, next);
     // Wall-clock guard for the closure below: it reads the owners' basis
     // blocks, which their pack closures read too, but a late kernel on an
     // owner stream could already be overwriting by then in a future layout;
@@ -223,7 +223,6 @@ void MpkExecutor::exchange(sim::Machine& m, const sim::DistMultiVec& v,
     const MpkDevicePlan* dpp = &dp;
     double* zp = zd.data();
     const sim::DistMultiVec* vp = &v;
-    const sim::CodecSpec cdv = cd;
     m.run_on_device(d, [=] {
       for (int e = 0; e < next; ++e) {
         zp[static_cast<std::size_t>(dpp->owned + e)] =
@@ -232,7 +231,7 @@ void MpkExecutor::exchange(sim::Machine& m, const sim::DistMultiVec& v,
       }
       // The coded wire image is modeled on the consumer's assembled
       // external slice, on either side of the hier/flat split.
-      if (cdv.active()) cdv.roundtrip(zp + dpp->owned, next);
+      sim::roundtrip(cd, zp + dpp->owned, next);
       if (hit) poison(zp + dpp->owned, next);
     });
   }
@@ -271,7 +270,7 @@ void MpkExecutor::run(sim::Machine& m, sim::DistMultiVec& v, int c0,
   // (a latch pending on entry is consumed by the exchange and counts), and
   // every value stays finite (DESIGN.md §16). Otherwise replay the steps
   // per device exactly as the charges describe them.
-  if (shared && !m.codec(sim::TrafficClass::kHalo).active() &&
+  if (shared && m.halo_codec() == sim::Codec::kNone &&
       m.kernel_faults_consumed() == faults_before) {
     if (shared_steps(m, v, c0, steps, shifts)) return;
     assemble_start(v, c0);

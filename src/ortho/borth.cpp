@@ -51,7 +51,7 @@ blas::DMat borth(sim::Machine& machine, BorthMethod method,
                        partial[static_cast<std::size_t>(d)].data(), prev);
     }
     detail::reduce_to_host_events(machine, partial, prev * blk, c.data());
-    detail::broadcast_charge(machine, prev * blk, c.data());
+    detail::broadcast_charge(machine, prev * blk);
     for (int d = 0; d < ng; ++d) {
       sim::dev_gemm_nn_sub(machine, d, v.local_rows(d), prev, blk,
                            v.col(d, 0), v.local(d).ld(), c.data(), c.ld(),
@@ -76,10 +76,7 @@ blas::DMat borth(sim::Machine& machine, BorthMethod method,
                       partial[static_cast<std::size_t>(d)].data());
     }
     detail::reduce_to_host_events(machine, partial, blk, row.data());
-    detail::broadcast_charge(machine, blk, row.data());
-    // Copied after the broadcast so the returned coefficients are the
-    // values the devices actually applied (the broadcast may quantize row
-    // in place; a no-op reorder with no codec armed).
+    detail::broadcast_charge(machine, blk);
     for (int j = 0; j < blk; ++j) c(l, j) = row[static_cast<std::size_t>(j)];
     for (int d = 0; d < ng; ++d) {
       sim::dev_ger_sub(machine, d, v.local_rows(d), blk, v.col(d, l),

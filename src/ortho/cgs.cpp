@@ -40,11 +40,7 @@ TsqrResult tsqr_cgs(sim::Machine& m, sim::DistMultiVec& v, int c0, int c1) {
           sim::dev_dot(m, d, v.local_rows(d), v.col(d, col), v.col(d, col));
     }
     reduce_to_host(m, partial, prev + 1, coeff.data());
-    // Broadcast before reading the coefficients: it may quantize them in
-    // place, and host and devices must agree on the values R records and
-    // the update subtracts (charge order is unchanged — nothing between
-    // the reduce and the broadcast charges the clock).
-    broadcast_charge(m, prev + 1, coeff.data());
+    broadcast_charge(m, prev + 1);
     const double norm2_before = coeff[static_cast<std::size_t>(prev)];
     double proj2 = 0.0;
     for (int i = 0; i < prev; ++i) {
@@ -73,7 +69,7 @@ TsqrResult tsqr_cgs(sim::Machine& m, sim::DistMultiVec& v, int c0, int c1) {
       }
       double nrm2 = 0.0;
       reduce_to_host(m, partial, 1, &nrm2);
-      broadcast_charge(m, 1, &nrm2);
+      broadcast_charge(m, 1);
       nrm = std::sqrt(std::max(nrm2, 0.0));
     }
     CAGMRES_REQUIRE_CODE(nrm > 0.0, ErrorCode::kBreakdown,

@@ -72,7 +72,6 @@ TsqrResult tsqr_cholqr(sim::Machine& m, sim::DistMultiVec& v, int c0, int c1,
                 8.0 * k * k);
   if (fail >= 0) {
     res.breakdown = true;
-    res.breakdown_col = fail;  // lapack's first non-positive pivot column
     if (!opts.cholqr_shift_on_breakdown) {
       throw Error("CholQR breakdown at pivot column " + std::to_string(fail) +
                       " of " + std::to_string(k) +
@@ -94,10 +93,8 @@ TsqrResult tsqr_cholqr(sim::Machine& m, sim::DistMultiVec& v, int c0, int c1,
     }
   }
 
-  // Broadcast R (coded wire image when a reduce codec is armed — the
-  // returned R then holds the values the devices solved against), then the
-  // panel-wide triangular solve on each device.
-  broadcast_charge(m, k * k, r.data());
+  // Broadcast R, then the panel-wide triangular solve on each device.
+  broadcast_charge(m, k * k);
   for (int d = 0; d < ng; ++d) {
     sim::dev_trsm(m, d, v.local_rows(d), k, r.data(), r.ld(), v.col(d, c0),
                   v.local(d).ld());

@@ -30,9 +30,7 @@ TsqrResult tsqr_mgs(sim::Machine& m, sim::DistMultiVec& v, int c0, int c1) {
       }
       double r = 0.0;
       reduce_to_host(m, partial, 1, &r);
-      // Broadcast may quantize r in place; record it afterwards so R holds
-      // the coefficient the devices actually subtract.
-      broadcast_charge(m, 1, &r);
+      broadcast_charge(m, 1);
       res.r(prev - c0, col - c0) = r;
       for (int d = 0; d < ng; ++d) {
         sim::dev_axpy(m, d, v.local_rows(d), -r, v.col(d, prev),
@@ -49,9 +47,7 @@ TsqrResult tsqr_mgs(sim::Machine& m, sim::DistMultiVec& v, int c0, int c1) {
     double nrm = std::sqrt(std::max(nrm_sq, 0.0));
     CAGMRES_REQUIRE_CODE(nrm > 0.0, ErrorCode::kBreakdown,
                          "MGS: zero column encountered");
-    // The wire payload is the norm itself; devices scale by the same
-    // (possibly quantized) value the host records in R.
-    broadcast_charge(m, 1, &nrm);
+    broadcast_charge(m, 1);
     res.r(col - c0, col - c0) = nrm;
     for (int d = 0; d < ng; ++d) {
       sim::dev_scal(m, d, v.local_rows(d), 1.0 / nrm, v.col(d, col));

@@ -37,12 +37,6 @@ namespace cagmres::ortho::detail {
 /// busy-normalized to direct device->host messages, so the fold permutation
 /// never depends on the route. ev[d] then marks device d's partial leaving
 /// the device (the node leader's event covers its shipped subtotal).
-///
-/// With a reduce codec armed (Machine::codec(kReduce)), each partial is
-/// folded as the consumer of its coded message would see it — quantized
-/// exactly once, identically on every schedule and every route — messages
-/// are wire-priced, and every producer is charged one encode pass per
-/// reduction (DESIGN.md §14).
 std::vector<sim::Event> reduce_to_host_events(
     sim::Machine& m, const std::vector<std::vector<double>>& partials,
     int len, double* out);
@@ -56,14 +50,6 @@ void reduce_to_host(sim::Machine& m,
 /// and makes subsequent device kernels wait for it. One node: one H2D
 /// message per device. More than one: one inter-node H2D per node leader
 /// and intra-node relays behind its event (charge-only either way).
-///
-/// `payload` (optional) is the host buffer being broadcast. When a reduce
-/// codec is armed and the payload is supplied, the broadcast ships the
-/// coded image: the payload is quantized IN PLACE (host and devices then
-/// agree on the decoded values), each message is wire-priced, and every
-/// device is charged a decode pass. Without a payload the broadcast stays
-/// at full logical size — bytes are only charged compressed when the
-/// values really went through the codec round trip (DESIGN.md §14).
-void broadcast_charge(sim::Machine& m, int len, double* payload = nullptr);
+void broadcast_charge(sim::Machine& m, int len);
 
 }  // namespace cagmres::ortho::detail

@@ -87,7 +87,7 @@ TsqrResult tsqr_svqr(sim::Machine& m, sim::DistMultiVec& v, int c0, int c1,
   m.charge_host(sim::Kernel::kGeqrf, 4.0 * static_cast<double>(k) * k * k,
                 8.0 * k * k);
 
-  broadcast_charge(m, k * k, r.data());
+  broadcast_charge(m, k * k);
   for (int d = 0; d < ng; ++d) {
     sim::dev_trsm(m, d, v.local_rows(d), k, r.data(), r.ld(), v.col(d, c0),
                   v.local(d).ld());

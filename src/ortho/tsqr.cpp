@@ -83,24 +83,14 @@ namespace {
 /// Accumulates partials perm[i0, i1) into out. Every schedule folds the
 /// same permutation front to back — the bitwise contract: batching the
 /// sequential adds differently never changes a value, only the order does.
-/// With a reduce codec armed, each partial is folded as the consumer of its
-/// coded message would see it (roundtrip on a scratch copy) — quantized
-/// exactly once per reduction, identically on every schedule.
 void add_partials(const std::vector<std::vector<double>>& partials,
                   const std::vector<int>& perm, int i0, int i1, int len,
-                  double* out, const sim::CodecSpec& cd) {
-  std::vector<double> q;
+                  double* out) {
   for (int i = i0; i < i1; ++i) {
     const auto& p = partials[static_cast<std::size_t>(perm[
         static_cast<std::size_t>(i)])];
     CAGMRES_ASSERT(static_cast<int>(p.size()) >= len, "partial too short");
-    if (cd.active()) {
-      q.assign(p.begin(), p.begin() + len);
-      cd.roundtrip(q.data(), len);
-      for (int j = 0; j < len; ++j) out[j] += q[static_cast<std::size_t>(j)];
-    } else {
-      for (int j = 0; j < len; ++j) out[j] += p[static_cast<std::size_t>(j)];
-    }
+    for (int j = 0; j < len; ++j) out[j] += p[static_cast<std::size_t>(j)];
   }
 }
 
@@ -157,27 +147,14 @@ std::vector<std::vector<int>> node_buckets(const sim::Machine& m,
   return out;
 }
 
-/// One node's subtotal: zero-init + sequential member adds, including the
-/// per-member codec round trip, so each partial is quantized exactly once,
-/// as on the single-node path. The shipped subtotal itself is modeled as a
-/// lossless re-encode (wire-priced, not re-quantized): re-quantizing it
-/// would round the node's partials a second time, unlike the single-node
-/// path (DESIGN.md §14).
+/// One node's subtotal: zero-init + sequential member adds.
 void node_subtotal(const std::vector<std::vector<double>>& partials,
-                   const std::vector<int>& members, int len, double* s,
-                   const sim::CodecSpec& cd) {
+                   const std::vector<int>& members, int len, double* s) {
   for (int j = 0; j < len; ++j) s[j] = 0.0;
-  std::vector<double> q;
   for (const int d : members) {
     const auto& p = partials[static_cast<std::size_t>(d)];
     CAGMRES_ASSERT(static_cast<int>(p.size()) >= len, "partial too short");
-    if (cd.active()) {
-      q.assign(p.begin(), p.begin() + len);
-      cd.roundtrip(q.data(), len);
-      for (int j = 0; j < len; ++j) s[j] += q[static_cast<std::size_t>(j)];
-    } else {
-      for (int j = 0; j < len; ++j) s[j] += p[static_cast<std::size_t>(j)];
-    }
+    for (int j = 0; j < len; ++j) s[j] += p[static_cast<std::size_t>(j)];
   }
 }
 
@@ -209,9 +186,7 @@ std::vector<sim::Event> reduce_grouped(
   const std::vector<int> perm = fold_order(m);
   const std::vector<std::vector<int>> nodes = node_buckets(m, perm);
   const std::size_t nn = nodes.size();
-  const sim::CodecSpec& cd = m.codec(sim::TrafficClass::kReduce);
-  const double bytes = 8.0 * len;          // logical payload
-  const double wire = cd.wire_bytes(len);  // what actually ships
+  const double bytes = 8.0 * len;
 
   std::vector<std::vector<double>> sums(nn);
   std::vector<std::vector<sim::Event>> waits(nn);
@@ -225,11 +200,10 @@ std::vector<sim::Event> reduce_grouped(
       const int lead = mem.back();  // the within-node straggler
       for (std::size_t i = 0; i + 1 < mem.size(); ++i) {
         const int d = mem[i];
-        m.charge_codec(d, cd, len);
-        m.d2h_node(d, wire, bytes);
+        m.d2h_node(d, bytes);
         ev[static_cast<std::size_t>(d)] = m.record_event(d);
         m.adjust_device_busy(
-            d, direct_ship_seconds(m, d, wire) - pm.peer_seconds(wire));
+            d, direct_ship_seconds(m, d, bytes) - pm.peer_seconds(bytes));
       }
       for (std::size_t i = 0; i + 1 < mem.size(); ++i) {
         m.stream_wait_event(lead, ev[static_cast<std::size_t>(mem[i])]);
@@ -241,20 +215,15 @@ std::vector<sim::Event> reduce_grouped(
       const bool poison = m.consume_kernel_fault(lead);
       double* s = sums[k].data();
       const std::vector<int>* mp = &nodes[k];
-      m.run_on_device(lead, [&partials, mp, len, s, poison, cd]() {
-        node_subtotal(partials, *mp, len, s, cd);
+      m.run_on_device(lead, [&partials, mp, len, s, poison]() {
+        node_subtotal(partials, *mp, len, s);
         if (poison) {
           for (int j = 0; j < len; ++j) {
             s[j] = std::numeric_limits<double>::quiet_NaN();
           }
         }
       });
-      // One encode per device per reduction: members encoded their
-      // partials above, the leader encodes the one subtotal it ships — the
-      // same kCodec busy as a direct ship, so the fold order needs no
-      // adjustment for it.
-      m.charge_codec(lead, cd, len);
-      m.d2h(lead, wire, bytes);
+      m.d2h(lead, bytes);
       ev[static_cast<std::size_t>(lead)] = m.record_event(lead);
       waits[k].push_back(ev[static_cast<std::size_t>(lead)]);
       ready[k] = ev[static_cast<std::size_t>(lead)].t;
@@ -263,8 +232,7 @@ std::vector<sim::Event> reduce_grouped(
       // A single-member node ships its own partial; the host computes the
       // subtotal at fold time.
       const int d = mem.front();
-      m.charge_codec(d, cd, len);
-      m.d2h(d, wire, bytes);
+      m.d2h(d, bytes);
       ev[static_cast<std::size_t>(d)] = m.record_event(d);
       waits[k].push_back(ev[static_cast<std::size_t>(d)]);
       ready[k] = ev[static_cast<std::size_t>(d)].t;
@@ -275,7 +243,7 @@ std::vector<sim::Event> reduce_grouped(
   for (int j = 0; j < len; ++j) out[j] = 0.0;
   const auto fold_node = [&](std::size_t k) {
     const std::vector<int>& mem = nodes[k];
-    if (mem.size() == 1) node_subtotal(partials, mem, len, sums[k].data(), cd);
+    if (mem.size() == 1) node_subtotal(partials, mem, len, sums[k].data());
     const double* s = sums[k].data();
     for (int j = 0; j < len; ++j) out[j] += s[j];
   };
@@ -335,12 +303,9 @@ std::vector<sim::Event> reduce_to_host_events(
   CAGMRES_ASSERT(static_cast<int>(partials.size()) == ng,
                  "partials per device");
   if (m.topology().n_nodes > 1) return reduce_grouped(m, partials, len, out);
-  const sim::CodecSpec& cd = m.codec(sim::TrafficClass::kReduce);
-  const double wire = cd.wire_bytes(len);
   std::vector<sim::Event> ev(static_cast<std::size_t>(ng));
   for (int d = 0; d < ng; ++d) {
-    m.charge_codec(d, cd, len);
-    m.d2h(d, wire, 8.0 * len);
+    m.d2h(d, 8.0 * len);
     // The producing chain's event: the gemm/dot that filled the partial and
     // the d2h that shipped it, nothing else on the machine.
     ev[static_cast<std::size_t>(d)] = m.record_event(d);
@@ -392,7 +357,7 @@ std::vector<sim::Event> reduce_to_host_events(
         m.host_wait_event(ev_at(j));
         ++j;
       }
-      add_partials(partials, perm, i, j, len, out, cd);
+      add_partials(partials, perm, i, j, len, out);
       m.charge_host(sim::Kernel::kAxpy, static_cast<double>(len) * (j - i),
                     16.0 * len * (j - i));
       i = j;
@@ -401,7 +366,7 @@ std::vector<sim::Event> reduce_to_host_events(
     for (int d = 0; d < ng; ++d) {
       m.host_wait_event(ev[static_cast<std::size_t>(d)]);
     }
-    add_partials(partials, perm, 0, ng, len, out, cd);
+    add_partials(partials, perm, 0, ng, len, out);
     m.charge_host(sim::Kernel::kAxpy, static_cast<double>(len) * ng,
                   16.0 * len * ng);
   }
@@ -414,23 +379,10 @@ void reduce_to_host(sim::Machine& m,
   (void)reduce_to_host_events(m, partials, len, out);
 }
 
-void broadcast_charge(sim::Machine& m, int len, double* payload) {
-  // With a reduce codec armed AND the caller handing over the host-side
-  // payload, the broadcast ships the coded image: the payload is quantized
-  // in place (every device decodes the same values the host keeps working
-  // with) and each h2d is wire-priced plus a per-device decode charge.
-  // A null payload broadcasts at full logical size — bytes are only charged
-  // compressed when the values actually went through the round trip.
-  const sim::CodecSpec& cd = m.codec(sim::TrafficClass::kReduce);
-  const bool coded = cd.active() && payload != nullptr;
-  if (coded) cd.roundtrip(payload, len);
+void broadcast_charge(sim::Machine& m, int len) {
   const double bytes = 8.0 * len;
-  const double wire = coded ? cd.wire_bytes(len) : bytes;
   if (m.topology().n_nodes == 1) {
-    for (int d = 0; d < m.n_devices(); ++d) {
-      m.h2d(d, wire, bytes);
-      if (coded) m.charge_codec(d, cd, len);
-    }
+    for (int d = 0; d < m.n_devices(); ++d) m.h2d(d, bytes);
     return;
   }
   // Multi-node fan-out (charge-only, like the single-node path — the data
@@ -444,16 +396,14 @@ void broadcast_charge(sim::Machine& m, int len, double* payload) {
   const std::vector<int> perm = fold_order(m);
   for (const std::vector<int>& mem : node_buckets(m, perm)) {
     const int lead = mem.front();
-    m.h2d(lead, wire, bytes);
-    if (coded) m.charge_codec(lead, cd, len);
+    m.h2d(lead, bytes);
     const sim::Event e = m.record_event(lead);
     for (std::size_t i = 1; i < mem.size(); ++i) {
       const int d = mem[i];
       m.stream_wait_event(d, e);
-      m.h2d_node(d, wire, bytes);
-      if (coded) m.charge_codec(d, cd, len);
+      m.h2d_node(d, bytes);
       m.adjust_device_busy(
-          d, direct_ship_seconds(m, d, wire) - pm.peer_seconds(wire));
+          d, direct_ship_seconds(m, d, bytes) - pm.peer_seconds(bytes));
     }
   }
 }

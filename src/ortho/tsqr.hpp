@@ -55,11 +55,6 @@ struct TsqrOptions {
 struct TsqrResult {
   blas::DMat r;            ///< k x k upper triangular factor
   bool breakdown = false;  ///< CholQR pivot failure (R from shifted retry)
-  /// 0-based column of the first non-positive Cholesky pivot when
-  /// `breakdown` is set (lapack reports it; -1 = no breakdown). Column j
-  /// breaking down means the basis lost independence j+1 vectors into the
-  /// block.
-  int breakdown_col = -1;
 };
 
 /// Orthonormalizes columns [c0, c1) of the distributed multivector V in

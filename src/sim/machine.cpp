@@ -78,7 +78,7 @@ EnvConfig parse_env_config(
 
   if (const std::string v = read("CAGMRES_COMPRESS"); !v.empty()) {
     try {
-      cfg.codecs = parse_codec_config(v);
+      cfg.halo_codec = parse_codec_config(v);
     } catch (const Error& e) {
       bad_env("CAGMRES_COMPRESS", v, e.what());
     }
@@ -141,7 +141,7 @@ Machine::Machine(Topology topology, PerfModel model)
       dev_ops_(static_cast<std::size_t>(topology.n_devices()), 0),
       dev_busy_(static_cast<std::size_t>(topology.n_devices()), 0.0),
       dev_poison_(static_cast<std::size_t>(topology.n_devices()), 0),
-      codecs_(env_config().codecs),
+      halo_codec_(env_config().halo_codec),
       pool_(topology.n_devices(), env_config().host_workers) {
   CAGMRES_REQUIRE(topology.n_nodes >= 1 && topology.gpus_per_node >= 1,
                   "empty topology");
@@ -426,17 +426,7 @@ void Machine::h2d_node(int d, double bytes, double logical_bytes) {
                   "retry:h2d_node");
 }
 
-void Machine::set_codec(TrafficClass c, CodecSpec spec) {
-  CAGMRES_REQUIRE(spec.bits >= 4 && spec.bits <= 31,
-                  "set_codec: frsz2 bits must be in [4, 31]");
-  CAGMRES_REQUIRE(!(c == TrafficClass::kCkpt && spec.kind == Codec::kFrsz2),
-                  "set_codec: ckpt requires a lossless-restorable codec "
-                  "(none|fp32); frsz2 block boundaries shift on repartition");
-  codecs_.at(c) = spec;
-}
-
-double Machine::nic_dma(double bytes, double ready_s, double logical_bytes) {
-  if (logical_bytes < 0.0) logical_bytes = bytes;
+double Machine::nic_dma(double bytes, double ready_s) {
   // Node-host to node-host DMA: queues on the into-host NIC direction like
   // a d2h network hop, but no device stream carries it — the caller holds
   // the arrival time (typically inside an Event) and charges any wait
@@ -446,7 +436,7 @@ double Machine::nic_dma(double bytes, double ready_s, double logical_bytes) {
   const double start = std::max(ready_s, net_free_[0]);
   net_free_[0] = start + net;
   counters_.net_bytes += bytes;
-  counters_.net_logical_bytes += logical_bytes;
+  counters_.net_logical_bytes += bytes;
   ++counters_.net_msgs;
   return start + net;
 }

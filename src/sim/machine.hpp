@@ -112,7 +112,7 @@ struct EnvConfig {
   int topology_nodes = 0;
   int topology_gpus = 0;  ///< 0 with nodes set = the bare "N" form
   /// CAGMRES_COMPRESS: the parse_codec_config grammar.
-  CodecConfig codecs;
+  Codec halo_codec = Codec::kNone;
 
   /// Topology for a machine built by device count: the requested shape
   /// when it tiles `n_devices` exactly, else one flat node — the same
@@ -226,23 +226,21 @@ class Machine {
   /// transfer and bumps the net byte/msg counters, but occupies no device
   /// stream. Returns the simulated arrival time. The checkpoint partner
   /// mirror is the client (DESIGN.md §12-§13).
-  double nic_dma(double bytes, double ready_s, double logical_bytes = -1.0);
+  double nic_dma(double bytes, double ready_s);
 
-  // --- transfer codec layer (DESIGN.md §14) ----------------------------
-  /// Codec armed on one traffic class (none by default; CAGMRES_COMPRESS
-  /// sets the construction-time default, e.g. "halo=fp32,reduce=frsz2:16").
-  const CodecSpec& codec(TrafficClass c) const { return codecs_.at(c); }
-  const CodecConfig& codec_config() const { return codecs_; }
-  /// Arms `spec` on traffic class `c`. Throws Error(kBadInput) for
-  /// ckpt=frsz2: the saved iterate must re-ship bit-identically on restore,
-  /// which only an idempotent per-value demotion guarantees.
-  void set_codec(TrafficClass c, CodecSpec spec);
-  /// Charges the fused (de)compression pass for a coded message of
-  /// `n_values` doubles to device d's stream (no-op when `spec` is none).
+  // --- halo transfer codec (DESIGN.md §14) ----------------------------
+  /// Codec armed on the MPK halo exchange (none by default;
+  /// CAGMRES_COMPRESS=halo=fp32 sets the construction-time default).
+  Codec halo_codec() const { return halo_codec_; }
+  void set_halo_codec(Codec c) { halo_codec_ = c; }
+  /// Charges the fused (de)compression pass for a coded halo message of
+  /// `n_values` doubles to device d's stream (no-op with no codec armed).
   /// 16 bytes per value: the pass reads the doubles and writes (or reads)
   /// the wire image through device memory once.
-  void charge_codec(int d, const CodecSpec& spec, double n_values) {
-    if (spec.active()) charge_device(d, Kernel::kCodec, 0.0, 16.0 * n_values);
+  void charge_codec(int d, double n_values) {
+    if (halo_codec_ != Codec::kNone) {
+      charge_device(d, Kernel::kCodec, 0.0, 16.0 * n_values);
+    }
   }
 
   /// Host blocks until device d (and its copy queue) is done. Advances the
@@ -450,7 +448,7 @@ class Machine {
   /// ([0] = into the host / d2h + DMA, [1] = out of the host / h2d).
   /// Cross-network messages queue here; see charge_transfer.
   double net_free_[2] = {0.0, 0.0};
-  CodecConfig codecs_;  ///< per-traffic-class transfer codecs (§14)
+  Codec halo_codec_ = Codec::kNone;  ///< halo-exchange transfer codec (§14)
   bool tracing_ = false;
   std::string phase_ = "other";
   double phase_mark_ = 0.0;

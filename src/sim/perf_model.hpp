@@ -90,10 +90,10 @@ struct PerfModel {
   double peer_latency_s = 8e-6;        ///< per peer message
   double peer_bw = 20e9;               ///< B/s per direction
 
-  // --- transfer codec (DESIGN.md §14) ---
-  // FRSZ2-class fixed-rate (de)compression is bandwidth bound and far above
-  // every link rate; charged launch-free because it is modeled as fused into
-  // the pack/DMA pipeline rather than as a separate kernel dispatch.
+  // --- halo transfer codec (DESIGN.md §14) ---
+  // fp32 (de)compression is bandwidth bound and far above every link rate;
+  // charged launch-free because it is modeled as fused into the pack/DMA
+  // pipeline rather than as a separate kernel dispatch.
   double codec_bw = 100e9;             ///< B/s touched per (de)compress pass
 
   /// Seconds one device kernel takes under this model.

@@ -232,8 +232,8 @@ TEST(SolverEdge, IdentityMatrixConvergesInOneIteration) {
   opts.tol = 1e-12;
   const core::SolveResult res = core::gmres(machine, p, opts);
   EXPECT_TRUE(res.stats.converged);
-  // Exact arithmetic converges in one iteration; fp32-quantized reduction
-  // wires (CAGMRES_COMPRESS) leave a residual that takes a few more.
+  // Exact arithmetic converges in one iteration; an fp32 halo wire
+  // (CAGMRES_COMPRESS) leaves a residual that takes a few more.
   EXPECT_LE(res.stats.iterations, test::codec_armed() ? 2 * opts.m : 1);
   for (int i = 0; i < 50; ++i) {
     EXPECT_NEAR(res.x[static_cast<std::size_t>(i)], b[static_cast<std::size_t>(i)], 1e-12);

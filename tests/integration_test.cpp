@@ -126,8 +126,8 @@ TEST(Pipeline, HessenbergIdentityHoldsAgainstExplicitSpmv) {
     EXPECT_LT(std::sqrt(err / (scale + 1e-300)), test::codec_tol(1e-9, 1e-8))
         << "column " << j;
   }
-  // And the basis is orthonormal (to fp32 grade when a codec quantizes the
-  // projection coefficients on the wire).
+  // And the basis is orthonormal (to fp32 grade when the halo codec demotes
+  // the ghost values the basis is built from).
   EXPECT_LT(ortho::orthogonality_error(v, 0, m + 1),
             test::codec_tol(1e-10, 1e-4));
 }
@@ -211,7 +211,7 @@ TEST(Equivalence, SolutionIndependentOfOrdering) {
     core::SolverOptions opts;
     opts.m = 30;
     opts.s = 6;
-    // fp32-quantized reduction wires cap the attainable residual on this
+    // An fp32 halo wire caps the attainable residual on this
     // ill-conditioned circuit matrix; ask only for what the codec can give.
     opts.tol = test::codec_tol(1e-8, 1e-4);
     opts.max_restarts = 400;

@@ -438,7 +438,7 @@ TEST(MpkExec, LatencySavingsVsRepeatedSpmv) {
 
 TEST(MpkCodec, HaloWireBytesMatchTheCodecSize) {
   // With halo=fp32 armed, every gather/scatter message must be priced at
-  // exactly CodecSpec::wire_bytes of its payload while the logical counters
+  // exactly sim::wire_bytes of its payload while the logical counters
   // keep the uncompressed size — the achieved ratio is wire-accurate, not
   // an estimate.
   const CsrMatrix a = sparse::make_laplace2d(12, 10, 0.2);
@@ -446,9 +446,7 @@ TEST(MpkCodec, HaloWireBytesMatchTheCodecSize) {
   const MpkPlan plan = build_mpk_plan(a, offsets_of(a, 2), s);
   MpkExecutor exec(plan);
   Machine m(2);
-  sim::CodecSpec cd;
-  cd.kind = sim::Codec::kFp32;
-  m.set_codec(sim::TrafficClass::kHalo, cd);
+  m.set_halo_codec(sim::Codec::kFp32);
 
   DistMultiVec v(plan.rows_per_device(), s + 1);
   Rng rng(17);
@@ -466,12 +464,12 @@ TEST(MpkCodec, HaloWireBytesMatchTheCodecSize) {
     const MpkDevicePlan& dp = plan.dev[static_cast<std::size_t>(d)];
     const double send = static_cast<double>(dp.send_local_rows.size());
     if (send > 0.0) {
-      exp_d2h += cd.wire_bytes(send);
+      exp_d2h += sim::wire_bytes(sim::Codec::kFp32, send);
       exp_d2h_logical += 8.0 * send;
     }
     const double next = static_cast<double>(dp.ext_global.size());
     if (next > 0.0) {
-      exp_h2d += cd.wire_bytes(next);
+      exp_h2d += sim::wire_bytes(sim::Codec::kFp32, next);
       exp_h2d_logical += 8.0 * next;
     }
   }

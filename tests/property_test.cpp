@@ -117,9 +117,7 @@ TEST_P(OrthoBoundSweep, ErrorWithinModelBound) {
   ortho::tsqr(machine, prm.method, v, 0, k);
   machine.sync();  // the host reads the panel below
   const double err = ortho::orthogonality_error(v, 0, k);
-  // With a transfer codec armed the reduction partials cross the wire in
-  // fp32, so single precision becomes the working precision of the model.
-  const double eps = test::codec_armed() ? 1.2e-7 : 2.2e-16;
+  const double eps = 2.2e-16;
   double bound = 0.0;
   switch (prm.method) {
     case ortho::Method::kMgs:

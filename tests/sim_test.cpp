@@ -557,7 +557,7 @@ void expect_default(const EnvConfig& c) {
   EXPECT_EQ(c.host_workers, 0);
   EXPECT_EQ(c.topology_nodes, 0);
   EXPECT_EQ(c.topology_gpus, 0);
-  EXPECT_FALSE(c.codecs.any_active());
+  EXPECT_EQ(c.halo_codec, sim::Codec::kNone);
   EXPECT_EQ(c.topology_for(4).n_nodes, 1);
   EXPECT_EQ(c.topology_for(4).gpus_per_node, 4);
 }
@@ -578,16 +578,16 @@ TEST(EnvConfig, EveryDocumentedSpellingParses) {
   const EnvConfig shaped = parse_env({{"CAGMRES_TOPOLOGY", "2x3"}});
   EXPECT_EQ(shaped.topology_for(6).n_nodes, 2);
   EXPECT_EQ(shaped.topology_for(6).gpus_per_node, 3);
-  const EnvConfig coded =
-      parse_env({{"CAGMRES_COMPRESS", "halo=fp32,reduce=frsz2:16,ckpt=fp32"}});
-  EXPECT_EQ(coded.codecs.to_string(), "halo=fp32,reduce=frsz2:16,ckpt=fp32");
+  const EnvConfig coded = parse_env({{"CAGMRES_COMPRESS", "halo=fp32"}});
+  EXPECT_EQ(coded.halo_codec, sim::Codec::kFp32);
+  EXPECT_EQ(sim::to_string(coded.halo_codec), "halo=fp32");
 }
 
 TEST(EnvConfig, MalformedValuesThrowNamingTheVariable) {
   const std::pair<const char*, const char*> bad[] = {
       {"CAGMRES_HOST_WORKERS", "two"},
       {"CAGMRES_HOST_WORKERS", "-1"},
-      {"CAGMRES_COMPRESS", "halo=fp23,reduce=fp32"},
+      {"CAGMRES_COMPRESS", "halo=fp23"},
       {"CAGMRES_TOPOLOGY", "2by2"},
       {"CAGMRES_TOPOLOGY", "0"},
       {"CAGMRES_TOPOLOGY", "2x"},
