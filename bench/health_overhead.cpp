@@ -1,7 +1,7 @@
 // Measures what the numerical health monitors (core/health.hpp) cost in
 // simulated time. The free monitors (false-convergence guard, stagnation
-// watchdog, budgets) are host-side scans of numbers the solver already has
-// and must charge nothing; the condition monitor charges one Gram
+// watchdog) are host-side scans of numbers the solver already has and must
+// charge nothing; the condition monitor charges one Gram
 // condition-number sample per `kappa_every` committed blocks, and the table
 // shows how that overhead scales with the cadence.
 #include <cstdio>

@@ -38,10 +38,9 @@ int main(int argc, char** argv) {
            "arm the numerical health monitors (condition, false-convergence "
            "guard, stagnation watchdog) and the escalation ladder");
   opts.add("deadline", "0",
-           "simulated-milliseconds budget for the solve; 0 = unlimited "
-           "(overrun exits with a deadline_exceeded error)");
-  opts.add("budget", "0",
-           "basis-vector (iteration) budget; 0 = unlimited (same error)");
+           "simulated-milliseconds watchdog on the machine clock; 0 = "
+           "unlimited (overrun aborts the solve and still writes the "
+           "partial trace); --max_restarts caps the work");
   opts.add("precond", "",
            "right-preconditioner spec: ilu (block ILU(0), DESIGN.md §15); "
            "empty or \"none\" runs unpreconditioned. The trisolve "
@@ -57,6 +56,7 @@ int main(int argc, char** argv) {
 
   sim::Machine machine(ng);
   machine.enable_trace();
+  machine.set_deadline(opts.get_double("deadline") * 1e-3);
   if (!opts.get("faults").empty()) {
     sim::parse_fault_spec(opts.get("faults"), machine.fault_injector());
   }
@@ -69,10 +69,8 @@ int main(int argc, char** argv) {
     so.health.monitor_residual_gap = true;
     so.health.monitor_stagnation = true;
   }
-  so.health.max_solve_seconds = opts.get_double("deadline") * 1e-3;
-  so.health.max_iterations = opts.get_int("budget");
 
-  // --precond arms a cached ILU(k) handle on the options so the solve runs
+  // --precond arms a cached ILU(0) handle on the options so the solve runs
   // right-preconditioned.
   const precond::PrecondSpec pspec =
       precond::parse_precond_spec(opts.get("precond"));
@@ -84,7 +82,8 @@ int main(int argc, char** argv) {
     res = core::ca_gmres(machine, p, so);
   } catch (const Error& e) {
     if (e.code() != ErrorCode::kDeadlineExceeded) throw;
-    // The trace (with its health:* instant events) is still worth keeping.
+    // The trace (ending in the watchdog:deadline instant, or the health:*
+    // instants of an exhausted ladder) is still worth keeping.
     std::ofstream out(opts.get("out"));
     machine.trace().write_chrome_json(out);
     std::printf("solve aborted: %s\n", e.what());

@@ -265,7 +265,6 @@ detail::CycleOutcome CaStep::ca_cycle(detail::Cycle& c) {
 
   int done = 1;
   while (done < mm + 1) {
-    if (health_on) c.hm.check_budget(st.iterations, c.restart);
     const int steps = std::min(s_current_, mm + 1 - done);
     is_block_start[static_cast<std::size_t>(done) - 1] = 1;
     const Shifts bs = block_shifts(step_shifts_, steps);
@@ -330,8 +329,8 @@ detail::CycleOutcome CaStep::ca_cycle(detail::Cycle& c) {
                            opts_.tsqr_opts);
         }
         if (opts_.collect_tsqr_errors) record_errors(pre_tsqr, tq.r, 0);
-        block_reorthed = opts_.reorthogonalize || force_reorth_ ||
-                         (tq.breakdown && opts_.reorth_on_breakdown);
+        block_reorthed =
+            opts_.reorthogonalize || force_reorth_ || tq.breakdown;
         if (block_reorthed) {
           blas::DMat c2;
           {

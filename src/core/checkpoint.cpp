@@ -213,11 +213,8 @@ void Checkpointer::restore_after_repartition(
 // ---------------------------------------------------------------------------
 // RecoveryDomains
 
-RecoveryDomains::RecoveryDomains(sim::Machine& m, const SolverOptions& opts,
-                                 bool resilient)
-    : m_(m),
-      resilient_(resilient),
-      min_devices_(std::max(1, opts.min_devices)) {
+RecoveryDomains::RecoveryDomains(sim::Machine& m, bool resilient)
+    : m_(m), resilient_(resilient) {
   const auto nn =
       static_cast<std::size_t>(std::max(1, m.topology().n_nodes));
   rounds_.assign(nn, 0);
@@ -274,9 +271,8 @@ bool RecoveryDomains::handle(const Error& e, RecoveryStats& rs) {
                       std::to_string(kMaxRecoveryRounds) + " rounds)";
     return true;
   }
-  if (survivors < min_devices_) {
-    degrade_reason_ = "device floor reached (" + std::to_string(survivors) +
-                      " < " + std::to_string(min_devices_) + ")";
+  if (survivors == 0) {
+    degrade_reason_ = "device floor reached (no device survives)";
     return true;
   }
   ++rounds_[domain];

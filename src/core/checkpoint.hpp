@@ -26,10 +26,10 @@
 //   rung 4  host checkpoint         the partner itself is gone (correlated
 //                                   double-node loss): fall back to the
 //                                   flat restore path;
-//   rung 5  host_gmres floor        below SolverOptions::min_devices, or
-//                                   once the nested recovery budget runs
-//                                   out, the solver degrades to the
-//                                   host-only core.
+//   rung 5  host_gmres floor        once no device survives, or once the
+//                                   nested recovery budget runs out, the
+//                                   solver degrades to the host-only
+//                                   core.
 //
 // Every resilient solve on a machine with more than one node uses the
 // hierarchy; flat machines checkpoint to the coordinating host.
@@ -117,13 +117,13 @@ class Checkpointer {
 /// One instance per solve; drives the catch handler both solvers share.
 class RecoveryDomains {
  public:
-  RecoveryDomains(sim::Machine& m, const SolverOptions& opts, bool resilient);
+  RecoveryDomains(sim::Machine& m, bool resilient);
 
   /// Handles an Error caught by the solver's restart loop. Must be called
   /// from inside the catch block (it rethrows the active exception for
   /// unrecoverable faults). Returns true when the solver must degrade to
   /// the host floor (reason in degrade_reason()): the victim domain's
-  /// nested budget ran out or the survivors fell below min_devices.
+  /// nested budget ran out or no device survived.
   /// Returns false when every dead device has been retired and the caller
   /// must rebuild. Charges the per-domain recovery backoff and accounts it
   /// in `rs`.
@@ -143,7 +143,6 @@ class RecoveryDomains {
  private:
   sim::Machine& m_;
   bool resilient_;
-  int min_devices_;  ///< SolverOptions::min_devices, at least 1
   std::vector<int> rounds_;      ///< consecutive recovery rounds, per node
   std::vector<double> backoff_;  ///< next charged backoff, per node
   std::vector<int> lost_nodes_;

@@ -12,9 +12,26 @@ namespace cagmres::core {
 
 namespace {
 
-/// Trip when the sampled kappa of the *orthonormalized* block exceeds this
-/// (an honest "the orthogonalizer failed" signal; ~1 when healthy).
+/// Monitor 1: trip when max|r_ii|/min|r_ii| of a block's TSQR factor (a
+/// lower bound on kappa of the generated block) exceeds this. ~eps^-1/2 is
+/// where CholQR's O(eps kappa^2) orthogonality error reaches O(1).
+constexpr double kKappaLimit = 1e7;
+/// Monitor 1: trip when the sampled kappa of the *orthonormalized* block
+/// exceeds this (an honest "the orthogonalizer failed" signal; ~1 when
+/// healthy).
 constexpr double kQKappaLimit = 1e3;
+/// Monitor 2: trip when true/recurrence residual exceeds this (healthy
+/// solves sit near 1).
+constexpr double kResidualGapLimit = 10.0;
+/// Monitor 3: sliding window, in restarts; a trip also mutes the progress
+/// monitors for this many restarts after a ladder response.
+constexpr int kStagnationWindow = 4;
+/// Monitor 3: trip when the residual shrank by less than this factor over
+/// the window (res_now > kStagnationReduction * res_window_ago).
+constexpr double kStagnationReduction = 0.9;
+/// Monitor 3: trip (divergence) when the residual exceeds the best seen so
+/// far by this factor.
+constexpr double kDivergenceFactor = 1e3;
 
 }  // namespace
 
@@ -78,13 +95,8 @@ EscalationStep EscalationPolicy::next() {
 
 SolveHealthMonitor::SolveHealthMonitor(sim::Machine& machine,
                                        const HealthOptions& opts,
-                                       const LadderCapabilities& caps,
-                                       double t_start)
-    : m_(machine), opts_(opts), policy_(caps), t_start_(t_start) {
-  CAGMRES_REQUIRE(opts.stagnation_window >= 1, "bad stagnation window");
-  CAGMRES_REQUIRE(opts.kappa_limit > 0.0, "condition limit must be positive");
-  CAGMRES_REQUIRE(opts.residual_gap_limit > 1.0,
-                  "residual gap limit must exceed 1");
+                                       const LadderCapabilities& caps)
+    : m_(machine), opts_(opts), policy_(caps) {
   CAGMRES_REQUIRE(opts.condition_sample_every >= 0, "bad sample cadence");
 }
 
@@ -134,9 +146,9 @@ HealthEventKind SolveHealthMonitor::check_block(const blas::DMat& r_block,
   if (sampled) q_kappa = ortho::condition_number_charged(m_, v, c0, c1);
 
   if (block < condition_mute_until_block_) return HealthEventKind::kNone;
-  if (est > opts_.kappa_limit) {
+  if (est > kKappaLimit) {
     std::ostringstream os;
-    os << "R-diagonal kappa estimate " << est << " > " << opts_.kappa_limit;
+    os << "R-diagonal kappa estimate " << est << " > " << kKappaLimit;
     log(HealthEventKind::kConditionTrip, est, restart, iteration, os.str());
     return HealthEventKind::kConditionTrip;
   }
@@ -171,10 +183,10 @@ HealthEventKind SolveHealthMonitor::check_residual_gap(
         os.str());
     return HealthEventKind::kFalseConvergence;
   }
-  if (gap > opts_.residual_gap_limit) {
+  if (gap > kResidualGapLimit) {
     std::ostringstream os;
     os << "true/recurrence residual gap " << gap << " > "
-       << opts_.residual_gap_limit;
+       << kResidualGapLimit;
     log(HealthEventKind::kResidualGap, gap, restart, iteration, os.str());
     return HealthEventKind::kResidualGap;
   }
@@ -191,50 +203,27 @@ HealthEventKind SolveHealthMonitor::check_progress(double res, int restart,
   }
   if (restart < progress_mute_until_restart_) return HealthEventKind::kNone;
 
-  if (best_res_ > 0.0 && res > opts_.divergence_factor * best_res_) {
+  if (best_res_ > 0.0 && res > kDivergenceFactor * best_res_) {
     std::ostringstream os;
     os << "residual " << res << " exceeds best-so-far " << best_res_
-       << " by more than " << opts_.divergence_factor << "x";
+       << " by more than " << kDivergenceFactor << "x";
     log(HealthEventKind::kDivergence, res / best_res_, restart, iteration,
         os.str());
     return HealthEventKind::kDivergence;
   }
-  const std::size_t w = static_cast<std::size_t>(opts_.stagnation_window);
+  const std::size_t w = static_cast<std::size_t>(kStagnationWindow);
   if (residuals_.size() > w) {
     const double old = residuals_[residuals_.size() - 1 - w];
-    if (res > opts_.stagnation_reduction * old) {
+    if (res > kStagnationReduction * old) {
       std::ostringstream os;
       os << "residual shrank only " << (old > 0.0 ? res / old : 1.0)
-         << "x over the last " << opts_.stagnation_window << " restarts";
+         << "x over the last " << kStagnationWindow << " restarts";
       log(HealthEventKind::kStagnation, old > 0.0 ? res / old : 1.0, restart,
           iteration, os.str());
       return HealthEventKind::kStagnation;
     }
   }
   return HealthEventKind::kNone;
-}
-
-void SolveHealthMonitor::check_budget(std::int64_t iterations, int restart) {
-  // On either budget throw, drain before unwinding the solver frame: host
-  // workers may still reference solver-local buffers the unwind destroys.
-  sim::UnwindDrainGuard unwind_guard(m_);
-  if (opts_.max_solve_seconds > 0.0) {
-    const double spent = m_.clock().elapsed() - t_start_;
-    if (spent > opts_.max_solve_seconds) {
-      m_.trace_instant("health:deadline", "health");
-      std::ostringstream os;
-      os << "simulated-time budget exceeded: " << spent << "s > "
-         << opts_.max_solve_seconds << "s at restart " << restart;
-      throw Error(os.str(), ErrorCode::kDeadlineExceeded);
-    }
-  }
-  if (opts_.max_iterations > 0 && iterations > opts_.max_iterations) {
-    m_.trace_instant("health:deadline", "health");
-    std::ostringstream os;
-    os << "iteration budget exceeded: " << iterations << " > "
-       << opts_.max_iterations << " basis vectors at restart " << restart;
-    throw Error(os.str(), ErrorCode::kDeadlineExceeded);
-  }
 }
 
 EscalationStep SolveHealthMonitor::escalate(
@@ -249,7 +238,7 @@ EscalationStep SolveHealthMonitor::escalate(
   }
   // Give whatever we just changed a window to show progress before the
   // watchdogs may trip again; condition trips get one sampling period.
-  progress_mute_until_restart_ = restart + opts_.stagnation_window;
+  progress_mute_until_restart_ = restart + kStagnationWindow;
   condition_mute_until_block_ =
       blocks_seen_ + std::max(1, opts_.condition_sample_every);
   if (step == EscalationStep::kNone) {

@@ -5,7 +5,7 @@
 // watches the *numerical* failure axis: the s-step basis going dependent as
 // s grows (paper §IV-A), CholQR breaking down, the Arnoldi recurrence
 // residual silently drifting from the true residual, and plain stagnation.
-// Four monitors — each individually toggleable in SolverOptions::health,
+// Three monitors — each individually toggleable in SolverOptions::health,
 // each charged to the simulated clock where it touches device data — feed
 // one deterministic escalation ladder shared by GMRES and CA-GMRES:
 //
@@ -19,7 +19,9 @@
 // "what did the solver do to save this solve" is answerable after the
 // fact. Rungs are consumed strictly in order and all decisions depend only
 // on solver state, never on wall-clock or randomness, so a given problem +
-// options reproduces the identical ladder walk on every run.
+// options reproduces the identical ladder walk on every run. Bounds on the
+// solve itself are not monitors: Machine::set_deadline caps simulated time
+// and SolverOptions::max_restarts caps the work.
 //
 // With every monitor off (the default) the solvers charge and compute
 // exactly what they did before this layer existed — the same byte-identity
@@ -37,57 +39,29 @@
 
 namespace cagmres::core {
 
-/// Monitor and ladder configuration (SolverOptions::health). Everything
-/// defaults to off/unlimited.
+/// Monitor configuration (SolverOptions::health): which monitors watch the
+/// solve and how often the condition monitor pays for a charged sample.
+/// Everything defaults to off; the trip thresholds are fixed constants in
+/// core/health.cpp, and every trip walks the escalation ladder.
 struct HealthOptions {
-  // --- monitor 1: basis/orthogonality condition -----------------------
-  /// Estimate each committed block's condition from the TSQR R diagonal
-  /// (free, host data) and sample the charged Gram condition number of the
-  /// orthonormalized block on a cadence.
+  /// Monitor 1: estimate each committed block's condition from the TSQR R
+  /// diagonal (free, host data) and sample the charged Gram condition
+  /// number of the orthonormalized block on a cadence.
   bool monitor_condition = false;
-  /// Trip when max|r_ii|/min|r_ii| (a lower bound on kappa of the
-  /// generated block) exceeds this. ~eps^-1/2 is where CholQR's O(eps
-  /// kappa^2) orthogonality error reaches O(1).
-  double kappa_limit = 1e7;
   /// Charge an ortho::condition_number_charged sample every Nth committed
   /// block; 0 disables sampling (the free R-diagonal estimate remains).
   int condition_sample_every = 4;
-
-  // --- monitor 2: false-convergence guard -----------------------------
-  /// Compare the recurrence (least-squares) residual against the true
-  /// residual at restart boundaries and on declared convergence.
+  /// Monitor 2: compare the recurrence (least-squares) residual against
+  /// the true residual at restart boundaries and on declared convergence.
   bool monitor_residual_gap = false;
-  /// Trip when true/recurrence exceeds this (healthy solves sit near 1).
-  double residual_gap_limit = 10.0;
-
-  // --- monitor 3: stagnation / divergence watchdog --------------------
+  /// Monitor 3: stagnation / divergence watchdog over the restart
+  /// residuals.
   bool monitor_stagnation = false;
-  /// Sliding window length, in restarts.
-  int stagnation_window = 4;
-  /// Trip when the residual shrank by less than this factor over the
-  /// window (res_now > stagnation_reduction * res_window_ago).
-  double stagnation_reduction = 0.9;
-  /// Trip (divergence) when the residual exceeds the best seen so far by
-  /// this factor.
-  double divergence_factor = 1e3;
 
-  // --- monitor 4: budgets ---------------------------------------------
-  /// Simulated-seconds budget for the whole solve; 0 = unlimited.
-  /// Exceeding it throws Error(kDeadlineExceeded).
-  double max_solve_seconds = 0.0;
-  /// Total basis-vector budget; 0 = unlimited. Same error on overrun.
-  std::int64_t max_iterations = 0;
-
-  // --- ladder ---------------------------------------------------------
-  /// When false, trips are logged but never acted on (report-only mode);
-  /// progress-class trips then never raise kDeadlineExceeded either.
-  bool escalate = true;
-
-  /// Any monitor or budget armed. False (the default configuration) means
-  /// the solvers take their pre-health code paths verbatim.
+  /// Any monitor armed. False (the default configuration) means the
+  /// solvers take their pre-health code paths verbatim.
   bool any() const {
-    return monitor_condition || monitor_residual_gap || monitor_stagnation ||
-           max_solve_seconds > 0.0 || max_iterations > 0;
+    return monitor_condition || monitor_residual_gap || monitor_stagnation;
   }
 };
 
@@ -166,11 +140,10 @@ class EscalationPolicy {
 class SolveHealthMonitor {
  public:
   SolveHealthMonitor(sim::Machine& machine, const HealthOptions& opts,
-                     const LadderCapabilities& caps, double t_start);
+                     const LadderCapabilities& caps);
 
-  /// Any monitor or budget armed (mirrors HealthOptions::any).
+  /// Any monitor armed (mirrors HealthOptions::any).
   bool armed() const { return opts_.any(); }
-  const HealthOptions& options() const { return opts_; }
 
   /// Monitor 1, at CA block commit. `r_block` is the block's TSQR factor
   /// (host data, free to scan); every condition_sample_every-th call also
@@ -191,9 +164,6 @@ class SolveHealthMonitor {
 
   /// Monitor 3, once per restart with the true residual norm.
   HealthEventKind check_progress(double res, int restart, int iteration);
-
-  /// Monitor 4; throws Error(kDeadlineExceeded) when a budget is exceeded.
-  void check_budget(std::int64_t iterations, int restart);
 
   /// Walks the ladder to the first rung `applicable` accepts, logging the
   /// kEscalation (or kLadderExhausted) event. Returns kNone when no rung is
@@ -216,7 +186,6 @@ class SolveHealthMonitor {
   sim::Machine& m_;
   HealthOptions opts_;
   EscalationPolicy policy_;
-  double t_start_ = 0.0;
 
   std::vector<HealthEvent> events_;
 

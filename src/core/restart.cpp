@@ -143,7 +143,7 @@ SolveResult run_restarts(sim::Machine& machine, const Problem& problem,
   // --- numerical health monitor + escalation ladder (core/health.hpp) ---
   // The step names its rungs; with no monitor armed the ladder never runs
   // and the solve charges exactly what it would without this layer.
-  SolveHealthMonitor hm(machine, opts.health, step.capabilities(), t0);
+  SolveHealthMonitor hm(machine, opts.health, step.capabilities());
   const bool health_on = hm.armed();
   double prev_recurrence = -1.0;  // previous cycle's LS residual estimate
   bool prev_claimed = false;      // ... and whether it met the tolerance
@@ -153,7 +153,6 @@ SolveResult run_restarts(sim::Machine& machine, const Problem& problem,
   // budget on a solve that is going nowhere.
   const std::function<void(HealthEventKind)> respond =
       [&](HealthEventKind cause) {
-        if (!opts.health.escalate) return;
         const double value =
             hm.events().empty() ? 0.0 : hm.events().back().value;
         const EscalationStep a = hm.escalate(
@@ -188,9 +187,9 @@ SolveResult run_restarts(sim::Machine& machine, const Problem& problem,
   // Per-node-domain nested-recovery budget: consecutive hardware-recovery
   // rounds (a fresh fault landing before a post-recovery restart completed)
   // charge an exponentially growing host backoff and are bounded per fault
-  // domain; crossing the budget (or the min_devices floor) degrades to the
+  // domain; crossing the budget (or losing every device) degrades to the
   // host-only solver.
-  RecoveryDomains domains(machine, opts, resilient);
+  RecoveryDomains domains(machine, resilient);
   bool degrade_now = false;
   std::string degrade_reason;
 
@@ -284,7 +283,6 @@ SolveResult run_restarts(sim::Machine& machine, const Problem& problem,
         const HealthEventKind prog_trip =
             hm.check_progress(res, restart, st.iterations);
         if (prog_trip != HealthEventKind::kNone) respond(prog_trip);
-        hm.check_budget(st.iterations, restart);
       }
       for (int d = 0; d < machine.n_devices(); ++d) {
         sim::dev_scal(machine, d, v.local_rows(d), 1.0 / res, v.col(d, 0));

@@ -40,9 +40,8 @@ struct SolverOptions {
   /// CA-GMRES: BOrth projection against the previous basis.
   ortho::BorthMethod borth = ortho::BorthMethod::kCgs;
   /// CA-GMRES: always run BOrth+TSQR twice ("2x" in the paper's tables).
+  /// A block whose CholQR broke down is reorthogonalized regardless.
   bool reorthogonalize = false;
-  /// CA-GMRES: reorthogonalize a block automatically when CholQR broke down.
-  bool reorth_on_breakdown = true;
   /// CA-GMRES basis; Newton needs one plain GMRES restart to harvest shifts.
   Basis basis = Basis::kNewton;
   /// CA-GMRES: generate blocks with MPK; if false, fall back to s plain
@@ -56,16 +55,6 @@ struct SolverOptions {
   /// SolveStats::tsqr_errors. Costs an extra copy of each block; off by
   /// default.
   bool collect_tsqr_errors = false;
-
-  /// Graceful-degradation floor (active only when the machine's fault
-  /// injection is armed): when device retirements would leave fewer than
-  /// `min_devices` survivors, the nested recovery budget runs out, or the
-  /// last survivor keeps faulting, the solver abandons the device path and
-  /// finishes on the host-only cpu_gmres core from the latest checkpoint
-  /// instead of failing, with SolveStats::degraded recording the hand-off.
-  /// On a multi-node topology the checkpoints are hierarchical (buddy
-  /// mirrors, core/checkpoint.hpp).
-  int min_devices = 1;
 
   /// Numerical health monitors + escalation ladder (core/health.hpp). All
   /// monitors default to off, which keeps the solvers byte-identical to
@@ -161,13 +150,16 @@ TierTraffic tier_traffic(const sim::Counters& before,
 void trace_tier_traffic(sim::Machine& machine, const sim::Counters& before);
 
 /// Record of a graceful degradation to the host-only solver (the floor the
-/// resilient solvers land on when device retirements cross
-/// SolverOptions::min_devices). Inactive (all defaults) on normal solves.
+/// resilient solvers land on, only when fault injection is armed, once no
+/// device survives, the nested recovery budget runs out, or the last
+/// survivor keeps faulting; they then finish on the host-only cpu_gmres
+/// core from the latest checkpoint instead of failing). Inactive (all
+/// defaults) on normal solves.
 struct DegradedRecord {
   bool active = false;
   int devices_at_handoff = 0;  ///< survivors when the solver gave up on them
   double at_time = 0.0;        ///< simulated seconds at the hand-off
-  std::string reason;          ///< e.g. "device floor reached (1 < 2)"
+  std::string reason;          ///< e.g. "nested recovery budget exhausted"
 
   explicit operator bool() const { return active; }
 };

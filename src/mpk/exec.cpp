@@ -295,9 +295,8 @@ std::vector<unsigned char> MpkExecutor::charge_steps(sim::Machine& m,
       // Newton shift and the store of v(:, c0+k) (Fig. 4 last line).
       const int brows =
           dp.boundary_rows_at_step[static_cast<std::size_t>(k) - 1];
-      const bool hit = sim::charge_mpk_step(
-          m, d, plan.use_ell ? &dp.local_ell : nullptr, dp.local_csr,
-          dp.boundary, brows, terms);
+      const bool hit = sim::charge_mpk_step(m, d, dp.local_ell, dp.boundary,
+                                            brows, terms);
       hits[static_cast<std::size_t>(k - 1) * static_cast<std::size_t>(ng) +
            static_cast<std::size_t>(d)] = hit ? 1 : 0;
     }
@@ -334,11 +333,7 @@ bool MpkExecutor::shared_steps(sim::Machine& m, sim::DistMultiVec& v, int c0,
                         c0 + k - 1)[dp.ext_owner_row[static_cast<std::size_t>(e)]];
           }
         }
-        if (pl.use_ell) {
-          sparse::spmv(dp.local_ell, zi, zo);
-        } else {
-          sparse::spmv(dp.local_csr, zi, zo);
-        }
+        sparse::spmv(dp.local_ell, zi, zo);
         if (sh.shifted()) {
           for (int i = 0; i < dp.owned; ++i) {
             zo[i] -= sh.theta * zi[i];
@@ -411,11 +406,7 @@ void MpkExecutor::ghost_zone_steps(sim::Machine& m, sim::DistMultiVec& v,
         double* zo = bufs[static_cast<std::size_t>(k % 3)].data();
         const double* zp2 = bufs[static_cast<std::size_t>((k + 1) % 3)].data();
 
-        if (pl.use_ell) {
-          sparse::spmv(dp.local_ell, zi, zo);
-        } else {
-          sparse::spmv(dp.local_csr, zi, zo);
-        }
+        sparse::spmv(dp.local_ell, zi, zo);
 
         const int brows =
             dp.boundary_rows_at_step[static_cast<std::size_t>(k) - 1];
@@ -486,11 +477,7 @@ void MpkExecutor::spmv(sim::Machine& m, const sim::DistMultiVec& x, int xcol,
   for (int d = 0; d < ng; ++d) {
     const MpkDevicePlan& dp = plan.dev[static_cast<std::size_t>(d)];
     const double* zin = z_[static_cast<std::size_t>(d)][0].data();
-    if (plan.use_ell) {
-      sim::dev_spmv_ell(m, d, dp.local_ell, zin, y.col(d, ycol));
-    } else {
-      sim::dev_spmv_csr(m, d, dp.local_csr, zin, y.col(d, ycol));
-    }
+    sim::dev_spmv_ell(m, d, dp.local_ell, zin, y.col(d, ycol));
   }
 }
 

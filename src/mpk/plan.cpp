@@ -25,7 +25,7 @@ int owner_of(const std::vector<int>& offsets, int row) {
 }  // namespace
 
 MpkPlan build_mpk_plan(const sparse::CsrMatrix& a,
-                       const std::vector<int>& offsets, int s, bool use_ell) {
+                       const std::vector<int>& offsets, int s) {
   CAGMRES_REQUIRE(a.n_rows == a.n_cols, "MPK needs a square matrix");
   CAGMRES_REQUIRE(offsets.size() >= 2 && offsets.front() == 0 &&
                       offsets.back() == a.n_rows,
@@ -36,7 +36,6 @@ MpkPlan build_mpk_plan(const sparse::CsrMatrix& a,
 
   MpkPlan plan;
   plan.s = s;
-  plan.use_ell = use_ell;
   plan.offsets = offsets;
   plan.dev.resize(static_cast<std::size_t>(ng));
   plan.stats.s = s;
@@ -120,8 +119,7 @@ MpkPlan build_mpk_plan(const sparse::CsrMatrix& a,
         }
       }
       plan.stats.local_nnz[static_cast<std::size_t>(d)] = local.nnz();
-      if (use_ell) dp.local_ell = sparse::to_ell(local);
-      dp.local_csr = std::move(local);
+      dp.local_ell = sparse::to_ell(local);
     }
 
     // Boundary submatrix: rows at hops 1..s-1, hop order. Step k multiplies

@@ -32,7 +32,6 @@ struct MpkDevicePlan {
   std::vector<int> ext_owner_row;
 
   sparse::EllMatrix local_ell;  ///< owned rows, device-local column indices
-  sparse::CsrMatrix local_csr;  ///< same block in CSR (host/CSR-profile path)
 
   /// Boundary rows (hops 1..s-1) in hop order, device-local columns.
   sparse::CsrMatrix boundary;
@@ -55,7 +54,6 @@ struct MpkDevicePlan {
 /// A complete s-step matrix powers plan over all devices.
 struct MpkPlan {
   int s = 1;
-  bool use_ell = true;
   std::vector<int> offsets;  ///< block-row offsets, size n_devices + 1
   std::vector<MpkDevicePlan> dev;
   MpkStats stats;
@@ -69,7 +67,6 @@ struct MpkPlan {
 /// with `s` powers per invocation. `a` must already be permuted so that the
 /// device blocks are contiguous (see graph::make_partition).
 MpkPlan build_mpk_plan(const sparse::CsrMatrix& a,
-                       const std::vector<int>& offsets, int s,
-                       bool use_ell = true);
+                       const std::vector<int>& offsets, int s);
 
 }  // namespace cagmres::mpk

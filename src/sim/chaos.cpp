@@ -208,7 +208,6 @@ struct ChaosRunner::Impl {
     o.s = cfg.s;
     o.tol = cfg.tol;
     o.max_restarts = cfg.max_restarts;
-    o.min_devices = cfg.min_devices;
     return o;
   }
 

@@ -112,7 +112,6 @@ struct ChaosConfig {
   int s = 6;                   ///< CA-GMRES block size
   double tol = 1e-6;
   int max_restarts = 400;
-  int min_devices = 1;         ///< degradation floor passed to the solvers
   /// Watchdog: deadline = deadline_factor x the slowest fault-free
   /// baseline, armed on every faulty run.
   double deadline_factor = 50.0;

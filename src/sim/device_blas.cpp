@@ -304,38 +304,23 @@ void dev_spmv_ell(Machine& m, int d, const sparse::EllMatrix& a,
   });
 }
 
-void dev_spmv_csr(Machine& m, int d, const sparse::CsrMatrix& a,
-                  const double* x, double* y) {
-  const KernelCost c = spmv_csr_cost(a, a.n_rows);
-  m.charge_device(d, Kernel::kSpmvCsr, c.flops, c.bytes);
-  const bool hit = m.consume_kernel_fault(d);
-  const sparse::CsrMatrix* ap = &a;
-  m.run_on_device(d, [=] {
-    sparse::spmv(*ap, x, y);
-    if (hit) poison(y, ap->n_rows);
-  });
-}
-
-bool charge_mpk_step(Machine& m, int d, const sparse::EllMatrix* ell,
-                     const sparse::CsrMatrix& csr,
+bool charge_mpk_step(Machine& m, int d, const sparse::EllMatrix& ell,
                      const sparse::CsrMatrix& boundary, int brows,
                      int shift_terms) {
-  const int owned = ell != nullptr ? ell->n_rows : csr.n_rows;
-  KernelCost c = ell != nullptr ? spmv_ell_cost(*ell)
-                                : spmv_csr_cost(csr, csr.n_rows);
+  const int owned = ell.n_rows;
+  KernelCost c = spmv_ell_cost(ell);
   // The boundary rows are CSR-traversed, so inside an ELL-classed kernel
   // their bytes carry the uncoalesced penalty.
   const KernelCost b = spmv_csr_cost(boundary, brows);
   c.flops += b.flops;
-  c.bytes += (ell != nullptr ? kCsrUncoalesced : 1.0) * b.bytes;
+  c.bytes += kCsrUncoalesced * b.bytes;
   // The shift epilogue reads z_{k-1} (and z_{k-2} for a pair) on every
   // computed row; the result is still in registers, so the store of the
   // owned rows is one write.
   const double rows = static_cast<double>(owned + brows);
   c.flops += 2.0 * shift_terms * rows;
   c.bytes += kW * shift_terms * rows + kW * owned;
-  m.charge_device(d, ell != nullptr ? Kernel::kSpmvEll : Kernel::kSpmvCsr,
-                  c.flops, c.bytes);
+  m.charge_device(d, Kernel::kSpmvEll, c.flops, c.bytes);
   return m.consume_kernel_fault(d);
 }
 

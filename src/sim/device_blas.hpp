@@ -100,25 +100,19 @@ void dev_qr_explicit(Machine& m, int d, const blas::DMat& v, blas::DMat& q,
 void dev_spmv_ell(Machine& m, int d, const sparse::EllMatrix& a,
                   const double* x, double* y);
 
-/// y := A x for a device-resident CSR block.
-void dev_spmv_csr(Machine& m, int d, const sparse::CsrMatrix& a,
-                  const double* x, double* y);
-
 /// Charge half of one fused matrix-powers step on device d, the one kernel
-/// per (step, device) of MpkExecutor::apply: the owned-row SpMV (`ell`, or
-/// `csr` when `ell` is null), the first `brows` rows of the `boundary` CSR
-/// block, the Newton shift epilogue on every computed row (`shift_terms` =
-/// 0 for none, 1 for a real shift, 2 for the second member of a complex
-/// pair) and the store of the owned rows into the basis. Flops are the sum
-/// of the parts; bytes are the local SpMV's as dev_spmv_ell/_csr charge
-/// them, the boundary rows' (times kCsrUncoalesced when the kernel is
-/// ELL-classed), 8 B per computed row per shift term and 8 B per owned row
-/// for the store. Classed kSpmvEll, or kSpmvCsr without `ell`, where the
-/// model's penalty already covers the whole kernel. Consumes device d's
-/// fault latch and returns whether it was hit; the caller runs the
-/// numerics later and poisons everything the step wrote on a hit.
-bool charge_mpk_step(Machine& m, int d, const sparse::EllMatrix* ell,
-                     const sparse::CsrMatrix& csr,
+/// per (step, device) of MpkExecutor::apply: the owned-row ELL SpMV, the
+/// first `brows` rows of the `boundary` CSR block, the Newton shift
+/// epilogue on every computed row (`shift_terms` = 0 for none, 1 for a
+/// real shift, 2 for the second member of a complex pair) and the store of
+/// the owned rows into the basis. Flops are the sum of the parts; bytes
+/// are the local SpMV's as dev_spmv_ell charges them, the boundary rows'
+/// times kCsrUncoalesced (CSR-traversed inside an ELL-classed kernel), 8 B
+/// per computed row per shift term and 8 B per owned row for the store.
+/// Classed kSpmvEll. Consumes device d's fault latch and returns whether
+/// it was hit; the caller runs the numerics later and poisons everything
+/// the step wrote on a hit.
+bool charge_mpk_step(Machine& m, int d, const sparse::EllMatrix& ell,
                      const sparse::CsrMatrix& boundary, int brows,
                      int shift_terms);
 

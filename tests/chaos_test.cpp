@@ -163,19 +163,20 @@ TEST(Watchdog, DeadlineTripsAsTypedError) {
   EXPECT_TRUE(res.stats.converged);
 }
 
-TEST(DegradationFloor, MinDevicesHandsOffToCpuGmres) {
+TEST(DegradationFloor, LosingEveryDeviceHandsOffToCpuGmres) {
   const auto a = sparse::make_laplace2d(24, 24, 0.1, 0.02);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
   const auto p = core::make_problem(a, b, 3, graph::Ordering::kNatural,
                                     true, 1);
-  Machine machine(3);
-  sim::parse_fault_spec("kill:d1@op=500", machine.fault_injector());
+  // One node of three devices: the node kill takes every device at once,
+  // so no survivor is left to repartition onto.
+  Machine machine(sim::Topology{1, 3});
+  sim::parse_fault_spec("nodekill:n0@op=500", machine.fault_injector());
   core::SolverOptions opts;
   opts.m = 30;
   opts.s = 6;
   opts.tol = 1e-6;
   opts.max_restarts = 400;
-  opts.min_devices = 3;  // any retirement breaches the floor
   const auto res = core::ca_gmres(machine, p, opts);
   EXPECT_TRUE(res.stats.converged);
   ASSERT_TRUE(res.stats.degraded.active);

@@ -232,37 +232,6 @@ TEST(Equivalence, SolutionIndependentOfOrdering) {
   }
 }
 
-TEST(Equivalence, EllAndCsrDevicePathsAgree) {
-  const sparse::CsrMatrix a = sparse::make_cant_like(0.1);
-  const std::vector<int> offsets = {0, a.n_rows / 3, a.n_rows};
-  const mpk::MpkPlan plan_ell = mpk::build_mpk_plan(a, offsets, 3, true);
-  const mpk::MpkPlan plan_csr = mpk::build_mpk_plan(a, offsets, 3, false);
-  Machine m1(2), m2(2);
-  DistMultiVec v1(plan_ell.rows_per_device(), 4);
-  Rng rng(7);
-  for (int d = 0; d < 2; ++d) {
-    for (int i = 0; i < v1.local_rows(d); ++i) v1.col(d, 0)[i] = rng.normal();
-  }
-  DistMultiVec v2 = v1;
-  // Named executors: their z scratch buffers must outlive the enqueued
-  // kernels (a temporary would be destroyed before the streams drain).
-  mpk::MpkExecutor exec_ell(plan_ell), exec_csr(plan_csr);
-  exec_ell.apply(m1, v1, 0, 3);
-  exec_csr.apply(m2, v2, 0, 3);
-  m1.sync();  // the host compares the two bases below
-  m2.sync();
-  for (int d = 0; d < 2; ++d) {
-    for (int k = 1; k <= 3; ++k) {
-      for (int i = 0; i < v1.local_rows(d); ++i) {
-        EXPECT_NEAR(v1.col(d, k)[i], v2.col(d, k)[i], 1e-12);
-      }
-    }
-  }
-  // The device model prices CSR traversal above ELLPACK (the reason the
-  // paper uses ELLPACK on GPUs).
-  EXPECT_LT(m1.clock().elapsed(), m2.clock().elapsed());
-}
-
 TEST(Accounting, PhaseTimesPartitionTheTotal) {
   const sparse::CsrMatrix a = sparse::make_laplace2d(16, 16, 0.2, 0.3);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);

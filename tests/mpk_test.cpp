@@ -687,36 +687,25 @@ TEST(MpkShared, PendingLatchFallsBackBitwise) {
 // --- One fused kernel per (step, device) ---------------------------------
 
 /// Charged seconds of one fused MPK step, written out from DESIGN.md §18
-/// independently of sim::charge_mpk_step: the local SpMV's flops and bytes,
-/// the boundary prefix's (1.8x its bytes inside an ELL-classed kernel), the
-/// shift epilogue's 2 flops and 8 B per computed row per term, and 8 B per
-/// owned row for the store.
-double fused_step_seconds(const sim::PerfModel& pm, const MpkPlan& plan,
-                          const MpkDevicePlan& dp, int k, int terms) {
+/// independently of sim::charge_mpk_step: the local ELL SpMV's flops and
+/// bytes, the boundary prefix's (1.8x its bytes inside the ELL-classed
+/// kernel), the shift epilogue's 2 flops and 8 B per computed row per term,
+/// and 8 B per owned row for the store.
+double fused_step_seconds(const sim::PerfModel& pm, const MpkDevicePlan& dp,
+                          int k, int terms) {
   const int owned = dp.owned;
   const int brows = dp.boundary_rows_at_step[static_cast<std::size_t>(k) - 1];
   const double bnnz =
       brows > 0 ? static_cast<double>(
                       dp.boundary.row_ptr[static_cast<std::size_t>(brows)])
                 : 0.0;
-  double flops = 0.0;
-  double bytes = 0.0;
-  if (plan.use_ell) {
-    const double slots = static_cast<double>(dp.local_ell.stored_slots());
-    flops = 2.0 * slots;
-    bytes = 20.0 * slots + 8.0 * owned;
-  } else {
-    const double nnz = static_cast<double>(dp.local_csr.nnz());
-    flops = 2.0 * nnz;
-    bytes = 20.0 * nnz + 12.0 * owned;
-  }
+  const double slots = static_cast<double>(dp.local_ell.stored_slots());
   const double rows = static_cast<double>(owned + brows);
-  flops += 2.0 * bnnz + 2.0 * terms * rows;
-  bytes += (plan.use_ell ? 1.8 : 1.0) * (20.0 * bnnz + 12.0 * brows) +
-           8.0 * terms * rows + 8.0 * owned;
-  return pm.device_seconds(
-      plan.use_ell ? sim::Kernel::kSpmvEll : sim::Kernel::kSpmvCsr, flops,
-      bytes);
+  const double flops = 2.0 * slots + 2.0 * bnnz + 2.0 * terms * rows;
+  const double bytes = 20.0 * slots + 8.0 * owned +
+                       1.8 * (20.0 * bnnz + 12.0 * brows) +
+                       8.0 * terms * rows + 8.0 * owned;
+  return pm.device_seconds(sim::Kernel::kSpmvEll, flops, bytes);
 }
 
 /// 1-based op-counter index (FaultEvent::at_op) of the `nth` kernel named
@@ -733,14 +722,13 @@ std::int64_t op_index_of(const sim::Trace& trace, int dev,
   return -1;
 }
 
-class MpkFusedTest : public ::testing::TestWithParam<std::tuple<bool, Basis>> {
-};
+class MpkFusedTest : public ::testing::TestWithParam<Basis> {};
 
 TEST_P(MpkFusedTest, OneKernelPerStepPerDevice) {
-  const auto [use_ell, basis] = GetParam();
+  const Basis basis = GetParam();
   const CsrMatrix a = sparse::make_circuit_like(0.1, true, 29);
   const int ng = 3, s = 5;
-  const MpkPlan plan = build_mpk_plan(a, offsets_of(a, ng), s, use_ell);
+  const MpkPlan plan = build_mpk_plan(a, offsets_of(a, ng), s);
   const Shifts sh(basis, s);
   MpkExecutor exec(plan);
   Machine m(ng);
@@ -749,7 +737,7 @@ TEST_P(MpkFusedTest, OneKernelPerStepPerDevice) {
   exec.apply(m, v, 0, s, sh.seq());
   m.sync();
 
-  const std::string step_kernel = use_ell ? "spmv_ell" : "spmv_csr";
+  const std::string step_kernel = "spmv_ell";
   for (int d = 0; d < ng; ++d) {
     const MpkDevicePlan& dp = plan.dev[static_cast<std::size_t>(d)];
     // The exchange launches a pack for the senders' rows, the owned-row
@@ -779,7 +767,7 @@ TEST_P(MpkFusedTest, OneKernelPerStepPerDevice) {
       if (basis != Basis::kMonomial) {
         terms = sh.im[static_cast<std::size_t>(k) - 1] < 0.0 ? 2 : 1;
       }
-      const double want = fused_step_seconds(m.perf(), plan, dp, k, terms);
+      const double want = fused_step_seconds(m.perf(), dp, k, terms);
       EXPECT_NEAR(step_seconds[static_cast<std::size_t>(k) - 1], want,
                   1e-12 * want)
           << "device " << d << " step " << k;
@@ -791,12 +779,12 @@ TEST_P(MpkFusedTest, NanOnOneStepPoisonsTheRestOfTheBlock) {
   // One latch per (step, device): a NaN scheduled on device d's step-k
   // kernel poisons v(:, k..s) on d and nothing before it, and apply()
   // still matches the per-device reference bit for bit, unarmed or not.
-  const auto [use_ell, basis] = GetParam();
+  const Basis basis = GetParam();
   const CsrMatrix a = sparse::make_circuit_like(0.1, true, 29);
   const int ng = 3, s = 5;
-  const MpkPlan plan = build_mpk_plan(a, offsets_of(a, ng), s, use_ell);
+  const MpkPlan plan = build_mpk_plan(a, offsets_of(a, ng), s);
   const Shifts sh(basis, s);
-  const std::string step_kernel = use_ell ? "spmv_ell" : "spmv_csr";
+  const std::string step_kernel = "spmv_ell";
 
   Machine traced(ng);
   traced.enable_trace();
@@ -848,14 +836,9 @@ TEST_P(MpkFusedTest, NanOnOneStepPoisonsTheRestOfTheBlock) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Formats, MpkFusedTest,
-    ::testing::Combine(::testing::Bool(),
-                       ::testing::Values(Basis::kMonomial,
-                                         Basis::kComplexPairs)),
-    [](const auto& info) {
-      return std::string(std::get<0>(info.param) ? "ell" : "csr") + "_" +
-             basis_name(std::get<1>(info.param));
-    });
+    Bases, MpkFusedTest,
+    ::testing::Values(Basis::kMonomial, Basis::kComplexPairs),
+    [](const auto& info) { return basis_name(info.param); });
 
 }  // namespace
 }  // namespace cagmres::mpk

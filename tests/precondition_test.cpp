@@ -679,26 +679,36 @@ TEST(IluPrecond, HealthMonitorRidesThroughThePreconditionedSolve) {
   PrecondHandle handle(parse_precond_spec("ilu"));
   opts.precond = &handle;
 
-  // An iteration budget armed through opts.health must fire inside the
-  // preconditioned solve, for both gmres and ca_gmres.
-  opts.health.max_iterations = 10;
-  sim::Machine mg(2);
-  EXPECT_THROW(gmres(mg, p, opts), Error);
-  sim::Machine mc(2);
-  EXPECT_THROW(ca_gmres(mc, p, opts), Error);
-  EXPECT_GT(handle.stats().applies, 0);
+  // The machine watchdog armed halfway through each solver's own
+  // unbounded solve must fire inside the preconditioned solve, for both
+  // gmres and ca_gmres.
+  for (const bool ca : {false, true}) {
+    sim::Machine ref(2);
+    const SolveResult full = ca ? ca_gmres(ref, p, opts) : gmres(ref, p, opts);
+    const std::int64_t applies = handle.stats().applies;
+    sim::Machine m(2);
+    m.set_deadline(0.5 * full.stats.time_total);
+    try {
+      if (ca) {
+        ca_gmres(m, p, opts);
+      } else {
+        gmres(m, p, opts);
+      }
+      ADD_FAILURE() << "watchdog did not fire (ca=" << ca << ")";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kDeadlineExceeded) << e.what();
+    }
+    EXPECT_GT(handle.stats().applies, applies) << "ca=" << ca;
+  }
 
-  // Report-only stagnation monitoring surfaces events in the returned
-  // stats without changing the outcome.
-  opts.health = HealthOptions{};
+  // Stagnation monitoring with the ladder armed rides along without
+  // derailing a healthy preconditioned solve.
   opts.health.monitor_stagnation = true;
-  opts.health.stagnation_window = 2;
-  opts.health.stagnation_reduction = 1.0;
-  opts.health.escalate = false;
   opts.tol = 1e-6;
   sim::Machine m(2);
   const SolveResult res = ca_gmres(m, p, opts);
   EXPECT_TRUE(res.stats.converged);
+  EXPECT_EQ(res.stats.ladder_steps, 0);
 }
 
 }  // namespace

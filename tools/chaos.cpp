@@ -56,9 +56,6 @@ int main(int argc, char** argv) {
            "preconditioner spec (ilu = block ILU(0)): widen the alternation "
            "with right-preconditioned drivers so faults land in precond "
            "setup and the level-scheduled trisolves too");
-  opts.add("min-devices", "1",
-           "degradation floor: fewer surviving devices hand the solve to "
-           "cpu_gmres");
   opts.add("deadline-factor", "50",
            "watchdog deadline as a multiple of the fault-free baseline");
   opts.add("minimize", "1", "delta-debug violations to minimal reproducers");
@@ -74,7 +71,6 @@ int main(int argc, char** argv) {
   cfg.n_nodes = opts.get_int("nodes");
   cfg.matrix = opts.get("matrix");
   cfg.matrix_scale = opts.get_double("matrix-scale");
-  cfg.min_devices = opts.get_int("min-devices");
   cfg.deadline_factor = opts.get_double("deadline-factor");
   cfg.worker_counts = opts.get_int_list("workers");
   cfg.demo_bug_kills = opts.get_int("demo-bug-kills");
