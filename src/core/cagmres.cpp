@@ -97,8 +97,10 @@ bool mat_finite(const blas::DMat& m) {
 /// CA-GMRES's cycle step: blocks of s basis vectors from MPK (or s SpMVs),
 /// projected by BOrth and orthonormalized by TSQR, with the Hessenberg
 /// matrix recovered on the host. With the Newton basis the first restart
-/// runs the GMRES step to harvest the shifts, and the ladder's terminal
-/// rung runs the remaining budget on it too.
+/// runs s GMRES steps to harvest the shifts (the paper runs a full m-step
+/// restart; a degree-s Leja-ordered basis needs only s Ritz values), and
+/// the ladder's terminal rung runs the remaining budget on full m-step
+/// GMRES cycles.
 class CaStep final : public detail::CycleStep {
  public:
   explicit CaStep(const SolverOptions& opts)
@@ -182,7 +184,7 @@ class CaStep final : public detail::CycleStep {
 
   detail::CycleOutcome cycle(detail::Cycle& c) override {
     if (have_shifts_ && !fallback_gmres_) return ca_cycle(c);
-    detail::CycleOutcome out = gmres_.cycle(c);
+    detail::CycleOutcome out = gmres_.cycle(c, fallback_gmres_ ? opts_.m : s_);
     if (c.hm.armed() && out.k > 0) {
       last_h_ = out.h;  // freshest Hessenberg for a possible shift rebuild
       last_h_k_ = out.k;
@@ -200,7 +202,7 @@ class CaStep final : public detail::CycleStep {
       harvest_shifts(c.machine, last_h_, last_h_k_);
       rebuild_shifts_pending_ = false;
     }
-    if (!have_shifts_) {  // the first restart was the harvesting GMRES one
+    if (!have_shifts_) {  // this restart was the s-step harvesting one
       harvest_shifts(c.machine, out.h, out.k);
       have_shifts_ = true;
     }
@@ -222,7 +224,7 @@ class CaStep final : public detail::CycleStep {
 
   const SolverOptions& opts_;
   const int s_;
-  detail::GmresStep gmres_;  // shift-harvest restart and fallback rung
+  detail::GmresStep gmres_;  // s-step shift harvest and m-step fallback rung
   std::vector<int> rows_;
   std::unique_ptr<mpk::MpkPlan> plan_s_;
   std::unique_ptr<mpk::MpkExecutor> mpk_exec_;

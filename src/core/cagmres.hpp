@@ -9,8 +9,11 @@
 // bookkeeping (H = R B R^{-1}, see core/hessenberg.hpp) and the usual
 // least-squares update closes each restart cycle.
 //
-// With the Newton basis (the default), the first restart runs standard
-// GMRES to harvest Ritz values for the shifts, exactly as in the paper.
+// With the Newton basis (the default), the first restart runs s steps of
+// standard GMRES to harvest the s Ritz values a degree-s Leja-ordered basis
+// needs (Bai, Hu & Reichel 1994). The paper harvests from a full m-step
+// first restart; the short cycle is a deliberate deviation that halves
+// kkt's charged solve time (EXPERIMENTS.md, "Newton shift harvest").
 #pragma once
 
 #include "core/solver_common.hpp"

@@ -139,9 +139,9 @@ void GmresStep::apply_rung(EscalationStep /*a*/) {
   orth_ = ortho::Method::kMgs;  // the only rung rung_applicable admits
 }
 
-CycleOutcome GmresStep::cycle(Cycle& c) {
+CycleOutcome GmresStep::cycle(Cycle& c, int steps) {
   CycleOutcome out = arnoldi_cycle(
-      c.machine, c.spmv, c.v, opts_.m, orth_, c.beta, c.abs_tol,
+      c.machine, c.spmv, c.v, steps, orth_, c.beta, c.abs_tol,
       c.resilient ? kMaxBlockReplays : 0, opts_.precond);
   c.st.iterations += out.k;
   c.st.recovery.blocks_replayed += out.replays;

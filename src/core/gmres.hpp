@@ -21,10 +21,11 @@ SolveResult gmres(sim::Machine& machine, const Problem& problem,
 
 namespace detail {
 
-/// One Arnoldi restart cycle (shared with CA-GMRES's shift-harvesting first
-/// restart): V(:,0) must hold the unit starting vector; generates up to m
-/// more columns, orthogonalizing each with `orth`. Stops early when the
-/// least-squares residual drops to `abs_tol` or on happy breakdown.
+/// One Arnoldi restart cycle (shared with CA-GMRES's s-step shift harvest
+/// and its fallback rung): V(:,0) must hold the unit starting vector;
+/// generates up to m more columns, orthogonalizing each with `orth`. Stops
+/// early when the least-squares residual drops to `abs_tol` or on happy
+/// breakdown.
 ///
 /// `max_replays` > 0 enables the recovery scrub: each iteration's Hessenberg
 /// column and norm (computed anyway — a free checksum) are checked for
@@ -51,7 +52,10 @@ class GmresStep : public CycleStep {
   LadderCapabilities capabilities() const override;
   bool rung_applicable(EscalationStep a) const override;
   void apply_rung(EscalationStep a) override;
-  CycleOutcome cycle(Cycle& c) override;
+  CycleOutcome cycle(Cycle& c) override { return cycle(c, opts_.m); }
+  /// A cycle of at most `steps` <= opts.m Arnoldi steps (CA-GMRES's
+  /// shift harvest runs s of them).
+  CycleOutcome cycle(Cycle& c, int steps);
 
  private:
   const SolverOptions& opts_;

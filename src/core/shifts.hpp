@@ -3,7 +3,7 @@
 // The monomial basis [v, Av, A^2 v, ...] becomes numerically dependent at a
 // rate of |lambda_2/lambda_1| per power; CA-GMRES instead generates
 // v_{k+1} = (A - theta_k I) v_k with the theta_k chosen as Ritz values of A
-// (eigenvalues of the first restart's Hessenberg matrix), ordered by the
+// (eigenvalues of the s-step harvest cycle's Hessenberg matrix), ordered by the
 // Leja rule so consecutive shifts stay far apart. Complex conjugate pairs
 // are kept adjacent and applied in real arithmetic (Hoemmen §7.3.2).
 #pragma once

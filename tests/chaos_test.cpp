@@ -16,6 +16,8 @@
 #include "sim/machine.hpp"
 #include "sparse/generators.hpp"
 
+#include "kill_probe.hpp"
+
 namespace cagmres {
 namespace {
 
@@ -168,15 +170,19 @@ TEST(DegradationFloor, LosingEveryDeviceHandsOffToCpuGmres) {
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
   const auto p = core::make_problem(a, b, 3, graph::Ordering::kNatural,
                                     true, 1);
-  // One node of three devices: the node kill takes every device at once,
-  // so no survivor is left to repartition onto.
-  Machine machine(sim::Topology{1, 3});
-  sim::parse_fault_spec("nodekill:n0@op=500", machine.fault_injector());
   core::SolverOptions opts;
   opts.m = 30;
   opts.s = 6;
   opts.tol = 1e-6;
   opts.max_restarts = 400;
+  Machine clean(sim::Topology{1, 3});
+  core::ca_gmres(clean, p, opts);
+
+  // One node of three devices: the node kill takes every device at once,
+  // so no survivor is left to repartition onto. The node's devices run
+  // ~396 ops in the fault-free solve: op 200 lands mid-solve.
+  Machine machine(sim::Topology{1, 3});
+  sim::parse_fault_spec("nodekill:n0@op=200", machine.fault_injector());
   const auto res = core::ca_gmres(machine, p, opts);
   EXPECT_TRUE(res.stats.converged);
   ASSERT_TRUE(res.stats.degraded.active);
@@ -185,6 +191,7 @@ TEST(DegradationFloor, LosingEveryDeviceHandsOffToCpuGmres) {
   const double rel =
       core::true_residual(a, b, res.x) / blas::nrm2(a.n_rows, b.data());
   EXPECT_LT(rel, 1e-5);
+  EXPECT_TRUE(test::kill_landed_mid_solve(machine, clean));
 }
 
 TEST(ChaosOracle, ZeroFaultScheduleMatchesBaselineBytes) {

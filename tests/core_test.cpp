@@ -1,6 +1,7 @@
 // Unit tests for the core solver machinery: Newton/Leja shifts, Hessenberg
 // recovery, problem preparation, and the GMRES / CA-GMRES / CPU-GMRES
 // solvers on small systems.
+#include <algorithm>
 #include <cmath>
 #include <complex>
 
@@ -392,6 +393,62 @@ TEST(CaGmres, SpmvFallbackPathConverges) {
   const double rel =
       true_residual(a, b, res.x) / blas::nrm2(a.n_rows, b.data());
   EXPECT_LT(rel, 1e-5);
+}
+
+TEST(CaGmres, NewtonShiftHarvestRunsSStepsNotM) {
+  // A degree-s Newton basis needs s Ritz values, so the harvesting GMRES
+  // cycle runs min(s, m) steps; the CA cycles after it keep the full m.
+  const CsrMatrix a = sparse::make_laplace2d(24, 24, 0.1, 0.02);
+  const std::vector<double> b = ones_rhs(a.n_rows);
+  const Problem p = make_problem(a, b, 2, graph::Ordering::kNatural, false, 1);
+  SolverOptions opts;
+  opts.m = 30;
+  opts.tol = 1e-6;
+  opts.max_restarts = 1;
+  for (const int s : {6, 12, 30, 40}) {
+    opts.s = s;
+    sim::Machine machine(2);
+    const SolveResult res = ca_gmres(machine, p, opts);
+    EXPECT_FALSE(res.stats.converged) << "s=" << s;
+    EXPECT_EQ(res.stats.restarts, 1) << "s=" << s;
+    EXPECT_EQ(res.stats.iterations, std::min(s, opts.m)) << "s=" << s;
+    EXPECT_EQ(res.stats.time_mpk, 0.0) << "s=" << s;  // no CA cycle ran
+  }
+
+  opts.s = 6;
+  opts.max_restarts = 2;
+  sim::Machine machine(2);
+  const SolveResult res = ca_gmres(machine, p, opts);
+  EXPECT_FALSE(res.stats.converged);
+  EXPECT_EQ(res.stats.iterations, opts.s + opts.m);
+  EXPECT_GT(res.stats.time_mpk, 0.0);
+}
+
+TEST(CaGmres, MonomialBasisRunsNoHarvest) {
+  // No shifts to harvest: every restart is a full CA cycle, and the solve
+  // reports the iterations and charged seconds it did while the Newton
+  // harvest still ran a full m-step restart.
+  const CsrMatrix a = sparse::make_laplace2d(24, 24, 0.1, 0.02);
+  const std::vector<double> b = ones_rhs(a.n_rows);
+  const Problem p = make_problem(a, b, 2, graph::Ordering::kNatural, false, 1);
+  SolverOptions opts;
+  opts.m = 30;
+  opts.s = 6;
+  opts.tol = 1e-6;
+  opts.basis = Basis::kMonomial;
+  opts.max_restarts = 1;
+  sim::Machine m1(2);
+  const SolveResult one = ca_gmres(m1, p, opts);
+  EXPECT_EQ(one.stats.iterations, opts.m);
+  EXPECT_GT(one.stats.time_mpk, 0.0);
+
+  opts.max_restarts = 1000;
+  sim::Machine m2(2);
+  const SolveResult res = ca_gmres(m2, p, opts);
+  ASSERT_TRUE(res.stats.converged);
+  EXPECT_EQ(res.stats.iterations, 90);
+  EXPECT_EQ(res.stats.restarts, 3);
+  EXPECT_DOUBLE_EQ(res.stats.time_total, 0.0042703423392105892);
 }
 
 TEST(CaGmres, CommunicationDropsVsGmres) {

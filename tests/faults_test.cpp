@@ -24,6 +24,7 @@
 #include "sparse/generators.hpp"
 
 #include "codec_tol.hpp"
+#include "kill_probe.hpp"
 
 namespace cagmres {
 namespace {
@@ -378,14 +379,19 @@ TEST(DeviceDropout, GmresSurvivesAndConverges) {
 
 TEST(DeviceDropout, CaGmresSurvivesAndConverges) {
   const TestSystem s = make_system(3);
+  Machine clean(3);
+  core::ca_gmres(clean, s.p, base_opts());
+
+  // d2 runs ~396 ops in the fault-free solve: op 200 lands mid-solve.
   Machine machine(3);
-  sim::parse_fault_spec("kill:d2@op=600", machine.fault_injector());
+  sim::parse_fault_spec("kill:d2@op=200", machine.fault_injector());
   const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
   EXPECT_TRUE(res.stats.converged);
   EXPECT_EQ(machine.n_devices(), 2);
   EXPECT_EQ(res.stats.recovery.device_failures, 1);
   EXPECT_EQ(res.stats.recovery.repartitions, 1);
   EXPECT_LT(relative_residual(s, res.x), 1e-5);
+  EXPECT_TRUE(test::kill_landed_mid_solve(machine, clean));
 }
 
 TEST(DeviceDropout, TimeTriggeredKillOnWildcardDevice) {
@@ -402,9 +408,15 @@ TEST(DeviceDropout, TimeTriggeredKillOnWildcardDevice) {
 
 TEST(NodeDropout, CaGmresRecoversViaPartnerCheckpoint) {
   const TestSystem s = make_system(4);
+  Machine clean(4);
+  clean.set_topology(2, 2);
+  core::ca_gmres(clean, s.p, base_opts());
+
+  // Node 1's devices run ~492 ops in the fault-free solve: op 250 lands
+  // mid-solve.
   Machine machine(4);
   machine.set_topology(2, 2);  // node 0 = {0,1}, node 1 = {2,3}
-  sim::parse_fault_spec("nodekill:n1@op=600", machine.fault_injector());
+  sim::parse_fault_spec("nodekill:n1@op=250", machine.fault_injector());
   const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
   EXPECT_TRUE(res.stats.converged);
   EXPECT_EQ(machine.n_devices(), 2);  // the whole node retired at once
@@ -414,6 +426,7 @@ TEST(NodeDropout, CaGmresRecoversViaPartnerCheckpoint) {
   // x came back from node 0's partner mirror, not a host checkpoint.
   EXPECT_GE(res.stats.recovery.partner_restores, 1);
   EXPECT_LT(relative_residual(s, res.x), 1e-5);
+  EXPECT_TRUE(test::kill_landed_mid_solve(machine, clean));
 }
 
 TEST(NodeDropout, PartnerAlsoLostFallsBackToHostCheckpoint) {
@@ -666,15 +679,24 @@ TEST(CombinedFaults, CaGmresSurvivesKillCorruptionAndNans) {
   const TestSystem s = make_system(4);
   const core::Problem p =
       core::make_problem(s.a, s.b, 4, graph::Ordering::kNatural, true, 1);
+  // The same transient faults without the kill: the solve the kill must
+  // interrupt.
+  Machine no_kill(4);
+  sim::parse_fault_spec("seed=7;nan:p=0.001;corrupt:p=0.005;stall:p=0.01",
+                        no_kill.fault_injector());
+  core::ca_gmres(no_kill, p, base_opts());
+
+  // d3 runs ~396 ops in that solve: op 200 lands mid-solve.
   Machine machine(4);
   sim::parse_fault_spec(
-      "seed=7;kill:d3@op=500;nan:p=0.001;corrupt:p=0.005;stall:p=0.01",
+      "seed=7;kill:d3@op=200;nan:p=0.001;corrupt:p=0.005;stall:p=0.01",
       machine.fault_injector());
   const core::SolveResult res = core::ca_gmres(machine, p, base_opts());
   EXPECT_TRUE(res.stats.converged);
   EXPECT_EQ(machine.n_devices(), 3);
   EXPECT_GT(res.stats.recovery.faults_injected, 1);
   EXPECT_LT(relative_residual(s, res.x), 1e-5);
+  EXPECT_TRUE(test::kill_landed_mid_solve(machine, no_kill));
 }
 
 // --- seeded determinism (satellite 5) ---------------------------------
@@ -739,13 +761,18 @@ TEST(EventScheduleFaults, TimeTriggeredKillRetiresAndConverges) {
 
 TEST(EventScheduleFaults, OpTriggeredKillRetiresAndConverges) {
   const TestSystem s = make_system(3);
+  Machine clean(3);
+  core::ca_gmres(clean, s.p, base_opts());
+
+  // d2 runs ~396 ops in the fault-free solve: op 200 lands mid-solve.
   Machine machine(3);
-  sim::parse_fault_spec("kill:d2@op=600", machine.fault_injector());
+  sim::parse_fault_spec("kill:d2@op=200", machine.fault_injector());
   const core::SolveResult res = core::ca_gmres(machine, s.p, base_opts());
   EXPECT_TRUE(res.stats.converged);
   EXPECT_EQ(machine.n_devices(), 2);
   EXPECT_EQ(res.stats.recovery.repartitions, 1);
   EXPECT_LT(relative_residual(s, res.x), 1e-5);
+  EXPECT_TRUE(test::kill_landed_mid_solve(machine, clean));
 }
 
 TEST(EventScheduleFaults, StallAddsLatencyOnly) {

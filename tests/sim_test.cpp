@@ -30,6 +30,8 @@
 #include "sim/perf_model.hpp"
 #include "sparse/generators.hpp"
 
+#include "kill_probe.hpp"
+
 namespace cagmres::sim {
 namespace {
 
@@ -821,13 +823,19 @@ TEST(Machine, EventSolveSurvivesDeviceKillWithTwoWorkers) {
   opts.tol = 1e-6;
   opts.max_restarts = 400;
 
+  Machine clean(3);
+  clean.set_host_workers(2);
+  core::ca_gmres(clean, p, opts);
+
+  // d1 runs ~396 ops in the fault-free solve: op 200 lands mid-solve.
   Machine machine(3);
   machine.set_host_workers(2);
-  parse_fault_spec("kill:d1@op=400", machine.fault_injector());
+  parse_fault_spec("kill:d1@op=200", machine.fault_injector());
   const core::SolveResult res = core::ca_gmres(machine, p, opts);
   EXPECT_TRUE(res.stats.converged);
   EXPECT_EQ(machine.n_devices(), 2);  // one device retired
   EXPECT_EQ(res.stats.recovery.device_failures, 1);
+  EXPECT_TRUE(test::kill_landed_mid_solve(machine, clean));
 }
 
 }  // namespace
