@@ -8,6 +8,7 @@
 #include "common/options.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
+#include "core/solver_common.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/generators.hpp"
 #include "sparse/io.hpp"
@@ -69,5 +70,16 @@ inline void print_header(const std::string& title,
 
 /// Milliseconds with 1 decimal, as the paper's tables print times.
 inline std::string ms(double seconds) { return Table::fmt(seconds * 1e3, 1); }
+
+/// Speedup cell: the baseline's charged time to solution over `run`'s,
+/// shown only when both converged ("" when the baseline did not, or is
+/// null; "(nc)" when `run` did not). A ratio of per-restart averages would
+/// credit a short restart (the Newton shift harvest) as a full one.
+inline std::string speedup_to_solution(const core::SolveStats* base,
+                                       const core::SolveStats& run) {
+  if (!run.converged) return "(nc)";
+  if (base == nullptr || !base->converged) return "";
+  return Table::fmt(base->time_total / run.time_total, 2);
+}
 
 }  // namespace cagmres::bench

@@ -43,8 +43,8 @@ void run_matrix(const std::string& name, double scale, int s_ca, double tol,
   Table table({"solver", "ortho", "ng", "rest", "Ortho/Res", "(TSQR)",
                "SpMV|MPK/Res", "Total/Res", "Total", "SpdUp"});
 
-  // Converged GMRES(CGS) time to solution per ng: the speedup numerators.
-  std::map<int, double> gmres_time_to_solution;
+  // GMRES(CGS) stats per ng: the speedup baselines.
+  std::map<int, core::SolveStats> gmres_cgs;
 
   auto add_gmres = [&](ortho::Method orth, int ng) {
     const core::Problem p = core::make_problem(
@@ -57,9 +57,7 @@ void run_matrix(const std::string& name, double scale, int s_ca, double tol,
     opts.gmres_orth = orth;
     const core::SolveResult res = core::gmres(machine, p, opts);
     const auto& st = res.stats;
-    if (orth == ortho::Method::kCgs && st.converged) {
-      gmres_time_to_solution[ng] = st.time_total;
-    }
+    if (orth == ortho::Method::kCgs) gmres_cgs[ng] = st;
     table.add_row({"GMRES(" + std::to_string(m) + ")",
                    ortho::to_string(orth), std::to_string(ng),
                    std::to_string(st.restarts) + (st.converged ? "" : "+"),
@@ -82,11 +80,9 @@ void run_matrix(const std::string& name, double scale, int s_ca, double tol,
     opts.reorthogonalize = reorth;
     const core::SolveResult res = core::ca_gmres(machine, p, opts);
     const auto& st = res.stats;
-    std::string speedup = st.converged ? "" : "(nc)";
-    const auto it = gmres_time_to_solution.find(ng);
-    if (st.converged && it != gmres_time_to_solution.end()) {
-      speedup = Table::fmt(it->second / st.time_total, 2);
-    }
+    const auto it = gmres_cgs.find(ng);
+    const std::string speedup = bench::speedup_to_solution(
+        it != gmres_cgs.end() ? &it->second : nullptr, st);
     const std::string label = (reorth ? "2x " : "") + ortho::to_string(tsqr);
     table.add_row({"CA-GMRES(" + std::to_string(s) + "," + std::to_string(m) +
                        ")",

@@ -5,7 +5,11 @@
 // Per the paper's caption, CA-GMRES uses SpMV instead of MPK when SpMV is
 // faster (we pick by a simulated dry run). Expected shape: bars shrink with
 // more GPUs; the CA-GMRES bar beats the same-ng GMRES bar by 1.3-2x, with
-// the Orth segment providing most of the saving.
+// the Orth segment providing most of the saving. Restarts are not all the
+// same length (the Newton shift harvest is an s-step first restart), so
+// the table adds the charged time to solution (Total), and the speedup
+// over GMRES on the same number of GPUs is the ratio of those totals, shown
+// only when both solves converged.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -50,9 +54,9 @@ void run_matrix(const std::string& name, double scale, int s, double tol,
   const std::vector<double> b = bench::make_rhs(a.n_rows, seed);
 
   Table table({"solver", "ng", "rest", "Orth", "SpMV/MPK", "rest(other)",
-               "Total (norm.)", "SpdUp vs GMRES"});
+               "Total (norm.)", "Total", "SpdUp vs GMRES"});
   double norm_base = 0.0;
-  std::vector<double> gmres_total(4, 0.0);
+  std::vector<core::SolveStats> gmres_stats(4);
 
   for (int ng = 1; ng <= 3; ++ng) {
     const core::Problem p = core::make_problem(
@@ -66,13 +70,14 @@ void run_matrix(const std::string& name, double scale, int s, double tol,
     const auto& st = res.stats;
     const double per = st.restarts ? st.time_total / st.restarts : 0.0;
     if (ng == 1) norm_base = per;
-    gmres_total[static_cast<std::size_t>(ng)] = per;
+    gmres_stats[static_cast<std::size_t>(ng)] = st;
     table.add_row(
         {"GMRES", std::to_string(ng), std::to_string(st.restarts),
          Table::fmt(st.restarts ? st.time_ortho_total() / st.restarts / norm_base : 0, 2),
          Table::fmt(st.restarts ? st.time_spmv / st.restarts / norm_base : 0, 2),
          Table::fmt(st.restarts ? st.time_other / st.restarts / norm_base : 0, 2),
-         Table::fmt(per / norm_base, 2), st.converged ? "" : "(nc)"});
+         Table::fmt(per / norm_base, 2), bench::ms(st.time_total),
+         st.converged ? "" : "(nc)"});
   }
   table.add_separator();
   for (int ng = 1; ng <= 3; ++ng) {
@@ -89,18 +94,15 @@ void run_matrix(const std::string& name, double scale, int s, double tol,
     const core::SolveResult res = core::ca_gmres(machine, p, opts);
     const auto& st = res.stats;
     const double per = st.restarts ? st.time_total / st.restarts : 0.0;
-    std::string spd = st.converged ? "" : "(nc)";
-    if (per > 0.0) {
-      spd = Table::fmt(gmres_total[static_cast<std::size_t>(ng)] / per, 2) +
-            spd;
-    }
     table.add_row(
         {std::string("CA-GMRES") + (opts.use_mpk ? " (MPK)" : " (SpMV)"),
          std::to_string(ng), std::to_string(st.restarts),
          Table::fmt(st.restarts ? st.time_ortho_total() / st.restarts / norm_base : 0, 2),
          Table::fmt(st.restarts ? (st.time_spmv + st.time_mpk) / st.restarts / norm_base : 0, 2),
          Table::fmt(st.restarts ? st.time_other / st.restarts / norm_base : 0, 2),
-         Table::fmt(per / norm_base, 2), spd});
+         Table::fmt(per / norm_base, 2), bench::ms(st.time_total),
+         bench::speedup_to_solution(
+             &gmres_stats[static_cast<std::size_t>(ng)], st)});
   }
   std::printf("times normalized to GMRES on 1 GPU (=1.00)\n%s\n",
               table.str().c_str());
@@ -117,9 +119,9 @@ int main(int argc, char** argv) {
   opts.add("s", "10", "CA-GMRES block size (paper Fig. 15: 10)");
   opts.add("tol", "1e-4", "relative residual tolerance");
   opts.add("seed", "1234", "rhs seed");
-  opts.add("max_restarts", "8",
-           "restart cap for the timing runs (per-restart averages stabilize "
-           "after a few; raise to 1000 to reproduce full convergence counts)");
+  opts.add("max_restarts", "40",
+           "restart cap; every default row converges under it, and SpdUp "
+           "compares times to solution of converged rows only");
   if (!opts.parse(argc, argv)) return 0;
 
   const auto seed = static_cast<std::uint64_t>(opts.get_int("seed"));

@@ -98,76 +98,24 @@ bool mat_finite(const blas::DMat& m) {
 /// projected by BOrth and orthonormalized by TSQR, with the Hessenberg
 /// matrix recovered on the host. With the Newton basis the first restart
 /// runs s GMRES steps to harvest the shifts (the paper runs a full m-step
-/// restart; a degree-s Leja-ordered basis needs only s Ritz values), and
-/// the ladder's terminal rung runs the remaining budget on full m-step
-/// GMRES cycles.
+/// restart; a degree-s Leja-ordered basis needs only s Ritz values).
 class CaStep final : public detail::CycleStep {
  public:
   explicit CaStep(const SolverOptions& opts)
       : opts_(opts),
         s_(std::min(opts.s, opts.m)),
         gmres_(opts),
-        have_shifts_(opts.basis == Basis::kMonomial),
-        s_current_(s_),
-        tsqr_current_(opts.tsqr) {
+        have_shifts_(opts.basis == Basis::kMonomial) {
     if (have_shifts_) {  // monomial: zero shifts for every block
       step_shifts_.re.assign(static_cast<std::size_t>(s_), 0.0);
       step_shifts_.im.assign(static_cast<std::size_t>(s_), 0.0);
     }
   }
 
-  LadderCapabilities capabilities() const override {
-    LadderCapabilities caps;
-    caps.force_reorth = !opts_.reorthogonalize;
-    caps.shrink_s = true;
-    caps.rebuild_shifts = (opts_.basis == Basis::kNewton);
-    for (ortho::Method t = opts_.tsqr;;) {
-      const ortho::Method n = ortho::more_robust_method(t);
-      if (n == t) break;
-      ++caps.tsqr_switches;
-      t = n;
-    }
-    caps.fallback_gmres = true;
-    return caps;
-  }
-
-  bool rung_applicable(EscalationStep a) const override {
-    switch (a) {
-      case EscalationStep::kForceReorth:
-        return !force_reorth_;
-      case EscalationStep::kShrinkS:
-        return s_current_ > kShrinkSFloor;
-      case EscalationStep::kRebuildShifts:
-        return have_shifts_ && last_h_k_ > 1 && !rebuild_shifts_pending_;
-      case EscalationStep::kSwitchTsqr:
-        return ortho::more_robust_method(tsqr_current_) != tsqr_current_;
-      case EscalationStep::kFallbackGmres:
-        return !fallback_gmres_;
-      default:
-        return false;
-    }
-  }
-
-  void apply_rung(EscalationStep a) override {
-    switch (a) {
-      case EscalationStep::kForceReorth:
-        force_reorth_ = true;
-        break;
-      case EscalationStep::kShrinkS:
-        s_current_ = std::max(kShrinkSFloor, s_current_ / 2);
-        break;
-      case EscalationStep::kRebuildShifts:
-        rebuild_shifts_pending_ = true;  // harvested in after_restart
-        break;
-      case EscalationStep::kSwitchTsqr:
-        tsqr_current_ = ortho::more_robust_method(tsqr_current_);
-        break;
-      case EscalationStep::kFallbackGmres:
-        fallback_gmres_ = true;
-        break;
-      default:
-        break;
-    }
+  EscalationStep harden() override {
+    if (opts_.reorthogonalize || force_reorth_) return EscalationStep::kNone;
+    force_reorth_ = true;
+    return EscalationStep::kForceReorth;
   }
 
   void rebuild(const Problem& prob) override {
@@ -183,29 +131,17 @@ class CaStep final : public detail::CycleStep {
   }
 
   detail::CycleOutcome cycle(detail::Cycle& c) override {
-    if (have_shifts_ && !fallback_gmres_) return ca_cycle(c);
-    detail::CycleOutcome out = gmres_.cycle(c, fallback_gmres_ ? opts_.m : s_);
-    if (c.hm.armed() && out.k > 0) {
-      last_h_ = out.h;  // freshest Hessenberg for a possible shift rebuild
-      last_h_k_ = out.k;
-    }
-    return out;
+    if (have_shifts_) return ca_cycle(c);
+    return gmres_.cycle(c, s_);
   }
 
   void after_restart(detail::Cycle& c,
                      const detail::CycleOutcome& out) override {
-    if (out.k == 0) return;  // poisoned GMRES cycle: retry next restart
-    // Deferred kRebuildShifts: the Ritz values come from the Hessenberg of
-    // this cycle — the first one run under the escalated settings — not
-    // the stale pre-escalation one.
-    if (rebuild_shifts_pending_ && last_h_k_ > 1) {
-      harvest_shifts(c.machine, last_h_, last_h_k_);
-      rebuild_shifts_pending_ = false;
-    }
-    if (!have_shifts_) {  // this restart was the s-step harvesting one
-      harvest_shifts(c.machine, out.h, out.k);
-      have_shifts_ = true;
-    }
+    // This restart was the s-step harvesting one, unless its GMRES cycle
+    // was poisoned (retry next restart).
+    if (have_shifts_ || out.k == 0) return;
+    harvest_shifts(c.machine, out.h, out.k);
+    have_shifts_ = true;
   }
 
  private:
@@ -224,7 +160,7 @@ class CaStep final : public detail::CycleStep {
 
   const SolverOptions& opts_;
   const int s_;
-  detail::GmresStep gmres_;  // s-step shift harvest and m-step fallback rung
+  detail::GmresStep gmres_;  // the s-step shift harvest
   std::vector<int> rows_;
   std::unique_ptr<mpk::MpkPlan> plan_s_;
   std::unique_ptr<mpk::MpkExecutor> mpk_exec_;
@@ -233,17 +169,9 @@ class CaStep final : public detail::CycleStep {
   Shifts step_shifts_;
   bool have_shifts_;
 
-  // Ladder-mutable state. Only ladder actions touch these, and the ladder
-  // only runs off armed monitors, so an unmonitored solve behaves
-  // byte-identically to the pre-health code. The working block size starts
-  // at s_ and persists across restarts once kShrinkS lowers it.
-  int s_current_;
-  ortho::Method tsqr_current_;
+  // Set by harden() only, and harden() only runs off armed monitors, so an
+  // unmonitored solve behaves byte-identically to the pre-health code.
   bool force_reorth_ = false;
-  bool fallback_gmres_ = false;
-  blas::DMat last_h_;  // freshest Hessenberg, kept for a shift rebuild
-  int last_h_k_ = 0;
-  bool rebuild_shifts_pending_ = false;
 };
 
 detail::CycleOutcome CaStep::ca_cycle(detail::Cycle& c) {
@@ -267,7 +195,7 @@ detail::CycleOutcome CaStep::ca_cycle(detail::Cycle& c) {
 
   int done = 1;
   while (done < mm + 1) {
-    const int steps = std::min(s_current_, mm + 1 - done);
+    const int steps = std::min(s_, mm + 1 - done);
     is_block_start[static_cast<std::size_t>(done) - 1] = 1;
     const Shifts bs = block_shifts(step_shifts_, steps);
     for (int i = 0; i < steps; ++i) {
@@ -327,7 +255,7 @@ detail::CycleOutcome CaStep::ca_cycle(detail::Cycle& c) {
         if (opts_.collect_tsqr_errors) pre_tsqr = snapshot_block();
         {
           sim::PhaseScope phase(machine, "tsqr");
-          tq = ortho::tsqr(machine, tsqr_current_, v, done, done + steps,
+          tq = ortho::tsqr(machine, opts_.tsqr, v, done, done + steps,
                            opts_.tsqr_opts);
         }
         if (opts_.collect_tsqr_errors) record_errors(pre_tsqr, tq.r, 0);
@@ -343,7 +271,7 @@ detail::CycleOutcome CaStep::ca_cycle(detail::Cycle& c) {
           ortho::TsqrResult tq2;
           {
             sim::PhaseScope phase(machine, "tsqr");
-            tq2 = ortho::tsqr(machine, tsqr_current_, v, done, done + steps,
+            tq2 = ortho::tsqr(machine, opts_.tsqr, v, done, done + steps,
                               opts_.tsqr_opts);
           }
           if (opts_.collect_tsqr_errors) record_errors(pre_tsqr, tq2.r, 1);
@@ -431,10 +359,6 @@ detail::CycleOutcome CaStep::ca_cycle(detail::Cycle& c) {
                         2.0 * static_cast<double>(k) * k * k, 0.0);
     double ls_res = 0.0;
     std::vector<double> y = blas::solve_hessenberg_ls(h, c.beta, &ls_res);
-    if (health_on) {
-      last_h_ = h;  // freshest Hessenberg for a possible shift rebuild
-      last_h_k_ = k;
-    }
     if (ls_res <= c.abs_tol || done == mm + 1) {
       out.k = k;
       out.y = std::move(y);

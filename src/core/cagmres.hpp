@@ -21,10 +21,6 @@
 
 namespace cagmres::core {
 
-/// Floor of the working block size: the escalation ladder's kShrinkS rung
-/// never halves s below it.
-inline constexpr int kShrinkSFloor = 1;
-
 /// Solves the prepared problem with CA-GMRES(opts.s, opts.m).
 SolveResult ca_gmres(sim::Machine& machine, const Problem& problem,
                      const SolverOptions& opts);

@@ -125,18 +125,10 @@ CycleOutcome arnoldi_cycle(sim::Machine& m, mpk::MpkExecutor& spmv,
   return out;
 }
 
-LadderCapabilities GmresStep::capabilities() const {
-  LadderCapabilities caps;
-  caps.switch_orth = (orth_ == ortho::Method::kCgs);
-  return caps;
-}
-
-bool GmresStep::rung_applicable(EscalationStep a) const {
-  return a == EscalationStep::kSwitchOrth && orth_ == ortho::Method::kCgs;
-}
-
-void GmresStep::apply_rung(EscalationStep /*a*/) {
-  orth_ = ortho::Method::kMgs;  // the only rung rung_applicable admits
+EscalationStep GmresStep::harden() {
+  if (orth_ != ortho::Method::kCgs) return EscalationStep::kNone;
+  orth_ = ortho::Method::kMgs;
+  return EscalationStep::kSwitchOrth;
 }
 
 CycleOutcome GmresStep::cycle(Cycle& c, int steps) {

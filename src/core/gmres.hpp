@@ -21,11 +21,10 @@ SolveResult gmres(sim::Machine& machine, const Problem& problem,
 
 namespace detail {
 
-/// One Arnoldi restart cycle (shared with CA-GMRES's s-step shift harvest
-/// and its fallback rung): V(:,0) must hold the unit starting vector;
-/// generates up to m more columns, orthogonalizing each with `orth`. Stops
-/// early when the least-squares residual drops to `abs_tol` or on happy
-/// breakdown.
+/// One Arnoldi restart cycle (shared with CA-GMRES's s-step shift
+/// harvest): V(:,0) must hold the unit starting vector; generates up to m
+/// more columns, orthogonalizing each with `orth`. Stops early when the
+/// least-squares residual drops to `abs_tol` or on happy breakdown.
 ///
 /// `max_replays` > 0 enables the recovery scrub: each iteration's Hessenberg
 /// column and norm (computed anyway — a free checksum) are checked for
@@ -42,16 +41,14 @@ CycleOutcome arnoldi_cycle(sim::Machine& machine, mpk::MpkExecutor& spmv,
                            double beta, double abs_tol, int max_replays = 0,
                            precond::PrecondHandle* pc = nullptr);
 
-/// GMRES's cycle step: one arnoldi_cycle with the per-iteration Orth. Its
-/// ladder has one rung, downshifting CGS to the more stable MGS.
+/// GMRES's cycle step: one arnoldi_cycle with the per-iteration Orth. It
+/// hardens by downshifting CGS to the more stable MGS.
 class GmresStep : public CycleStep {
  public:
   explicit GmresStep(const SolverOptions& opts)
       : opts_(opts), orth_(opts.gmres_orth) {}
 
-  LadderCapabilities capabilities() const override;
-  bool rung_applicable(EscalationStep a) const override;
-  void apply_rung(EscalationStep a) override;
+  EscalationStep harden() override;
   CycleOutcome cycle(Cycle& c) override { return cycle(c, opts_.m); }
   /// A cycle of at most `steps` <= opts.m Arnoldi steps (CA-GMRES's
   /// shift harvest runs s of them).

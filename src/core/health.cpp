@@ -41,16 +41,8 @@ std::string to_string(EscalationStep step) {
       return "none";
     case EscalationStep::kForceReorth:
       return "force_reorth";
-    case EscalationStep::kShrinkS:
-      return "shrink_s";
-    case EscalationStep::kRebuildShifts:
-      return "rebuild_shifts";
-    case EscalationStep::kSwitchTsqr:
-      return "switch_tsqr";
     case EscalationStep::kSwitchOrth:
       return "switch_orth";
-    case EscalationStep::kFallbackGmres:
-      return "fallback_gmres";
   }
   return "?";
 }
@@ -77,26 +69,9 @@ std::string to_string(HealthEventKind kind) {
   return "?";
 }
 
-EscalationPolicy::EscalationPolicy(const LadderCapabilities& caps) {
-  if (caps.force_reorth) rungs_.push_back(EscalationStep::kForceReorth);
-  if (caps.shrink_s) rungs_.push_back(EscalationStep::kShrinkS);
-  if (caps.rebuild_shifts) rungs_.push_back(EscalationStep::kRebuildShifts);
-  for (int i = 0; i < caps.tsqr_switches; ++i) {
-    rungs_.push_back(EscalationStep::kSwitchTsqr);
-  }
-  if (caps.switch_orth) rungs_.push_back(EscalationStep::kSwitchOrth);
-  if (caps.fallback_gmres) rungs_.push_back(EscalationStep::kFallbackGmres);
-}
-
-EscalationStep EscalationPolicy::next() {
-  if (cursor_ >= rungs_.size()) return EscalationStep::kNone;
-  return rungs_[cursor_++];
-}
-
 SolveHealthMonitor::SolveHealthMonitor(sim::Machine& machine,
-                                       const HealthOptions& opts,
-                                       const LadderCapabilities& caps)
-    : m_(machine), opts_(opts), policy_(caps) {
+                                       const HealthOptions& opts)
+    : m_(machine), opts_(opts) {
   CAGMRES_REQUIRE(opts.condition_sample_every >= 0, "bad sample cadence");
 }
 
@@ -226,31 +201,23 @@ HealthEventKind SolveHealthMonitor::check_progress(double res, int restart,
   return HealthEventKind::kNone;
 }
 
-EscalationStep SolveHealthMonitor::escalate(
-    HealthEventKind cause, double value, int restart, int iteration,
-    const std::function<bool(EscalationStep)>& applicable) {
-  EscalationStep step = policy_.next();
-  // Burn rungs the solver's current state makes useless (e.g. shrink_s at
-  // the floor, switch_tsqr already at CAQR): strictly in order, so the walk
-  // stays deterministic.
-  while (step != EscalationStep::kNone && !applicable(step)) {
-    step = policy_.next();
-  }
-  // Give whatever we just changed a window to show progress before the
-  // watchdogs may trip again; condition trips get one sampling period.
+void SolveHealthMonitor::escalate(HealthEventKind cause, double value,
+                                  int restart, int iteration,
+                                  EscalationStep action) {
+  // Give whatever the solver just changed a window to show progress before
+  // the watchdogs may trip again; condition trips get one sampling period.
   progress_mute_until_restart_ = restart + kStagnationWindow;
   condition_mute_until_block_ =
       blocks_seen_ + std::max(1, opts_.condition_sample_every);
-  if (step == EscalationStep::kNone) {
+  if (action == EscalationStep::kNone) {
     log(HealthEventKind::kLadderExhausted, value, restart, iteration,
         "no applicable rung left for " + to_string(cause) + " trip");
-    return step;
+    return;
   }
   HealthEvent& e = log(HealthEventKind::kEscalation, value, restart,
                        iteration, "ladder response to " + to_string(cause));
-  e.action = step;
-  m_.trace_instant("health:escalate:" + to_string(step), "health");
-  return step;
+  e.action = action;
+  m_.trace_instant("health:escalate:" + to_string(action), "health");
 }
 
 }  // namespace cagmres::core

@@ -1,27 +1,28 @@
-// Numerical health monitoring and the deterministic escalation ladder
+// Numerical health monitoring and the one-rung escalation ladder
 // (DESIGN.md §8).
 //
-// PR 1 made the solvers survive injected *hardware* faults; this layer
-// watches the *numerical* failure axis: the s-step basis going dependent as
-// s grows (paper §IV-A), CholQR breaking down, the Arnoldi recurrence
-// residual silently drifting from the true residual, and plain stagnation.
-// Three monitors — each individually toggleable in SolverOptions::health,
-// each charged to the simulated clock where it touches device data — feed
-// one deterministic escalation ladder shared by GMRES and CA-GMRES:
+// The fault layer makes the solvers survive injected *hardware* faults;
+// this layer watches the *numerical* failure axis: the s-step basis going
+// dependent as s grows (paper §IV-A), CholQR breaking down, the Arnoldi
+// recurrence residual silently drifting from the true residual, and plain
+// stagnation. Three monitors — each individually toggleable in
+// SolverOptions::health, each charged to the simulated clock where it
+// touches device data — feed one hardening action per solver, taken on the
+// first trip:
 //
-//   force reorthogonalization -> shrink the working s -> rebuild the Newton
-//   shifts from the freshest Hessenberg -> switch the TSQR method
-//   (CholQR -> SVQR -> CAQR) -> fall back to standard GMRES
+//   CA-GMRES: force reorthogonalization (BOrth+TSQR twice per block), the
+//             paper's "2x" remedy for a badly conditioned block
+//   GMRES:    switch the per-iteration Orth from CGS to MGS
 //
-// (GMRES itself only has the CGS -> MGS orthogonalization downshift.)
-// Every trip and every action is appended to SolveStats::health_events and
-// — when tracing — recorded as an instant event on the host timeline, so
-// "what did the solver do to save this solve" is answerable after the
-// fact. Rungs are consumed strictly in order and all decisions depend only
-// on solver state, never on wall-clock or randomness, so a given problem +
-// options reproduces the identical ladder walk on every run. Bounds on the
-// solve itself are not monitors: Machine::set_deadline caps simulated time
-// and SolverOptions::max_restarts caps the work.
+// A solver that already runs the hardened setting has no rung. Every trip
+// and every action is appended to SolveStats::health_events and — when
+// tracing — recorded as an instant event on the host timeline, so "what
+// did the solver do to save this solve" is answerable after the fact. All
+// decisions depend only on solver state, never on wall-clock or
+// randomness, so a given problem + options reproduces the identical
+// events on every run. Bounds on the solve itself are not monitors:
+// Machine::set_deadline caps simulated time and SolverOptions::max_restarts
+// caps the work.
 //
 // With every monitor off (the default) the solvers charge and compute
 // exactly what they did before this layer existed — the same byte-identity
@@ -30,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -42,7 +42,7 @@ namespace cagmres::core {
 /// Monitor configuration (SolverOptions::health): which monitors watch the
 /// solve and how often the condition monitor pays for a charged sample.
 /// Everything defaults to off; the trip thresholds are fixed constants in
-/// core/health.cpp, and every trip walks the escalation ladder.
+/// core/health.cpp, and every trip asks the solver to harden.
 struct HealthOptions {
   /// Monitor 1: estimate each committed block's condition from the TSQR R
   /// diagonal (free, host data) and sample the charged Gram condition
@@ -65,15 +65,11 @@ struct HealthOptions {
   }
 };
 
-/// One rung of the escalation ladder (kNone = ladder exhausted).
+/// A solver's hardening action (kNone = it has none left).
 enum class EscalationStep {
   kNone,
-  kForceReorth,    ///< BOrth+TSQR twice for every remaining block
-  kShrinkS,        ///< halve the working s for the rest of the solve
-  kRebuildShifts,  ///< fresh Newton shifts from the latest Hessenberg
-  kSwitchTsqr,     ///< CholQR -> SVQR -> CAQR for the remainder
-  kSwitchOrth,     ///< GMRES: CGS -> MGS per-iteration Orth
-  kFallbackGmres,  ///< CA-GMRES: standard GMRES for the remaining budget
+  kForceReorth,  ///< CA-GMRES: BOrth+TSQR twice for every remaining block
+  kSwitchOrth,   ///< GMRES: CGS -> MGS per-iteration Orth
 };
 
 std::string to_string(EscalationStep step);
@@ -88,7 +84,7 @@ enum class HealthEventKind {
   kStagnation,        ///< monitor 3: too little progress over the window
   kDivergence,        ///< monitor 3: residual blew up vs best-so-far
   kEscalation,        ///< ladder action taken (see action)
-  kLadderExhausted,   ///< a trip found no applicable rung left
+  kLadderExhausted,   ///< a trip found no hardening action left
 };
 
 std::string to_string(HealthEventKind kind);
@@ -104,43 +100,15 @@ struct HealthEvent {
   std::string detail;  ///< human-readable context
 };
 
-/// Which ladder rungs the hosting solver can perform (CA-GMRES: all but
-/// kSwitchOrth; GMRES: kSwitchOrth only). The policy walks only these.
-struct LadderCapabilities {
-  bool force_reorth = false;
-  bool shrink_s = false;
-  bool rebuild_shifts = false;
-  int tsqr_switches = 0;  ///< downshifts left in the TSQR chain
-  bool switch_orth = false;
-  bool fallback_gmres = false;
-};
-
-/// The deterministic rung sequence. next() yields rungs strictly in ladder
-/// order, each at most the configured number of times, and kNone forever
-/// once exhausted; there is no state besides the cursor, so identical trip
-/// sequences walk identical ladders.
-class EscalationPolicy {
- public:
-  explicit EscalationPolicy(const LadderCapabilities& caps);
-
-  EscalationStep next();
-  bool exhausted() const { return cursor_ >= rungs_.size(); }
-
- private:
-  std::vector<EscalationStep> rungs_;
-  std::size_t cursor_ = 0;
-};
-
 /// Per-solve monitor engine. The hosting solver calls the check_* hooks at
 /// its natural boundaries; each returns the trip kind (kNone = healthy) and
-/// has already logged the trip. On a trip the solver calls escalate() with
-/// an applicability predicate (is this rung still useful given my current
-/// state?) and applies the returned action. All events are collected here
-/// and moved into SolveStats at the end of the solve.
+/// has already logged the trip. On a trip the solver hardens itself (or
+/// finds it has nothing left to harden) and reports that to escalate(). All
+/// events are collected here and moved into SolveStats at the end of the
+/// solve.
 class SolveHealthMonitor {
  public:
-  SolveHealthMonitor(sim::Machine& machine, const HealthOptions& opts,
-                     const LadderCapabilities& caps);
+  SolveHealthMonitor(sim::Machine& machine, const HealthOptions& opts);
 
   /// Any monitor armed (mirrors HealthOptions::any).
   bool armed() const { return opts_.any(); }
@@ -165,12 +133,12 @@ class SolveHealthMonitor {
   /// Monitor 3, once per restart with the true residual norm.
   HealthEventKind check_progress(double res, int restart, int iteration);
 
-  /// Walks the ladder to the first rung `applicable` accepts, logging the
-  /// kEscalation (or kLadderExhausted) event. Returns kNone when no rung is
-  /// left; the solver decides what exhaustion means for this cause.
-  EscalationStep escalate(
-      HealthEventKind cause, double value, int restart, int iteration,
-      const std::function<bool(EscalationStep)>& applicable);
+  /// Logs the solver's response to a `cause` trip: the kEscalation event
+  /// for `action`, or kLadderExhausted when `action` is kNone (the solver
+  /// decides what exhaustion means for this cause). Either way it opens
+  /// the mute windows that give the response time to show.
+  void escalate(HealthEventKind cause, double value, int restart,
+                int iteration, EscalationStep action);
 
   /// Largest and latest true/recurrence gap observed by monitor 2.
   double residual_gap_last() const { return gap_last_; }
@@ -185,7 +153,6 @@ class SolveHealthMonitor {
 
   sim::Machine& m_;
   HealthOptions opts_;
-  EscalationPolicy policy_;
 
   std::vector<HealthEvent> events_;
 

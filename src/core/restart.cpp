@@ -141,31 +141,30 @@ SolveResult run_restarts(sim::Machine& machine, const Problem& problem,
   const sim::PhaseTimers phases0 = machine.phases();
 
   // --- numerical health monitor + escalation ladder (core/health.hpp) ---
-  // The step names its rungs; with no monitor armed the ladder never runs
-  // and the solve charges exactly what it would without this layer.
-  SolveHealthMonitor hm(machine, opts.health, step.capabilities());
+  // With no monitor armed the ladder never runs and the solve charges
+  // exactly what it would without this layer.
+  SolveHealthMonitor hm(machine, opts.health);
   const bool health_on = hm.armed();
   double prev_recurrence = -1.0;  // previous cycle's LS residual estimate
   bool prev_claimed = false;      // ... and whether it met the tolerance
   int restart = 0;
-  // One trip -> at most one rung. A progress-class trip that finds the
-  // ladder exhausted stops the solve instead of burning the whole restart
-  // budget on a solve that is going nowhere.
+  // One trip -> the step hardens once. A stagnation or divergence trip
+  // that finds nothing left to harden stops the solve instead of burning
+  // the whole restart budget on a solve that is going nowhere; a false
+  // convergence claim costs only the short cycle that made it, because
+  // the next restart tests the true residual.
   const std::function<void(HealthEventKind)> respond =
       [&](HealthEventKind cause) {
         const double value =
             hm.events().empty() ? 0.0 : hm.events().back().value;
-        const EscalationStep a = hm.escalate(
-            cause, value, restart, st.iterations,
-            [&](EscalationStep s) { return step.rung_applicable(s); });
+        const EscalationStep a = step.harden();
+        hm.escalate(cause, value, restart, st.iterations, a);
         if (a != EscalationStep::kNone) {
-          step.apply_rung(a);
           ++st.ladder_steps;
           return;
         }
         if (cause == HealthEventKind::kStagnation ||
-            cause == HealthEventKind::kDivergence ||
-            cause == HealthEventKind::kFalseConvergence) {
+            cause == HealthEventKind::kDivergence) {
           sim::UnwindDrainGuard unwind_guard(machine);
           CAGMRES_REQUIRE_CODE(false, ErrorCode::kDeadlineExceeded,
                                "escalation ladder exhausted while the solve "

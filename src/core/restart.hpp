@@ -14,7 +14,7 @@
 //   - update_solution, per-restart bookkeeping and SolveStats finalization;
 //   - the final gather.
 // A solver supplies a CycleStep: its private state, one cycle, and its
-// escalation ladder.
+// one hardening action.
 #pragma once
 
 #include <functional>
@@ -58,7 +58,7 @@ struct Cycle {
   bool resilient;          ///< the machine's fault injection is armed
   SolveStats& st;
   SolveHealthMonitor& hm;
-  /// Logs a monitor trip's ladder response (one rung at most).
+  /// Logs a monitor trip's ladder response (the step's harden()).
   const std::function<void(HealthEventKind)>& respond;
 };
 
@@ -67,11 +67,10 @@ struct Cycle {
 /// and are never deleted through this base.
 class CycleStep {
  public:
-  /// The escalation-ladder rungs this solver has.
-  virtual LadderCapabilities capabilities() const { return {}; }
-  /// Whether a rung still changes anything in the current state.
-  virtual bool rung_applicable(EscalationStep) const { return false; }
-  virtual void apply_rung(EscalationStep) {}
+  /// The one-rung escalation ladder: on a monitor trip, switches this
+  /// solver to its hardened setting for the rest of the solve and returns
+  /// that action, or returns kNone when it already runs hardened.
+  virtual EscalationStep harden() { return EscalationStep::kNone; }
 
   /// (Re)builds private distributed state for the partition of `prob`:
   /// once before the first restart and again after every repartition.

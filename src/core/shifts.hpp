@@ -44,8 +44,8 @@ Shifts block_shifts(const Shifts& shifts, int steps);
 /// True when the sequence is a valid real-storage shift train: every entry
 /// with im != 0 belongs to an adjacent (+beta, -beta) pair with matching
 /// real parts. newton_shifts and block_shifts only ever produce consistent
-/// trains; the escalation ladder's kShrinkS rung relies on this when it
-/// shrinks the working block size mid-solve.
+/// trains; CA-GMRES relies on this when a restart's last block is shorter
+/// than s.
 bool shifts_consistent(const Shifts& shifts);
 
 }  // namespace cagmres::core

@@ -38,22 +38,6 @@ std::string to_string(Method m) {
   return "?";
 }
 
-Method more_robust_method(Method m) {
-  switch (m) {
-    case Method::kCholQrMp:
-      return Method::kCholQr;
-    case Method::kCholQr:
-      return Method::kSvqr;
-    case Method::kSvqr:
-      return Method::kCaqr;
-    case Method::kMgs:
-    case Method::kCgs:
-    case Method::kCaqr:
-      return Method::kCaqr;
-  }
-  return Method::kCaqr;
-}
-
 TsqrResult tsqr(sim::Machine& machine, Method method, sim::DistMultiVec& v,
                 int c0, int c1, const TsqrOptions& opts) {
   CAGMRES_REQUIRE(0 <= c0 && c0 < c1 && c1 <= v.cols(),

@@ -33,13 +33,6 @@ enum class Method { kMgs, kCgs, kCholQr, kSvqr, kCaqr, kCholQrMp };
 Method parse_method(const std::string& name);
 std::string to_string(Method m);
 
-/// The escalation ladder's mid-solve downshift (core/health.hpp): the next
-/// more numerically robust TSQR procedure. Chains
-/// cholqr_mp -> cholqr -> svqr -> caqr and mgs/cgs -> caqr; caqr (already
-/// unconditionally stable) maps to itself, which callers use as the
-/// "nothing left to switch to" fixpoint.
-Method more_robust_method(Method m);
-
 /// Knobs for the numerically delicate paths.
 struct TsqrOptions {
   /// SVQR: scale the Gram matrix to unit diagonal before the SVD (paper

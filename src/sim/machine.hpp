@@ -391,7 +391,7 @@ class Machine {
   /// Records a zero-duration marker on the host timeline at the current
   /// simulated time when tracing (no-op otherwise). The numerical health
   /// monitor uses this for trips and escalation-ladder actions
-  /// ("health:stagnation", "health:escalate:shrink_s", ...), mirroring how
+  /// ("health:stagnation", "health:escalate:force_reorth", ...), mirroring how
   /// fault injections are marked on the victim device's timeline.
   void trace_instant(const std::string& name, const std::string& phase);
 

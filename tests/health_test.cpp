@@ -1,10 +1,9 @@
 // Numerical health monitor + escalation ladder tests (core/health.hpp):
-// the deterministic rung walk, each monitor's trip conditions, the
-// byte-identity of solves whose monitors never charge anything, and the
+// each monitor's trip conditions, the one-rung response each solver takes,
+// the byte-identity of solves whose monitors never charge anything, and the
 // acceptance scenarios — a monomial basis pushed past its breaking point
 // converging under the ladder, and a stagnating solve exiting with
 // kDeadlineExceeded instead of hanging.
-#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <optional>
@@ -27,11 +26,9 @@
 namespace cagmres {
 namespace {
 
-using core::EscalationPolicy;
 using core::EscalationStep;
 using core::HealthEventKind;
 using core::HealthOptions;
-using core::LadderCapabilities;
 using core::SolveHealthMonitor;
 using sim::Machine;
 
@@ -128,35 +125,7 @@ std::optional<ErrorCode> solve_error_code(Machine& m, const TestSystem& s,
   return std::nullopt;
 }
 
-// --- policy / engine unit tests --------------------------------------
-
-TEST(EscalationPolicy, WalksRungsInLadderOrderThenExhausts) {
-  LadderCapabilities caps;
-  caps.force_reorth = true;
-  caps.shrink_s = true;
-  caps.rebuild_shifts = true;
-  caps.tsqr_switches = 2;
-  caps.fallback_gmres = true;
-  EscalationPolicy policy(caps);
-  EXPECT_EQ(policy.next(), EscalationStep::kForceReorth);
-  EXPECT_EQ(policy.next(), EscalationStep::kShrinkS);
-  EXPECT_EQ(policy.next(), EscalationStep::kRebuildShifts);
-  EXPECT_EQ(policy.next(), EscalationStep::kSwitchTsqr);
-  EXPECT_EQ(policy.next(), EscalationStep::kSwitchTsqr);
-  EXPECT_FALSE(policy.exhausted());
-  EXPECT_EQ(policy.next(), EscalationStep::kFallbackGmres);
-  EXPECT_TRUE(policy.exhausted());
-  EXPECT_EQ(policy.next(), EscalationStep::kNone);
-  EXPECT_EQ(policy.next(), EscalationStep::kNone);
-}
-
-TEST(EscalationPolicy, GmresLadderIsJustTheOrthSwitch) {
-  LadderCapabilities caps;
-  caps.switch_orth = true;
-  EscalationPolicy policy(caps);
-  EXPECT_EQ(policy.next(), EscalationStep::kSwitchOrth);
-  EXPECT_EQ(policy.next(), EscalationStep::kNone);
-}
+// --- engine unit tests --------------------------------------
 
 TEST(HealthOptions, AnyReflectsEveryMonitor) {
   HealthOptions h;
@@ -179,7 +148,7 @@ TEST(SolveHealthMonitor, FalseConvergenceTrip) {
   Machine m(1);
   HealthOptions h;
   h.monitor_residual_gap = true;
-  SolveHealthMonitor hm(m, h, LadderCapabilities{});
+  SolveHealthMonitor hm(m, h);
   // Recurrence claimed convergence, truth disagrees: must trip even though
   // the gap itself is below the plain gap limit.
   const HealthEventKind trip = hm.check_residual_gap(
@@ -195,7 +164,7 @@ TEST(SolveHealthMonitor, GapTripAndStatsTracking) {
   Machine m(1);
   HealthOptions h;
   h.monitor_residual_gap = true;
-  SolveHealthMonitor hm(m, h, LadderCapabilities{});
+  SolveHealthMonitor hm(m, h);
   // The gap limit is 10: a 9.5x gap clears it, a 10.5x gap trips it.
   EXPECT_EQ(hm.check_residual_gap(9.5, 1.0, false, true, 0, 0),
             HealthEventKind::kNone);
@@ -222,7 +191,7 @@ TEST(SolveHealthMonitor, StagnationAndDivergenceTrips) {
   HealthOptions h;
   h.monitor_stagnation = true;
   {
-    SolveHealthMonitor hm(m, h, LadderCapabilities{});
+    SolveHealthMonitor hm(m, h);
     // Four flat restarts fill the window without judging it...
     for (int r = 0; r < 4; ++r) {
       EXPECT_EQ(hm.check_progress(1.0, r, 0), HealthEventKind::kNone);
@@ -231,7 +200,7 @@ TEST(SolveHealthMonitor, StagnationAndDivergenceTrips) {
     EXPECT_EQ(hm.check_progress(0.91, 4, 0), HealthEventKind::kStagnation);
   }
   {
-    SolveHealthMonitor hm(m, h, LadderCapabilities{});
+    SolveHealthMonitor hm(m, h);
     EXPECT_EQ(hm.check_progress(1.0, 0, 0), HealthEventKind::kNone);
     EXPECT_EQ(hm.check_progress(0.99, 1, 0), HealthEventKind::kNone);
     EXPECT_EQ(hm.check_progress(0.98, 2, 0), HealthEventKind::kNone);
@@ -246,31 +215,29 @@ TEST(SolveHealthMonitor, StagnationAndDivergenceTrips) {
   }
 }
 
-TEST(SolveHealthMonitor, EscalateBurnsInapplicableRungsInOrder) {
+TEST(SolveHealthMonitor, EscalateLogsTheActionOrExhaustion) {
   Machine m(1);
+  m.enable_trace();
   HealthOptions h;
   h.monitor_stagnation = true;
-  LadderCapabilities caps;
-  caps.force_reorth = true;
-  caps.shrink_s = true;
-  caps.fallback_gmres = true;
-  SolveHealthMonitor hm(m, h, caps);
-  // force_reorth is reported not-applicable: the walk must burn it and land
-  // on shrink_s, never revisiting the burnt rung.
-  const auto skip_reorth = [](EscalationStep s) {
-    return s != EscalationStep::kForceReorth;
-  };
-  EXPECT_EQ(hm.escalate(HealthEventKind::kStagnation, 1.0, 0, 0, skip_reorth),
-            EscalationStep::kShrinkS);
-  EXPECT_EQ(hm.escalate(HealthEventKind::kStagnation, 1.0, 9, 0, skip_reorth),
-            EscalationStep::kFallbackGmres);
-  EXPECT_EQ(hm.escalate(HealthEventKind::kStagnation, 1.0, 18, 0, skip_reorth),
-            EscalationStep::kNone);
-  // Events: escalation, escalation, ladder_exhausted.
-  ASSERT_EQ(hm.events().size(), 3u);
-  EXPECT_EQ(hm.events()[0].action, EscalationStep::kShrinkS);
-  EXPECT_EQ(hm.events()[1].action, EscalationStep::kFallbackGmres);
-  EXPECT_EQ(hm.events()[2].kind, HealthEventKind::kLadderExhausted);
+  SolveHealthMonitor hm(m, h);
+  hm.escalate(HealthEventKind::kStagnation, 1.0, 0, 0,
+              EscalationStep::kSwitchOrth);
+  hm.escalate(HealthEventKind::kStagnation, 1.0, 9, 0, EscalationStep::kNone);
+  // Events: the escalation with its action, then the exhaustion.
+  ASSERT_EQ(hm.events().size(), 2u);
+  EXPECT_EQ(hm.events()[0].kind, HealthEventKind::kEscalation);
+  EXPECT_EQ(hm.events()[0].action, EscalationStep::kSwitchOrth);
+  EXPECT_EQ(hm.events()[1].kind, HealthEventKind::kLadderExhausted);
+  EXPECT_EQ(hm.events()[1].action, EscalationStep::kNone);
+  EXPECT_EQ(count_instants(m, "health:escalate:switch_orth"), 1);
+  EXPECT_EQ(count_instants(m, "health:ladder_exhausted"), 1);
+  // The response opened a mute window: a flat series right after restart 9
+  // does not trip again until the window closes.
+  for (int r = 9; r < 13; ++r) {
+    EXPECT_EQ(hm.check_progress(1.0, r, 0), HealthEventKind::kNone);
+  }
+  EXPECT_EQ(hm.check_progress(1.0, 13, 0), HealthEventKind::kStagnation);
 }
 
 TEST(SolveHealthMonitor, ConditionMonitorTripsOnBadRDiagonal) {
@@ -278,7 +245,7 @@ TEST(SolveHealthMonitor, ConditionMonitorTripsOnBadRDiagonal) {
   HealthOptions h;
   h.monitor_condition = true;
   h.condition_sample_every = 0;  // free estimate only
-  SolveHealthMonitor hm(m, h, LadderCapabilities{});
+  SolveHealthMonitor hm(m, h);
   sim::DistMultiVec v({4}, 3);
   blas::DMat r(3, 3);
   r(0, 0) = 1.0;
@@ -473,7 +440,7 @@ TEST(Stagnation, SingularSystemExitsWithDeadlineNotHang) {
   EXPECT_GE(count_instants(machine, "health:ladder_exhausted"), 1);
 }
 
-TEST(Stagnation, CaGmresWalksItsFullLadderThenExits) {
+TEST(Stagnation, CaGmresHardensOnceThenExits) {
   const TestSystem s = make_stagnating_system(64, 2);
   core::SolverOptions opts = base_opts();
   opts.max_restarts = 200;
@@ -482,9 +449,15 @@ TEST(Stagnation, CaGmresWalksItsFullLadderThenExits) {
   machine.enable_trace();
   EXPECT_EQ(solve_error_code(machine, s, opts, /*ca=*/true),
             ErrorCode::kDeadlineExceeded);
-  // The terminal rung (standard-GMRES fallback) must have been reached
-  // before the ladder was declared exhausted.
-  EXPECT_EQ(count_instants(machine, "health:escalate:fallback_gmres"), 1);
+  // CA-GMRES's one rung (forced reorthogonalization) is taken exactly once,
+  // and no other action, before the next stagnation trip finds the ladder
+  // exhausted.
+  EXPECT_EQ(count_instants(machine, "health:escalate:force_reorth"), 1);
+  int escalations = 0;
+  for (const auto& e : machine.trace().events()) {
+    if (e.name.rfind("health:escalate:", 0) == 0) ++escalations;
+  }
+  EXPECT_EQ(escalations, 1);
   EXPECT_GE(count_instants(machine, "health:ladder_exhausted"), 1);
 }
 
@@ -542,19 +515,28 @@ TEST(ResidualGap, DriftedRecurrenceTripsTheGuardInSolve) {
   EXPECT_GT(res.stats.ladder_steps, 0);
   EXPECT_TRUE(res.stats.converged);
   EXPECT_LT(relative_residual(s, res.x), 1e-5);
+  // A later false-convergence claim finds the one rung spent: it logs the
+  // exhaustion and the solve carries on (and converges, above) instead of
+  // aborting.
+  bool false_convergence_exhausted = false;
+  const auto& ev = res.stats.health_events;
+  for (std::size_t i = 1; i < ev.size(); ++i) {
+    if (ev[i].kind == HealthEventKind::kLadderExhausted &&
+        ev[i - 1].kind == HealthEventKind::kFalseConvergence) {
+      false_convergence_exhausted = true;
+    }
+  }
+  EXPECT_TRUE(false_convergence_exhausted);
 }
 
-// --- kShrinkS x Newton interaction -----------------------------------
+// --- a CA solve with no rung ------------------------------------------
 
-TEST(Ladder, ShrinkSPersistsAndNewtonShiftsStayConsistent) {
-  // The Newton basis never breaks CholQR on this system — that is its
-  // whole point — so the shrink is induced through the ladder: with
-  // reorthogonalize already on, the force-reorth rung is unavailable and
-  // the first condition trip goes straight to kShrinkS. At s = 30 even the
-  // Newton block's R diagonal spans > 1e7 (~3e8), past the condition
-  // limit. The shrunk blocks keep clipping the Newton shift train (pair
-  // demotion), which shifts_consistent asserts internally, and nothing
-  // grows s back.
+TEST(Ladder, ReorthogonalizedCaSolveHasNoRungAndConverges) {
+  // With reorthogonalize already on, CA-GMRES runs its hardened setting
+  // from the start and has no rung left. At s = 30 even the Newton block's
+  // R diagonal spans > 1e7 (~3e8), past the condition limit, so the monitor
+  // trips; each trip logs the exhaustion and the solve carries on (a
+  // condition trip never stops a solve) to convergence.
   const TestSystem s = make_hard_system(3);
 
   core::SolverOptions opts;
@@ -563,7 +545,7 @@ TEST(Ladder, ShrinkSPersistsAndNewtonShiftsStayConsistent) {
   opts.tol = 1e-8;
   opts.max_restarts = 400;
   opts.basis = core::Basis::kNewton;
-  opts.reorthogonalize = true;  // burns the force-reorth rung
+  opts.reorthogonalize = true;  // nothing left to harden
   opts.health.monitor_condition = true;
   opts.health.condition_sample_every = 0;  // free estimate only
 
@@ -571,30 +553,25 @@ TEST(Ladder, ShrinkSPersistsAndNewtonShiftsStayConsistent) {
   const core::SolveResult res = core::ca_gmres(machine, s.p, opts);
   EXPECT_TRUE(res.stats.converged);
   EXPECT_LT(relative_residual(s, res.x), 1e-7);
-  // The shrink rung fired...
-  bool shrank = false;
-  for (const auto& e : res.stats.health_events) {
-    if (e.action == EscalationStep::kShrinkS) shrank = true;
+  EXPECT_EQ(res.stats.ladder_steps, 0);
+  // Every condition trip is answered by an exhaustion, never an action.
+  int trips = 0;
+  const auto& ev = res.stats.health_events;
+  for (std::size_t i = 0; i < ev.size(); ++i) {
+    EXPECT_NE(ev[i].kind, HealthEventKind::kEscalation);
+    if (ev[i].kind != HealthEventKind::kConditionTrip) continue;
+    ++trips;
+    ASSERT_LT(i + 1, ev.size());
+    EXPECT_EQ(ev[i + 1].kind, HealthEventKind::kLadderExhausted);
   }
-  EXPECT_TRUE(shrank);
-  // ...some block actually ran shorter than s...
-  const std::vector<int>& sizes = res.stats.block_sizes;
-  const auto first_shrunk = std::find_if(
-      sizes.begin(), sizes.end(), [&](int bs) { return bs < opts.s; });
-  ASSERT_NE(first_shrunk, sizes.end());
-  // ...and the shrink persisted: no later block is larger than that one.
-  for (auto it = first_shrunk + 1; it != sizes.end(); ++it) {
-    EXPECT_LE(*it, *first_shrunk) << "block " << (it - sizes.begin());
-  }
+  EXPECT_GT(trips, 0);
 }
 
-TEST(Ladder, CursorSurvivesCheckpointRollback) {
+TEST(Ladder, HardeningSurvivesCheckpointRollback) {
   // A device kill mid-solve makes the solver repartition, restore the
-  // checkpointed x, and replay the restart — and the replayed cycle trips
-  // the condition monitor all over again. The EscalationPolicy cursor must
-  // NOT rewind with the rollback: rungs already consumed stay consumed, so
-  // the ladder keeps making forward progress instead of re-trying
-  // force-reorth after every fault.
+  // checkpointed x, and replay the restart. The hardening must NOT rewind
+  // with the rollback: the forced reorthogonalization taken before the
+  // fault stays on and stays spent, so it fires at most once per solve.
   const TestSystem s = make_hard_system(3, /*grid=*/40);
 
   core::SolverOptions opts;
@@ -630,38 +607,17 @@ TEST(Ladder, CursorSurvivesCheckpointRollback) {
   // ...and the ladder still acted (the same trips as the fault-free run).
   EXPECT_GT(res.stats.ladder_steps, 0);
 
-  // Pin the cursor semantics: single-shot rungs fire at most once across
-  // the whole solve (rollback included), and the action sequence never
-  // steps back down the ladder.
-  auto rung_index = [](EscalationStep a) {
-    switch (a) {
-      case EscalationStep::kForceReorth: return 0;
-      case EscalationStep::kShrinkS: return 1;
-      case EscalationStep::kRebuildShifts: return 2;
-      case EscalationStep::kSwitchTsqr: return 3;
-      case EscalationStep::kSwitchOrth: return 4;
-      case EscalationStep::kFallbackGmres: return 5;
-      case EscalationStep::kNone: return 6;
-    }
-    return 6;
-  };
-  int n_force_reorth = 0, n_shrink = 0, n_rebuild = 0, n_fallback = 0;
-  int last_rung = -1;
+  // Pin the one-shot semantics: the only action is the forced
+  // reorthogonalization, and it fires at most once across the whole solve,
+  // rollback included.
+  int n_force_reorth = 0;
   for (const auto& e : res.stats.health_events) {
     if (e.kind != HealthEventKind::kEscalation) continue;
-    n_force_reorth += e.action == EscalationStep::kForceReorth;
-    n_shrink += e.action == EscalationStep::kShrinkS;
-    n_rebuild += e.action == EscalationStep::kRebuildShifts;
-    n_fallback += e.action == EscalationStep::kFallbackGmres;
-    EXPECT_GE(rung_index(e.action), last_rung)
-        << "ladder stepped backwards after the rollback: "
+    EXPECT_EQ(e.action, EscalationStep::kForceReorth)
         << core::to_string(e.action);
-    last_rung = rung_index(e.action);
+    n_force_reorth += e.action == EscalationStep::kForceReorth;
   }
   EXPECT_LE(n_force_reorth, 1);
-  EXPECT_LE(n_shrink, 1);
-  EXPECT_LE(n_rebuild, 1);
-  EXPECT_LE(n_fallback, 1);
 }
 
 }  // namespace

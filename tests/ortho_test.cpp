@@ -444,15 +444,6 @@ TEST(Metrics, ChargedConditionNumberMatchesFreeAndChargesTime) {
   EXPECT_GT(m.clock().elapsed(), before);  // honest simulated cost
 }
 
-TEST(Tsqr, MoreRobustMethodChainsTowardCaqr) {
-  EXPECT_EQ(more_robust_method(Method::kCholQrMp), Method::kCholQr);
-  EXPECT_EQ(more_robust_method(Method::kCholQr), Method::kSvqr);
-  EXPECT_EQ(more_robust_method(Method::kSvqr), Method::kCaqr);
-  EXPECT_EQ(more_robust_method(Method::kMgs), Method::kCaqr);
-  EXPECT_EQ(more_robust_method(Method::kCgs), Method::kCaqr);
-  EXPECT_EQ(more_robust_method(Method::kCaqr), Method::kCaqr);  // fixpoint
-}
-
 TEST(HierReduce, OneInterNodeMessagePerNodeAndTwoLevelFoldOrder) {
   // A bare reduction of 8 partials on a 2x4 machine: node 1 folds on its
   // leader and ships exactly one inter-node message (node 0 hosts the
