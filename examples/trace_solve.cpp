@@ -43,9 +43,9 @@ int main(int argc, char** argv) {
            "partial trace); --max_restarts caps the work");
   opts.add("precond", "",
            "right-preconditioner spec: ilu (block ILU(0), DESIGN.md §15); "
-           "empty or \"none\" runs unpreconditioned. The trisolve "
-           "levels show up as extra kSpmvCsr kernels inside the "
-           "\"precond\" phase rows of the trace");
+           "empty or \"none\" runs unpreconditioned. Each apply shows "
+           "up as two kSpmvCsr kernels per device (the L and U solves) "
+           "inside the \"precond\" phase rows of the trace");
   if (!opts.parse(argc, argv)) return 0;
 
   const sparse::CsrMatrix a = sparse::make_cant_like(0.5);
@@ -104,8 +104,10 @@ int main(int argc, char** argv) {
 
   // With --precond, the per-phase split shows where the preconditioner's
   // charged time went: "precond_setup" is the one-time symbolic + numeric
-  // factorization, "precond" is the level-scheduled trisolves riding every
-  // basis vector. Both phases also label their slices in the trace.
+  // factorization, "precond" is the sync-free trisolves riding every basis
+  // vector. Both phases also label their slices in the trace. The levels
+  // printed are the factors' dependency depths, which each trisolve kernel
+  // waits through.
   if (pspec.armed()) {
     const auto& ps = handle.stats();
     std::printf("precond %s: %d symbolic + %d numeric builds, "

@@ -20,10 +20,9 @@
 #               The precond section gates on the ILU(0) subsystem earning
 #               its keep: on every shape whose unpreconditioned run
 #               exhausted the iteration budget, the ILU row must converge
-#               with strictly fewer iterations; at least one capped shape
-#               must exist at all, and on at least one of them the ILU row
-#               must also charge a lower total (setup + solve) than the
-#               capped run.
+#               with strictly fewer iterations and charge a lower total
+#               (setup + solve) than the capped run; at least one capped
+#               shape must exist at all.
 #               A JSON missing a section (e.g. an older baseline written
 #               before that section existed) only warns; the remaining
 #               gates still run.
@@ -155,7 +154,6 @@ by_matrix = {}
 for row in pre:
     by_matrix.setdefault(row["matrix"], {})[row["precond"]] = row
 capped = 0
-rescued = 0
 for matrix, rows in by_matrix.items():
     none = rows.get("none")
     if none is None:
@@ -166,10 +164,12 @@ for matrix, rows in by_matrix.items():
     if none["converged"]:
         continue
     # This shape exhausted its unpreconditioned iteration budget: some ILU
-    # row must converge it with strictly fewer iterations. Charged total is
-    # allowed to lose per shape (deep level schedules price each
-    # preconditioned iteration up), but at least ONE capped shape across
-    # the section must also win on total — see the `rescued` check below.
+    # row must converge it with strictly fewer iterations, and the
+    # cheapest such row must charge a lower total. Each trisolve is one
+    # kernel per factor whose dependency wait is priced per level at a
+    # memory round-trip pair, not a launch, so even cant's ~290-level
+    # factors no longer price a preconditioned iteration above what the
+    # saved iterations pay back.
     capped += 1
     winners = [
         r for r in ilus
@@ -185,27 +185,25 @@ for matrix, rows in by_matrix.items():
             )
         )
     best = min(winners, key=lambda r: r["total_sim_seconds"])
-    cheaper = best["total_sim_seconds"] < none["total_sim_seconds"]
-    if cheaper:
-        rescued += 1
+    summary = (
+        f"{best['precond']} converges in {best['iterations']} (setup "
+        f"{best['setup_sim_seconds']:.6f}s + solve "
+        f"{best['solve_sim_seconds']:.6f}s = {best['total_sim_seconds']:.6f}s "
+        f"vs {none['total_sim_seconds']:.6f}s)"
+    )
+    if best["total_sim_seconds"] >= none["total_sim_seconds"]:
+        sys.exit(
+            f"compare: ILU converges the capped shape {matrix} but charges "
+            f"no less in total: {summary}"
+        )
     print(
         f"compare OK: {matrix} capped at {none['iterations']} iterations "
-        f"unpreconditioned; {best['precond']} converges in "
-        f"{best['iterations']} (setup {best['setup_sim_seconds']:.6f}s + "
-        f"solve {best['solve_sim_seconds']:.6f}s = "
-        f"{best['total_sim_seconds']:.6f}s vs "
-        f"{none['total_sim_seconds']:.6f}s"
-        f"{', cheaper' if cheaper else ', dearer per-shape'})"
+        f"unpreconditioned; {summary}"
     )
 if pre and capped == 0:
     sys.exit(
         "compare: precond section has no budget-capped unpreconditioned "
         "shape — the ILU gate never engaged"
-    )
-if pre and capped > 0 and rescued == 0:
-    sys.exit(
-        "compare: ILU converged every capped shape but never beat the "
-        "unpreconditioned charged total on any of them"
     )
 EOF
 fi

@@ -110,8 +110,9 @@ echo
 echo "== chaos gate: 64-schedule multi-node campaign, preconditioned drivers =="
 # Widen the alternation with the right-preconditioned ILU drivers
 # (--precond): kills and corrupt storms land inside preconditioner setup
-# and the level-scheduled trisolves, and the handle's post-repartition
-# rebuilds must keep same-seed replays bit-identical.
+# and the trisolves (one kernel per factor, whose NaN latch poisons the
+# device's whole output), and the handle's post-repartition rebuilds must
+# keep same-seed replays bit-identical.
 ./build/tools/chaos --schedules=64 --seed=7 --nodes=2 \
   --precond=ilu
 

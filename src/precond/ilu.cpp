@@ -9,14 +9,15 @@ namespace cagmres::precond {
 
 namespace {
 
-/// Builds the level schedule of one triangular factor: a row's level is one
-/// past the maximum level of its in-factor dependencies. `forward` walks
-/// rows ascending (L); otherwise descending (U, whose dependencies sit
-/// below the diagonal's row in the sweep order).
-LevelSchedule build_schedule(int n, const std::vector<std::int64_t>& ptr,
-                             const std::vector<int>& idx, bool forward) {
+/// Depth of one triangular factor's dependency chain: a row's level is
+/// one past the deepest level among its in-factor dependencies, and the
+/// depth is the level count (0 for an empty block). `forward` walks rows
+/// ascending (L); otherwise descending (U, whose dependencies are higher
+/// rows).
+int chain_depth(int n, const std::vector<std::int64_t>& ptr,
+                const std::vector<int>& idx, bool forward) {
   std::vector<int> lvl(static_cast<std::size_t>(n), 0);
-  int max_lvl = -1;
+  int depth = 0;
   for (int step = 0; step < n; ++step) {
     const int i = forward ? step : n - 1 - step;
     int l = 0;
@@ -25,31 +26,9 @@ LevelSchedule build_schedule(int n, const std::vector<std::int64_t>& ptr,
       l = std::max(l, lvl[static_cast<std::size_t>(idx[static_cast<std::size_t>(p)])] + 1);
     }
     lvl[static_cast<std::size_t>(i)] = l;
-    max_lvl = std::max(max_lvl, l);
+    depth = std::max(depth, l + 1);
   }
-  LevelSchedule s;
-  const int levels = n > 0 ? max_lvl + 1 : 0;
-  s.level_ptr.assign(static_cast<std::size_t>(levels) + 1, 0);
-  for (int i = 0; i < n; ++i) {
-    ++s.level_ptr[static_cast<std::size_t>(lvl[static_cast<std::size_t>(i)]) + 1];
-  }
-  for (int l = 0; l < levels; ++l) {
-    s.level_ptr[static_cast<std::size_t>(l) + 1] +=
-        s.level_ptr[static_cast<std::size_t>(l)];
-  }
-  s.order.resize(static_cast<std::size_t>(n));
-  std::vector<int> at(s.level_ptr.begin(), s.level_ptr.end() - 1);
-  for (int i = 0; i < n; ++i) {  // ascending i => ascending within a level
-    s.order[static_cast<std::size_t>(at[static_cast<std::size_t>(
-        lvl[static_cast<std::size_t>(i)])]++)] = i;
-  }
-  s.level_nnz.assign(static_cast<std::size_t>(levels), 0.0);
-  for (int i = 0; i < n; ++i) {
-    s.level_nnz[static_cast<std::size_t>(lvl[static_cast<std::size_t>(i)])] +=
-        static_cast<double>(ptr[static_cast<std::size_t>(i) + 1] -
-                            ptr[static_cast<std::size_t>(i)]);
-  }
-  return s;
+  return depth;
 }
 
 }  // namespace
@@ -89,8 +68,17 @@ void ilu_symbolic(const sparse::CsrMatrix& a, int row0, int row1,
   f.l_val.assign(f.l_idx.size(), 0.0);
   f.u_val.assign(f.u_idx.size(), 0.0);
   f.inv_diag.assign(static_cast<std::size_t>(n), 1.0);
-  f.l_sched = build_schedule(n, f.l_ptr, f.l_idx, /*forward=*/true);
-  f.u_sched = build_schedule(n, f.u_ptr, f.u_idx, /*forward=*/false);
+  // Per factor nonzero 2 flops and 20 bytes (value, index, gathered x);
+  // per row L streams in and out (16 bytes) and U also reads the inverted
+  // diagonal (1 flop, 24 bytes); each kernel re-arms the other factor's
+  // 4-byte dependency counters for the next apply.
+  const double rows = n;
+  const auto l_nnz = static_cast<double>(f.l_idx.size());
+  const auto u_nnz = static_cast<double>(f.u_idx.size());
+  f.l_solve = {chain_depth(n, f.l_ptr, f.l_idx, /*forward=*/true),
+               2.0 * l_nnz, 20.0 * l_nnz + 16.0 * rows + 4.0 * rows};
+  f.u_solve = {chain_depth(n, f.u_ptr, f.u_idx, /*forward=*/false),
+               2.0 * u_nnz + rows, 20.0 * u_nnz + 24.0 * rows + 4.0 * rows};
   f.pivot_fallbacks = 0;
   f.numeric_flops = 0.0;
 }

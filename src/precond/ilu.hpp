@@ -6,10 +6,9 @@
 // [row0, row1) enter M, so M^{-1} applies with zero communication and the
 // s-step MPK dependency structure of A survives unchanged.
 //
-// The symbolic phase takes A's block-local pattern (no fill) and computes
-// the level sets that make the triangular solves parallel: within one
-// level every row's in-factor dependencies are already done, so the
-// solver charges one kernel per level (precond/trisolve.hpp).
+// The symbolic phase takes A's block-local pattern (no fill) and fixes
+// what each sync-free triangular solve charges (precond/trisolve.hpp): its
+// flop and byte totals and the depth of its dependency chain.
 #pragma once
 
 #include <cstdint>
@@ -19,26 +18,18 @@
 
 namespace cagmres::precond {
 
-/// Parallel schedule of one triangular factor: `order` lists the rows
-/// level-major (ascending within a level), `level_ptr` delimits levels.
-/// Rows inside one level are mutually independent.
-struct LevelSchedule {
-  std::vector<int> level_ptr;  ///< size levels() + 1, indexes into order
-  std::vector<int> order;      ///< local rows in level-major order
-  std::vector<double> level_nnz;  ///< factor nonzeros per level (charge size)
-
-  int levels() const { return static_cast<int>(level_ptr.size()) - 1; }
-  int level_rows(int l) const {
-    return level_ptr[static_cast<std::size_t>(l) + 1] -
-           level_ptr[static_cast<std::size_t>(l)];
-  }
+/// What one factor's sync-free solve kernel charges, fixed by the pattern.
+struct TrisolveCharge {
+  int depth = 0;       ///< longest dependency chain in rows (level count)
+  double flops = 0.0;
+  double bytes = 0.0;  ///< includes re-arming the other factor's counters
 };
 
 /// One device block's ILU(0) factor A_local ~= L U in local row indices
 /// (local row i = global row row0 + i). L is strictly lower triangular
 /// with an implicit unit diagonal; U is strictly upper triangular with the
 /// diagonal held inverted in inv_diag (the solve multiplies, never
-/// divides). The pattern (ptr/idx, schedules) is the cached symbolic
+/// divides). The pattern (ptr/idx, solve charges) is the cached symbolic
 /// state; ilu_numeric refreshes only vals/inv_diag.
 struct DeviceFactor {
   int row0 = 0;  ///< first global row of the block
@@ -52,8 +43,8 @@ struct DeviceFactor {
   std::vector<double> u_val;
   std::vector<double> inv_diag;  ///< 1 / u_ii per local row
 
-  LevelSchedule l_sched;  ///< forward (L) schedule
-  LevelSchedule u_sched;  ///< backward (U) schedule
+  TrisolveCharge l_solve;  ///< forward (L) kernel
+  TrisolveCharge u_solve;  ///< backward (U) kernel
 
   int pivot_fallbacks = 0;     ///< tiny pivots replaced by 1 (last numeric)
   double numeric_flops = 0.0;  ///< flop count of the last numeric phase
@@ -66,7 +57,7 @@ struct DeviceFactor {
 
 /// Symbolic ILU(0): takes the pattern of the block-local rows [row0, row1)
 /// of the prepared matrix `a` (couplings outside the block are dropped)
-/// and computes both level schedules. Values are left unset — call
+/// and computes both solve charges. Values are left unset — call
 /// ilu_numeric.
 void ilu_symbolic(const sparse::CsrMatrix& a, int row0, int row1,
                   DeviceFactor& f);

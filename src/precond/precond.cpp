@@ -54,8 +54,8 @@ DeviceFactor* PrecondHandle::factor_for(sim::Machine& m,
   ilu_symbolic(a, row0, row1, *f);
   ++stats_.symbolic_builds;
   const double fill = static_cast<double>(f->fill_nnz());
-  // Symbolic analysis is host-side graph work: the pattern scan and level
-  // schedules touch index data proportional to the fill.
+  // Symbolic analysis is host-side graph work: the pattern scan and the
+  // dependency depths touch index data proportional to the fill.
   m.charge_host(sim::Kernel::kSmall, fill, 12.0 * fill);
   ilu_numeric(a, *f);
   ++stats_.numeric_builds;
@@ -72,8 +72,8 @@ void PrecondHandle::refresh_aggregate_stats() {
   for (const DeviceFactor* f : active_) {
     stats_.pivot_fallbacks += f->pivot_fallbacks;
     stats_.fill_nnz += f->fill_nnz();
-    stats_.max_levels_l = std::max(stats_.max_levels_l, f->l_sched.levels());
-    stats_.max_levels_u = std::max(stats_.max_levels_u, f->u_sched.levels());
+    stats_.max_levels_l = std::max(stats_.max_levels_l, f->l_solve.depth);
+    stats_.max_levels_u = std::max(stats_.max_levels_u, f->u_solve.depth);
   }
 }
 
@@ -152,7 +152,7 @@ void PrecondHandle::apply(sim::Machine& m, const sim::DistMultiVec& in,
     const DeviceFactor& f = *active_[static_cast<std::size_t>(d)];
     CAGMRES_REQUIRE(in.local_rows(d) == f.n() && out.local_rows(d) == f.n(),
                     "precond: multivector rows do not match the factor");
-    level_trisolve(m, d, f, in.col(d, incol), out.col(d, outcol));
+    trisolve(m, d, f, in.col(d, incol), out.col(d, outcol));
   }
   ++stats_.applies;
 }

@@ -7,7 +7,8 @@
 // A M^{-1} u = b, so the Arnoldi residual is the TRUE residual and x is
 // recovered by one extra M^{-1} apply inside the solution update. The
 // apply is block-local per device (no communication), charged through
-// PerfModel one kernel per triangular level (precond/trisolve.hpp).
+// PerfModel as one sync-free kernel per triangular factor
+// (precond/trisolve.hpp).
 #pragma once
 
 #include <cstdint>
@@ -50,8 +51,8 @@ struct PrecondStats {
   std::int64_t applies = 0;  ///< M^{-1} applications
   int pivot_fallbacks = 0;   ///< tiny pivots replaced by 1 (active factors)
   std::int64_t fill_nnz = 0; ///< total factor nonzeros (active factors)
-  int max_levels_l = 0;      ///< deepest L schedule among active factors
-  int max_levels_u = 0;      ///< deepest U schedule among active factors
+  int max_levels_l = 0;      ///< deepest L dependency chain, active factors
+  int max_levels_u = 0;      ///< deepest U dependency chain, active factors
   double setup_seconds = 0.0;  ///< simulated seconds charged to setup
 };
 
@@ -79,7 +80,7 @@ class PrecondHandle {
   void rebuild(sim::Machine& m, const sparse::CsrMatrix& a,
                const std::vector<int>& offsets);
 
-  /// out[:, outcol] = M^{-1} in[:, incol], device-local level-scheduled
+  /// out[:, outcol] = M^{-1} in[:, incol], device-local sync-free
   /// trisolves under phase "precond". in and out may be the same
   /// multivector (and the same column). Both must match the build split.
   void apply(sim::Machine& m, const sim::DistMultiVec& in, int incol,

@@ -36,8 +36,8 @@ namespace cagmres::sim {
 /// Which solver a run drives (the campaign alternates by schedule index).
 /// The kPrecond* variants run the same solvers right-preconditioned with a
 /// fresh ILU(0) PrecondHandle per run (ChaosConfig::precond), so kills and
-/// corrupt storms land inside preconditioner setup and the level-scheduled
-/// trisolves as well as the solver proper.
+/// corrupt storms land inside preconditioner setup and the trisolve kernels
+/// as well as the solver proper.
 enum class ChaosSolver { kCaGmres, kGmres, kPrecondCaGmres, kPrecondGmres };
 std::string to_string(ChaosSolver s);
 /// Inverse of to_string, plus the short alias "ca".

@@ -307,10 +307,11 @@ void Machine::trace_instant(const std::string& name,
   if (tracing_) trace_.record_instant(-1, clock_.elapsed(), name, phase);
 }
 
-void Machine::charge_device(int d, Kernel k, double flops, double bytes) {
+void Machine::charge_device(int d, Kernel k, double flops, double bytes,
+                            double wait_s) {
   const int p = physical_device(d);
   if (faults_.armed()) poll_faults_kernel(d, p);
-  const double t = model_.device_seconds(k, flops, bytes);
+  const double t = model_.device_seconds(k, flops, bytes) + wait_s;
   clock_.device_advance(p, t);
   dev_busy_[static_cast<std::size_t>(p)] += t;
   if (tracing_) {

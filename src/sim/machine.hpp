@@ -197,7 +197,10 @@ class Machine {
   PhaseTimers& phases() { return phases_; }
 
   /// Charges a kernel of the given class to device d's timeline.
-  void charge_device(int d, Kernel k, double flops, double bytes);
+  /// `wait_s` is in-kernel dependency wait added to the modeled time (the
+  /// sync-free trisolve's critical path, precond/trisolve.hpp).
+  void charge_device(int d, Kernel k, double flops, double bytes,
+                     double wait_s = 0.0);
 
   /// Charges host-side work.
   void charge_host(Kernel k, double flops, double bytes);

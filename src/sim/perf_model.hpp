@@ -55,6 +55,15 @@ struct PerfModel {
 
   // --- device (calibrated to the paper's Fig. 11 M2090 measurements) ---
   double kernel_launch_s = 7e-6;       ///< per kernel launch
+  /// Per-level dependency wait inside one sync-free triangular solve
+  /// kernel (DESIGN.md §15): a row whose producer sits one level up waits
+  /// for two dependent global-memory round trips, the producer's fenced
+  /// counter store and then its own poll plus the read of x_j. The CUDA C
+  /// Programming Guide (v4.x, Performance Guidelines, "Multiprocessor
+  /// Level") puts an off-chip access on compute capability 2.x at 400-800
+  /// clock cycles, 0.3-0.6 us at the M2090's 1.3 GHz shader clock: ~0.5 us
+  /// per round trip, ~1 us per level.
+  double sptrsv_level_s = 1e-6;
   double dev_mem_bw = 170e9;           ///< B/s streaming (M2090 ~177 peak)
   double gemm_peak_std = 25e9;         ///< CUBLAS 4.2 tall-skinny DGEMM
   double gemm_peak_opt = 140e9;        ///< batched DGEMM (~110 GF/s effective)

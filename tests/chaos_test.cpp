@@ -11,6 +11,7 @@
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
 #include "core/solver_common.hpp"
+#include "precond/precond.hpp"
 #include "sim/chaos.hpp"
 #include "sim/fault.hpp"
 #include "sim/machine.hpp"
@@ -347,7 +348,7 @@ TEST(ChaosReplay, SolverNamesParseAndUnknownOnesAreRejected) {
 TEST(ChaosPrecond, CampaignWithIluDriversIsViolationFree) {
   // An armed precond spec widens the slim roster to {ca, precond_ca}: half
   // the schedules chaos the right-preconditioned driver — kills and NaN
-  // storms land inside ILU setup and the level-scheduled trisolves — and
+  // storms land inside ILU setup and the trisolve kernels — and
   // the full oracle (sanctioned terminal state, true-residual check on
   // convergence claims, same-seed replay bit-identity across the handle's
   // repartition rebuilds, zero-fault baseline bytes) must stay clean.
@@ -379,6 +380,35 @@ TEST(ChaosPrecond, KillAndCorruptStormSurvivePreconditionedRuns) {
   // The preconditioned GMRES variant holds up under the same schedule.
   const auto two = r.run_one(s, ChaosSolver::kPrecondGmres, 0);
   EXPECT_TRUE(two.violation.empty()) << two.violation;
+
+  // The kill must land inside each solve, not after it converged: rerun
+  // both on machines the test can inspect, with the runner's problem and
+  // options (its elapsed time pins the mirror to the runner's run).
+  const sparse::CsrMatrix a =
+      sparse::make_laplace2d(cfg.nx, cfg.ny, 0.1, 0.02);
+  const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
+  const auto p = core::make_problem(a, b, cfg.n_devices,
+                                    graph::Ordering::kNatural, true, 1);
+  for (const auto& [ca, run] :
+       {std::pair{true, &one}, std::pair{false, &two}}) {
+    auto solve = [&](Machine& m) {
+      precond::PrecondHandle handle(precond::parse_precond_spec(cfg.precond));
+      core::SolverOptions opts;
+      opts.m = cfg.m;
+      opts.s = cfg.s;
+      opts.tol = cfg.tol;
+      opts.max_restarts = cfg.max_restarts;
+      opts.precond = &handle;
+      return ca ? core::ca_gmres(m, p, opts) : core::gmres(m, p, opts);
+    };
+    Machine clean(cfg.n_devices);
+    solve(clean);
+    Machine machine(cfg.n_devices);
+    s.arm(machine.fault_injector());
+    solve(machine);
+    EXPECT_EQ(machine.clock().elapsed(), run->elapsed) << "ca=" << ca;
+    EXPECT_TRUE(test::kill_landed_mid_solve(machine, clean)) << "ca=" << ca;
+  }
 }
 
 TEST(ChaosPrecond, EmptySpecKeepsRosterAndBytesUnchanged) {

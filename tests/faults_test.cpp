@@ -25,6 +25,7 @@
 
 #include "codec_tol.hpp"
 #include "kill_probe.hpp"
+#include "trace_probe.hpp"
 
 namespace cagmres {
 namespace {
@@ -596,22 +597,6 @@ TEST(KernelNan, CaGmresScrubsAndConverges) {
   EXPECT_LT(relative_residual(s, res.x), 1e-5);
 }
 
-/// 1-based op-counter index (FaultEvent::at_op) of the first kernel named
-/// `name` charged to physical device `dev` under `phase`, read off a traced
-/// run: every charged kernel and transfer of a device is one interval on
-/// its timeline, and markers ("event:record", "fault:nan", ...) carry a ':'
-/// and are not ops. Returns -1 when there is no such kernel.
-std::int64_t op_index_of(const sim::Trace& trace, int dev,
-                         const std::string& name, const std::string& phase) {
-  std::int64_t op = 0;
-  for (const sim::TraceEvent& e : trace.events()) {
-    if (e.device != dev || e.name.find(':') != std::string::npos) continue;
-    ++op;
-    if (e.name == name && e.phase == phase) return op;
-  }
-  return -1;
-}
-
 TEST(KernelNan, PoisonedGramBreakdownIsReplayedNotFatal) {
   // A NaN landing in the Gram kernel itself makes CholQR throw kBreakdown
   // (no shift can fix a NaN Gram) before the post-TSQR scrub runs; the
@@ -630,7 +615,8 @@ TEST(KernelNan, PoisonedGramBreakdownIsReplayedNotFatal) {
   sim::parse_fault_spec("nan:d0@op=1000000000", probe.fault_injector());
   const core::SolveResult probed = core::ca_gmres(probe, s.p, base_opts());
   ASSERT_EQ(probed.x, ref.x);
-  const std::int64_t gram_op = op_index_of(probe.trace(), 0, "gemm", "tsqr");
+  const std::int64_t gram_op =
+      test::op_index_of(probe.trace(), 0, "gemm", "tsqr");
   ASSERT_GT(gram_op, 0);
 
   Machine machine(3);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,8 @@
 
 #include "blas/blas1.hpp"
 #include "codec_tol.hpp"
+#include "kill_probe.hpp"
+#include "trace_probe.hpp"
 #include "common/error.hpp"
 #include "core/cagmres.hpp"
 #include "core/gmres.hpp"
@@ -27,7 +30,6 @@ namespace cagmres::core {
 namespace {
 
 using precond::DeviceFactor;
-using precond::LevelSchedule;
 using precond::PrecondHandle;
 using precond::PrecondKind;
 using precond::PrecondSpec;
@@ -35,16 +37,30 @@ using precond::parse_precond_spec;
 using test::codec_tol;
 using sparse::CsrMatrix;
 
-/// Row -> level map of a schedule (-1 when a row never appears).
-std::vector<int> level_of(const LevelSchedule& s, int n) {
-  std::vector<int> lvl(static_cast<std::size_t>(n), -1);
-  for (int l = 0; l < s.levels(); ++l) {
-    for (int k = s.level_ptr[static_cast<std::size_t>(l)];
-         k < s.level_ptr[static_cast<std::size_t>(l) + 1]; ++k) {
-      lvl[static_cast<std::size_t>(s.order[static_cast<std::size_t>(k)])] = l;
+/// The level sets of one triangular factor, found as wavefronts: level 0
+/// holds the rows with no in-factor dependency, and each later level the
+/// rows (ascending) whose dependencies all sit in earlier levels. This is
+/// the per-level schedule the sync-free kernel replaced, kept here as the
+/// bitwise oracle's row order and the depth's definition.
+std::vector<std::vector<int>> wavefronts(const std::vector<std::int64_t>& ptr,
+                                         const std::vector<int>& idx, int n) {
+  std::vector<char> done(static_cast<std::size_t>(n), 0);
+  std::vector<std::vector<int>> levels;
+  for (int left = n; left > 0;) {
+    std::vector<int> ready;
+    for (int i = 0; i < n; ++i) {
+      const auto u = static_cast<std::size_t>(i);
+      bool ok = !done[u];
+      for (auto p = ptr[u]; ok && p < ptr[u + 1]; ++p) {
+        ok = done[static_cast<std::size_t>(idx[static_cast<std::size_t>(p)])];
+      }
+      if (ok) ready.push_back(i);
     }
+    for (const int i : ready) done[static_cast<std::size_t>(i)] = 1;
+    left -= static_cast<int>(ready.size());
+    levels.push_back(std::move(ready));
   }
-  return lvl;
+  return levels;
 }
 
 /// Dense M(i, j) of the factored block: M = (I + L) * (D + U) with
@@ -113,28 +129,12 @@ std::vector<double> test_vector(int n, double phase) {
   return v;
 }
 
-bool contains(const std::vector<int>& v, int x) {
-  return std::find(v.begin(), v.end(), x) != v.end();
-}
-
-/// The rows of level l of `s`, in schedule order.
-std::vector<int> rows_of(const LevelSchedule& s, int l) {
-  const auto lo = static_cast<std::size_t>(l);
-  return {s.order.begin() + s.level_ptr[lo],
-          s.order.begin() + s.level_ptr[lo + 1]};
-}
-
-/// Reference for level_trisolve, in place on a copy of `in`: every level
-/// is its own loop, as if it ran as its own kernel, and the rows of the
-/// levels listed in `l_hit`/`u_hit` are NaN-poisoned right after that
-/// level is computed.
+/// Per-level reference for precond::trisolve, in place on a copy of `in`:
+/// every level of each factor is its own loop, as if it ran as its own
+/// kernel behind a grid-wide barrier.
 std::vector<double> reference_trisolve(const DeviceFactor& f,
-                                       std::vector<double> x,
-                                       const std::vector<int>& l_hit = {},
-                                       const std::vector<int>& u_hit = {}) {
-  const double nan = std::nan("");
-  for (int l = 0; l < f.l_sched.levels(); ++l) {
-    const std::vector<int> rows = rows_of(f.l_sched, l);
+                                       std::vector<double> x) {
+  for (const std::vector<int>& rows : wavefronts(f.l_ptr, f.l_idx, f.n())) {
     for (const int r : rows) {
       const auto i = static_cast<std::size_t>(r);
       double acc = x[i];
@@ -144,12 +144,8 @@ std::vector<double> reference_trisolve(const DeviceFactor& f,
       }
       x[i] = acc;
     }
-    if (contains(l_hit, l)) {
-      for (const int r : rows) x[static_cast<std::size_t>(r)] = nan;
-    }
   }
-  for (int l = 0; l < f.u_sched.levels(); ++l) {
-    const std::vector<int> rows = rows_of(f.u_sched, l);
+  for (const std::vector<int>& rows : wavefronts(f.u_ptr, f.u_idx, f.n())) {
     for (const int r : rows) {
       const auto i = static_cast<std::size_t>(r);
       double acc = x[i];
@@ -159,11 +155,16 @@ std::vector<double> reference_trisolve(const DeviceFactor& f,
       }
       x[i] = acc * f.inv_diag[i];
     }
-    if (contains(u_hit, l)) {
-      for (const int r : rows) x[static_cast<std::size_t>(r)] = nan;
-    }
   }
   return x;
+}
+
+/// Seconds one kSpmvCsr-class kernel of `bytes` charges under `pm`, plus
+/// `wait` seconds of in-kernel dependency wait.
+double csr_kernel_seconds(const sim::PerfModel& pm, double bytes,
+                          double wait) {
+  return pm.kernel_launch_s + sim::kCsrUncoalesced * bytes / pm.spmv_bw +
+         wait;
 }
 
 /// Bit-for-bit equality of two vectors (operator== calls -0.0 and 0.0
@@ -197,31 +198,31 @@ TEST(IluFactor, IluZeroIsExactOnTridiagonal) {
   }
 }
 
-TEST(IluFactor, LevelScheduleRespectsDependencies) {
-  const sparse::CsrMatrix a = sparse::make_laplace2d(11, 9, 0.3, 0.1);
-  const int n = a.n_rows;
-  DeviceFactor f;
-  precond::ilu_symbolic(a, 0, n, f);
-  // ILU(0) keeps exactly A's pattern (the generator emits the diagonal).
-  EXPECT_EQ(f.fill_nnz(), a.nnz());
-  const std::vector<int> ll = level_of(f.l_sched, n);
-  const std::vector<int> lu = level_of(f.u_sched, n);
-  for (int i = 0; i < n; ++i) {
-    ASSERT_GE(ll[static_cast<std::size_t>(i)], 0);  // every row scheduled
-    ASSERT_GE(lu[static_cast<std::size_t>(i)], 0);
-    // The forward sweep reads out[j] for every j in L's row i: j must have
-    // been finished in a strictly earlier level. Mirrored for U (deps are
-    // higher-numbered rows, swept backwards).
-    for (auto k = f.l_ptr[static_cast<std::size_t>(i)];
-         k < f.l_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      const int j = f.l_idx[static_cast<std::size_t>(k)];
-      EXPECT_LT(ll[static_cast<std::size_t>(j)], ll[static_cast<std::size_t>(i)]);
-    }
-    for (auto k = f.u_ptr[static_cast<std::size_t>(i)];
-         k < f.u_ptr[static_cast<std::size_t>(i) + 1]; ++k) {
-      const int j = f.u_idx[static_cast<std::size_t>(k)];
-      EXPECT_LT(lu[static_cast<std::size_t>(j)], lu[static_cast<std::size_t>(i)]);
-    }
+TEST(IluFactor, DepthIsTheLongestDependencyChain) {
+  // The recorded depth is the factor's critical path: a tridiagonal of n
+  // rows is one chain of n rows in each triangle, a natural-order nx x ny
+  // grid's longest chain runs corner to corner through nx + ny - 1 rows,
+  // and independent blocks take the depth of the deepest one.
+  const CsrMatrix tri = sparse::make_laplace2d(18, 1, 0.2, 0.3);
+  const CsrMatrix grid = sparse::make_laplace2d(11, 9, 0.3, 0.1);
+  const CsrMatrix parts = block_diagonal(
+      {sparse::make_laplace2d(8, 6, 0.3, 0.1),
+       sparse::make_laplace2d(4, 3, 0.2, 0.4)},
+      5);
+  const CsrMatrix singles = block_diagonal({}, 7);
+  for (const auto& [a, depth] :
+       {std::pair{&tri, 18}, std::pair{&grid, 19}, std::pair{&parts, 13},
+        std::pair{&singles, 1}}) {
+    DeviceFactor f;
+    precond::ilu_symbolic(*a, 0, a->n_rows, f);
+    // ILU(0) keeps exactly A's pattern (the generators emit the diagonal).
+    EXPECT_EQ(f.fill_nnz(), a->nnz());
+    EXPECT_EQ(f.l_solve.depth, depth) << "n=" << a->n_rows;
+    EXPECT_EQ(f.u_solve.depth, depth) << "n=" << a->n_rows;
+    EXPECT_EQ(static_cast<int>(wavefronts(f.l_ptr, f.l_idx, f.n()).size()),
+              depth);
+    EXPECT_EQ(static_cast<int>(wavefronts(f.u_ptr, f.u_idx, f.n()).size()),
+              depth);
   }
 }
 
@@ -243,21 +244,17 @@ TEST(IluFactor, TinyPivotFallsBackAndIsCounted) {
 }
 
 TEST(Trisolve, OneHostPassMatchesPerLevelReference) {
-  // level_trisolve charges one kernel per level but computes the whole
-  // apply in one host pass per device; the result must be bitwise the
+  // trisolve charges one kernel per factor and computes the whole apply in
+  // one natural-order host pass per device; the result must be bitwise the
   // per-level reference. Two factors: a laplace2d block, and 1100
-  // independent 3x2 grids whose level 0 is 1100 rows wide, past the
-  // 1024 rows at which a level used to run OpenMP-parallel.
+  // independent 3x2 grids whose level 0 is 1100 rows wide.
   const CsrMatrix lap = sparse::make_laplace2d(11, 9, 0.3, 0.1);
   const CsrMatrix wide = block_diagonal(std::vector<CsrMatrix>(
       1100, sparse::make_laplace2d(3, 2, 0.2, 0.4)));
   const DeviceFactor f_lap = factor_of(lap);
   const DeviceFactor f_wide = factor_of(wide);
-  int widest = 0;
-  for (int l = 0; l < f_wide.l_sched.levels(); ++l) {
-    widest = std::max(widest, f_wide.l_sched.level_rows(l));
-  }
-  ASSERT_GT(widest, 1 << 10);
+  ASSERT_GT(wavefronts(f_wide.l_ptr, f_wide.l_idx, f_wide.n())[0].size(),
+            std::size_t{1} << 10);
 
   for (const int workers : {0, 2}) {
     for (const DeviceFactor* f : {&f_lap, &f_wide}) {
@@ -265,113 +262,125 @@ TEST(Trisolve, OneHostPassMatchesPerLevelReference) {
       m.set_host_workers(workers);
       const std::vector<double> in0 = test_vector(f->n(), 0.5);
       const std::vector<double> in1 = test_vector(f->n(), 1.5);
-      const std::int64_t kernels = f->l_sched.levels() + f->u_sched.levels();
       // Device 0 out of place, device 1 in place (out == in), both in
       // flight on their streams before the barrier.
       std::vector<double> out0(in0.size(), 0.0);
       std::vector<double> buf1 = in1;
-      precond::level_trisolve(m, 0, *f, in0.data(), out0.data());
-      precond::level_trisolve(m, 1, *f, buf1.data(), buf1.data());
+      precond::trisolve(m, 0, *f, in0.data(), out0.data());
+      precond::trisolve(m, 1, *f, buf1.data(), buf1.data());
       m.sync();
       EXPECT_TRUE(bitwise_equal(out0, reference_trisolve(*f, in0)))
           << "workers=" << workers << " n=" << f->n();
       EXPECT_TRUE(bitwise_equal(buf1, reference_trisolve(*f, in1)))
           << "in place, workers=" << workers << " n=" << f->n();
-      // One apply charges exactly one kernel per L level plus per U level.
-      EXPECT_EQ(m.counters().dev_kernels[0], kernels);
-      EXPECT_EQ(m.counters().dev_kernels[1], kernels);
+
+      // One kernel per factor. L: 2 flops and 20 bytes per nonzero, 16
+      // bytes per row, 4 more re-arming U's counters; U: also 1 flop and 8
+      // bytes per row for the inverted diagonal. Each waits one
+      // sptrsv_level_s per level past its first.
+      const sim::PerfModel& pm = m.perf();
+      const double n = f->n();
+      const double l_nnz = static_cast<double>(f->l_idx.size());
+      const double u_nnz = static_cast<double>(f->u_idx.size());
+      const double l_levels = static_cast<double>(
+          wavefronts(f->l_ptr, f->l_idx, f->n()).size());
+      const double u_levels = static_cast<double>(
+          wavefronts(f->u_ptr, f->u_idx, f->n()).size());
+      const double seconds =
+          csr_kernel_seconds(pm, 20.0 * l_nnz + 20.0 * n,
+                             (l_levels - 1.0) * pm.sptrsv_level_s) +
+          csr_kernel_seconds(pm, 20.0 * u_nnz + 28.0 * n,
+                             (u_levels - 1.0) * pm.sptrsv_level_s);
+      for (const int d : {0, 1}) {
+        EXPECT_EQ(m.counters().dev_kernels[static_cast<std::size_t>(d)], 2);
+        EXPECT_NEAR(m.device_busy(d), seconds, 1e-12 * seconds);
+        EXPECT_EQ(m.counters().dev_flops[static_cast<std::size_t>(d)],
+                  2.0 * l_nnz + 2.0 * u_nnz + n);
+      }
     }
   }
 }
 
-TEST(Trisolve, InjectedNanPoisonsHitLevelAndDependentsOnly) {
-  // Three independent parts of different depth: an 8x6 grid (13 L and 13 U
-  // levels), a 4x3 grid (6 each) and 5 isolated rows (level 0 only). An
-  // injected NaN on L level 9 lands on grid rows only; one on U level 3
-  // poisons both grids' level-3 rows and their dependents, leaving the
-  // small grid's U levels 0-2 and the isolated rows finite.
+TEST(Trisolve, LaunchPricedLevelWaitReproducesPerLevelCharge) {
+  // With the level wait priced at a full launch, the sync-free kernel
+  // charges what one kernel per level did (launch plus 2 flops and 20
+  // bytes per nonzero and 16/24 bytes per row of that level), plus only
+  // the counter re-arm traffic the per-level kernels never needed.
   const CsrMatrix a = block_diagonal(
       {sparse::make_laplace2d(8, 6, 0.3, 0.1),
        sparse::make_laplace2d(4, 3, 0.2, 0.4)},
       5);
   const DeviceFactor f = factor_of(a);
-  const int n = f.n();
-  ASSERT_EQ(f.l_sched.levels(), 13);
-  ASSERT_EQ(f.u_sched.levels(), 13);
-  const int l_hit = 9;
-  const int u_hit = 3;
-  // A fresh device's op counter numbers its charged kernels from 1, and
-  // level_trisolve charges every L level before the U levels.
-  const std::string spec =
-      "nan:d0@op=" + std::to_string(l_hit + 1) +
-      ";nan:d0@op=" + std::to_string(f.l_sched.levels() + u_hit + 1);
-
-  // Structural expectation: the hit level's rows, plus every row that
-  // reads a NaN row through L (forward) or U (backward).
-  std::vector<char> poisoned(static_cast<std::size_t>(n), 0);
-  const std::vector<int> ll = level_of(f.l_sched, n);
-  const std::vector<int> lu = level_of(f.u_sched, n);
-  for (const int k : f.l_sched.order) {
-    const auto i = static_cast<std::size_t>(k);
-    bool bad = ll[i] == l_hit;
-    for (auto p = f.l_ptr[i]; p < f.l_ptr[i + 1]; ++p) {
-      const auto j = f.l_idx[static_cast<std::size_t>(p)];
-      bad = bad || poisoned[static_cast<std::size_t>(j)];
+  sim::Machine m(1);
+  sim::PerfModel& pm = m.perf();
+  pm.sptrsv_level_s = pm.kernel_launch_s;
+  double per_level = 0.0;
+  for (const auto& [ptr, idx, row_bytes] :
+       {std::tuple{&f.l_ptr, &f.l_idx, 16.0},
+        std::tuple{&f.u_ptr, &f.u_idx, 24.0}}) {
+    for (const std::vector<int>& rows : wavefronts(*ptr, *idx, f.n())) {
+      double nnz = 0.0;
+      for (const int r : rows) {
+        const auto i = static_cast<std::size_t>(r);
+        nnz += static_cast<double>((*ptr)[i + 1] - (*ptr)[i]);
+      }
+      per_level += csr_kernel_seconds(
+          pm, 20.0 * nnz + row_bytes * static_cast<double>(rows.size()), 0.0);
     }
-    poisoned[i] = bad;
   }
-  for (const int k : f.u_sched.order) {
-    const auto i = static_cast<std::size_t>(k);
-    bool bad = poisoned[i] || lu[i] == u_hit;
-    for (auto p = f.u_ptr[i]; p < f.u_ptr[i + 1]; ++p) {
-      const auto j = f.u_idx[static_cast<std::size_t>(p)];
-      bad = bad || poisoned[static_cast<std::size_t>(j)];
-    }
-    poisoned[i] = bad;
-  }
+  // Each kernel re-arms the other's 4-byte per-row counters.
+  const double rearm = sim::kCsrUncoalesced * (2.0 * 4.0 * f.n()) / pm.spmv_bw;
+  std::vector<double> x = test_vector(f.n(), 0.75);
+  precond::trisolve(m, 0, f, x.data(), x.data());
+  m.sync();
+  EXPECT_NEAR(m.device_busy(0), per_level + rearm, 1e-12);
+  EXPECT_EQ(m.counters().dev_kernels[0], 2);
+}
 
-  const std::vector<double> in = test_vector(n, 0.25);
-  const std::vector<double> ref = reference_trisolve(f, in, {l_hit}, {u_hit});
+TEST(Trisolve, InjectedNanPoisonsTheHitDevicesOutputOnly) {
+  // Each factor kernel consumes one NaN latch, and both write every row of
+  // their device, so a NaN on device d's L kernel (its op 1) or U kernel
+  // (op 2) poisons all of d's output and nothing on the other device. A
+  // second apply in flight behind it on the same stream stays clean.
+  const CsrMatrix a = block_diagonal(
+      {sparse::make_laplace2d(8, 6, 0.3, 0.1),
+       sparse::make_laplace2d(4, 3, 0.2, 0.4)},
+      5);
+  const DeviceFactor f = factor_of(a);
+  const std::vector<double> in = test_vector(f.n(), 0.25);
   const std::vector<double> clean = reference_trisolve(f, in);
-  int n_nan = 0;
-  for (int i = 0; i < n; ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    ASSERT_EQ(std::isnan(ref[u]), poisoned[u] != 0) << "row " << i;
-    n_nan += poisoned[u];
-  }
-  ASSERT_GT(n_nan, 0);
-  ASSERT_LT(n_nan, n - 5);  // the isolated rows and part of the 4x3 grid
-  for (int i = n - 5; i < n; ++i) {
-    ASSERT_FALSE(poisoned[static_cast<std::size_t>(i)]);
-  }
-
   for (const int workers : {0, 2}) {
-    sim::Machine m(1);
-    m.set_host_workers(workers);
-    sim::parse_fault_spec(spec, m.fault_injector());
-    const std::int64_t consumed = m.kernel_faults_consumed();
-    // Two applies in flight on one stream: the first takes both hits, the
-    // second none, so each closure must carry its own hit levels.
-    std::vector<double> hit(in.size(), 0.0);
-    std::vector<double> next(in.size(), 0.0);
-    precond::level_trisolve(m, 0, f, in.data(), hit.data());
-    precond::level_trisolve(m, 0, f, in.data(), next.data());
-    m.sync();
-    // One consumed fault per hit level, as in the reference.
-    EXPECT_EQ(m.kernel_faults_consumed() - consumed, 2)
-        << "workers=" << workers;
-    for (int i = 0; i < n; ++i) {
-      const auto u = static_cast<std::size_t>(i);
-      ASSERT_EQ(std::isnan(hit[u]), std::isnan(ref[u]))
-          << "row " << i << " workers=" << workers;
-      if (!std::isnan(ref[u])) {
-        ASSERT_EQ(std::bit_cast<std::uint64_t>(hit[u]),
-                  std::bit_cast<std::uint64_t>(ref[u]))
-            << "row " << i << " workers=" << workers;
-        ASSERT_TRUE(std::isfinite(hit[u])) << "row " << i;
+    for (const int hit_dev : {0, 1}) {
+      for (const int op : {1, 2}) {
+        sim::Machine m(2);
+        m.set_host_workers(workers);
+        sim::parse_fault_spec(
+            "nan:d" + std::to_string(hit_dev) + "@op=" + std::to_string(op),
+            m.fault_injector());
+        std::vector<std::vector<double>> first(2), second(2);
+        for (const int d : {0, 1}) {
+          first[static_cast<std::size_t>(d)].assign(in.size(), 0.0);
+          second[static_cast<std::size_t>(d)].assign(in.size(), 0.0);
+          precond::trisolve(m, d, f, in.data(),
+                            first[static_cast<std::size_t>(d)].data());
+          precond::trisolve(m, d, f, in.data(),
+                            second[static_cast<std::size_t>(d)].data());
+        }
+        m.sync();
+        const std::string where = "workers=" + std::to_string(workers) +
+                                  " d=" + std::to_string(hit_dev) +
+                                  " op=" + std::to_string(op);
+        EXPECT_EQ(m.kernel_faults_consumed(), 1) << where;
+        for (const double v : first[static_cast<std::size_t>(hit_dev)]) {
+          ASSERT_TRUE(std::isnan(v)) << where;
+        }
+        EXPECT_TRUE(bitwise_equal(first[static_cast<std::size_t>(1 - hit_dev)],
+                                  clean))
+            << where;
+        EXPECT_TRUE(bitwise_equal(second[0], clean)) << where;
+        EXPECT_TRUE(bitwise_equal(second[1], clean)) << where;
       }
     }
-    EXPECT_TRUE(bitwise_equal(next, clean)) << "workers=" << workers;
   }
 }
 
@@ -542,7 +551,9 @@ TEST(IluPrecond, BitwiseIdenticalUnderInjectedKernelNan) {
   // observable when the two orders produce different bytes (an injected
   // NaN makes them wildly different). generate_by_spmv now stages one
   // column per step; a NaN-poisoned run must be bit-identical across
-  // worker counts, like any other run.
+  // worker counts, like any other run. The NaN is scheduled on device 3's
+  // first trisolve kernel, located on a traced run armed with an event that
+  // never fires (an armed machine also charges the cycle checkpoints).
   const sparse::CsrMatrix a = sparse::make_laplace2d(24, 24, 0.1, 0.02);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
   const int ng = 4;
@@ -553,19 +564,43 @@ TEST(IluPrecond, BitwiseIdenticalUnderInjectedKernelNan) {
   opts.tol = codec_tol(1e-6, 1e-4);
   opts.max_restarts = 400;
   const PrecondSpec spec = parse_precond_spec("ilu");
+  auto solve = [&](sim::Machine& m, const std::string& faults, int workers) {
+    m.set_topology(2, 2);
+    m.set_host_workers(workers);
+    m.enable_trace();
+    sim::parse_fault_spec(faults, m.fault_injector());
+    PrecondHandle handle(spec);
+    SolverOptions popts = opts;
+    popts.precond = &handle;
+    return ca_gmres(m, p, popts);
+  };
+  sim::Machine probe(ng);
+  solve(probe, "nan:d3@op=1000000000", 0);
+  const std::int64_t op =
+      test::op_index_of(probe.trace(), 3, "spmv_csr", "precond");
+  ASSERT_GT(op, 0);
 
   std::vector<double> x0;
   std::vector<double> hist0;
   bool first = true;
   for (const int workers : {0, 2}) {
     sim::Machine m(ng);
-    m.set_topology(2, 2);
-    m.set_host_workers(workers);
-    sim::parse_fault_spec("nan:d3@op=335", m.fault_injector());
-    PrecondHandle handle(spec);
-    SolverOptions popts = opts;
-    popts.precond = &handle;
-    const SolveResult r = ca_gmres(m, p, popts);
+    const SolveResult r = solve(m, "nan:d3@op=" + std::to_string(op), workers);
+    ASSERT_EQ(m.fault_injector().log().size(), 1u);
+    EXPECT_EQ(m.fault_injector().log()[0].op, op);
+    // The poisoned op is a trisolve: the first device-3 op after the
+    // marker is a precond-phase CSR kernel.
+    const auto& ev = m.trace().events();
+    std::size_t i = 0;
+    while (i < ev.size() && ev[i].name != "fault:nan") ++i;
+    ASSERT_LT(i, ev.size());
+    while (i < ev.size() &&
+           (ev[i].device != 3 || ev[i].name.find(':') != std::string::npos)) {
+      ++i;
+    }
+    ASSERT_LT(i, ev.size());
+    EXPECT_EQ(ev[i].name, "spmv_csr");
+    EXPECT_EQ(ev[i].phase, "precond");
     ASSERT_TRUE(r.stats.converged);
     EXPECT_GE(r.stats.recovery.blocks_replayed, 1);
     if (first) {
@@ -639,7 +674,8 @@ TEST(IluPrecond, RebuildRefactorsOnlyChangedRanges) {
 TEST(IluPrecond, DeviceKillRepartitionsRebuildsAndConverges) {
   // A permanent device loss mid-solve: the recovery path must repartition,
   // rebuild the handle for the survivors' ranges, and still converge on
-  // the original system.
+  // the original system. Device 1's op 200 lands a little before halfway
+  // through the solve without the kill.
   const sparse::CsrMatrix a = sparse::make_laplace2d(20, 20, 0.1, 0.05);
   const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
   const Problem p = make_problem(a, b, 3, graph::Ordering::kNatural, false, 1);
@@ -648,12 +684,19 @@ TEST(IluPrecond, DeviceKillRepartitionsRebuildsAndConverges) {
   opts.tol = 1e-7;
   opts.max_restarts = 300;
 
+  PrecondHandle clean_handle(parse_precond_spec("ilu"));
+  SolverOptions copts = opts;
+  copts.precond = &clean_handle;
+  sim::Machine clean(3);
+  ASSERT_TRUE(gmres(clean, p, copts).stats.converged);
+
   PrecondHandle handle(parse_precond_spec("ilu"));
   SolverOptions popts = opts;
   popts.precond = &handle;
   sim::Machine machine(3);
-  sim::parse_fault_spec("kill:d1@op=400", machine.fault_injector());
+  sim::parse_fault_spec("kill:d1@op=200", machine.fault_injector());
   const SolveResult res = gmres(machine, p, popts);
+  EXPECT_TRUE(test::kill_landed_mid_solve(machine, clean));
   EXPECT_TRUE(res.stats.converged);
   EXPECT_EQ(machine.n_devices(), 2);
   EXPECT_EQ(res.stats.recovery.repartitions, 1);

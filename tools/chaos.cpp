@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   opts.add("precond", "",
            "preconditioner spec (ilu = block ILU(0)): widen the alternation "
            "with right-preconditioned drivers so faults land in precond "
-           "setup and the level-scheduled trisolves too");
+           "setup and the trisolve kernels too");
   opts.add("deadline-factor", "50",
            "watchdog deadline as a multiple of the fault-free baseline");
   opts.add("minimize", "1", "delta-debug violations to minimal reproducers");
