@@ -3,6 +3,8 @@
 // and SpMV in both formats. These measure THIS machine, not the paper's —
 // they exist to keep the reference kernels honest (vectorization, layout)
 // and to catch performance regressions in the library itself.
+#include <cmath>
+
 #include <benchmark/benchmark.h>
 
 #include "blas/blas1.hpp"
@@ -82,6 +84,48 @@ void BM_GemmTN_BorthShape(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2ll * rows * m * n);
 }
 BENCHMARK(BM_GemmTN_BorthShape)->Arg(16)->Arg(61)->Arg(106);
+
+// The BOrth panel update V_new -= Q C (Trans::N x Trans::N) on the same
+// device block: 2667 rows, a 16-column block against an m-column basis.
+// Items are flops.
+void BM_GemmNN_PanelUpdate(benchmark::State& state) {
+  const int rows = 2667, n = 16, k = static_cast<int>(state.range(0));
+  const auto q = random_vec(static_cast<std::size_t>(rows) * k, 11);
+  const auto c = random_vec(static_cast<std::size_t>(k) * n, 12);
+  auto v = random_vec(static_cast<std::size_t>(rows) * n, 13);
+  for (auto _ : state) {
+    blas::gemm(blas::Trans::N, blas::Trans::N, rows, n, k, -1.0, q.data(),
+               rows, c.data(), k, 1.0, v.data(), rows);
+    benchmark::DoNotOptimize(v.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2ll * rows * n * k);
+}
+BENCHMARK(BM_GemmNN_PanelUpdate)->Arg(15)->Arg(61)->Arg(106);
+
+// The CholQR solve Q = V R^{-1} on one device block: 2667 x 16. R has a
+// diagonal in [1, 2], and V is restored every 8 solves (an amortized 1/8
+// copy per solve) so that repeated solves never reach subnormals. Items
+// are flops.
+void BM_Trsm_CholQr(benchmark::State& state) {
+  const int rows = 2667, n = 16;
+  const auto v0 = random_vec(static_cast<std::size_t>(rows) * n, 14);
+  auto r = random_vec(static_cast<std::size_t>(n) * n, 15);
+  for (int j = 0; j < n; ++j) {
+    for (int i = 0; i < n; ++i) {
+      double& e = r[static_cast<std::size_t>(j) * n + i];
+      e = i < j ? 0.1 * e : i == j ? 1.5 + 0.25 * std::tanh(e) : 0.0;
+    }
+  }
+  auto v = v0;
+  int solves = 0;
+  for (auto _ : state) {
+    if (++solves % 8 == 0) v = v0;
+    blas::trsm_right_upper(rows, n, r.data(), n, v.data(), rows);
+    benchmark::DoNotOptimize(v.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 1ll * rows * n * n);
+}
+BENCHMARK(BM_Trsm_CholQr);
 
 void BM_Gram_TallSkinny(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

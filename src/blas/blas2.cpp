@@ -25,9 +25,13 @@ void gemv_n(int m, int n, double alpha, const double* a, int lda,
 void gemv_t(int m, int n, double alpha, const double* a, int lda,
             const double* x, double beta, double* y) {
   // The n = 1 case of the T,N dot tiles: each y(j) is a serial dot product
-  // of column j with x, so the result is thread-count independent.
+  // of column j with x, so the result is thread-count independent. Its
+  // tiles are scalar chains at any vector width, and the AVX2 build packs
+  // them into shuffles that measured 1.4x slower, so gemv_t always runs
+  // the baseline build (DESIGN.md §17).
   const std::unique_ptr<double[]> acc(new double[n]);
-  dot_tiles(n, 1, m, a, lda, Trans::N, x, m, false, acc.get(), n);
+  detail::variants().front().dot_tiles(n, 1, m, a, lda, Trans::N, x, m, false,
+                                       acc.get(), n);
   for (int j = 0; j < n; ++j) {
     y[j] = alpha * acc[j] + (beta == 0.0 ? 0.0 : beta * y[j]);
   }

@@ -1,6 +1,8 @@
 // Level-3 dense kernels on column-major storage.
 #pragma once
 
+#include <span>
+
 namespace cagmres::blas {
 
 /// Transpose selector for gemm operands.
@@ -35,5 +37,23 @@ void trsm_right_upper(int m, int n, const double* r, int ldr, double* b,
 /// reconstructing V = Q*R in error metrics and tests).
 void trmm_right_upper(int m, int n, const double* r, int ldr, double* b,
                       int ldb);
+
+namespace detail {
+
+/// One instruction-set build of the vector kernels above (DESIGN.md §17).
+/// Every build computes bitwise the same results.
+struct Kernels {
+  const char* isa;
+  decltype(&blas::dot_tiles) dot_tiles;
+  decltype(&blas::gemm) gemm;
+  decltype(&blas::syrk_tn) syrk_tn;
+  decltype(&blas::trsm_right_upper) trsm_right_upper;
+};
+
+/// The builds this CPU can run, baseline first. The public entry points
+/// use the last (widest) one; tests call each.
+std::span<const Kernels> variants();
+
+}  // namespace detail
 
 }  // namespace cagmres::blas

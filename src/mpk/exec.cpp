@@ -19,19 +19,6 @@ void poison(double* p, int n) {
   for (int i = 0; i < n; ++i) p[i] = nan;
 }
 
-/// Consumer side of the multi-node halo split: bytes of device d's external slice
-/// owned by devices on d's own node — those arrive over the intra-node
-/// link; the rest keeps the host (+network) route.
-double node_local_ext_bytes(const sim::Machine& m, int d,
-                            const std::vector<int>& ext_owner) {
-  const int myn = m.node_of(d);
-  double bytes = 0.0;
-  for (const int o : ext_owner) {
-    if (m.node_of(o) == myn) bytes += 8.0;
-  }
-  return bytes;
-}
-
 /// Step k's (1-based) shift: v_k = (A - theta I) v_{k-1} (+ beta2 v_{k-2}
 /// on the second member of a complex conjugate pair).
 struct StepShift {
@@ -89,6 +76,7 @@ void MpkExecutor::build_node_split(const sim::Machine& m) {
   const int ng = plan.n_devices();
   send_local_bytes_.assign(static_cast<std::size_t>(ng), 0.0);
   send_cross_bytes_.assign(static_cast<std::size_t>(ng), 0.0);
+  recv_local_bytes_.assign(static_cast<std::size_t>(ng), 0.0);
   // Distinct owned rows each sender ships to same-node vs off-node readers
   // (2-bit marks per owned row; a row read from both sides goes in both
   // messages). Walking every consumer's ext list once is O(plan size).
@@ -105,6 +93,7 @@ void MpkExecutor::build_node_split(const sim::Machine& m) {
       const int o = dp.ext_owner[e];
       const auto r = static_cast<std::size_t>(dp.ext_owner_row[e]);
       const char side = (m.node_of(o) == myn) ? 1 : 2;
+      if (side == 1) recv_local_bytes_[static_cast<std::size_t>(d)] += 8.0;
       char& mk = mark[static_cast<std::size_t>(o)][r];
       if ((mk & side) == 0) {
         mk = static_cast<char>(mk | side);
@@ -201,7 +190,7 @@ void MpkExecutor::exchange(sim::Machine& m, const sim::DistMultiVec& v,
     }
     m.charge_host(sim::Kernel::kCopy, 0.0, 16.0 * next);
     if (hier) {
-      const double local = node_local_ext_bytes(m, d, dp.ext_owner);
+      const double local = recv_local_bytes_[static_cast<std::size_t>(d)];
       if (local > 0.0) m.h2d_node(d, sim::wire_bytes(cd, local / 8.0), local);
       if (8.0 * next > local) {
         m.h2d(d, sim::wire_bytes(cd, next - local / 8.0), 8.0 * next - local);

@@ -112,8 +112,8 @@ class MpkExecutor {
   void exchange(sim::Machine& machine, const sim::DistMultiVec& v, int c0,
                 int slot);
 
-  /// Rebuilds the per-sender node split (send_local_bytes_ /
-  /// send_cross_bytes_) if the machine's topology changed since the last
+  /// Rebuilds the node split (send_local_bytes_, send_cross_bytes_,
+  /// recv_local_bytes_) if the machine's topology changed since the last
   /// exchange. No-op on a flat machine.
   void build_node_split(const sim::Machine& machine);
 
@@ -131,6 +131,10 @@ class MpkExecutor {
   // A row read from both sides counts in both — two honest messages.
   std::vector<double> send_local_bytes_;
   std::vector<double> send_cross_bytes_;
+  // Consumer side: bytes of device d's external slice owned by devices on
+  // d's own node, summed in ext_owner order. Those arrive over the
+  // intra-node link; the rest keeps the host (+network) route.
+  std::vector<double> recv_local_bytes_;
   int split_nodes_ = 0;  ///< topology key the split was built for
   int split_gpn_ = 0;
 };

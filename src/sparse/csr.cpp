@@ -43,8 +43,7 @@ double CsrMatrix::at(int i, int j) const {
 void spmv(const CsrMatrix& a, const double* x, double* y) {
   // Rows are independent; per-row accumulation is serial, so the result is
   // bitwise identical for any thread count.
-#pragma omp parallel for schedule(static) if (a.n_rows > 1 << 13)
-  for (int i = 0; i < a.n_rows; ++i) {
+  const auto row = [&](int i) {
     double acc = 0.0;
     const auto lo = a.row_ptr[static_cast<std::size_t>(i)];
     const auto hi = a.row_ptr[static_cast<std::size_t>(i) + 1];
@@ -53,6 +52,13 @@ void spmv(const CsrMatrix& a, const double* x, double* y) {
              x[a.col_idx[static_cast<std::size_t>(k)]];
     }
     y[i] = acc;
+  };
+  // Serial below the threshold (see the ELL spmv).
+  if (a.n_rows > kSpmvParallelRows) {
+#pragma omp parallel for schedule(static)
+    for (int i = 0; i < a.n_rows; ++i) row(i);
+  } else {
+    for (int i = 0; i < a.n_rows; ++i) row(i);
   }
 }
 

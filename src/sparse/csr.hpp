@@ -36,8 +36,11 @@ struct CsrMatrix {
   double at(int i, int j) const;
 };
 
-/// y := A x (serial reference SpMV).
+/// y := A x, each row summed serially in storage order.
 void spmv(const CsrMatrix& a, const double* x, double* y);
+
+/// Rows above which spmv (CSR and ELL) splits its rows over OpenMP threads.
+constexpr int kSpmvParallelRows = 1 << 13;
 
 /// y := A^T x.
 void spmv_transpose(const CsrMatrix& a, const double* x, double* y);

@@ -36,10 +36,9 @@ EllMatrix to_ell(const CsrMatrix& a) {
 }
 
 void spmv(const EllMatrix& a, const double* x, double* y) {
-  // Parallelize over rows; each thread walks its rows' slots serially, so
-  // the per-row accumulation order (and hence the result) is fixed.
-#pragma omp parallel for schedule(static) if (a.n_rows > 1 << 13)
-  for (int i = 0; i < a.n_rows; ++i) {
+  // Each row walks its slots serially, so the per-row accumulation order
+  // (and hence the result) is fixed for any thread count.
+  const auto row = [&](int i) {
     double acc = 0.0;
     for (int k = 0; k < a.width; ++k) {
       const std::size_t slot =
@@ -47,6 +46,14 @@ void spmv(const EllMatrix& a, const double* x, double* y) {
       acc += a.vals[slot] * x[a.col_idx[slot]];
     }
     y[i] = acc;
+  };
+  // A branch, not `omp parallel for if (...)`: libgomp starts a one-thread
+  // team even when the `if` is false, and the serial branch skips that.
+  if (a.n_rows > kSpmvParallelRows) {
+#pragma omp parallel for schedule(static)
+    for (int i = 0; i < a.n_rows; ++i) row(i);
+  } else {
+    for (int i = 0; i < a.n_rows; ++i) row(i);
   }
 }
 

@@ -331,7 +331,8 @@ TEST(Blas3, BlockedTransposedBPathsAreBitIdenticalToNaive) {
 // terms one at a time in p order from 0.0, then alpha/beta are applied with
 // the documented expressions. Check that bitwise over a grid of tile tails
 // (m, n mod 4), p-block boundaries (k around 1024), padded leading
-// dimensions, every alpha/beta branch, and a NaN/Inf input.
+// dimensions, every alpha/beta branch, and a NaN/Inf input, for every
+// instruction-set build of the kernels this CPU runs (baseline included).
 TEST(Blas3, DotTilesAreBitIdenticalToNaive) {
   const int sizes[] = {1, 2, 3, 4, 5, 7, 15, 16, 17, 121};
   const int depths[] = {0, 1, 3, 1023, 1024, 1025, 2667};
@@ -390,15 +391,17 @@ TEST(Blas3, DotTilesAreBitIdenticalToNaive) {
             if (alpha != 0.0 && k != 0) w += alpha * sab[j * wmax + i];
           }
         }
-        std::vector<double> tn = c0, tt = c0;
-        gemm(Trans::T, Trans::N, m, n, k, alpha, a.data(), lda, b.data(), ldb,
-             beta, tn.data(), ldc);
-        gemm(Trans::T, Trans::T, m, n, k, alpha, a.data(), lda, bt.data(),
-             ldbt, beta, tt.data(), ldc);
-        EXPECT_TRUE(bit_identical(tn, want)) << "T,N m=" << m << " n=" << n
-                                             << " k=" << k;
-        EXPECT_TRUE(bit_identical(tt, want)) << "T,T m=" << m << " n=" << n
-                                             << " k=" << k;
+        for (const detail::Kernels& kv : detail::variants()) {
+          std::vector<double> tn = c0, tt = c0;
+          kv.gemm(Trans::T, Trans::N, m, n, k, alpha, a.data(), lda, b.data(),
+                  ldb, beta, tn.data(), ldc);
+          kv.gemm(Trans::T, Trans::T, m, n, k, alpha, a.data(), lda,
+                  bt.data(), ldbt, beta, tt.data(), ldc);
+          EXPECT_TRUE(bit_identical(tn, want))
+              << kv.isa << " T,N m=" << m << " n=" << n << " k=" << k;
+          EXPECT_TRUE(bit_identical(tt, want))
+              << kv.isa << " T,T m=" << m << " n=" << n << " k=" << k;
+        }
       }
       // gemv_t: y = alpha * A(:, 0:m)^T x + beta * y with x = B(:, 0).
       const double alpha = alphas[combo % 3], beta = betas[combo / 3 % 3];
@@ -411,23 +414,186 @@ TEST(Blas3, DotTilesAreBitIdenticalToNaive) {
       gemv_t(k, m, alpha, a.data(), lda, b.data(), beta, y.data());
       EXPECT_TRUE(bit_identical(y, want)) << "gemv_t n=" << m << " k=" << k;
 
-      // syrk_tn over the first m columns of A, both triangles.
-      std::vector<double> c(static_cast<std::size_t>(m + 1) * m, -7.0);
-      std::vector<double> gram = c;
+      // syrk_tn over the first m columns of A, both triangles, and the
+      // single-column dot tiles under gemv_t (x = B(:, 0)).
+      std::vector<double> gram(static_cast<std::size_t>(m + 1) * m, -7.0);
+      const std::vector<double> c0 = gram;
       for (int j = 0; j < m; ++j) {
         for (int i = 0; i < m; ++i) {
           gram[std::size_t(j) * (m + 1) + i] =
               saa[std::max(i, j) * wmax + std::min(i, j)];
         }
       }
-      syrk_tn(k, m, a.data(), lda, c.data(), m + 1);
-      EXPECT_TRUE(bit_identical(c, gram)) << "syrk_tn n=" << m << " k=" << k;
+      const std::vector<double> col(sab.begin(), sab.begin() + m);
+      for (const detail::Kernels& kv : detail::variants()) {
+        std::vector<double> c = c0, acc(m);
+        kv.syrk_tn(k, m, a.data(), lda, c.data(), m + 1);
+        EXPECT_TRUE(bit_identical(c, gram))
+            << kv.isa << " syrk_tn n=" << m << " k=" << k;
+        kv.dot_tiles(m, 1, k, a.data(), lda, Trans::N, b.data(), ldb, false,
+                     acc.data(), m);
+        EXPECT_TRUE(bit_identical(acc, col))
+            << kv.isa << " dot_tiles n=1 m=" << m << " k=" << k;
+      }
     }
   };
   for (int k : depths) check_depth(k, -1, -1);
   // NaN in A's column 2 (second p-block) and +Inf in B's column 1 reach the
   // same entries as in the naive loop.
   check_depth(1025, 1024, 3);
+}
+
+// The baseline build is always available and listed first, so every
+// variant test below exercises it even on a host with wider vectors.
+TEST(Blas3, KernelVariantsStartWithBaseline) {
+  ASSERT_FALSE(detail::variants().empty());
+  EXPECT_STREQ(detail::variants()[0].isa, "baseline");
+}
+
+// The register-tiled panel update under gemm(N,N) and gemm(N,T) keeps the
+// naive j/p/i loop's operation sequence: every entry starts from beta * C
+// (or 0, or C) and adds alpha * op(B)(p,j) * A(i,p) one term at a time in
+// p order. Check that bitwise over row-tile tails (m mod 8), column-tile
+// tails (n mod 4), k across kLongBlock, padded leading dimensions (the
+// padding row of C must stay untouched), all nine alpha/beta pairs, and a
+// NaN/Inf input, for every instruction-set build of the kernels.
+TEST(Blas3, PanelUpdateIsBitIdenticalToNaive) {
+  const double alphas[] = {0.0, 1.0, -1.5};
+  const double betas[] = {0.0, 1.0, -0.5};
+  Rng rng(59);
+  int combo = 0;  // cycles alpha/beta through all nine pairs over the grid
+
+  auto check = [&](int m, int n, int k, bool plant) {
+    const double alpha = alphas[combo % 3], beta = betas[combo / 3 % 3];
+    ++combo;
+    const int lda = m + 3, ldb = k + 2, ldbt = n + 1, ldc = m + 1;
+    std::vector<double> a(static_cast<std::size_t>(lda) * k);
+    std::vector<double> b(static_cast<std::size_t>(ldb) * n);
+    std::vector<double> bt(static_cast<std::size_t>(ldbt) * k);
+    std::vector<double> c0(static_cast<std::size_t>(ldc) * n);
+    for (auto& e : a) e = rng.normal();
+    for (auto& e : b) e = rng.normal();
+    for (auto& e : c0) e = rng.normal();
+    auto av = [&](int i, int p) -> double& { return a[std::size_t(p) * lda + i]; };
+    auto bv = [&](int p, int j) -> double& { return b[std::size_t(j) * ldb + p]; };
+    if (plant) {
+      av(m - 1, k / 2) = std::nan("");
+      bv(k - 1, n - 1) = INFINITY;
+    }
+    for (int p = 0; p < k; ++p) {
+      for (int j = 0; j < n; ++j) bt[std::size_t(p) * ldbt + j] = bv(p, j);
+    }
+    std::vector<double> want = c0;
+    for (int j = 0; j < n; ++j) {
+      double* w = want.data() + std::size_t(j) * ldc;
+      if (beta == 0.0) {
+        for (int i = 0; i < m; ++i) w[i] = 0.0;
+      } else if (beta != 1.0) {
+        for (int i = 0; i < m; ++i) w[i] *= beta;
+      }
+      if (alpha == 0.0) continue;
+      for (int p = 0; p < k; ++p) {
+        const double t = alpha * bv(p, j);
+        for (int i = 0; i < m; ++i) w[i] += t * av(i, p);
+      }
+    }
+    for (const detail::Kernels& kv : detail::variants()) {
+      std::vector<double> nn = c0, nt = c0;
+      kv.gemm(Trans::N, Trans::N, m, n, k, alpha, a.data(), lda, b.data(), ldb,
+              beta, nn.data(), ldc);
+      kv.gemm(Trans::N, Trans::T, m, n, k, alpha, a.data(), lda, bt.data(),
+              ldbt, beta, nt.data(), ldc);
+      EXPECT_TRUE(bit_identical(nn, want))
+          << kv.isa << " N,N m=" << m << " n=" << n << " k=" << k;
+      EXPECT_TRUE(bit_identical(nt, want))
+          << kv.isa << " N,T m=" << m << " n=" << n << " k=" << k;
+    }
+  };
+  for (int k : {0, 1, 3, 4, 5, 16, 121}) {
+    for (int m : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 1030}) {
+      for (int n : {1, 2, 3, 4, 5, 7, 8, 16, 17}) check(m, n, k, false);
+    }
+  }
+  for (int k : {1023, 1024, 1025}) {
+    for (int m : {5, 17, 1030}) {
+      for (int n : {3, 16}) check(m, n, k, false);
+    }
+  }
+  // NaN in A's last row and +Inf in B's last entry reach the same entries
+  // as in the naive loop.
+  check(2667, 16, 121, true);
+  check(9, 5, 1025, true);
+}
+
+// The column sweep trsm_right_upper replaced: column j subtracts every
+// finished column p < j with R(p,j) != 0, then scales by 1 / R(j,j).
+void trsm_column_sweep(int m, int n, const double* r, int ldr, double* b,
+                       int ldb) {
+  for (int j = 0; j < n; ++j) {
+    double* bj = b + std::size_t(j) * ldb;
+    for (int p = 0; p < j; ++p) {
+      const double t = r[std::size_t(j) * ldr + p];
+      if (t == 0.0) continue;
+      const double* bp = b + std::size_t(p) * ldb;
+      for (int i = 0; i < m; ++i) bj[i] -= t * bp[i];
+    }
+    const double inv = 1.0 / r[std::size_t(j) * ldr + j];
+    for (int i = 0; i < m; ++i) bj[i] *= inv;
+  }
+}
+
+// The row-tiled trsm keeps the column sweep's operation sequence per entry,
+// so it matches it bitwise: m not a multiple of the row tile, padded
+// leading dimensions (padding rows untouched), zero off-diagonal entries of
+// R skipped, and a planted NaN in B and Inf in R, for every build. A zero
+// diagonal throws after solving exactly the columns before it.
+TEST(Blas3, TrsmIsBitIdenticalToColumnSweep) {
+  Rng rng(60);
+  auto make_r = [&](int n, int ldr) {
+    std::vector<double> r(static_cast<std::size_t>(ldr) * n, 0.0);
+    for (int j = 0; j < n; ++j) {
+      for (int i = 0; i < j; ++i) {
+        // Every third off-diagonal entry is an exact zero.
+        r[std::size_t(j) * ldr + i] = (i + 2 * j) % 3 == 0 ? 0.0 : rng.normal();
+      }
+      r[std::size_t(j) * ldr + j] = 4.0 + rng.uniform();
+    }
+    return r;
+  };
+  for (int m : {1, 3, 7, 8, 9, 15, 16, 17, 340, 2700}) {
+    for (int n : {1, 2, 5, 16, 31}) {
+      const int ldr = n + 1, ldb = m + 3;
+      std::vector<double> r = make_r(n, ldr);
+      std::vector<double> b0(static_cast<std::size_t>(ldb) * n);
+      for (auto& e : b0) e = rng.normal();
+      if (m == 17 && n >= 5) {
+        b0[std::size_t(1) * ldb + 16] = std::nan("");
+        r[std::size_t(4) * ldr + 2] = INFINITY;
+      }
+      std::vector<double> want = b0;
+      trsm_column_sweep(m, n, r.data(), ldr, want.data(), ldb);
+      for (const detail::Kernels& kv : detail::variants()) {
+        std::vector<double> got = b0;
+        kv.trsm_right_upper(m, n, r.data(), ldr, got.data(), ldb);
+        EXPECT_TRUE(bit_identical(got, want))
+            << kv.isa << " m=" << m << " n=" << n;
+      }
+    }
+  }
+  // Zero diagonal at column 3 of 5: columns 0..2 solved, 3..4 untouched.
+  const int m = 19, n = 5;
+  std::vector<double> r = make_r(n, n);
+  r[std::size_t(3) * n + 3] = 0.0;
+  std::vector<double> b0(static_cast<std::size_t>(m) * n);
+  for (auto& e : b0) e = rng.normal();
+  std::vector<double> want = b0;
+  trsm_column_sweep(m, 3, r.data(), n, want.data(), m);
+  for (const detail::Kernels& kv : detail::variants()) {
+    std::vector<double> got = b0;
+    EXPECT_THROW(kv.trsm_right_upper(m, n, r.data(), n, got.data(), m), Error)
+        << kv.isa;
+    EXPECT_TRUE(bit_identical(got, want)) << kv.isa << " zero diagonal";
+  }
 }
 
 TEST(Blas3, SyrkMatchesGemm) {

@@ -436,6 +436,46 @@ TEST(MpkExec, LatencySavingsVsRepeatedSpmv) {
   EXPECT_LT(m_mpk.counters().total_msgs(), m_spmv.counters().total_msgs());
 }
 
+// The executor caches its node split (bytes each sender ships to same-node
+// and off-node readers, and each consumer's same-node share) per topology.
+// One executor reused across flat, 2x2 and 4x1 machines must charge every
+// exchange exactly as a fresh executor does on each.
+TEST(MpkExec, NodeSplitFollowsTheTopology) {
+  const CsrMatrix a = sparse::make_cant_like(0.1);
+  const int ng = 4, s = 3;
+  const MpkPlan plan = build_mpk_plan(a, offsets_of(a, ng), s);
+  MpkExecutor reused(plan);
+  for (const auto& [nodes, gpn] : {std::pair{1, 4}, {2, 2}, {4, 1}, {2, 2}}) {
+    MpkExecutor fresh(plan);
+    DistMultiVec v(plan.rows_per_device(), s + 1);
+    for (int d = 0; d < ng; ++d) {
+      for (int i = 0; i < v.local_rows(d); ++i) v.col(d, 0)[i] = 1.0 + i;
+    }
+    DistMultiVec w = v;
+    Machine m_reused(ng), m_fresh(ng);
+    m_reused.set_topology(nodes, gpn);
+    m_fresh.set_topology(nodes, gpn);
+    reused.apply(m_reused, v, 0, s);
+    fresh.apply(m_fresh, w, 0, s);
+    m_reused.sync();
+    m_fresh.sync();
+    const sim::Counters& cr = m_reused.counters();
+    const sim::Counters& cf = m_fresh.counters();
+    EXPECT_EQ(m_reused.clock().elapsed(), m_fresh.clock().elapsed())
+        << nodes << "x" << gpn;
+    EXPECT_EQ(cr.peer_bytes, cf.peer_bytes) << nodes << "x" << gpn;
+    EXPECT_EQ(cr.h2d_bytes, cf.h2d_bytes) << nodes << "x" << gpn;
+    EXPECT_EQ(cr.d2h_bytes, cf.d2h_bytes) << nodes << "x" << gpn;
+    EXPECT_EQ(cr.net_bytes, cf.net_bytes) << nodes << "x" << gpn;
+    if (nodes > 1) {
+      EXPECT_GT(cr.net_bytes, 0.0) << nodes << "x" << gpn;
+    }
+    if (nodes > 1 && gpn > 1) {
+      EXPECT_GT(cr.peer_bytes, 0.0) << nodes << "x" << gpn;
+    }
+  }
+}
+
 TEST(MpkCodec, HaloWireBytesMatchTheCodecSize) {
   // With halo=fp32 armed, every gather/scatter message must be priced at
   // exactly sim::wire_bytes of its payload while the logical counters
