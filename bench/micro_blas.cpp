@@ -1,9 +1,13 @@
 // Real wall-clock microbenchmarks (google-benchmark) of the host kernels
 // that execute the simulated device's numerics: BLAS-1/2/3, the panel QR,
-// and SpMV in both formats. These measure THIS machine, not the paper's —
-// they exist to keep the reference kernels honest (vectorization, layout)
-// and to catch performance regressions in the library itself.
+// SpMV in both formats and the fused matrix powers step. These measure
+// THIS machine, not the paper's — they exist to keep the reference kernels
+// honest (vectorization, layout) and to catch performance regressions in
+// the library itself.
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <string>
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +16,8 @@
 #include "blas/blas3.hpp"
 #include "blas/lapack.hpp"
 #include "common/rng.hpp"
+#include "core/solver_common.hpp"
+#include "mpk/plan.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/ell.hpp"
 #include "sparse/generators.hpp"
@@ -169,18 +175,107 @@ void BM_SpmvCsr(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmvCsr)->Arg(10)->Arg(40);
 
-void BM_SpmvEll(benchmark::State& state) {
-  const auto a = sparse::make_laplace3d(40, 40, static_cast<int>(state.range(0)));
-  const auto e = sparse::to_ell(a);
-  const auto x = random_vec(static_cast<std::size_t>(a.n_rows), 8);
-  std::vector<double> y(static_cast<std::size_t>(a.n_rows));
-  for (auto _ : state) {
-    sparse::spmv(e, x.data(), y.data());
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * a.nnz());
+/// Device 0's owned-row ELL block under the perfbench workloads' plans:
+/// kkt_ca_m120 (3 devices, 2665 rows x width 10), cant_ilu0_gmres (3
+/// devices, natural order, 1320 x 27) and g3_ca_4x4_faults (16 devices on
+/// 4 nodes, 254 x 8).
+const sparse::EllMatrix& workload_block(int which) {
+  static const std::array<sparse::EllMatrix, 3> blocks = [] {
+    struct Shape {
+      const char* matrix;
+      double scale;
+      int ng, nodes, s;
+      graph::Ordering ordering;
+    };
+    const Shape shapes[] = {
+        {"nlpkkt", 0.35, 3, 1, 15, graph::Ordering::kKway},
+        {"cant", 0.4, 3, 1, 1, graph::Ordering::kNatural},
+        {"g3_circuit", 0.2, 16, 4, 15, graph::Ordering::kKway},
+    };
+    std::array<sparse::EllMatrix, 3> out;
+    for (int i = 0; i < 3; ++i) {
+      const Shape& sh = shapes[i];
+      const auto a = sparse::make_paper_matrix(sh.matrix, sh.scale);
+      const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
+      const core::Problem p =
+          core::make_problem(a, b, sh.ng, sh.ordering, true, 7, sh.nodes);
+      out[static_cast<std::size_t>(i)] =
+          mpk::build_mpk_plan(p.a, p.offsets, sh.s).dev[0].local_ell;
+    }
+    return out;
+  }();
+  return blocks[static_cast<std::size_t>(which)];
 }
-BENCHMARK(BM_SpmvEll)->Arg(10)->Arg(40);
+
+const char* const kBlockNames[] = {"kkt", "cant", "g3"};
+
+/// Input vector for a block: owned rows plus every column it reads.
+std::vector<double> block_input(const sparse::EllMatrix& e,
+                                std::uint64_t seed) {
+  int cols = e.n_rows;
+  for (const int c : e.col_idx) cols = std::max(cols, c + 1);
+  return random_vec(static_cast<std::size_t>(cols), seed);
+}
+
+// Args: workload block (0 kkt, 1 cant, 2 g3), build index in
+// sparse::detail::variants() (skipped when this CPU lacks it). Items are
+// stored slots, padding included.
+void BM_SpmvEll(benchmark::State& state) {
+  const auto& variants = sparse::detail::variants();
+  const auto v = static_cast<std::size_t>(state.range(1));
+  if (v >= variants.size()) {
+    state.SkipWithError("build not supported on this CPU");
+    return;
+  }
+  const sparse::EllMatrix& e =
+      workload_block(static_cast<int>(state.range(0)));
+  const auto x = block_input(e, 8);
+  std::vector<double> y(static_cast<std::size_t>(e.n_rows));
+  for (auto _ : state) {
+    variants[v].spmv(e, x.data(), y.data());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string(kBlockNames[state.range(0)]) + " " +
+                 variants[v].isa + " n=" + std::to_string(e.n_rows) +
+                 " w=" + std::to_string(e.width));
+  state.SetItemsProcessed(state.iterations() * e.stored_slots());
+}
+BENCHMARK(BM_SpmvEll)->ArgsProduct({{0, 1, 2}, {0, 1}});
+
+// One real-Newton matrix powers step on a workload block with the widest
+// build: the fused kernel (arg 1 = 0) against the three passes it replaced
+// (arg 1 = 1): SpMV, then the shift, then the copy into the basis with the
+// finiteness check. Items are stored slots.
+void BM_MpkStep(benchmark::State& state) {
+  const sparse::EllMatrix& e =
+      workload_block(static_cast<int>(state.range(0)));
+  const bool fused = state.range(1) == 0;
+  const auto x = block_input(e, 9);
+  const sparse::StepShift sh{0.75, false, 0.0};
+  const int n = e.n_rows;
+  std::vector<double> z(static_cast<std::size_t>(n)), out(z.size());
+  for (auto _ : state) {
+    bool ok = true;
+    if (fused) {
+      ok = sparse::mpk_step(e, x.data(), nullptr, sh, z.data(), out.data());
+    } else {
+      sparse::spmv(e, x.data(), z.data());
+      for (int i = 0; i < n; ++i) z[i] -= sh.theta * x[i];
+      for (int i = 0; i < n; ++i) {
+        out[i] = z[i];
+        ok &= std::isfinite(z[i]);
+      }
+    }
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string(kBlockNames[state.range(0)]) +
+                 (fused ? " fused" : " three-pass"));
+  state.SetItemsProcessed(state.iterations() * e.stored_slots());
+}
+BENCHMARK(BM_MpkStep)->ArgsProduct({{0, 1, 2}, {0, 1}});
 
 }  // namespace
 

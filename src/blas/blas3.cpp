@@ -7,6 +7,7 @@
 #include <type_traits>
 
 #include "common/error.hpp"
+#include "common/isa.hpp"
 
 // Blocking strategy: the hot GEMM shapes here are tall-skinny — a panel V
 // of m rows by n,k <= s+1 columns, either V^T W (Gram/projection, Trans::T
@@ -74,8 +75,7 @@ using Vec = Pair;
 #include "blas/blas3_kernels.inc"
 }  // namespace base
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__)
-#define CAGMRES_BLAS_AVX2 1
+#ifdef CAGMRES_AVX2_BUILD
 #pragma GCC push_options
 #pragma GCC target("avx2")
 namespace avx2 {
@@ -89,7 +89,7 @@ using Vec = Quad;
 constexpr detail::Kernels kVariants[] = {
     {"baseline", base::dot_tiles, base::gemm, base::syrk_tn,
      base::trsm_right_upper},
-#ifdef CAGMRES_BLAS_AVX2
+#ifdef CAGMRES_AVX2_BUILD
     {"avx2", avx2::dot_tiles, avx2::gemm, avx2::syrk_tn,
      avx2::trsm_right_upper},
 #endif
@@ -99,14 +99,7 @@ constexpr detail::Kernels kVariants[] = {
 
 std::span<const detail::Kernels> detail::variants() {
   // kVariants is ordered by width, and this CPU runs a prefix of it.
-  static const std::size_t n = [] {
-#ifdef CAGMRES_BLAS_AVX2
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2")) return std::size_t{2};
-#endif
-    return std::size_t{1};
-  }();
-  return {kVariants, n};
+  return {kVariants, runnable_isa_builds()};
 }
 
 void dot_tiles(int m, int n, int k, const double* a, int lda, Trans tb,

@@ -1,7 +1,6 @@
 #include "mpk/exec.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "common/error.hpp"
@@ -19,17 +18,7 @@ void poison(double* p, int n) {
   for (int i = 0; i < n; ++i) p[i] = nan;
 }
 
-/// Step k's (1-based) shift: v_k = (A - theta I) v_{k-1} (+ beta2 v_{k-2}
-/// on the second member of a complex conjugate pair).
-struct StepShift {
-  double theta = 0.0;
-  bool pair_second = false;
-  double beta2 = 0.0;
-
-  bool shifted() const { return theta != 0.0 || pair_second; }
-  /// Basis vectors the shift epilogue reads (sim::charge_mpk_step).
-  int terms() const { return pair_second ? 2 : (theta != 0.0 ? 1 : 0); }
-};
+using sparse::StepShift;
 
 StepShift step_shift(const ShiftSeq& shifts, int k) {
   StepShift sh;
@@ -322,20 +311,8 @@ bool MpkExecutor::shared_steps(sim::Machine& m, sim::DistMultiVec& v, int c0,
                         c0 + k - 1)[dp.ext_owner_row[static_cast<std::size_t>(e)]];
           }
         }
-        sparse::spmv(dp.local_ell, zi, zo);
-        if (sh.shifted()) {
-          for (int i = 0; i < dp.owned; ++i) {
-            zo[i] -= sh.theta * zi[i];
-            if (sh.pair_second) zo[i] += sh.beta2 * zp2[i];
-          }
-        }
-        double* out = vp->col(d, c0 + k);
-        bool ok = true;
-        for (int i = 0; i < dp.owned; ++i) {
-          out[i] = zo[i];
-          ok &= std::isfinite(zo[i]);
-        }
-        fin[d] = ok ? 1 : 0;
+        fin[d] = sparse::mpk_step(dp.local_ell, zi, zp2, sh, zo,
+                                  vp->col(d, c0 + k));
       });
     }
     m.sync();  // step k's columns are complete before anyone refreshes
@@ -395,14 +372,14 @@ void MpkExecutor::ghost_zone_steps(sim::Machine& m, sim::DistMultiVec& v,
         double* zo = bufs[static_cast<std::size_t>(k % 3)].data();
         const double* zp2 = bufs[static_cast<std::size_t>((k + 1) % 3)].data();
 
-        sparse::spmv(dp.local_ell, zi, zo);
+        double* out = vp->col(d, c0 + k);
+        sparse::mpk_step(dp.local_ell, zi, zp2, shk, zo, out);
 
         const int brows =
             dp.boundary_rows_at_step[static_cast<std::size_t>(k) - 1];
         const auto& b = dp.boundary;
         const int* out_pos = dp.boundary_out_pos.data();
-#pragma omp parallel for schedule(static) if (brows > 1 << 10)
-        for (int i = 0; i < brows; ++i) {
+        const auto row = [&](int i) {
           double acc = 0.0;
           const auto lo = b.row_ptr[static_cast<std::size_t>(i)];
           const auto hi = b.row_ptr[static_cast<std::size_t>(i) + 1];
@@ -410,30 +387,29 @@ void MpkExecutor::ghost_zone_steps(sim::Machine& m, sim::DistMultiVec& v,
             acc += b.vals[static_cast<std::size_t>(p)] *
                    zi[b.col_idx[static_cast<std::size_t>(p)]];
           }
-          zo[out_pos[i]] = acc;
+          const int pos = out_pos[i];
+          if (shk.shifted()) {
+            acc -= shk.theta * zi[pos];
+            if (shk.pair_second) acc += shk.beta2 * zp2[pos];
+          }
+          zo[pos] = acc;
+        };
+        // A branch, not `omp parallel for if (...)`, as in sparse::spmv.
+        if (brows > sparse::kSpmvParallelRows) {
+#pragma omp parallel for schedule(static)
+          for (int i = 0; i < brows; ++i) row(i);
+        } else {
+          for (int i = 0; i < brows; ++i) row(i);
         }
 
-        if (shk.shifted()) {
-          for (int i = 0; i < owned; ++i) {
-            zo[i] -= shk.theta * zi[i];
-            if (shk.pair_second) zo[i] += shk.beta2 * zp2[i];
-          }
-          for (int i = 0; i < brows; ++i) {
-            const int pos = out_pos[i];
-            zo[pos] -= shk.theta * zi[pos];
-            if (shk.pair_second) zo[pos] += shk.beta2 * zp2[pos];
-          }
-        }
         // A fault on the fused kernel poisons everything the step wrote.
         if (hit) {
           poison(zo, owned);
+          poison(out, owned);
           for (int i = 0; i < brows; ++i) {
             zo[out_pos[i]] = std::numeric_limits<double>::quiet_NaN();
           }
         }
-
-        double* out = vp->col(d, c0 + k);
-        std::copy(zo, zo + owned, out);
       }
     });
   }

@@ -39,7 +39,8 @@ struct CsrMatrix {
 /// y := A x, each row summed serially in storage order.
 void spmv(const CsrMatrix& a, const double* x, double* y);
 
-/// Rows above which spmv (CSR and ELL) splits its rows over OpenMP threads.
+/// Rows above which spmv (CSR and ELL) and mpk_step split their rows over
+/// OpenMP threads.
 constexpr int kSpmvParallelRows = 1 << 13;
 
 /// y := A^T x.

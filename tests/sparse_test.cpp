@@ -1,6 +1,9 @@
 // Unit tests for the sparse-matrix substrate: CSR/ELL/COO, I/O, generators,
 // balancing, and stats.
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -118,6 +121,229 @@ TEST(Ell, ConversionAndSpmvMatchCsr) {
   for (int i = 0; i < n; ++i) EXPECT_NEAR(y1[i], y2[i], 1e-12);
   EXPECT_GE(padding_ratio(e, a.nnz()), 0.0);
   EXPECT_LT(padding_ratio(e, a.nnz()), 1.0);
+}
+
+// A random ELL block shaped like an MPK device block: n rows reading
+// n + 8 columns (owned rows plus a ghost slice), row lengths drawn in
+// [0, width] with the last row full, and to_ell's padding (own row, 0.0).
+EllMatrix random_ell(int n, int width, Rng& rng) {
+  EllMatrix e;
+  e.n_rows = n;
+  e.n_cols = n + 8;
+  e.width = width;
+  e.col_idx.resize(static_cast<std::size_t>(n) * width);
+  e.vals.assign(e.col_idx.size(), 0.0);
+  for (int i = 0; i < n; ++i) {
+    const int len = i == n - 1 ? width
+                               : static_cast<int>(rng.bounded(
+                                     static_cast<std::uint64_t>(width) + 1));
+    for (int k = 0; k < width; ++k) {
+      const std::size_t slot = static_cast<std::size_t>(k) * n + i;
+      if (k < len) {
+        e.col_idx[slot] = static_cast<int>(
+            rng.bounded(static_cast<std::uint64_t>(e.n_cols)));
+        e.vals[slot] = rng.normal();
+      } else {
+        e.col_idx[slot] = i;
+      }
+    }
+  }
+  return e;
+}
+
+/// The scalar row loop the ELL kernels must reproduce bit for bit.
+std::vector<double> scalar_spmv(const EllMatrix& e,
+                                const std::vector<double>& x) {
+  std::vector<double> y(static_cast<std::size_t>(e.n_rows));
+  for (int i = 0; i < e.n_rows; ++i) {
+    double acc = 0.0;
+    for (int k = 0; k < e.width; ++k) {
+      const std::size_t slot = static_cast<std::size_t>(k) * e.n_rows + i;
+      acc += e.vals[slot] * x[static_cast<std::size_t>(e.col_idx[slot])];
+    }
+    y[static_cast<std::size_t>(i)] = acc;
+  }
+  return y;
+}
+
+/// Bitwise equality, except that any two NaNs match: when two NaNs meet
+/// in an add (an input NaN and the default NaN of Inf * 0.0), IEEE 754
+/// leaves which one propagates unspecified, x86 keeps the first operand's,
+/// and the compiler may swap the operands of a commutative add (the -O1
+/// sanitizer build orders them unlike the optimized build).
+::testing::AssertionResult same_bits(const std::vector<double>& got,
+                                     const std::vector<double>& want) {
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (std::isnan(got[i]) && std::isnan(want[i])) continue;
+    if (std::bit_cast<std::uint64_t>(got[i]) !=
+        std::bit_cast<std::uint64_t>(want[i])) {
+      return ::testing::AssertionFailure()
+             << "row " << i << ": " << got[i] << " vs " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<double> random_x(const EllMatrix& e, Rng& rng) {
+  std::vector<double> x(static_cast<std::size_t>(e.n_cols));
+  for (double& v : x) v = rng.normal();
+  return x;
+}
+
+// Every build's row-blocked kernel against the scalar loop: row counts
+// around the block sizes (7 = 3 * 2 + 1 and 13 = 3 * 4 + 1 leave a one-row
+// scalar tail after full blocks at either width), widths from 1 to the
+// cant block's 27, padded rows, and a block above kSpmvParallelRows that
+// takes the OpenMP branch.
+TEST(Ell, RowBlockedKernelIsBitIdenticalToScalarLoop) {
+  Rng rng(31);
+  for (const int n : {0, 1, 7, 8, 9, 13, 17, kSpmvParallelRows + 5}) {
+    for (const int width : {1, 7, 10, 27}) {
+      if (n > kSpmvParallelRows && width != 7) continue;
+      const EllMatrix e = random_ell(n, width, rng);
+      const std::vector<double> x = random_x(e, rng);
+      const std::vector<double> want = scalar_spmv(e, x);
+      for (const detail::EllKernels& kv : detail::variants()) {
+        std::vector<double> y(want.size(), -1.0);
+        kv.spmv(e, x.data(), y.data());
+        EXPECT_TRUE(same_bits(y, want))
+            << kv.isa << " n=" << n << " width=" << width;
+      }
+      std::vector<double> y(want.size(), -1.0);
+      spmv(e, x.data(), y.data());
+      EXPECT_TRUE(same_bits(y, want)) << "public n=" << n << " w=" << width;
+    }
+  }
+}
+
+TEST(Ell, KernelVariantsStartWithBaseline) {
+  ASSERT_FALSE(detail::variants().empty());
+  EXPECT_STREQ(detail::variants()[0].isa, "baseline");
+}
+
+// NaN, +-Inf and -0.0 in x and in the values reach exactly the rows the
+// scalar loop sends them to, with its bits (NaN as NaN; Inf * 0.0 on a
+// padding slot included), in the blocked rows and in the scalar tail.
+TEST(Ell, NonFiniteAndSignedZeroInputsMatchScalarLoop) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(32);
+  for (const int n : {9, 13, 17}) {
+    for (const int width : {1, 7, 10}) {
+      EllMatrix e = random_ell(n, width, rng);
+      std::vector<double> x = random_x(e, rng);
+      x[0] = nan;
+      x[static_cast<std::size_t>(n / 2)] = inf;
+      x[static_cast<std::size_t>(n - 1)] = -inf;
+      x[static_cast<std::size_t>(n + 3)] = -0.0;
+      e.vals[static_cast<std::size_t>(n) * (width - 1) + 1] = -0.0;
+      e.vals[static_cast<std::size_t>(n - 2)] = inf;
+      const std::vector<double> want = scalar_spmv(e, x);
+      for (const detail::EllKernels& kv : detail::variants()) {
+        std::vector<double> y(want.size(), -1.0);
+        kv.spmv(e, x.data(), y.data());
+        EXPECT_TRUE(same_bits(y, want))
+            << kv.isa << " n=" << n << " width=" << width;
+      }
+    }
+  }
+}
+
+// The fused MPK step against the three passes it replaced: the SpMV, then
+// z -= theta x (and z += beta2 x2 on a pair's second member) only when the
+// step is shifted, then the copy into the basis with the finiteness check.
+// Monomial steps (theta = +0.0 and -0.0) must not run the epilogue: row
+// 0's x entry is +Inf while no slot of row 0 reads it, so a
+// theta * x(0) term would turn y(0) into NaN.
+TEST(Ell, FusedStepIsBitIdenticalToThreePassReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const StepShift shifts[] = {
+      {0.0, false, 0.0},    // monomial
+      {-0.0, false, 0.0},   // monomial, signed zero
+      {0.75, false, 0.0},   // real Newton
+      {-0.3, true, 0.49},   // second member of a complex pair
+      {0.0, true, 0.25},    // pair second with a zero real part
+  };
+  Rng rng(33);
+  for (const int n : {1, 7, 8, 9, 13, 17, kSpmvParallelRows + 5}) {
+    for (const int width : {1, 7, 10, 27}) {
+      if (n > kSpmvParallelRows && width != 7) continue;
+      EllMatrix e = random_ell(n, width, rng);
+      for (int k = 0; k < width; ++k) {  // row 0: full, never column 0
+        const std::size_t slot = static_cast<std::size_t>(k) * n;
+        e.col_idx[slot] = 1 + static_cast<int>(rng.bounded(
+                                  static_cast<std::uint64_t>(e.n_cols - 1)));
+        e.vals[slot] = rng.normal();
+      }
+      for (int& c : e.col_idx) c = c == 0 ? 1 : c;  // and no other row
+      std::vector<double> x = random_x(e, rng), x2 = random_x(e, rng);
+      for (const StepShift& sh : shifts) {
+        x[0] = sh.shifted() ? rng.normal() : inf;
+        std::vector<double> z = scalar_spmv(e, x);
+        if (sh.shifted()) {
+          for (int i = 0; i < n; ++i) {
+            const auto u = static_cast<std::size_t>(i);
+            z[u] -= sh.theta * x[u];
+            if (sh.pair_second) z[u] += sh.beta2 * x2[u];
+          }
+        }
+        bool want_ok = true;
+        for (const double v : z) want_ok = want_ok && std::isfinite(v);
+        ASSERT_TRUE(want_ok);
+        for (const detail::EllKernels& kv : detail::variants()) {
+          std::vector<double> got_z(z.size(), -1.0), got_out(z.size(), -1.0);
+          const bool ok = kv.mpk_step(e, x.data(), x2.data(), sh,
+                                      got_z.data(), got_out.data());
+          EXPECT_TRUE(ok) << kv.isa;
+          EXPECT_TRUE(same_bits(got_z, z))
+              << kv.isa << " z n=" << n << " width=" << width
+              << " theta=" << sh.theta << " pair=" << sh.pair_second;
+          EXPECT_TRUE(same_bits(got_out, z))
+              << kv.isa << " out n=" << n << " width=" << width
+              << " theta=" << sh.theta << " pair=" << sh.pair_second;
+        }
+      }
+    }
+  }
+}
+
+// The fused step's finite flag: false as soon as one row's result is NaN
+// or +-Inf, wherever that row sits (first block, last block, scalar
+// tail), and the row still holds the scalar loop's value.
+TEST(Ell, FusedStepFlagsNanAndInf) {
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  Rng rng(34);
+  for (const int n : {9, 13, 17}) {
+    const EllMatrix e = random_ell(n, 7, rng);
+    const std::vector<double> x0 = random_x(e, rng);
+    for (const int row : {0, n / 2, n - 1}) {
+      for (const double b : bad) {
+        std::vector<double> x = x0;
+        const int col = n + 1;  // a ghost column
+        EllMatrix f = e;
+        for (int k = 0; k < f.width; ++k) {  // `row` reads it in every slot
+          const std::size_t slot = static_cast<std::size_t>(k) * n + row;
+          f.col_idx[slot] = col;
+          f.vals[slot] = k == 0 ? 1.0 : 0.5;
+        }
+        x[static_cast<std::size_t>(col)] = b;
+        const std::vector<double> want = scalar_spmv(f, x);
+        for (const detail::EllKernels& kv : detail::variants()) {
+          std::vector<double> z(want.size()), out(want.size());
+          EXPECT_FALSE(kv.mpk_step(f, x.data(), nullptr, StepShift{},
+                                   z.data(), out.data()))
+              << kv.isa << " n=" << n << " row=" << row << " value=" << b;
+          EXPECT_TRUE(same_bits(z, want)) << kv.isa;
+          EXPECT_TRUE(same_bits(out, want)) << kv.isa;
+          EXPECT_TRUE(kv.mpk_step(e, x0.data(), nullptr, StepShift{},
+                                  z.data(), out.data()))
+              << kv.isa;
+        }
+      }
+    }
+  }
 }
 
 TEST(Io, RoundTripsGeneralMatrix) {
