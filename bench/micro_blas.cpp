@@ -175,12 +175,17 @@ void BM_SpmvCsr(benchmark::State& state) {
 }
 BENCHMARK(BM_SpmvCsr)->Arg(10)->Arg(40);
 
-/// Device 0's owned-row ELL block under the perfbench workloads' plans:
-/// kkt_ca_m120 (3 devices, 2665 rows x width 10), cant_ilu0_gmres (3
-/// devices, natural order, 1320 x 27) and g3_ca_4x4_faults (16 devices on
-/// 4 nodes, 254 x 8).
-const sparse::EllMatrix& workload_block(int which) {
-  static const std::array<sparse::EllMatrix, 3> blocks = [] {
+/// The perfbench workloads' prepared problems and MPK depths: kkt_ca_m120
+/// (3 devices, s = 15), cant_ilu0_gmres (3 devices, natural order, s = 1),
+/// g3_ca_4x4_faults (16 devices on 4 nodes, k-way, s = 15) and g3 after its
+/// node kill (the same problem re-split over 12 devices).
+struct Workload {
+  core::Problem p;
+  int s;
+};
+
+const Workload& workload(int which) {
+  static const std::array<Workload, 4> loads = [] {
     struct Shape {
       const char* matrix;
       double scale;
@@ -192,22 +197,37 @@ const sparse::EllMatrix& workload_block(int which) {
         {"cant", 0.4, 3, 1, 1, graph::Ordering::kNatural},
         {"g3_circuit", 0.2, 16, 4, 15, graph::Ordering::kKway},
     };
-    std::array<sparse::EllMatrix, 3> out;
+    std::array<Workload, 4> out;
     for (int i = 0; i < 3; ++i) {
       const Shape& sh = shapes[i];
       const auto a = sparse::make_paper_matrix(sh.matrix, sh.scale);
       const std::vector<double> b(static_cast<std::size_t>(a.n_rows), 1.0);
-      const core::Problem p =
-          core::make_problem(a, b, sh.ng, sh.ordering, true, 7, sh.nodes);
+      out[static_cast<std::size_t>(i)] = {
+          core::make_problem(a, b, sh.ng, sh.ordering, true, 7, sh.nodes),
+          sh.s};
+    }
+    out[3] = {core::repartition_problem(out[2].p, 12), 15};
+    return out;
+  }();
+  return loads[static_cast<std::size_t>(which)];
+}
+
+/// Device 0's owned-row ELL block under the perfbench workloads' plans:
+/// kkt (2665 rows x width 10), cant (1320 x 27) and g3 (254 x 8).
+const sparse::EllMatrix& workload_block(int which) {
+  static const std::array<sparse::EllMatrix, 3> blocks = [] {
+    std::array<sparse::EllMatrix, 3> out;
+    for (int i = 0; i < 3; ++i) {
+      const Workload& w = workload(i);
       out[static_cast<std::size_t>(i)] =
-          mpk::build_mpk_plan(p.a, p.offsets, sh.s).dev[0].local_ell;
+          mpk::build_mpk_plan(w.p.a, w.p.offsets, w.s).dev[0].local_ell;
     }
     return out;
   }();
   return blocks[static_cast<std::size_t>(which)];
 }
 
-const char* const kBlockNames[] = {"kkt", "cant", "g3"};
+const char* const kWorkloadNames[] = {"kkt", "cant", "g3", "g3-kill"};
 
 /// Input vector for a block: owned rows plus every column it reads.
 std::vector<double> block_input(const sparse::EllMatrix& e,
@@ -236,7 +256,7 @@ void BM_SpmvEll(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(std::string(kBlockNames[state.range(0)]) + " " +
+  state.SetLabel(std::string(kWorkloadNames[state.range(0)]) + " " +
                  variants[v].isa + " n=" + std::to_string(e.n_rows) +
                  " w=" + std::to_string(e.width));
   state.SetItemsProcessed(state.iterations() * e.stored_slots());
@@ -271,11 +291,38 @@ void BM_MpkStep(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
-  state.SetLabel(std::string(kBlockNames[state.range(0)]) +
+  state.SetLabel(std::string(kWorkloadNames[state.range(0)]) +
                  (fused ? " fused" : " three-pass"));
   state.SetItemsProcessed(state.iterations() * e.stored_slots());
 }
 BENCHMARK(BM_MpkStep)->ArgsProduct({{0, 1, 2}, {0, 1}});
+
+// The matrix powers plan a solve builds before its first iteration (and
+// again after a repartition). Args: workload (0 kkt, 1 cant, 2 g3, 3 g3
+// re-split over 12 devices), s. Items are nonzeros of the matrix.
+void BM_BuildMpkPlan(benchmark::State& state) {
+  const Workload& w = workload(static_cast<int>(state.range(0)));
+  const int s = static_cast<int>(state.range(1));
+  std::int64_t ext = 0;
+  for (auto _ : state) {
+    const mpk::MpkPlan plan = mpk::build_mpk_plan(w.p.a, w.p.offsets, s);
+    ext = plan.stats.scatter_volume();
+    benchmark::DoNotOptimize(ext);
+  }
+  state.SetLabel(std::string(kWorkloadNames[state.range(0)]) + " ng=" +
+                 std::to_string(w.p.n_devices()) + " s=" + std::to_string(s) +
+                 " ext=" + std::to_string(ext));
+  state.SetItemsProcessed(state.iterations() * w.p.a.nnz());
+}
+BENCHMARK(BM_BuildMpkPlan)
+    ->Args({0, 15})
+    ->Args({0, 1})
+    ->Args({1, 1})
+    ->Args({2, 15})
+    ->Args({2, 1})
+    ->Args({3, 15})
+    ->Args({3, 1})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

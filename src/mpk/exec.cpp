@@ -18,6 +18,16 @@ void poison(double* p, int n) {
   for (int i = 0; i < n; ++i) p[i] = nan;
 }
 
+/// z[owned + e] := the owner's entry of column `col` for the externals
+/// e = first .. first + count - 1 of `dp`.
+void gather_ghosts(const MpkDevicePlan& dp, const sim::DistMultiVec& v,
+                   int col, int first, int count, double* z) {
+  for (int e = first; e < first + count; ++e) {
+    z[dp.owned + e] = v.col(dp.ext_owner[static_cast<std::size_t>(e)],
+                            col)[dp.ext_owner_row[static_cast<std::size_t>(e)]];
+  }
+}
+
 using sparse::StepShift;
 
 StepShift step_shift(const ShiftSeq& shifts, int k) {
@@ -35,14 +45,18 @@ StepShift step_shift(const ShiftSeq& shifts, int k) {
 MpkExecutor::MpkExecutor(const MpkPlan& plan) : plan_(&plan) {
   const int ng = plan.n_devices();
   z_.resize(static_cast<std::size_t>(ng));
-  pack_buf_.resize(static_cast<std::size_t>(ng));
   ext_owners_.resize(static_cast<std::size_t>(ng));
+  hop1_.resize(static_cast<std::size_t>(ng));
+  halo_hit_.assign(static_cast<std::size_t>(ng), 0);
   for (int d = 0; d < ng; ++d) {
     const MpkDevicePlan& dp = plan.dev[static_cast<std::size_t>(d)];
     z_[static_cast<std::size_t>(d)].assign(
         3, std::vector<double>(static_cast<std::size_t>(dp.z_size()), 0.0));
-    pack_buf_[static_cast<std::size_t>(d)].assign(dp.send_local_rows.size(),
-                                                  0.0);
+    // Externals are in hop order; at s = 1 every one is at hop 1.
+    hop1_[static_cast<std::size_t>(d)] =
+        plan.s >= 2 ? dp.boundary_rows_at_step[static_cast<std::size_t>(
+                          plan.s) - 2]
+                    : static_cast<int>(dp.ext_global.size());
     // ext_owner lists one owner per external index in hop order; reduce it
     // to the set of distinct senders this device depends on.
     std::vector<char> seen(static_cast<std::size_t>(ng), 0);
@@ -122,8 +136,12 @@ void MpkExecutor::exchange(sim::Machine& m, const sim::DistMultiVec& v,
   for (int d = 0; d < ng; ++d) {
     const MpkDevicePlan& dp = plan.dev[static_cast<std::size_t>(d)];
     if (dp.send_local_rows.empty()) continue;
-    sim::dev_pack(m, d, dp.send_local_rows, v.col(d, c0),
-                  pack_buf_[static_cast<std::size_t>(d)].data());
+    // The pack kernel is charged and takes its latch, but its output is
+    // not modelled: consumers read the owners' rows of v directly, so a
+    // latch landing here is consumed and poisons nothing (DESIGN.md §16).
+    m.charge_device(d, sim::Kernel::kPack, 0.0,
+                    20.0 * static_cast<double>(dp.send_local_rows.size()));
+    m.consume_kernel_fault(d);
     if (hier) {
       const double lb = send_local_bytes_[static_cast<std::size_t>(d)];
       const double cb = send_cross_bytes_[static_cast<std::size_t>(d)];
@@ -189,28 +207,53 @@ void MpkExecutor::exchange(sim::Machine& m, const sim::DistMultiVec& v,
     }
     m.charge_codec(d, next);
     // Wall-clock guard for the closure below: it reads the owners' basis
-    // blocks, which their pack closures read too, but a late kernel on an
-    // owner stream could already be overwriting by then in a future layout;
-    // the stream waits pin the closure behind the recorded prefix. Charged,
-    // they are free: the h2d above already starts at >= every event time.
+    // blocks, which kernels on the owner streams write; the stream waits
+    // pin the closure behind everything each owner enqueued before its
+    // message. Charged, they are free: the h2d above already starts at >=
+    // every event time.
     for (const int o : owners) {
       m.stream_wait_event(d, pack_event(d, o));
     }
     m.charge_device(d, sim::Kernel::kPack, 0.0, 20.0 * next);
     const bool hit = m.consume_kernel_fault(d);
+    halo_hit_[static_cast<std::size_t>(d)] = hit ? 1 : 0;
+    // Only the hop-1 ghosts are gathered here: they are all that the
+    // owned rows, and so the shared path and spmv(), read. complete_halo()
+    // fills the deeper hops when the per-device path needs them.
+    const int h1 = hop1_[static_cast<std::size_t>(d)];
     const MpkDevicePlan* dpp = &dp;
     double* zp = zd.data();
     const sim::DistMultiVec* vp = &v;
     m.run_on_device(d, [=] {
-      for (int e = 0; e < next; ++e) {
-        zp[static_cast<std::size_t>(dpp->owned + e)] =
-            vp->col(dpp->ext_owner[static_cast<std::size_t>(e)],
-                    c0)[dpp->ext_owner_row[static_cast<std::size_t>(e)]];
-      }
+      gather_ghosts(*dpp, *vp, c0, 0, h1, zp);
       // The coded wire image is modeled on the consumer's assembled
       // external slice, on either side of the hier/flat split.
-      sim::roundtrip(cd, zp + dpp->owned, next);
-      if (hit) poison(zp + dpp->owned, next);
+      sim::roundtrip(cd, zp + dpp->owned, h1);
+      if (hit) poison(zp + dpp->owned, h1);
+    });
+  }
+}
+
+void MpkExecutor::complete_halo(sim::Machine& m, const sim::DistMultiVec& v,
+                                int c0) {
+  // The rest of what the exchange delivered: roundtrip() works element by
+  // element and the poison covers the whole slice, so completing hops >= 2
+  // apart from hop 1 gives the bits a whole-slice gather would.
+  const MpkPlan& plan = *plan_;
+  const sim::Codec cd = m.halo_codec();
+  const sim::DistMultiVec* vp = &v;
+  for (int d = 0; d < plan.n_devices(); ++d) {
+    const MpkDevicePlan* dpp = &plan.dev[static_cast<std::size_t>(d)];
+    const int h1 = hop1_[static_cast<std::size_t>(d)];
+    const int deep = static_cast<int>(dpp->ext_global.size()) - h1;
+    if (deep == 0) continue;
+    const bool hit = halo_hit_[static_cast<std::size_t>(d)] != 0;
+    double* zp = z_[static_cast<std::size_t>(d)][0].data();
+    m.run_on_device(d, [=] {
+      gather_ghosts(*dpp, *vp, c0, h1, deep, zp);
+      double* deep_slice = zp + dpp->owned + h1;
+      sim::roundtrip(cd, deep_slice, deep);
+      if (hit) poison(deep_slice, deep);
     });
   }
 }
@@ -252,6 +295,8 @@ void MpkExecutor::run(sim::Machine& m, sim::DistMultiVec& v, int c0,
       m.kernel_faults_consumed() == faults_before) {
     if (shared_steps(m, v, c0, steps, shifts)) return;
     assemble_start(v, c0);
+  } else {
+    complete_halo(m, v, c0);
   }
   ghost_zone_steps(m, v, c0, steps, shifts, hits);
 }
@@ -302,14 +347,8 @@ bool MpkExecutor::shared_steps(sim::Machine& m, sim::DistMultiVec& v, int c0,
         if (k > 1) {
           // Owned rows read only hop-1 ghosts; take them from the owners'
           // column of the previous step (finished before the last sync).
-          const int h1 = pl.s >= 2 ? dp.boundary_rows_at_step[
-                                         static_cast<std::size_t>(pl.s) - 2]
-                                   : 0;
-          for (int e = 0; e < h1; ++e) {
-            zi[dp.owned + e] =
-                vp->col(dp.ext_owner[static_cast<std::size_t>(e)],
-                        c0 + k - 1)[dp.ext_owner_row[static_cast<std::size_t>(e)]];
-          }
+          gather_ghosts(dp, *vp, c0 + k - 1, 0,
+                        hop1_[static_cast<std::size_t>(d)], zi);
         }
         fin[d] = sparse::mpk_step(dp.local_ell, zi, zp2, sh, zo,
                                   vp->col(d, c0 + k));
@@ -330,10 +369,8 @@ void MpkExecutor::assemble_start(const sim::DistMultiVec& v, int c0) {
     std::vector<double>& zd = z_[static_cast<std::size_t>(d)][0];
     const double* own = v.col(d, c0);
     std::copy(own, own + dp.owned, zd.begin());
-    for (std::size_t e = 0; e < dp.ext_global.size(); ++e) {
-      zd[static_cast<std::size_t>(dp.owned) + e] =
-          v.col(dp.ext_owner[e], c0)[dp.ext_owner_row[e]];
-    }
+    gather_ghosts(dp, v, c0, 0, static_cast<int>(dp.ext_global.size()),
+                  zd.data());
   }
 }
 

@@ -108,9 +108,17 @@ class MpkExecutor {
 
   /// Halo exchange of column c0 into z-buffer `slot` of every device:
   /// gather through the host, then hand each consumer only the senders it
-  /// reads, behind per-buffer events.
+  /// reads, behind per-buffer events. Charges the whole external slice but
+  /// fills only its hop-1 prefix, with the codec's round trip and the
+  /// expand's poison.
   void exchange(sim::Machine& machine, const sim::DistMultiVec& v, int c0,
                 int slot);
+  /// Fills the hops >= 2 of z slot 0 from v(:, c0) on each device's stream,
+  /// with the round trip and poison the last exchange applied to hop 1, so
+  /// slot 0 holds what a whole-slice exchange would have left. Charges
+  /// nothing (the exchange charged it).
+  void complete_halo(sim::Machine& machine, const sim::DistMultiVec& v,
+                     int c0);
 
   /// Rebuilds the node split (send_local_bytes_, send_cross_bytes_,
   /// recv_local_bytes_) if the machine's topology changed since the last
@@ -121,7 +129,10 @@ class MpkExecutor {
   sim::DistMultiVec stage_;  ///< see stage(); empty until first use
   // Triple-buffered working vectors per device (pair shifts read two back).
   std::vector<std::vector<std::vector<double>>> z_;
-  std::vector<std::vector<double>> pack_buf_;
+  // Per device: externals at hop 1 (the prefix the exchange fills), and
+  // whether the last exchange's expand kernel took a fault latch.
+  std::vector<int> hop1_;
+  std::vector<unsigned char> halo_hit_;
   // Distinct sending devices whose packed entries device d consumes, in
   // ascending order (derived once from ext_owner; drives the exchange).
   std::vector<std::vector<int>> ext_owners_;

@@ -1,13 +1,16 @@
 // Unit + property tests for the matrix powers kernel (paper §IV):
 // boundary sets, plan construction, execution vs. repeated SpMV, Newton
 // shifts with complex pairs, and the communication statistics.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <limits>
 #include <string>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -73,16 +76,259 @@ std::vector<std::vector<int>> brute_force_hops(const CsrMatrix& a, int row0,
   return hops;
 }
 
-TEST(Boundary, MatchesBruteForceBfs) {
-  const CsrMatrix a = sparse::make_circuit_like(0.04, true, 13);
-  const int row0 = 30, row1 = 150, s = 4;
-  const BoundarySets bs = compute_boundary_sets(a, row0, row1, s);
-  const auto ref = brute_force_hops(a, row0, row1, s);
-  ASSERT_EQ(bs.hops.size(), ref.size());
-  for (int t = 0; t < s; ++t) {
-    EXPECT_EQ(bs.hops[static_cast<std::size_t>(t)], ref[static_cast<std::size_t>(t)])
-        << "hop " << t + 1;
+/// The plan builder before the shared hop BFS, kept as the oracle the
+/// current one must match field for field: per-device hop sets from a
+/// fresh BFS, owners by binary search over the offsets, and each owner's
+/// send list by sorting and deduplicating every reader's externals.
+MpkPlan reference_build_mpk_plan(const CsrMatrix& a,
+                                 const std::vector<int>& offsets, int s) {
+  const int ng = static_cast<int>(offsets.size()) - 1;
+  const int n = a.n_rows;
+  const auto ung = static_cast<std::size_t>(ng);
+  MpkPlan plan;
+  plan.s = s;
+  plan.offsets = offsets;
+  plan.dev.resize(ung);
+  plan.stats.s = s;
+  plan.stats.n_devices = ng;
+  plan.stats.local_nnz.assign(ung, 0);
+  plan.stats.boundary_nnz.assign(ung, 0);
+  plan.stats.ext_count.assign(ung, 0);
+  plan.stats.send_count.assign(ung, 0);
+  plan.stats.extra_flops.assign(ung, 0.0);
+  std::vector<std::vector<int>> send_global(ung);
+  std::vector<int> loc(static_cast<std::size_t>(n), -1);
+  for (int d = 0; d < ng; ++d) {
+    MpkDevicePlan& dp = plan.dev[static_cast<std::size_t>(d)];
+    dp.row0 = offsets[static_cast<std::size_t>(d)];
+    dp.owned = offsets[static_cast<std::size_t>(d) + 1] - dp.row0;
+    const auto hops = brute_force_hops(a, dp.row0, dp.row0 + dp.owned, s);
+    for (const auto& h : hops) {
+      dp.ext_global.insert(dp.ext_global.end(), h.begin(), h.end());
+    }
+    for (const int g : dp.ext_global) {
+      const int o = static_cast<int>(std::upper_bound(offsets.begin(),
+                                                      offsets.end(), g) -
+                                     offsets.begin()) -
+                    1;
+      dp.ext_owner.push_back(o);
+      dp.ext_owner_row.push_back(g - offsets[static_cast<std::size_t>(o)]);
+      send_global[static_cast<std::size_t>(o)].push_back(g);
+    }
+    for (int i = 0; i < dp.owned; ++i) {
+      loc[static_cast<std::size_t>(dp.row0 + i)] = i;
+    }
+    for (std::size_t e = 0; e < dp.ext_global.size(); ++e) {
+      loc[static_cast<std::size_t>(dp.ext_global[e])] =
+          dp.owned + static_cast<int>(e);
+    }
+    // Rows `rows` of `a` with device-local columns.
+    const auto copy_rows = [&](const std::vector<int>& rows) {
+      CsrMatrix m;
+      m.n_rows = static_cast<int>(rows.size());
+      m.n_cols = dp.z_size();
+      m.row_ptr.assign(rows.size() + 1, 0);
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        m.row_ptr[i + 1] = m.row_ptr[i] + a.row_nnz(rows[i]);
+        for (auto p = a.row_ptr[static_cast<std::size_t>(rows[i])];
+             p < a.row_ptr[static_cast<std::size_t>(rows[i]) + 1]; ++p) {
+          m.col_idx.push_back(loc[static_cast<std::size_t>(
+              a.col_idx[static_cast<std::size_t>(p)])]);
+          m.vals.push_back(a.vals[static_cast<std::size_t>(p)]);
+        }
+      }
+      return m;
+    };
+    std::vector<int> own_rows;
+    for (int i = 0; i < dp.owned; ++i) own_rows.push_back(dp.row0 + i);
+    const CsrMatrix local = copy_rows(own_rows);
+    plan.stats.local_nnz[static_cast<std::size_t>(d)] = local.nnz();
+    dp.local_ell = sparse::to_ell(local);
+
+    std::vector<int> brow_global;
+    std::vector<int> rows_with_hop_le(static_cast<std::size_t>(s), 0);
+    for (int t = 1; t <= s - 1; ++t) {
+      for (const int g : hops[static_cast<std::size_t>(t) - 1]) {
+        brow_global.push_back(g);
+        dp.boundary_out_pos.push_back(loc[static_cast<std::size_t>(g)]);
+      }
+      rows_with_hop_le[static_cast<std::size_t>(t)] =
+          static_cast<int>(brow_global.size());
+    }
+    for (int k = 1; k <= s; ++k) {
+      dp.boundary_rows_at_step.push_back(
+          s - k >= 1 ? rows_with_hop_le[static_cast<std::size_t>(s - k)] : 0);
+    }
+    dp.boundary = copy_rows(brow_global);
+    plan.stats.boundary_nnz[static_cast<std::size_t>(d)] = dp.boundary.nnz();
+    double w = 0.0;
+    for (int k = 1; k <= s; ++k) {
+      const int rows = dp.boundary_rows_at_step[static_cast<std::size_t>(k) - 1];
+      w += 2.0 * static_cast<double>(
+                     dp.boundary.row_ptr[static_cast<std::size_t>(rows)]);
+    }
+    plan.stats.extra_flops[static_cast<std::size_t>(d)] = w;
+    plan.stats.ext_count[static_cast<std::size_t>(d)] =
+        static_cast<std::int64_t>(dp.ext_global.size());
+    std::fill(loc.begin(), loc.end(), -1);
   }
+  for (int d = 0; d < ng; ++d) {
+    auto& sg = send_global[static_cast<std::size_t>(d)];
+    std::sort(sg.begin(), sg.end());
+    sg.erase(std::unique(sg.begin(), sg.end()), sg.end());
+    MpkDevicePlan& dp = plan.dev[static_cast<std::size_t>(d)];
+    for (const int g : sg) dp.send_local_rows.push_back(g - dp.row0);
+    plan.stats.send_count[static_cast<std::size_t>(d)] =
+        static_cast<std::int64_t>(sg.size());
+  }
+  return plan;
+}
+
+/// Field-by-field equality of two plans; doubles compared by their bits.
+void expect_same_plan(const MpkPlan& got, const MpkPlan& want,
+                      const std::string& what) {
+  const auto same_doubles = [](const std::vector<double>& x,
+                               const std::vector<double>& y) {
+    return x.size() == y.size() &&
+           (x.empty() ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) == 0);
+  };
+  EXPECT_EQ(got.s, want.s) << what;
+  EXPECT_EQ(got.offsets, want.offsets) << what;
+  ASSERT_EQ(got.dev.size(), want.dev.size()) << what;
+  for (std::size_t d = 0; d < want.dev.size(); ++d) {
+    const MpkDevicePlan& g = got.dev[d];
+    const MpkDevicePlan& w = want.dev[d];
+    const std::string at = what + " device " + std::to_string(d);
+    EXPECT_EQ(g.row0, w.row0) << at;
+    EXPECT_EQ(g.owned, w.owned) << at;
+    EXPECT_EQ(g.ext_global, w.ext_global) << at;
+    EXPECT_EQ(g.ext_owner, w.ext_owner) << at;
+    EXPECT_EQ(g.ext_owner_row, w.ext_owner_row) << at;
+    EXPECT_EQ(g.local_ell.n_rows, w.local_ell.n_rows) << at;
+    EXPECT_EQ(g.local_ell.n_cols, w.local_ell.n_cols) << at;
+    EXPECT_EQ(g.local_ell.width, w.local_ell.width) << at;
+    EXPECT_EQ(g.local_ell.col_idx, w.local_ell.col_idx) << at;
+    EXPECT_TRUE(same_doubles(g.local_ell.vals, w.local_ell.vals)) << at;
+    EXPECT_EQ(g.boundary.n_rows, w.boundary.n_rows) << at;
+    EXPECT_EQ(g.boundary.n_cols, w.boundary.n_cols) << at;
+    EXPECT_EQ(g.boundary.row_ptr, w.boundary.row_ptr) << at;
+    EXPECT_EQ(g.boundary.col_idx, w.boundary.col_idx) << at;
+    EXPECT_TRUE(same_doubles(g.boundary.vals, w.boundary.vals)) << at;
+    EXPECT_EQ(g.boundary_out_pos, w.boundary_out_pos) << at;
+    EXPECT_EQ(g.boundary_rows_at_step, w.boundary_rows_at_step) << at;
+    EXPECT_EQ(g.send_local_rows, w.send_local_rows) << at;
+  }
+  EXPECT_EQ(got.stats.s, want.stats.s) << what;
+  EXPECT_EQ(got.stats.n_devices, want.stats.n_devices) << what;
+  EXPECT_EQ(got.stats.local_nnz, want.stats.local_nnz) << what;
+  EXPECT_EQ(got.stats.boundary_nnz, want.stats.boundary_nnz) << what;
+  EXPECT_EQ(got.stats.ext_count, want.stats.ext_count) << what;
+  EXPECT_EQ(got.stats.send_count, want.stats.send_count) << what;
+  EXPECT_TRUE(same_doubles(got.stats.extra_flops, want.stats.extra_flops))
+      << what;
+}
+
+/// n x n matrix with a random, unsymmetric pattern: a diagonal plus
+/// `per_row` off-diagonal columns per row drawn uniformly.
+CsrMatrix random_pattern(int n, int per_row, std::uint64_t seed) {
+  Rng rng(seed);
+  sparse::CooBuilder b(n, n);
+  for (int i = 0; i < n; ++i) {
+    b.add(i, i, 4.0);
+    for (int k = 0; k < per_row; ++k) {
+      const int j = static_cast<int>(rng.uniform() * n) % n;
+      if (j != i) b.add(i, j, rng.normal());
+    }
+  }
+  return b.build();
+}
+
+TEST(Boundary, MatchesBruteForceBfs) {
+  {
+    const CsrMatrix a = sparse::make_circuit_like(0.04, true, 13);
+    const int row0 = 30, row1 = 150, s = 4;
+    const BoundarySets bs = compute_boundary_sets(a, row0, row1, s);
+    const auto ref = brute_force_hops(a, row0, row1, s);
+    ASSERT_EQ(bs.hops.size(), ref.size());
+    for (int t = 0; t < s; ++t) {
+      EXPECT_EQ(bs.hops[static_cast<std::size_t>(t)],
+                ref[static_cast<std::size_t>(t)])
+          << "hop " << t + 1;
+    }
+  }
+  // A directed pattern: row i reads i+1 and a chord 7 rows back (mod n), so
+  // i -> j edges are not mirrored. Every row is reachable from any block;
+  // with s past the closure the last hops are empty.
+  const int n = 60;
+  sparse::CooBuilder b(n, n);
+  for (int i = 0; i < n; ++i) {
+    b.add(i, i, 2.0);
+    b.add(i, (i + 1) % n, -1.0);
+    if (i % 3 == 0) b.add(i, (i + n - 7) % n, 0.5);
+  }
+  const CsrMatrix a = b.build();
+  for (const auto& [row0, row1] : {std::pair{20, 26}, std::pair{0, 1},
+                                   std::pair{55, 60}, std::pair{30, 30}}) {
+    const int s = n;
+    const BoundarySets bs = compute_boundary_sets(a, row0, row1, s);
+    const auto ref = brute_force_hops(a, row0, row1, s);
+    ASSERT_EQ(bs.hops.size(), ref.size());
+    for (int t = 0; t < s; ++t) {
+      EXPECT_EQ(bs.hops[static_cast<std::size_t>(t)],
+                ref[static_cast<std::size_t>(t)])
+          << "rows [" << row0 << ", " << row1 << ") hop " << t + 1;
+    }
+    if (row1 > row0) {
+      EXPECT_EQ(bs.total_external(), n - (row1 - row0));
+      EXPECT_TRUE(bs.hops.back().empty());
+    }
+  }
+}
+
+TEST(Plan, MatchesReferenceBuilderBitwise) {
+  // The banded, random unsymmetric and scrambled-circuit (g3 analog)
+  // patterns, each on one device, a k-way split over 16, the natural split
+  // over 12 and a split with an empty device; some device reaches its
+  // dependency closure before its last hop (checked at the end).
+  sparse::CooBuilder band(300, 300);
+  Rng rng(5);
+  for (int i = 0; i < 300; ++i) {
+    for (int j = std::max(0, i - 3); j <= std::min(299, i + 3); ++j) {
+      band.add(i, j, i == j ? 8.0 : rng.normal());
+    }
+  }
+  const std::vector<std::pair<std::string, CsrMatrix>> mats = {
+      {"banded", band.build()},
+      {"random", random_pattern(500, 4, 11)},
+      {"circuit", sparse::make_circuit_like(0.1, true, 29)}};
+  bool closure_before_s = false;
+  for (const auto& [name, a] : mats) {
+    const int n = a.n_rows;
+    const graph::Partition kway =
+        graph::make_partition(a, 16, graph::Ordering::kKway, 7);
+    const CsrMatrix a_kway = sparse::permute_symmetric(a, kway.perm);
+    const std::vector<std::tuple<std::string, const CsrMatrix*,
+                                 std::vector<int>>>
+        splits = {{"one device", &a, {0, n}},
+                  {"kway 16", &a_kway, kway.offsets},
+                  {"natural 12", &a, offsets_of(a, 12)},
+                  {"empty device", &a, {0, n / 3, n / 3, n}}};
+    for (const auto& [split, m, off] : splits) {
+      for (const int s : {1, 2, 5, 15}) {
+        const std::string what =
+            name + " " + split + " s=" + std::to_string(s);
+        const MpkPlan got = build_mpk_plan(*m, off, s);
+        expect_same_plan(got, reference_build_mpk_plan(*m, off, s), what);
+        for (const MpkDevicePlan& dp : got.dev) {
+          closure_before_s |= s >= 2 && !dp.ext_global.empty() &&
+                              dp.boundary_rows_at_step[0] ==
+                                  static_cast<int>(dp.ext_global.size());
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(closure_before_s);
 }
 
 TEST(Boundary, BandedMatrixGrowsLinearly) {
@@ -158,6 +404,7 @@ TEST(Plan, RejectsBadArguments) {
   const CsrMatrix a = sparse::make_laplace2d(4, 4);
   EXPECT_THROW(build_mpk_plan(a, {0, 8}, 2), Error);      // offsets wrong end
   EXPECT_THROW(build_mpk_plan(a, {0, 16}, 0), Error);     // s < 1
+  EXPECT_THROW(build_mpk_plan(a, {0, 10, 8, 16}, 2), Error);  // decreasing
 }
 
 class MpkExecTest : public ::testing::TestWithParam<std::tuple<int, int>> {};
@@ -879,6 +1126,183 @@ INSTANTIATE_TEST_SUITE_P(
     Bases, MpkFusedTest,
     ::testing::Values(Basis::kMonomial, Basis::kComplexPairs),
     [](const auto& info) { return basis_name(info.param); });
+
+// --- Deferred deep-halo gather ------------------------------------------
+//
+// The exchange fills only each device's hop-1 ghosts, the prefix the shared
+// path reads; before the per-device path runs, complete_halo() fills hops
+// >= 2 with the same codec round trip and expand poison. The reference
+// below knows nothing of z-buffers or of the plan's boundary CSR: per
+// device it runs the scalar recursion over the global matrix on the rows
+// of hop <= s-k, with the ghosts as the wire delivers them.
+
+/// Device d's owned rows of v(:, 1..s) from the start x0 (global order),
+/// each ghost x0 rounded to fp32 when `fp32` and NaN when `poisoned`.
+std::vector<std::vector<double>> host_recursion(const CsrMatrix& a,
+                                                int row0, int row1, int s,
+                                                const std::vector<double>& x0,
+                                                const Shifts& sh, bool fp32,
+                                                bool poisoned) {
+  const auto hops = brute_force_hops(a, row0, row1, s);
+  const auto n = static_cast<std::size_t>(a.n_rows);
+  std::vector<double> x2(n, 0.0), x1(n, 0.0), y(n, 0.0);
+  for (int i = row0; i < row1; ++i) {
+    x1[static_cast<std::size_t>(i)] = x0[static_cast<std::size_t>(i)];
+  }
+  for (const auto& h : hops) {
+    for (const int g : h) {
+      double v = x0[static_cast<std::size_t>(g)];
+      if (fp32) v = static_cast<double>(static_cast<float>(v));
+      if (poisoned) v = std::numeric_limits<double>::quiet_NaN();
+      x1[static_cast<std::size_t>(g)] = v;
+    }
+  }
+  std::vector<std::vector<double>> out;
+  for (int k = 1; k <= s; ++k) {
+    const ShiftSeq seq = sh.seq();
+    const double theta = seq.re != nullptr ? seq.re[k - 1] : 0.0;
+    const bool pair = seq.im != nullptr && seq.im[k - 1] < 0.0;
+    const double beta2 = pair ? seq.im[k - 2] * seq.im[k - 2] : 0.0;
+    const auto row = [&](int r) {
+      double acc = 0.0;
+      for (auto p = a.row_ptr[static_cast<std::size_t>(r)];
+           p < a.row_ptr[static_cast<std::size_t>(r) + 1]; ++p) {
+        acc += a.vals[static_cast<std::size_t>(p)] *
+               x1[static_cast<std::size_t>(
+                   a.col_idx[static_cast<std::size_t>(p)])];
+      }
+      if (theta != 0.0 || pair) {
+        acc -= theta * x1[static_cast<std::size_t>(r)];
+        if (pair) acc += beta2 * x2[static_cast<std::size_t>(r)];
+      }
+      y[static_cast<std::size_t>(r)] = acc;
+    };
+    for (int r = row0; r < row1; ++r) row(r);
+    for (int t = 1; t <= s - k; ++t) {
+      for (const int g : hops[static_cast<std::size_t>(t) - 1]) row(g);
+    }
+    out.emplace_back(y.begin() + row0, y.begin() + row1);
+    std::swap(x2, x1);
+    std::swap(x1, y);
+  }
+  return out;
+}
+
+enum class DeepPath { kFp32Halo, kExpandLatch, kPerDevice };
+
+/// The two cases the deferred gather is checked on: the circuit analog
+/// with complex-pair shifts, and a path graph with no diagonal under the
+/// monomial basis, where a hop-1 ghost row's next value reads only hop-2
+/// ghosts and owned rows, so poison missing from hop 2 shows in the owned
+/// outputs.
+std::vector<std::pair<CsrMatrix, Basis>> deep_halo_cases() {
+  const int n = 60;
+  sparse::CooBuilder path(n, n);
+  Rng rng(67);
+  for (int i = 0; i < n; ++i) {
+    if (i > 0) path.add(i, i - 1, 0.5 + rng.uniform());
+    if (i + 1 < n) path.add(i, i + 1, 0.5 + rng.uniform());
+  }
+  return {{sparse::make_circuit_like(0.1, true, 29), Basis::kComplexPairs},
+          {path.build(), Basis::kMonomial}};
+}
+
+/// One apply() (or per-device apply) at 3 devices, s = 5, reaching
+/// complete_halo() through `path`; every output column must match
+/// host_recursion bit for bit.
+void expect_deep_halo_exact(const CsrMatrix& a, Basis basis, DeepPath path) {
+  const int ng = 3, s = 5, latched = 1;
+  const auto off = offsets_of(a, ng);
+  const MpkPlan plan = build_mpk_plan(a, off, s);
+  const Shifts sh(basis, s);
+  for (int d = 0; d < ng; ++d) {
+    ASSERT_FALSE(brute_force_hops(a, off[static_cast<std::size_t>(d)],
+                                  off[static_cast<std::size_t>(d) + 1], s)[2]
+                     .empty())
+        << "device " << d << " has fewer than 3 ghost hops";
+  }
+  const sim::Codec codec =
+      path == DeepPath::kFp32Halo ? sim::Codec::kFp32 : sim::Codec::kNone;
+
+  std::string spec = "seed=1";
+  if (path == DeepPath::kExpandLatch) {
+    // The expand is the device's second pack when it also sends, else
+    // its first.
+    Machine traced(ng);
+    traced.set_halo_codec(codec);
+    traced.enable_trace();
+    MpkExecutor exec(plan);
+    DistMultiVec v = random_start(plan, s + 1, 61);
+    exec.apply(traced, v, 0, s, sh.seq());
+    traced.sync();
+    const int nth = plan.dev[latched].send_local_rows.empty() ? 1 : 2;
+    const std::int64_t op = op_index_of(traced.trace(), latched, "pack", nth);
+    ASSERT_GT(op, 0);
+    spec = "nan:d" + std::to_string(latched) + "@op=" + std::to_string(op);
+  }
+
+  Machine m(ng);
+  m.set_halo_codec(codec);
+  sim::parse_fault_spec(spec, m.fault_injector());
+  MpkExecutor exec(plan);
+  DistMultiVec v = random_start(plan, s + 1, 61);
+  std::vector<double> x0;
+  for (int d = 0; d < ng; ++d) {
+    x0.insert(x0.end(), v.col(d, 0), v.col(d, 0) + v.local_rows(d));
+  }
+  if (path == DeepPath::kPerDevice) {
+    detail::apply_per_device(exec, m, v, 0, s, sh.seq());
+  } else {
+    exec.apply(m, v, 0, s, sh.seq());
+  }
+  m.sync();
+  if (path == DeepPath::kExpandLatch) {
+    ASSERT_EQ(m.kernel_faults_consumed(), 1) << spec;
+  }
+
+  for (int d = 0; d < ng; ++d) {
+    const bool poisoned = path == DeepPath::kExpandLatch && d == latched;
+    const auto ref = host_recursion(a, off[static_cast<std::size_t>(d)],
+                                    off[static_cast<std::size_t>(d) + 1], s,
+                                    x0, sh, codec == sim::Codec::kFp32,
+                                    poisoned);
+    bool saw_nan = false;
+    for (int k = 1; k <= s; ++k) {
+      const double* got = v.col(d, k);
+      const auto& want = ref[static_cast<std::size_t>(k) - 1];
+      for (int i = 0; i < v.local_rows(d); ++i) {
+        const double w = want[static_cast<std::size_t>(i)];
+        saw_nan |= std::isnan(got[i]);
+        if (std::isnan(w)) {
+          ASSERT_TRUE(std::isnan(got[i])) << "d=" << d << " k=" << k;
+        } else {
+          ASSERT_EQ(std::memcmp(&got[i], &w, sizeof(double)), 0)
+              << "d=" << d << " k=" << k << " i=" << i << ": " << got[i]
+              << " vs " << w;
+        }
+      }
+    }
+    EXPECT_EQ(saw_nan, poisoned) << "device " << d;
+  }
+}
+
+TEST(MpkDeferredGather, Fp32HaloCompletesTheDeepHops) {
+  for (const auto& [a, basis] : deep_halo_cases()) {
+    expect_deep_halo_exact(a, basis, DeepPath::kFp32Halo);
+  }
+}
+
+TEST(MpkDeferredGather, ExpandLatchPoisonsTheDeepHops) {
+  for (const auto& [a, basis] : deep_halo_cases()) {
+    expect_deep_halo_exact(a, basis, DeepPath::kExpandLatch);
+  }
+}
+
+TEST(MpkDeferredGather, PerDeviceApplyCompletesTheDeepHops) {
+  for (const auto& [a, basis] : deep_halo_cases()) {
+    expect_deep_halo_exact(a, basis, DeepPath::kPerDevice);
+  }
+}
 
 }  // namespace
 }  // namespace cagmres::mpk
